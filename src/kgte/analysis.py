@@ -40,6 +40,7 @@ from .prompting import PromptInstance, get_template, render
 from .retriever import (
     RetrievedContext,
     empty_context,
+    retrieve_contexts,
     retrieve_examples,
     retrieve_triplets,
 )
@@ -159,9 +160,10 @@ def random_model_study(
         raise ValueError("trials must be >= 1")
     if index.kind != "triplet":
         raise ValueError("the random model study runs on a triplet index")
+    per_sentence = [retrieve_contexts(s.text, index, n_kb_values) for s in sentences]
     rows = []
-    for n_kb in n_kb_values:
-        contexts = [retrieve_triplets(s.text, index, n_kb) for s in sentences]
+    for j, n_kb in enumerate(n_kb_values):
+        contexts = [sentence_contexts[j] for sentence_contexts in per_sentence]
         golds = [set(s.gold) for s in sentences]
         p = context_hit_probability(contexts, golds)
         mc_total = 0.0

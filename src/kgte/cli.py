@@ -200,19 +200,24 @@ def _cmd_ablate(args) -> int:
 
 
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
+    """(x, y) pairs from the first two columns; only the first non-blank line
+    may be a non-numeric header."""
     points = []
+    seen_line = False
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
             if len(cells) < 2:
-                raise ValueError(f"expected two CSV columns, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected two CSV columns, got {line!r}")
             try:
                 points.append((float(cells[0]), float(cells[1])))
             except ValueError:
-                continue  # header row
+                if seen_line:
+                    raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+            seen_line = True
     if not points:
         raise ValueError(f"no numeric rows in {path}")
     return points

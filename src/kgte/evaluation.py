@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import AnnotatedSentence, Triplet
-from .encoder import encode
-from .retriever import RetrievedContext, diversity_filter
-from .vector_index import VectorIndex, top_k
+from .retriever import RetrievedContext, retrieve_contexts
+from .vector_index import VectorIndex, top_k  # noqa: F401  kept importable from here for call tracers
 
 
 def sentence_f1(pred: set, gold: set) -> float:
@@ -205,8 +204,8 @@ def sweep_context_quality(
 
     Uses the retrieval pipeline, including the diversity filter in triplets
     mode. Each sentence is encoded and ranked once at the largest N_KB; the
-    smaller values reuse rank prefixes, which is equivalent to retrieving at
-    each N_KB separately.
+    smaller values reuse rank prefixes (``retrieve_contexts``), which is
+    equivalent to retrieving at each N_KB separately.
     """
     if not sentences:
         raise ValueError("no sentences to sweep")
@@ -219,20 +218,9 @@ def sweep_context_quality(
     if mode is not None and mode != derived_mode:
         raise ValueError(f"mode {mode!r} does not match index kind {index.kind!r}")
     golds = [set(s.gold) for s in sentences]
-    ranked_per_sentence = []
-    for sentence in sentences:
-        query = encode(sentence.text, index.encoder_config, client=client)
-        ranked_per_sentence.append(
-            [(node.payload, score) for node, score in top_k(index, query, values[-1])]
-        )
-    points = []
-    for n in values:
-        contexts = []
-        for ranked in ranked_per_sentence:
-            prefix = ranked[:n]
-            if derived_mode == "triplets":
-                contexts.append(frozenset(t for t, _ in diversity_filter(prefix)))
-            else:
-                contexts.append(frozenset(t for ex, _ in prefix for t in ex.gold))
-        points.append((n, context_hit_probability(contexts, golds)))
+    per_sentence = [retrieve_contexts(s.text, index, values, client=client) for s in sentences]
+    points = [
+        (n, context_hit_probability([contexts[j] for contexts in per_sentence], golds))
+        for j, n in enumerate(values)
+    ]
     return ContextQualityCurve(points=tuple(points), mode=derived_mode, scale=scale)

@@ -83,6 +83,31 @@ def diversity_filter(
     return kept
 
 
+def retrieve_contexts(
+    sentence: str, index: VectorIndex, n_kb_values: Sequence[int], *, client=None
+) -> list[RetrievedContext]:
+    """The sentence's context at each N_KB in ``n_kb_values``, in that order,
+    from one encoding and one ranking at the largest N_KB.
+
+    ``top_k`` orders nodes totally by (-score, id), so the top n nodes are
+    the length-n prefix of the top max(N_KB): each context equals a separate
+    retrieval at its N_KB. A triplet index passes each prefix through the
+    diversity filter; an example index keeps it as is.
+    """
+    if any(n < 1 for n in n_kb_values):
+        raise ValueError("n_kb must be >= 1")
+    if not n_kb_values:
+        return []
+    mode = "triplets" if index.kind == "triplet" else "examples"
+    query = encode(sentence, index.encoder_config, client=client)
+    ranked = [(node.payload, score) for node, score in top_k(index, query, max(n_kb_values))]
+    contexts = []
+    for n in n_kb_values:
+        items = diversity_filter(ranked[:n]) if mode == "triplets" else ranked[:n]
+        contexts.append(RetrievedContext(mode=mode, items=tuple(items), n_kb_requested=n))
+    return contexts
+
+
 def retrieve_triplets(
     sentence: str, index: VectorIndex, n_kb: int, *, client=None
 ) -> RetrievedContext:
@@ -91,11 +116,7 @@ def retrieve_triplets(
     top-up is performed."""
     if index.kind != "triplet":
         raise ValueError(f"retrieve_triplets needs a triplet index, got {index.kind!r}")
-    if n_kb < 1:
-        raise ValueError("n_kb must be >= 1")
-    query = encode(sentence, index.encoder_config, client=client)
-    ranked = [(node.payload, score) for node, score in top_k(index, query, n_kb)]
-    return RetrievedContext(mode="triplets", items=tuple(diversity_filter(ranked)), n_kb_requested=n_kb)
+    return retrieve_contexts(sentence, index, [n_kb], client=client)[0]
 
 
 def retrieve_examples(
@@ -104,8 +125,4 @@ def retrieve_examples(
     """Top ``n_kb`` (sentence, triplets) examples by similarity; no filtering."""
     if index.kind != "example":
         raise ValueError(f"retrieve_examples needs an example index, got {index.kind!r}")
-    if n_kb < 1:
-        raise ValueError("n_kb must be >= 1")
-    query = encode(sentence, index.encoder_config, client=client)
-    items = tuple((node.payload, score) for node, score in top_k(index, query, n_kb))
-    return RetrievedContext(mode="examples", items=items, n_kb_requested=n_kb)
+    return retrieve_contexts(sentence, index, [n_kb], client=client)[0]

@@ -1,8 +1,10 @@
 """Immutable node-based vector store with exact top-k retrieval and persistence.
 
-Retrieval is a full scan over a dense matrix: exact, deterministic, and fast
-enough at the KB sizes this library targets (tens of thousands of nodes).
-Ties are broken by ascending node id.
+Retrieval scans every node (one float64 matrix-vector product over a dense
+matrix that holds each vector once) and then selects the top k exactly with a
+partial selection instead of a full sort: deterministic, and fast enough at
+the KB sizes this library targets (tens of thousands of nodes). Ties are
+broken by ascending node id, at the k-th position too.
 """
 
 from __future__ import annotations
@@ -58,13 +60,11 @@ class VectorIndex:
             raise ValueError(f"unsupported metric {self.metric!r}")
         if not self.nodes:
             raise ValueError("index has no nodes")
-        object.__setattr__(self, "nodes", tuple(self.nodes))
         for position, node in enumerate(self.nodes):
             if node.id != position:
                 raise ValueError(f"node ids must be contiguous from 0; got {node.id} at {position}")
             if node.vector.shape != (self.dimension,):
                 raise ValueError(f"node {node.id} has dimension {node.vector.shape}, expected {self.dimension}")
-            node.vector.setflags(write=False)
         matrix = np.stack([node.vector for node in self.nodes])
         norms = np.linalg.norm(matrix, axis=1)
         if not np.all(np.abs(norms - 1.0) <= _NORM_TOLERANCE):
@@ -72,6 +72,12 @@ class VectorIndex:
             raise ValueError(f"node {worst} vector norm {norms[worst]} is not unit")
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
+        # each node's vector becomes a read-only row view, so it is stored once
+        object.__setattr__(
+            self,
+            "nodes",
+            tuple(IndexNode(node.id, node.kind, node.payload, row) for node, row in zip(self.nodes, matrix)),
+        )
 
     @classmethod
     def from_entries(
@@ -134,7 +140,11 @@ def build_index(
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode, float]]:
     """Exact top-k by cosine score, descending; ties broken by ascending id.
 
-    Returns min(k, len(index)) entries.
+    Scans every node, then selects instead of sorting all scores: the k-th
+    largest score is found with a partial selection, every node scoring at
+    least that much is a candidate (so all nodes tied at the k-th position
+    compete), and only the candidates are ordered by (-score, id). Returns
+    min(k, len(index)) entries, the same as a full stable sort would.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -142,8 +152,11 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode
     if query.shape != (index.dimension,):
         raise ValueError(f"query dimension {query.shape} does not match index dimension {index.dimension}")
     scores = index._matrix @ query
-    order = np.argsort(-scores, kind="stable")
-    return [(index.nodes[i], float(scores[i])) for i in order[: min(k, len(scores))]]
+    n = len(scores)
+    k = min(k, n)
+    candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    order = candidates[np.lexsort((candidates, -scores[candidates]))[:k]]
+    return [(index.nodes[i], float(scores[i])) for i in order]
 
 
 def _round9(value: float) -> float:
@@ -159,16 +172,20 @@ def _payload_to_json(node: IndexNode):
     }
 
 
-def _payload_from_json(kind: str, raw) -> Triplet | AnnotatedSentence:
+def _payload_from_json(kind: str, raw, position: int) -> Triplet | AnnotatedSentence:
     if kind == "triplet":
         if not isinstance(raw, list) or len(raw) != 3:
-            raise IndexFormatError(f"triplet payload {raw!r} is not a 3-element list")
+            raise IndexFormatError(f"node {position}: triplet payload {raw!r} is not a 3-element list")
         return Triplet(*raw)
     if not isinstance(raw, dict):
-        raise IndexFormatError(f"example payload {raw!r} is not an object")
-    return AnnotatedSentence(
-        text=raw["text"], gold=tuple(Triplet(*t) for t in raw["triplets"])
-    )
+        raise IndexFormatError(f"node {position}: example payload {raw!r} is not an object")
+    for key in ("text", "triplets"):
+        if key not in raw:
+            raise IndexFormatError(f"node {position}: example payload missing field {key!r}")
+    triplets = raw["triplets"]
+    if not isinstance(triplets, list) or not all(isinstance(t, list) and len(t) == 3 for t in triplets):
+        raise IndexFormatError(f"node {position}: example triplets {triplets!r} are not 3-element lists")
+    return AnnotatedSentence(text=raw["text"], gold=tuple(Triplet(*t) for t in triplets))
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
@@ -241,9 +258,14 @@ def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorI
     payloads = []
     vectors = []
     for position, entry in enumerate(doc["nodes"]):
+        if not isinstance(entry, dict):
+            raise IndexFormatError(f"node {position} is not an object")
         if entry.get("id") != position:
             raise IndexFormatError(f"node ids not contiguous at position {position}")
-        payloads.append(_payload_from_json(kind, entry["payload"]))
+        for key in ("payload", "vector"):
+            if key not in entry:
+                raise IndexFormatError(f"node {position} missing field {key!r}")
+        payloads.append(_payload_from_json(kind, entry["payload"], position))
         vector = np.asarray(entry["vector"], dtype=np.float64)
         norm = float(np.linalg.norm(vector))
         if norm == 0.0:

@@ -62,14 +62,25 @@ def test_criterion_1_retrieval_oracle_equivalence():
     vectors = rng.normal(size=(1000, dimension))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(1000)]
-    index = VectorIndex.from_entries(
-        "triplet", payloads, list(vectors), EncoderConfig(dimension=dimension)
+    config = EncoderConfig(dimension=dimension)
+    index = VectorIndex.from_entries("triplet", payloads, list(vectors), config)
+
+    # Ties: 1000 nodes drawn from 250 distinct unit vectors with four +-0.5
+    # coordinates, queried with small-integer vectors. Every score is then
+    # an exact multiple of 0.5, so duplicated rows and distinct rows tie
+    # exactly, and ties straddle the k-th position.
+    distinct = np.zeros((250, dimension))
+    for row in distinct:
+        row[rng.choice(dimension, size=4, replace=False)] = rng.choice([-0.5, 0.5], size=4)
+    tied_index = VectorIndex.from_entries(
+        "triplet", payloads, list(distinct[rng.integers(0, 250, size=1000)]), config
     )
 
     queries = rng.normal(size=(25, dimension))
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    tie_queries = rng.integers(-3, 4, size=(25, dimension)).astype(np.float64)
 
-    def oracle(query, k):
+    def oracle(index, query, k):
         scored = []
         for node in index.nodes:
             acc = 0.0
@@ -80,17 +91,27 @@ def test_criterion_1_retrieval_oracle_equivalence():
         return scored[:k]
 
     elapsed = 0.0
-    for query in queries:
-        for k in (1, 5, 10):
-            start = time.perf_counter()
-            got = top_k(index, query, k)
-            elapsed += time.perf_counter() - start
-            expected = oracle(query, k)
-            assert [node.id for node, _ in got] == [i for i, _ in expected]
-            for (_, a), (_, b) in zip(got, expected):
-                assert a == pytest.approx(b, abs=1e-12)
+    straddled = 0
+    for searched, searched_queries in ((index, queries), (tied_index, tie_queries)):
+        for query in searched_queries:
+            for k in (1, 5, 10):
+                start = time.perf_counter()
+                got = top_k(searched, query, k)
+                elapsed += time.perf_counter() - start
+                expected = oracle(searched, query, k + 1)
+                if expected[k - 1][1] == expected[k][1]:
+                    straddled += 1
+                expected = expected[:k]
+                assert [node.id for node, _ in got] == [i for i, _ in expected]
+                for (_, a), (_, b) in zip(got, expected):
+                    assert a == pytest.approx(b, abs=1e-12)
+    assert straddled >= 25
     assert elapsed < 1.0
-    report(1, f"top_k matches brute force on 1000x{dimension} for k in 1/5/10 ({elapsed:.3f}s)")
+    report(
+        1,
+        f"top_k matches brute force on 1000x{dimension} for k in 1/5/10, "
+        f"ties at the k-th position in {straddled} of 150 cases ({elapsed:.3f}s)",
+    )
 
 
 # --- criterion 2: scorer fixture ----------------------------------------------

@@ -238,6 +238,14 @@ class TestFit:
         fit = json.loads(capsys.readouterr().out)
         assert fit["slope"] == pytest.approx(0.05, abs=1e-9)
 
+    def test_non_numeric_data_row_fails_naming_line(self, tmp_path, capsys):
+        csv = tmp_path / "points.csv"
+        csv.write_text("x,y\n0,1\n\n2,oops\n3,7\n")
+        assert run_cli(["fit", "--input", str(csv)]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert f"{csv}:4" in message
+        assert "2,oops" in message
+
     def test_empty_csv_fails(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"
         csv.write_text("x,y\n")

@@ -17,6 +17,7 @@ from kgte import (
     retrieve_triplets,
     top_k,
 )
+from kgte.retriever import retrieve_contexts
 from conftest import planted_pair_records, planted_single_records
 
 
@@ -111,6 +112,24 @@ class TestRetrieveTriplets:
             shorter = [node.id for node, _ in top_k(index, query, k)]
             longer = [node.id for node, _ in top_k(index, query, k + 1)]
             assert longer[:k] == shorter
+
+
+class TestRetrieveContexts:
+    def test_prefixes_equal_separate_retrievals(self):
+        records = planted_pair_records(16)
+        kb = build_kb(records[:8], records[8:])
+        config = EncoderConfig(dimension=64)
+        n_kb_values = [7, 1, 3, 3, 12]
+        for kind, retrieve in (("triplet", retrieve_triplets), ("example", retrieve_examples)):
+            index = build_index(kb, kind, config=config)
+            for record in records[:4]:
+                contexts = retrieve_contexts(record.text, index, n_kb_values)
+                assert contexts == [retrieve(record.text, index, n) for n in n_kb_values]
+
+    def test_rejects_nonpositive_n_kb(self):
+        index = _planted_triplet_index(planted_pair_records(6))
+        with pytest.raises(ValueError):
+            retrieve_contexts("whatever sentence", index, [3, 0])
 
 
 class TestRetrieveExamples:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgte import (
     AnnotatedSentence,
@@ -31,6 +34,21 @@ def brute_force_top_k(index, query, k):
         scored.append((node.id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+# Unit vectors whose dot products with small-integer queries are exact in
+# float64, so ties are exact ties under any summation order.
+EXACT_ROWS = [
+    np.array(row)
+    for row in (
+        [1.0, 0.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.5, 0.5, 0.5, 0.5],
+        [0.5, -0.5, 0.5, -0.5],
+    )
+]
 
 
 def random_unit_index(n, dimension, seed=0):
@@ -138,6 +156,21 @@ class TestTopK:
             if sa == sb:
                 assert na.id < nb.id
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        rows=st.lists(st.integers(0, len(EXACT_ROWS) - 1), min_size=1, max_size=14),
+        query=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    )
+    def test_repeated_rows_match_oracle_for_every_k(self, rows, query):
+        payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(rows))]
+        index = VectorIndex.from_entries(
+            "triplet", payloads, [EXACT_ROWS[r] for r in rows], EncoderConfig(dimension=4)
+        )
+        query = np.array(query, dtype=np.float64)
+        for k in range(1, len(index) + 2):
+            got = [(node.id, score) for node, score in top_k(index, query, k)]
+            assert got == brute_force_top_k(index, query, k)
+
     def test_dimension_mismatch_rejected(self):
         index, _ = random_unit_index(5, 8)
         with pytest.raises(ValueError):
@@ -157,6 +190,12 @@ class TestImmutability:
         with pytest.raises(ValueError):
             index.nodes[0].vector[0] = 5.0
         assert isinstance(index.nodes, tuple)
+
+    def test_node_vectors_are_rows_of_the_matrix(self):
+        index, _ = random_unit_index(5, 8)
+        for node in index.nodes:
+            assert node.vector.base is index._matrix
+            assert np.array_equal(node.vector, index._matrix[node.id])
 
     def test_non_unit_vector_rejected(self):
         config = EncoderConfig(dimension=4)
@@ -253,3 +292,43 @@ class TestPersistence:
             before = [n.id for n, _ in top_k(index, query, 10)]
             after = [n.id for n, _ in top_k(reloaded, query, 10)]
             assert before == after
+
+
+class TestMalformedIndexFile:
+    """Structurally broken nodes fail with ``IndexFormatError`` naming the node."""
+
+    def _saved_doc(self, tmp_path, kind):
+        kb = small_kb()
+        index = build_index(kb, kind, config=EncoderConfig(dimension=16))
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        return path, json.loads(path.read_text())
+
+    def _assert_rejected(self, path, doc, needle):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IndexFormatError) as excinfo:
+            load_index(path)
+        assert "node 1" in str(excinfo.value)
+        assert needle in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["payload", "vector"])
+    def test_node_missing_field(self, tmp_path, field):
+        path, doc = self._saved_doc(tmp_path, "triplet")
+        del doc["nodes"][1][field]
+        self._assert_rejected(path, doc, field)
+
+    @pytest.mark.parametrize("field", ["text", "triplets"])
+    def test_example_payload_missing_field(self, tmp_path, field):
+        path, doc = self._saved_doc(tmp_path, "example")
+        del doc["nodes"][1]["payload"][field]
+        self._assert_rejected(path, doc, field)
+
+    def test_example_triplet_not_three_elements(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path, "example")
+        doc["nodes"][1]["payload"]["triplets"] = [["a", "r"]]
+        self._assert_rejected(path, doc, "3-element")
+
+    def test_node_not_an_object(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path, "triplet")
+        doc["nodes"][1] = [1, 2]
+        self._assert_rejected(path, doc, "not an object")
