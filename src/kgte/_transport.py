@@ -8,11 +8,15 @@ run fully offline.
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 Transport = Callable[[str, dict, Mapping[str, str], float], tuple[int, str]]
+
+API_KEY_ENV = "KGTE_API_KEY"
 
 # statuses worth retrying; everything else 4xx/5xx is a hard API error
 TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -62,11 +66,14 @@ def post_json(
     transport: Transport | None = None,
     sleeper: Callable[[float], None] = time.sleep,
 ) -> dict:
-    """POST a JSON payload, retrying transient failures with exponential backoff.
+    """POST a JSON payload and return the JSON object the endpoint answers,
+    retrying transient failures with exponential backoff.
 
-    Transport exceptions and the statuses in ``TRANSIENT_STATUSES`` are
-    retried up to ``policy.max_retries`` times; other non-2xx statuses raise
-    ``APIError`` immediately.
+    Network errors (``OSError``, which includes ``ConnectionError``,
+    ``TimeoutError`` and every ``requests`` exception) and the statuses in
+    ``TRANSIENT_STATUSES`` are retried up to ``policy.max_retries`` times.
+    Other non-2xx statuses, and a 2xx body that is not a JSON object, raise
+    ``APIError`` at once; any other exception from the transport propagates.
     """
     policy = policy or RetryPolicy()
     transport = transport or _requests_transport
@@ -75,17 +82,24 @@ def post_json(
     for attempt in range(policy.max_retries + 1):
         try:
             status, body = transport(url, payload, headers, timeout)
-        except Exception as exc:
+        except OSError as exc:
             last_failure = f"transport failure: {exc}"
         else:
             if 200 <= status < 300:
                 try:
-                    return json.loads(body)
+                    doc = json.loads(body)
                 except json.JSONDecodeError as exc:
                     raise APIError(
                         f"endpoint returned invalid JSON: {exc}", status=status,
                         body_excerpt=body[:300],
                     ) from exc
+                if not isinstance(doc, dict):
+                    raise APIError(
+                        f"endpoint returned a JSON {type(doc).__name__}, not an object",
+                        status=status,
+                        body_excerpt=body[:300],
+                    )
+                return doc
             if status not in TRANSIENT_STATUSES:
                 raise APIError(
                     f"request to {url} failed with status {status}",
@@ -98,3 +112,47 @@ def post_json(
     raise TransportError(
         f"request to {url} failed after {policy.max_retries + 1} attempts ({last_failure})"
     )
+
+
+class HTTPClient:
+    """What the generation and embedding clients share: the bearer credential,
+    the request headers, the bound on requests in flight and the retry wiring.
+
+    ``api_key=None`` reads ``KGTE_API_KEY`` from the environment; an empty
+    string sends no ``Authorization`` header.
+    """
+
+    def __init__(
+        self,
+        *,
+        api_key: str | None,
+        timeout: float,
+        policy: RetryPolicy,
+        in_flight: int,
+        transport: Transport | None,
+        sleeper: Callable[[float], None],
+    ):
+        if in_flight < 1:
+            raise ValueError("in_flight must be >= 1")
+        if api_key is None:
+            api_key = os.environ.get(API_KEY_ENV)
+        self.headers = {"Content-Type": "application/json"}
+        if api_key:
+            self.headers["Authorization"] = f"Bearer {api_key}"
+        self.timeout = timeout
+        self.policy = policy
+        self.transport = transport
+        self.sleeper = sleeper
+        self._semaphore = threading.BoundedSemaphore(in_flight)
+
+    def post(self, url: str, payload: dict) -> dict:
+        with self._semaphore:
+            return post_json(
+                url,
+                payload,
+                headers=self.headers,
+                timeout=self.timeout,
+                policy=self.policy,
+                transport=self.transport,
+                sleeper=self.sleeper,
+            )

@@ -3,6 +3,7 @@ and the replayable end-to-end experiment driver."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,6 @@ from .evaluation import (
     context_hit_probability,
     micro_f1,
     sentence_f1,
-    sweep_context_quality,
 )
 from .extraction import (
     GenerationConfig,
@@ -66,12 +66,7 @@ class FitResult:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "n_points": self.n_points,
-        }
+        return dataclasses.asdict(self)
 
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
@@ -229,28 +224,7 @@ class ExperimentRunSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "mode": self.mode,
-            "extractor": self.extractor,
-            "prompt_kind": self.prompt_kind,
-            "n_kb": self.n_kb,
-            "scale": self.scale,
-            "seed": self.seed,
-            "split": self.split,
-            "embed_mode": self.embed_mode,
-            "dimension": self.dimension,
-            "ngram_range": list(self.ngram_range),
-            "char_budget": self.char_budget,
-            "generation": {
-                "model": self.generation.model,
-                "temperature": self.generation.temperature,
-                "max_output_tokens": self.generation.max_output_tokens,
-                "timeout": self.generation.timeout,
-                "max_retries": self.generation.max_retries,
-                "in_flight": self.generation.in_flight,
-            },
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -318,12 +292,10 @@ def _pure_extract_raw(
     context: RetrievedContext,
     max_triplets: int,
 ) -> str:
-    if spec.extractor == "oracle-gold":
-        triplets = oracle_extract("oracle_gold", sentence, context, max_triplets)
-    elif spec.extractor == "oracle-prefix":
-        triplets = oracle_extract("oracle_context_prefix", sentence, context, max_triplets)
-    else:
+    if spec.extractor == "random":
         triplets = random_extract(context, max_triplets, sentence_rng(spec.seed, index))
+    else:
+        triplets = oracle_extract(spec.extractor, sentence, context, max_triplets)
     return "\n".join(triplet_to_string(t) for t in triplets)
 
 
@@ -448,7 +420,7 @@ class AblationPoint:
     f1: float
 
     def to_dict(self) -> dict:
-        return {"scale": self.scale, "p": self.p, "f1": self.f1}
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -488,40 +460,33 @@ def run_ablation(
     embed_mode: str = "sentence",
     llm_client: RemoteLLMClient | None = None,
 ) -> AblationResult:
-    """Downscale the KB to each scale (nested samples under one seed), measure
-    P_S(N_KB) on the test split, run the extraction pipeline, and fit F1
-    against P_S."""
+    """Run the extraction pipeline on the test split once per scale, with the
+    KB downscaled to that scale (nested samples under one seed), and fit F1
+    against P_S(N_KB).
+
+    P_S is ``context_hit_probability`` over the contexts the run itself
+    retrieved, so each scale builds its KB and index once. A scale whose KB
+    is empty gives empty contexts and P_S = 0.
+    """
     if mode not in ("triplets", "examples"):
         raise ValueError("ablation runs in a KB-augmented mode")
-    dataset = load_dataset(manifest)
-    kind = _MODE_TO_INDEX_KIND[mode]
-    config = EncoderConfig(provider="hashed-ngram", dimension=dimension, ngram_range=ngram_range)
+    spec = ExperimentRunSpec(
+        manifest=str(manifest),
+        mode=mode,
+        extractor=extractor,
+        prompt_kind=prompt_kind,
+        n_kb=n_kb,
+        seed=seed,
+        embed_mode=embed_mode,
+        dimension=dimension,
+        ngram_range=ngram_range,
+    )
     points = []
     for scale in scales:
-        kb = build_kb(dataset.train, dataset.validation)
-        if scale < 1.0:
-            kb = downscale_kb(kb, scale, seed)
-        if kb.examples:
-            index = build_index(kb, kind, embed_mode, config)
-            curve = sweep_context_quality(
-                dataset.test, index, [n_kb], scale=scale
-            )
-            p = curve.points[0][1]
-        else:
-            p = 0.0
-        spec = ExperimentRunSpec(
-            manifest=str(manifest),
-            mode=mode,
-            extractor=extractor,
-            prompt_kind=prompt_kind,
-            n_kb=n_kb,
-            scale=scale,
-            seed=seed,
-            embed_mode=embed_mode,
-            dimension=dimension,
-            ngram_range=ngram_range,
+        result = run_experiment(dataclasses.replace(spec, scale=scale), llm_client=llm_client)
+        p = context_hit_probability(
+            [run.context for run in result.runs], [run.sentence.gold for run in result.runs]
         )
-        result = run_experiment(spec, llm_client=llm_client)
         points.append(AblationPoint(scale=scale, p=p, f1=result.report.f1))
     xs = {point.p for point in points}
     fit = fit_ablation([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None

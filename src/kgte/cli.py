@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .analysis import (
     EXPERIMENT_MODES,
+    EXTRACTORS,
     ExperimentRunSpec,
     linear_fit,
     log_param_fit,
@@ -36,7 +37,6 @@ from .retriever import retrieve_examples, retrieve_triplets
 from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, build_index, load_index, save_index
 
 _PROMPT_FLAG_TO_KIND = {"base": "base", "cot": "chain_of_thought", "documented": "documented"}
-_EXTRACTOR_FLAGS = ("llm", "oracle-gold", "oracle-prefix", "random")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -52,7 +52,7 @@ def _emit_json(payload, out: str | None) -> None:
 
 
 def _encoder_config(args) -> EncoderConfig:
-    if getattr(args, "embed_url", None):
+    if args.embed_url:
         return EncoderConfig(
             provider="external",
             dimension=args.dimension,
@@ -66,12 +66,15 @@ def _encoder_config(args) -> EncoderConfig:
     )
 
 
-def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
+def _add_encoder_flags(parser: argparse.ArgumentParser, *, external: bool) -> None:
+    """``external`` adds the external-provider flags, for the commands that
+    build an index themselves; experiment runs always use hashed n-grams."""
     parser.add_argument("--dimension", type=int, default=384)
     parser.add_argument("--ngram-min", type=int, default=3)
     parser.add_argument("--ngram-max", type=int, default=5)
-    parser.add_argument("--embed-url", help="external embeddings endpoint (default: built-in hashed n-grams)")
-    parser.add_argument("--embed-model", help="model id for the external embeddings endpoint")
+    if external:
+        parser.add_argument("--embed-url", help="external embeddings endpoint (default: built-in hashed n-grams)")
+        parser.add_argument("--embed-model", help="model id for the external embeddings endpoint")
 
 
 def _cmd_ingest(args) -> int:
@@ -147,13 +150,23 @@ def _cmd_extract(args) -> int:
 
 
 def _read_triplet_lines(path: str) -> list[list[Triplet]]:
+    """One triplet list per non-blank line: a JSON list of [s, p, o] lists,
+    or an object holding one under "triplets"."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            raw = obj["triplets"] if isinstance(obj, dict) else obj
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            raw = obj.get("triplets") if isinstance(obj, dict) else obj
+            if not isinstance(raw, list):
+                raise ValueError(f"{path}:{lineno}: expected a list of triplets or an object with 'triplets'")
+            for item in raw:
+                if not (isinstance(item, list) and len(item) == 3 and all(isinstance(x, str) for x in item)):
+                    raise ValueError(f"{path}:{lineno}: triplet {item!r} is not a 3-element list of strings")
             rows.append([Triplet(*item) for item in raw])
     return rows
 
@@ -246,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_encoder_flags(p)
+    _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("retrieve", help="retrieve KB context for one sentence")
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", choices=EXPERIMENT_MODES, default="zero")
     p.add_argument("--prompt", choices=tuple(_PROMPT_FLAG_TO_KIND), default="base")
-    p.add_argument("--extractor", choices=_EXTRACTOR_FLAGS, default="llm")
+    p.add_argument("--extractor", choices=EXTRACTORS, default="llm")
     p.add_argument("--nkb", type=int, default=5)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
@@ -271,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--llm-url", help="chat-completions base URL (required for --extractor llm)")
     p.add_argument("--out", required=True, help="directory for report.json, sentences.jsonl, spec.json")
-    _add_encoder_flags(p)
+    _add_encoder_flags(p, external=False)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("eval", help="score a predictions file against gold records")
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", choices=("train", "validation", "test"), default="test")
     p.add_argument("--out")
-    _add_encoder_flags(p)
+    _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_sweep_p)
 
     p = sub.add_parser("ablate", help="KB-downscale ablation with a linear fit of F1 vs P_S")
@@ -297,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", default="0,0.1,0.25,0.5,1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("triplets", "examples"), default="triplets")
-    p.add_argument("--extractor", choices=_EXTRACTOR_FLAGS, default="random")
+    p.add_argument("--extractor", choices=EXTRACTORS, default="random")
     p.add_argument("--nkb", type=int, default=5)
     p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
     p.add_argument("--out")
     p.add_argument("--points-out", help="also write the (P_S, F1) pairs as x,y CSV for `kgte fit`")
-    _add_encoder_flags(p)
+    _add_encoder_flags(p, external=False)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("fit", help="OLS fit of a two-column CSV, optionally in log-x")

@@ -10,8 +10,6 @@ scale. Transformer-grade encoders plug in through ``ExternalEncoderClient``.
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,12 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._transport import RetryPolicy, Transport, post_json
+from ._transport import HTTPClient, RetryPolicy, Transport
 from .corpus import Triplet, normalize_surface
 
 PROVIDERS = ("hashed-ngram", "external")
-
-API_KEY_ENV = "KGTE_API_KEY"
 
 _HASH_PERSON = b"kgte.ngram.v1"
 
@@ -117,9 +113,9 @@ class ExternalEncoderClient:
     """Client for an HTTP embeddings endpoint.
 
     Wire shape: POST ``endpoint`` with {"model": ..., "input": [text, ...]},
-    expecting {"data": [{"embedding": [...]}, ...]} in input order. Transient
-    failures are retried per ``policy``; concurrent in-flight requests are
-    bounded by ``in_flight``.
+    expecting {"data": [{"embedding": [...]}, ...]} in input order. The
+    credential, headers, in-flight bound and retries per ``policy`` come from
+    the shared ``HTTPClient`` core.
     """
 
     config: EncoderConfig
@@ -133,11 +129,14 @@ class ExternalEncoderClient:
     def __post_init__(self) -> None:
         if self.config.provider != "external":
             raise ValueError("ExternalEncoderClient requires an external-provider config")
-        if self.in_flight < 1:
-            raise ValueError("in_flight must be >= 1")
-        if self.api_key is None:
-            self.api_key = os.environ.get(API_KEY_ENV)
-        self._semaphore = threading.BoundedSemaphore(self.in_flight)
+        self._http = HTTPClient(
+            api_key=self.api_key,
+            timeout=self.timeout,
+            policy=self.policy,
+            in_flight=self.in_flight,
+            transport=self.transport,
+            sleeper=self.sleeper,
+        )
 
     def encode_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -145,20 +144,7 @@ class ExternalEncoderClient:
         for text in texts:
             if not normalize_surface(text):
                 raise EncodeError("cannot encode text that is empty after normalization")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = {"model": self.config.model, "input": list(texts)}
-        with self._semaphore:
-            doc = post_json(
-                self.config.endpoint,
-                payload,
-                headers=headers,
-                timeout=self.timeout,
-                policy=self.policy,
-                transport=self.transport,
-                sleeper=self.sleeper,
-            )
+        doc = self._http.post(self.config.endpoint, {"model": self.config.model, "input": list(texts)})
         data = doc.get("data")
         if not isinstance(data, list) or len(data) != len(texts):
             raise ValueError(f"embeddings endpoint returned {0 if not isinstance(data, list) else len(data)} items for {len(texts)} inputs")

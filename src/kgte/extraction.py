@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import os
 import random
 import threading
 import time
@@ -14,17 +13,13 @@ import uuid
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ._transport import RetryPolicy, Transport, post_json
+from ._transport import HTTPClient, RetryPolicy, Transport
 from .corpus import AnnotatedSentence, Triplet
 from .evaluation import sentence_f1
 from .prompting import PromptInstance
 from .retriever import RetrievedContext
 
 logger = logging.getLogger(__name__)
-
-API_KEY_ENV = "KGTE_API_KEY"
-
-EXTRACTOR_KINDS = ("remote_llm", "oracle_gold", "oracle_context_prefix", "random_baseline")
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,11 @@ class RemoteLLMClient:
     """Chat-completions client.
 
     POSTs ``{base_url}/chat/completions`` with a single user message and
-    reads the first choice's message content. Transient failures are retried
-    with exponential backoff; concurrent requests are bounded by
-    ``config.in_flight``. Every call appends to ``request_log``.
+    reads the first choice's message content. The credential, headers,
+    in-flight bound (``config.in_flight``) and retries with exponential
+    backoff come from the shared ``HTTPClient`` core: ``api_key=None`` reads
+    ``KGTE_API_KEY``, ``""`` sends no credential. Every call appends one entry
+    to ``request_log``, with ``outcome`` "ok" or "error".
     """
 
     def __init__(
@@ -102,12 +99,15 @@ class RemoteLLMClient:
     ):
         self.base_url = base_url.rstrip("/")
         self.config = config
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.transport = transport
-        self.sleeper = sleeper
-        self.policy = RetryPolicy(max_retries=config.max_retries, backoff_base=backoff_base)
+        self._http = HTTPClient(
+            api_key=api_key,
+            timeout=config.timeout,
+            policy=RetryPolicy(max_retries=config.max_retries, backoff_base=backoff_base),
+            in_flight=config.in_flight,
+            transport=transport,
+            sleeper=sleeper,
+        )
         self.request_log: list[dict] = []
-        self._semaphore = threading.BoundedSemaphore(config.in_flight)
         self._log_lock = threading.Lock()
 
     def _log(self, entry: dict) -> None:
@@ -117,63 +117,27 @@ class RemoteLLMClient:
 
     def generate(self, prompt: PromptInstance | str) -> str:
         rendered = prompt.rendered if isinstance(prompt, PromptInstance) else prompt
-        run_id = uuid.uuid4().hex
+        url = f"{self.base_url}/chat/completions"
+        entry = {
+            "run_id": uuid.uuid4().hex,
+            "url": url,
+            "model": self.config.model,
+            "prompt_chars": len(rendered),
+        }
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_output_tokens,
             "messages": [{"role": "user", "content": rendered}],
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        url = f"{self.base_url}/chat/completions"
         try:
-            with self._semaphore:
-                doc = post_json(
-                    url,
-                    payload,
-                    headers=headers,
-                    timeout=self.config.timeout,
-                    policy=self.policy,
-                    transport=self.transport,
-                    sleeper=self.sleeper,
-                )
-            content = doc["choices"][0]["message"]["content"]
+            content = self._http.post(url, payload)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise ValueError("completion message content is not a string")
         except Exception as exc:
-            self._log(
-                {
-                    "run_id": run_id,
-                    "url": url,
-                    "model": self.config.model,
-                    "prompt_chars": len(rendered),
-                    "outcome": "error",
-                    "detail": str(exc),
-                }
-            )
+            self._log({**entry, "outcome": "error", "detail": str(exc)})
             raise
-        if not isinstance(content, str):
-            self._log(
-                {
-                    "run_id": run_id,
-                    "url": url,
-                    "model": self.config.model,
-                    "prompt_chars": len(rendered),
-                    "outcome": "error",
-                    "detail": "non-string message content",
-                }
-            )
-            raise ValueError("completion message content is not a string")
-        self._log(
-            {
-                "run_id": run_id,
-                "url": url,
-                "model": self.config.model,
-                "prompt_chars": len(rendered),
-                "completion_chars": len(content),
-                "outcome": "ok",
-            }
-        )
+        self._log({**entry, "completion_chars": len(content), "outcome": "ok"})
         return content
 
 
@@ -247,15 +211,16 @@ def oracle_extract(
     context: RetrievedContext | None,
     max_triplets: int,
 ) -> list[Triplet]:
-    """Deterministic extractors for pipeline checks.
+    """Deterministic extractors for pipeline checks, named as in
+    ``analysis.EXTRACTORS``.
 
-    ``oracle_gold`` returns the gold set (upper bound); ``oracle_context_prefix``
+    ``"oracle-gold"`` returns the gold set (upper bound); ``"oracle-prefix"``
     returns the first min(max_triplets, |context|) context triplets, which has
     an exhaustively computable score.
     """
-    if kind == "oracle_gold":
+    if kind == "oracle-gold":
         return list(sentence.gold)
-    if kind == "oracle_context_prefix":
+    if kind == "oracle-prefix":
         pool = context.ranked_triplets() if context is not None else []
         return pool[: min(max_triplets, len(pool))]
     raise ValueError(f"unknown oracle kind {kind!r}")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import kgte.analysis
 from kgte import (
     EncoderConfig,
     ExperimentRunSpec,
@@ -13,14 +14,18 @@ from kgte import (
     RemoteLLMClient,
     build_index,
     build_kb,
+    downscale_kb,
     fit_ablation,
     linear_fit,
+    load_dataset,
     log_param_fit,
     random_model_study,
     replay_experiment,
     run_ablation,
     run_experiment,
+    sweep_context_quality,
 )
+from kgte.analysis import EXTRACTORS
 from conftest import planted_dataset, planted_pair_records, planted_single_records
 from kgte import save_dataset
 
@@ -229,6 +234,40 @@ class TestRunExperiment:
         spec = spec_for(pair_manifest, extractor="random", seed=9, char_budget=4000)
         assert ExperimentRunSpec.from_json(spec.to_json()) == spec
 
+    def test_spec_json_golden(self):
+        spec = ExperimentRunSpec(
+            manifest="data/manifest.json",
+            mode="examples",
+            extractor="oracle-prefix",
+            prompt_kind="documented",
+            n_kb=7,
+            scale=0.3,
+            seed=11,
+            split="validation",
+            embed_mode="sentence+triplets",
+            dimension=96,
+            ngram_range=[2, 4],
+            char_budget=1234,
+            generation=GenerationConfig(
+                model="gpt-4", temperature=0.5, max_output_tokens=64, timeout=5.5, max_retries=4, in_flight=3
+            ),
+        )
+        assert spec.to_json() == (
+            '{\n  "char_budget": 1234,\n  "dimension": 96,\n  "embed_mode": "sentence+triplets",\n'
+            '  "extractor": "oracle-prefix",\n  "generation": {\n    "in_flight": 3,\n'
+            '    "max_output_tokens": 64,\n    "max_retries": 4,\n    "model": "gpt-4",\n'
+            '    "temperature": 0.5,\n    "timeout": 5.5\n  },\n  "manifest": "data/manifest.json",\n'
+            '  "mode": "examples",\n  "n_kb": 7,\n  "ngram_range": [\n    2,\n    4\n  ],\n'
+            '  "prompt_kind": "documented",\n  "scale": 0.3,\n  "seed": 11,\n  "split": "validation"\n}\n'
+        )
+
+    @pytest.mark.parametrize("extractor", [name for name in EXTRACTORS if name != "llm"])
+    def test_every_pure_extractor_runs(self, pair_manifest, extractor):
+        for mode in ("triplets", "examples"):
+            result = run_experiment(spec_for(pair_manifest, mode=mode, extractor=extractor))
+            assert len(result.runs) == 30
+            assert result.failures == 0
+
     def test_invalid_spec_rejected(self, pair_manifest):
         with pytest.raises(ValueError):
             spec_for(pair_manifest, mode="three-shot")
@@ -316,6 +355,33 @@ class TestRunAblation:
         assert ps == sorted(ps)
         assert result.fit is not None
         assert result.fit.n_points == 3
+
+    def test_each_scale_builds_one_index(self, pair_manifest, monkeypatch):
+        calls = []
+        real_build_index = kgte.analysis.build_index
+
+        def counting_build_index(*args, **kwargs):
+            calls.append(1)
+            return real_build_index(*args, **kwargs)
+
+        monkeypatch.setattr(kgte.analysis, "build_index", counting_build_index)
+        run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
+        # scale 0 leaves the KB empty, so no index is built for it
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode,kind", [("triplets", "triplet"), ("examples", "example")])
+    def test_p_equals_sweep_on_the_downscaled_kb(self, pair_manifest, mode, kind):
+        scales, seed, n_kb = [0.3, 0.6, 1.0], 4, 3
+        result = run_ablation(pair_manifest, scales, seed, mode=mode, n_kb=n_kb, dimension=128)
+        dataset = load_dataset(pair_manifest)
+        for scale, point in zip(scales, result.points):
+            kb = build_kb(dataset.train, dataset.validation)
+            if scale < 1.0:
+                kb = downscale_kb(kb, scale, seed)
+            index = build_index(kb, kind, config=EncoderConfig(dimension=128))
+            curve = sweep_context_quality(dataset.test, index, [n_kb])
+            assert point.p == curve.points[0][1]
+        assert 0.0 < result.points[0].p < 1.0
 
     def test_degenerate_single_p_has_no_fit(self, pair_manifest):
         result = run_ablation(

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from kgte.cli import main
+from kgte.analysis import EXTRACTORS
+from kgte.cli import build_parser, main
 from conftest import MINI_STATS
 
 
@@ -146,6 +148,24 @@ class TestExtract:
         assert "llm-url" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["extract", "ablate"])
+def test_experiment_commands_reject_external_encoder_flags(command, planted_pair_manifest, tmp_path):
+    # experiment runs always embed with hashed n-grams, so these flags would
+    # be ignored silently
+    for flag, value in (("--embed-url", "http://127.0.0.1:9/unreachable"), ("--embed-model", "mini")):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, "--manifest", str(planted_pair_manifest), "--extractor", "oracle-prefix",
+                     "--out", str(tmp_path / "x"), flag, value])
+        assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["extract", "ablate"])
+def test_extractor_choices_are_the_experiment_extractors(command):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    extractor = next(a for a in subparsers.choices[command]._actions if a.dest == "extractor")
+    assert tuple(extractor.choices) == EXTRACTORS
+
+
 class TestEval:
     def test_eval_predictions_against_gold(self, mini_manifest, tmp_path, capsys):
         gold_path = mini_manifest.parent / "test.jsonl"
@@ -159,6 +179,20 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["precision"] == 1.0
         assert report["recall"] < 1.0
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ['{"triplets": [["a", "r", "b"]', '{"pred": [["a", "r", "b"]]}', '{"triplets": [["a", "r"]]}'],
+        ids=["invalid-json", "no-triplets", "short-triplet"],
+    )
+    def test_malformed_prediction_line_fails_naming_line(self, mini_manifest, tmp_path, capsys, bad_line):
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_text('{"triplets": [["a", "r", "b"]]}\n\n' + bad_line + "\n")
+        gold_path = mini_manifest.parent / "test.jsonl"
+        assert run_cli(["eval", "--pred", str(pred_path), "--gold", str(gold_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{pred_path}:3: ")
 
 
 class TestSweepP:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kgte import (
+    APIError,
     EncodeError,
     EncoderConfig,
     ExternalEncoderClient,
@@ -213,6 +214,11 @@ class TestExternalEncoderClient:
             _external_config(), api_key="k", transport=transport, sleeper=lambda _: None
         )
         with pytest.raises(TransportError):
+            client.encode_batch(["hello"])
+
+    def test_non_object_body_is_api_error(self):
+        client = ExternalEncoderClient(_external_config(), api_key="k", transport=lambda *a: (200, "[]"))
+        with pytest.raises(APIError):
             client.encode_batch(["hello"])
 
     def test_dimension_mismatch_rejected(self):

@@ -122,6 +122,47 @@ class TestRemoteLLMClient:
         assert "bad request" in excinfo.value.body_excerpt
         assert len(calls) == 1
 
+    def test_programming_error_in_transport_not_retried(self):
+        calls = []
+
+        def transport(url, payload, headers, timeout):
+            calls.append(1)
+            raise TypeError("bad call")
+
+        client = RemoteLLMClient(
+            "http://llm.local", GenerationConfig(), api_key="k", transport=transport,
+            sleeper=lambda _: None,
+        )
+        with pytest.raises(TypeError):
+            client.generate("PROMPT")
+        assert len(calls) == 1
+        assert client.request_log[-1]["outcome"] == "error"
+
+    def test_non_object_body_is_api_error(self):
+        client = RemoteLLMClient(
+            "http://llm.local", GenerationConfig(), api_key="k", transport=lambda *a: (200, "[]")
+        )
+        with pytest.raises(APIError):
+            client.generate("PROMPT")
+
+    @pytest.mark.parametrize(
+        "api_key,env,want",
+        [(None, "envkey", "Bearer envkey"), ("", "envkey", None), ("k", None, "Bearer k")],
+    )
+    def test_credential_from_argument_or_environment(self, monkeypatch, api_key, env, want):
+        if env is None:
+            monkeypatch.delenv("KGTE_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("KGTE_API_KEY", env)
+        seen = []
+
+        def transport(url, payload, headers, timeout):
+            seen.append(headers.get("Authorization"))
+            return 200, json.dumps({"choices": [{"message": {"content": "x"}}]})
+
+        RemoteLLMClient("http://llm.local", GenerationConfig(), api_key=api_key, transport=transport).generate("P")
+        assert seen == [want]
+
     def test_rate_limit_status_retried(self):
         calls = []
 
@@ -295,20 +336,20 @@ class TestClosedForm:
 class TestOracleExtract:
     def test_oracle_gold_is_perfect(self):
         for record in planted_single_records(5):
-            picked = oracle_extract("oracle_gold", record, None, 3)
+            picked = oracle_extract("oracle-gold", record, None, 3)
             assert sentence_f1(set(picked), set(record.gold)) == 1.0
 
     def test_context_prefix_returns_leading_triplets(self):
         pool = make_triplets(6)
         context = triplet_context(pool)
         record = planted_single_records(1)[0]
-        assert oracle_extract("oracle_context_prefix", record, context, 4) == pool[:4]
-        assert oracle_extract("oracle_context_prefix", record, context, 10) == pool
+        assert oracle_extract("oracle-prefix", record, context, 4) == pool[:4]
+        assert oracle_extract("oracle-prefix", record, context, 10) == pool
 
     def test_context_prefix_equal_to_gold_is_perfect(self):
         record = planted_single_records(1)[0]
         context = triplet_context(list(record.gold))
-        picked = oracle_extract("oracle_context_prefix", record, context, 1)
+        picked = oracle_extract("oracle-prefix", record, context, 1)
         assert sentence_f1(set(picked), set(record.gold)) == 1.0
 
     def test_unknown_kind_rejected(self):
