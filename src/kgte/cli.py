@@ -89,8 +89,8 @@ def _cmd_index(args) -> int:
     if args.scale < 1.0:
         kb = downscale_kb(kb, args.scale, args.seed)
     index = build_index(kb, args.kind, args.embed_mode, _encoder_config(args))
-    save_index(index, args.out)
-    sys.stdout.write(f"wrote {len(index)} nodes to {args.out}\n")
+    matrix_path = save_index(index, args.out)
+    sys.stdout.write(f"wrote {len(index)} nodes to {args.out} and {matrix_path}\n")
     return 0
 
 
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="JSON header path; the matrix goes beside it with the suffix .npy")
     _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_index)
 

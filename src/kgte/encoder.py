@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._transport import HTTPClient, RetryPolicy, Transport
+from ._transport import APIError, HTTPClient, RetryPolicy, Transport
 from .corpus import Triplet, normalize_surface
 
 PROVIDERS = ("hashed-ngram", "external")
@@ -146,10 +146,14 @@ class ExternalEncoderClient:
                 raise EncodeError("cannot encode text that is empty after normalization")
         doc = self._http.post(self.config.endpoint, {"model": self.config.model, "input": list(texts)})
         data = doc.get("data")
-        if not isinstance(data, list) or len(data) != len(texts):
-            raise ValueError(f"embeddings endpoint returned {0 if not isinstance(data, list) else len(data)} items for {len(texts)} inputs")
+        if not isinstance(data, list):
+            raise APIError(f"embeddings body field 'data' is not a list: {data!r}")
+        if len(data) != len(texts):
+            raise APIError(f"embeddings endpoint returned {len(data)} items for {len(texts)} inputs")
         vectors = []
-        for entry in data:
+        for position, entry in enumerate(data):
+            if not isinstance(entry, dict) or not isinstance(entry.get("embedding"), list):
+                raise APIError(f"embeddings body field 'data[{position}].embedding' is not a list: {entry!r}")
             values = np.asarray(entry["embedding"], dtype=np.float64)
             if values.shape != (self.config.dimension,):
                 raise ValueError(

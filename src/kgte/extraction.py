@@ -13,7 +13,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ._transport import HTTPClient, RetryPolicy, Transport
+from ._transport import APIError, HTTPClient, RetryPolicy, Transport
 from .corpus import AnnotatedSentence, Triplet
 from .evaluation import sentence_f1
 from .prompting import PromptInstance
@@ -131,14 +131,27 @@ class RemoteLLMClient:
             "messages": [{"role": "user", "content": rendered}],
         }
         try:
-            content = self._http.post(url, payload)["choices"][0]["message"]["content"]
-            if not isinstance(content, str):
-                raise ValueError("completion message content is not a string")
+            content = _completion_content(self._http.post(url, payload))
         except Exception as exc:
             self._log({**entry, "outcome": "error", "detail": str(exc)})
             raise
         self._log({**entry, "completion_chars": len(content), "outcome": "ok"})
         return content
+
+
+def _completion_content(doc: dict) -> str:
+    """``choices[0].message.content`` of a chat-completions body; ``APIError``
+    names the first field that is missing or of the wrong type."""
+    choices = doc.get("choices")
+    if not isinstance(choices, list) or not choices:
+        raise APIError(f"completion body field 'choices' is not a non-empty list: {choices!r}")
+    message = choices[0].get("message") if isinstance(choices[0], dict) else None
+    if not isinstance(message, dict):
+        raise APIError(f"completion body field 'choices[0].message' is not an object: {choices[0]!r}")
+    content = message.get("content")
+    if not isinstance(content, str):
+        raise APIError(f"completion body field 'choices[0].message.content' is not a string: {content!r}")
+    return content
 
 
 def sentence_rng(master_seed: int | str, sentence_index: int) -> random.Random:

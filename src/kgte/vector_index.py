@@ -1,16 +1,18 @@
 """Immutable node-based vector store with exact top-k retrieval and persistence.
 
-Retrieval scans every node (one float64 matrix-vector product over a dense
-matrix that holds each vector once) and then selects the top k exactly with a
-partial selection instead of a full sort: deterministic, and fast enough at
-the KB sizes this library targets (tens of thousands of nodes). Ties are
-broken by ascending node id, at the k-th position too.
+The vectors live once, as the rows of one dense float64 matrix, from
+``build_index`` to disk (a raw ``.npy`` file beside a JSON header) and back.
+Retrieval scans every node (one matrix-vector product) and then selects the
+top k exactly with a partial selection instead of a full sort:
+deterministic, and fast enough at the KB sizes this library targets (tens of
+thousands of nodes). Ties are broken by ascending node id, at the k-th
+position too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -20,12 +22,11 @@ import numpy as np
 from .corpus import AnnotatedSentence, KnowledgeBase, Triplet
 from .encoder import EncoderConfig, encode, triplet_to_string
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 NODE_KINDS = ("triplet", "example")
 EXAMPLE_EMBED_MODES = ("sentence", "sentence+triplets")
 
 _NORM_TOLERANCE = 1e-6
-_FINGERPRINT_RE = re.compile(r"^hashed-ngram:dim=(\d+):ngrams=(\d+)-(\d+)$")
 
 
 class IndexFormatError(ValueError):
@@ -46,12 +47,16 @@ class IndexNode:
 
 @dataclass(frozen=True)
 class VectorIndex:
+    """Nodes in id order over one read-only ``(len(nodes), dimension)``
+    matrix, ``_matrix``; each node's ``vector`` is a row view of it. Built
+    from nodes alone, the index gathers their vectors into a new matrix."""
+
     kind: str
     dimension: int
     encoder_config: EncoderConfig
     nodes: tuple[IndexNode, ...]
     metric: str = "cosine"
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in NODE_KINDS:
@@ -65,35 +70,36 @@ class VectorIndex:
                 raise ValueError(f"node ids must be contiguous from 0; got {node.id} at {position}")
             if node.vector.shape != (self.dimension,):
                 raise ValueError(f"node {node.id} has dimension {node.vector.shape}, expected {self.dimension}")
-        matrix = np.stack([node.vector for node in self.nodes])
-        norms = np.linalg.norm(matrix, axis=1)
+        matrix = self._matrix
+        if matrix is None:
+            matrix = np.stack([node.vector for node in self.nodes])
+            matrix.setflags(write=False)
+            object.__setattr__(self, "_matrix", matrix)
+            nodes = tuple(dataclasses.replace(node, vector=row) for node, row in zip(self.nodes, matrix))
+            object.__setattr__(self, "nodes", nodes)
+        # row-wise squared norms, without a temporary the size of the matrix
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         if not np.all(np.abs(norms - 1.0) <= _NORM_TOLERANCE):
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"node {worst} vector norm {norms[worst]} is not unit")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
-        # each node's vector becomes a read-only row view, so it is stored once
-        object.__setattr__(
-            self,
-            "nodes",
-            tuple(IndexNode(node.id, node.kind, node.payload, row) for node, row in zip(self.nodes, matrix)),
-        )
 
     @classmethod
     def from_entries(
         cls,
         kind: str,
         payloads: Sequence[Triplet | AnnotatedSentence],
-        vectors: Sequence[np.ndarray],
+        vectors: np.ndarray | Sequence[np.ndarray],
         encoder_config: EncoderConfig,
     ) -> "VectorIndex":
+        """Index ``payloads[i]`` under ``vectors[i]``. A C-contiguous float64
+        ``(n, dim)`` array is adopted as the index matrix without a copy and
+        made read-only; any other ``vectors`` are copied into a new one."""
         if len(payloads) != len(vectors):
             raise ValueError("payload/vector count mismatch")
-        nodes = tuple(
-            IndexNode(id=i, kind=kind, payload=p, vector=np.asarray(v, dtype=np.float64))
-            for i, (p, v) in enumerate(zip(payloads, vectors))
-        )
-        return cls(kind=kind, dimension=encoder_config.dimension, encoder_config=encoder_config, nodes=nodes)
+        matrix = np.ascontiguousarray(vectors, dtype=np.float64)
+        matrix.setflags(write=False)  # before the row views: a view keeps the flags it was made with
+        nodes = tuple(IndexNode(i, kind, payload, row) for i, (payload, row) in enumerate(zip(payloads, matrix)))
+        return cls(kind, encoder_config.dimension, encoder_config, nodes, _matrix=matrix)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -118,7 +124,8 @@ def build_index(
     ``triplet`` kind stores one node per deduplicated KB triplet, embedded
     from its "(s, p, o)" string. ``example`` kind stores one node per KB
     example, embedded from the sentence alone or from the sentence plus its
-    gold triplet strings (newline-joined), per ``example_embed_mode``.
+    gold triplet strings (newline-joined), per ``example_embed_mode``. Each
+    embedding is written straight into its row of the index matrix.
     """
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown index kind {kind!r}")
@@ -133,8 +140,10 @@ def build_index(
         texts = [_example_embed_text(ex, example_embed_mode) for ex in kb.examples]
     if not payloads:
         raise ValueError(f"knowledge base has no content for kind {kind!r}")
-    vectors = [encode(text, config, client=client) for text in texts]
-    return VectorIndex.from_entries(kind, payloads, vectors, config)
+    matrix = np.empty((len(texts), config.dimension))
+    for row, text in zip(matrix, texts):
+        row[:] = encode(text, config, client=client)
+    return VectorIndex.from_entries(kind, payloads, matrix, config)
 
 
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode, float]]:
@@ -159,10 +168,6 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode
     return [(index.nodes[i], float(scores[i])) for i in order]
 
 
-def _round9(value: float) -> float:
-    return float(f"{value:.9g}")
-
-
 def _payload_to_json(node: IndexNode):
     if node.kind == "triplet":
         return list(node.payload.as_tuple())
@@ -172,103 +177,97 @@ def _payload_to_json(node: IndexNode):
     }
 
 
-def _payload_from_json(kind: str, raw, position: int) -> Triplet | AnnotatedSentence:
+def _payload_from_json(kind: str, raw, path: Path, position: int) -> Triplet | AnnotatedSentence:
     if kind == "triplet":
         if not isinstance(raw, list) or len(raw) != 3:
-            raise IndexFormatError(f"node {position}: triplet payload {raw!r} is not a 3-element list")
+            raise IndexFormatError(f"{path}: node {position}: triplet payload {raw!r} is not a 3-element list")
         return Triplet(*raw)
     if not isinstance(raw, dict):
-        raise IndexFormatError(f"node {position}: example payload {raw!r} is not an object")
+        raise IndexFormatError(f"{path}: node {position}: example payload {raw!r} is not an object")
     for key in ("text", "triplets"):
         if key not in raw:
-            raise IndexFormatError(f"node {position}: example payload missing field {key!r}")
+            raise IndexFormatError(f"{path}: node {position}: example payload missing field {key!r}")
     triplets = raw["triplets"]
     if not isinstance(triplets, list) or not all(isinstance(t, list) and len(t) == 3 for t in triplets):
-        raise IndexFormatError(f"node {position}: example triplets {triplets!r} are not 3-element lists")
+        raise IndexFormatError(f"{path}: node {position}: example triplets {triplets!r} are not 3-element lists")
     return AnnotatedSentence(text=raw["text"], gold=tuple(Triplet(*t) for t in triplets))
 
 
-def save_index(index: VectorIndex, path: str | Path) -> None:
-    """Write the index as a single self-describing JSON document.
+def save_index(index: VectorIndex, path: str | Path) -> Path:
+    """Write the index as format v2; returns the path of its matrix file.
 
-    Vector coordinates are stored as decimals with 9 significant digits and
-    re-normalized on load, so reloaded scores match to about 1e-6.
+    The matrix goes, bit-exact, to ``path`` with the suffix ``.npy`` (written
+    first), and a JSON header to ``path``: format version, dimension, metric,
+    kind, every ``EncoderConfig`` field, the ``.npy`` file name and the node
+    payloads in id order.
     """
+    path = Path(path)
+    matrix_path = path.with_suffix(".npy")
+    if matrix_path == path:
+        raise ValueError(f"index header path {path} must not end in .npy")
+    np.save(matrix_path, index._matrix, allow_pickle=False)
     doc = {
         "version": INDEX_FORMAT_VERSION,
         "dimension": index.dimension,
         "metric": index.metric,
         "kind": index.kind,
-        "encoder": index.encoder_config.fingerprint,
-        "nodes": [
-            {
-                "id": node.id,
-                "payload": _payload_to_json(node),
-                "vector": [_round9(x) for x in node.vector],
-            }
-            for node in index.nodes
-        ],
+        "encoder": dataclasses.asdict(index.encoder_config),
+        "matrix": matrix_path.name,
+        "payloads": [_payload_to_json(node) for node in index.nodes],
     }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
-
-
-def _config_from_fingerprint(fingerprint: str) -> EncoderConfig:
-    match = _FINGERPRINT_RE.match(fingerprint)
-    if match is None:
-        raise IndexFormatError(
-            f"cannot reconstruct encoder config from fingerprint {fingerprint!r}; "
-            "pass the config explicitly"
-        )
-    dim, lo, hi = (int(g) for g in match.groups())
-    return EncoderConfig(provider="hashed-ngram", dimension=dim, ngram_range=(lo, hi))
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+    return matrix_path
 
 
 def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorIndex:
     """Read an index written by ``save_index``.
 
-    If ``config`` is given, its fingerprint and dimension must match the file.
-    Otherwise the config is reconstructed from the stored fingerprint
-    (possible for the hashed n-gram provider only).
+    The encoder config is rebuilt from the header; a ``config`` passed in
+    must match its fingerprint and dimension, and is used instead. The
+    matrix is read whole into one array that the index adopts. Anything
+    malformed in either file raises ``IndexFormatError`` naming the file.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    path = Path(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise IndexFormatError(f"index file is not valid JSON at offset {exc.pos}: {exc.msg}", offset=exc.pos) from exc
+        raise IndexFormatError(f"{path}: not valid JSON at offset {exc.pos}: {exc.msg}", offset=exc.pos) from exc
     if not isinstance(doc, dict):
-        raise IndexFormatError("index document must be a JSON object")
+        raise IndexFormatError(f"{path}: index document must be a JSON object")
     version = doc.get("version")
     if version != INDEX_FORMAT_VERSION:
-        raise IndexFormatError(f"unsupported index format version {version!r}")
-    for key in ("dimension", "metric", "kind", "encoder", "nodes"):
+        raise IndexFormatError(f"{path}: unsupported index format version {version!r}; rebuild it with `kgte index`")
+    for key in ("dimension", "metric", "kind", "encoder", "matrix", "payloads"):
         if key not in doc:
-            raise IndexFormatError(f"index document missing field {key!r}")
-    fingerprint = doc["encoder"]
+            raise IndexFormatError(f"{path}: index document missing field {key!r}")
+    try:
+        stored = EncoderConfig(**doc["encoder"])
+    except (TypeError, ValueError) as exc:
+        raise IndexFormatError(f"{path}: invalid encoder config {doc['encoder']!r}: {exc}") from exc
     if config is None:
-        config = _config_from_fingerprint(fingerprint)
-    elif config.fingerprint != fingerprint:
-        raise IndexFormatError(
-            f"encoder fingerprint mismatch: file has {fingerprint!r}, configured {config.fingerprint!r}"
-        )
+        config = stored
+    elif config.fingerprint != stored.fingerprint:
+        raise IndexFormatError(f"{path}: encoder fingerprint {stored.fingerprint!r} != configured {config.fingerprint!r}")
+    if doc["metric"] != "cosine":
+        raise IndexFormatError(f"{path}: unsupported metric {doc['metric']!r}")
     if config.dimension != doc["dimension"]:
-        raise IndexFormatError(
-            f"dimension mismatch: file has {doc['dimension']}, configured encoder {config.dimension}"
-        )
-    kind = doc["kind"]
-    payloads = []
-    vectors = []
-    for position, entry in enumerate(doc["nodes"]):
-        if not isinstance(entry, dict):
-            raise IndexFormatError(f"node {position} is not an object")
-        if entry.get("id") != position:
-            raise IndexFormatError(f"node ids not contiguous at position {position}")
-        for key in ("payload", "vector"):
-            if key not in entry:
-                raise IndexFormatError(f"node {position} missing field {key!r}")
-        payloads.append(_payload_from_json(kind, entry["payload"], position))
-        vector = np.asarray(entry["vector"], dtype=np.float64)
-        norm = float(np.linalg.norm(vector))
-        if norm == 0.0:
-            raise IndexFormatError(f"node {position} has a zero vector")
-        vectors.append(vector / norm)
-    return VectorIndex.from_entries(kind, payloads, vectors, config)
+        raise IndexFormatError(f"{path}: dimension {doc['dimension']} != configured encoder's {config.dimension}")
+    if doc["kind"] not in NODE_KINDS:
+        raise IndexFormatError(f"{path}: unknown index kind {doc['kind']!r}")
+    if not isinstance(doc["payloads"], list):
+        raise IndexFormatError(f"{path}: payloads are not a list")
+    payloads = [_payload_from_json(doc["kind"], raw, path, position) for position, raw in enumerate(doc["payloads"])]
+    try:
+        matrix_path = path.parent / doc["matrix"]
+        matrix = np.load(matrix_path, allow_pickle=False)
+    except (OSError, ValueError, EOFError, TypeError) as exc:
+        raise IndexFormatError(f"{path}: cannot read matrix file {doc['matrix']!r}: {exc}") from exc
+    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
+        raise IndexFormatError(f"{path}: matrix file {matrix_path} does not hold a float64 array")
+    expected = (len(payloads), config.dimension)
+    if matrix.shape != expected:
+        raise IndexFormatError(f"{path}: matrix file {matrix_path} has shape {matrix.shape}, not (nodes, dim) {expected}")
+    try:
+        return VectorIndex.from_entries(doc["kind"], payloads, matrix, config)
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from exc

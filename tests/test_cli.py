@@ -54,8 +54,9 @@ class TestIndexAndRetrieve:
             )
             == 0
         )
-        assert index_path.exists()
-        capsys.readouterr()
+        matrix_path = index_path.with_suffix(".npy")
+        assert index_path.exists() and matrix_path.exists()
+        assert capsys.readouterr().out.endswith(f" nodes to {index_path} and {matrix_path}\n")
 
         # retrieving with the first planted sentence brings back its own gold
         first = json.loads(

@@ -221,6 +221,21 @@ class TestExternalEncoderClient:
         with pytest.raises(APIError):
             client.encode_batch(["hello"])
 
+    @pytest.mark.parametrize(
+        "body,field",
+        [
+            ('{"data": [5]}', "'data[0].embedding'"),
+            ('{"data": [{}]}', "'data[0].embedding'"),
+            ('{"data": [{"embedding": 7}]}', "'data[0].embedding'"),
+            ('{"vectors": []}', "'data'"),
+        ],
+    )
+    def test_wrong_shaped_body_is_api_error_naming_the_field(self, body, field):
+        client = ExternalEncoderClient(_external_config(), api_key="k", transport=lambda *a: (200, body))
+        with pytest.raises(APIError) as excinfo:
+            client.encode_batch(["hello"])
+        assert field in str(excinfo.value)
+
     def test_dimension_mismatch_rejected(self):
         def transport(url, payload, headers, timeout):
             return 200, '{"data": [{"embedding": [1, 0]}]}'

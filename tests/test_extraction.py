@@ -146,6 +146,24 @@ class TestRemoteLLMClient:
             client.generate("PROMPT")
 
     @pytest.mark.parametrize(
+        "body,field",
+        [
+            ({"choices": []}, "'choices'"),
+            ({"choices": [{}]}, "'choices[0].message'"),
+            ({"choices": ["text"]}, "'choices[0].message'"),
+            ({"choices": [{"message": {"content": 5}}]}, "'choices[0].message.content'"),
+        ],
+    )
+    def test_wrong_shaped_body_is_api_error_naming_the_field(self, body, field):
+        client = RemoteLLMClient(
+            "http://llm.local", GenerationConfig(), api_key="k", transport=lambda *a: (200, json.dumps(body))
+        )
+        with pytest.raises(APIError) as excinfo:
+            client.generate("PROMPT")
+        assert field in str(excinfo.value)
+        assert client.request_log[-1]["outcome"] == "error"
+
+    @pytest.mark.parametrize(
         "api_key,env,want",
         [(None, "envkey", "Bearer envkey"), ("", "envkey", None), ("k", None, "Bearer k")],
     )

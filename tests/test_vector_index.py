@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from kgte import (
     save_index,
     top_k,
 )
+from kgte.corpus import normalize_surface
 
 
 def brute_force_top_k(index, query, k):
@@ -213,22 +215,57 @@ class TestImmutability:
             VectorIndex(kind="triplet", dimension=2, encoder_config=config, nodes=nodes)
 
 
+def _payload_text():
+    # any printable text, non-ASCII included, that survives normalization
+    return st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=12).filter(normalize_surface)
+
+
+_triplets = st.builds(Triplet, _payload_text(), _payload_text(), _payload_text())
+
+
+@st.composite
+def saved_index_inputs(draw):
+    """A kind, one payload per row, and a unit matrix with repeated rows."""
+    kind = draw(st.sampled_from(["triplet", "example"]))
+    dimension = draw(st.integers(1, 6))
+    pool = draw(
+        st.lists(
+            st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=dimension, max_size=dimension).filter(
+                lambda v: np.linalg.norm(v) > 1e-3
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    matrix = np.array([pool[r] for r in rows], dtype=np.float64)
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    if kind == "triplet":
+        payloads = draw(st.lists(_triplets, min_size=len(rows), max_size=len(rows)))
+    else:
+        examples = st.builds(AnnotatedSentence, _payload_text(), st.lists(_triplets, max_size=3).map(tuple))
+        payloads = draw(st.lists(examples, min_size=len(rows), max_size=len(rows)))
+    return kind, payloads, matrix
+
+
 class TestPersistence:
-    def test_round_trip_small_index(self, tmp_path):
-        kb = small_kb()
-        config = EncoderConfig(dimension=64)
-        index = build_index(kb, "triplet", config=config)
-        path = tmp_path / "index.json"
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(inputs=saved_index_inputs(), query_seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_small_index(self, tmp_path_factory, inputs, query_seed):
+        kind, payloads, matrix = inputs
+        index = VectorIndex.from_entries(kind, payloads, matrix, EncoderConfig(dimension=matrix.shape[1]))
+        path = tmp_path_factory.mktemp("index") / "index.json"
         save_index(index, path)
         reloaded = load_index(path)
-        assert [n.id for n in reloaded.nodes] == [n.id for n in index.nodes]
+        assert np.array_equal(reloaded._matrix, index._matrix)
+        assert reloaded._matrix.dtype == np.float64 and reloaded._matrix.flags.c_contiguous
         assert [n.payload for n in reloaded.nodes] == [n.payload for n in index.nodes]
-        query = encode("Alan Bean the astronaut", config)
-        before = top_k(index, query, 3)
-        after = top_k(reloaded, query, 3)
-        assert [n.id for n, _ in before] == [n.id for n, _ in after]
-        for (_, a), (_, b) in zip(before, after):
-            assert a == pytest.approx(b, abs=1e-6)
+        assert reloaded.encoder_config == index.encoder_config
+        queries = np.random.default_rng(query_seed).normal(size=(3, matrix.shape[1]))
+        for query in [*queries, matrix[0]]:
+            for k in range(1, len(index) + 1):
+                before = [(n.id, score) for n, score in top_k(index, query, k)]
+                assert [(n.id, score) for n, score in top_k(reloaded, query, k)] == before
 
     def test_round_trip_example_index(self, tmp_path):
         kb = small_kb()
@@ -238,6 +275,27 @@ class TestPersistence:
         save_index(index, path)
         reloaded = load_index(path)
         assert [n.payload for n in reloaded.nodes] == list(kb.examples)
+
+    def test_matrix_written_beside_the_header(self, tmp_path):
+        index = build_index(small_kb(), "triplet", config=EncoderConfig(dimension=16))
+        matrix_path = save_index(index, tmp_path / "kb.index.json")
+        assert matrix_path == tmp_path / "kb.index.npy"
+        assert json.loads((tmp_path / "kb.index.json").read_text())["matrix"] == "kb.index.npy"
+        assert np.array_equal(np.load(matrix_path), index._matrix)
+        with pytest.raises(ValueError):
+            save_index(index, tmp_path / "kb.npy")
+
+    def test_external_provider_index_reloads_without_config(self, tmp_path):
+        config = EncoderConfig(provider="external", dimension=4, endpoint="http://embed.invalid/v1", model="m-1")
+        payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(EXACT_ROWS))]
+        index = VectorIndex.from_entries("triplet", payloads, EXACT_ROWS, config)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        reloaded = load_index(path)
+        assert reloaded.encoder_config == config
+        assert np.array_equal(reloaded._matrix, index._matrix)
+        with pytest.raises(IndexFormatError):
+            load_index(path, config=dataclasses.replace(config, model="m-2"))
 
     def test_truncated_file_reports_offset(self, tmp_path):
         kb = small_kb()
@@ -250,13 +308,14 @@ class TestPersistence:
             load_index(path)
         assert excinfo.value.offset is not None
         assert "offset" in str(excinfo.value)
+        assert str(path) in str(excinfo.value)
 
     def test_version_mismatch_rejected(self, tmp_path):
         kb = small_kb()
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=16))
         path = tmp_path / "index.json"
         save_index(index, path)
-        doc = path.read_text().replace('"version":1', '"version":99', 1)
+        doc = path.read_text().replace('"version":2', '"version":99', 1)
         path.write_text(doc)
         with pytest.raises(IndexFormatError):
             load_index(path)
@@ -274,8 +333,9 @@ class TestPersistence:
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=16))
         path = tmp_path / "index.json"
         save_index(index, path)
-        doc = path.read_text().replace('"dimension":16', '"dimension":17', 1)
-        path.write_text(doc)
+        doc = path.read_text()
+        assert doc.startswith('{"version":2,"dimension":16,')
+        path.write_text(doc.replace('"dimension":16', '"dimension":17', 1))
         with pytest.raises(IndexFormatError):
             load_index(path)
 
@@ -286,16 +346,18 @@ class TestPersistence:
         save_index(index, path)
         reloaded = load_index(path)
         assert len(reloaded) == 13000
+        assert np.array_equal(reloaded._matrix, index._matrix)
         for _ in range(5):
             query = rng.normal(size=32)
             query /= np.linalg.norm(query)
-            before = [n.id for n, _ in top_k(index, query, 10)]
-            after = [n.id for n, _ in top_k(reloaded, query, 10)]
+            before = [(n.id, score) for n, score in top_k(index, query, 10)]
+            after = [(n.id, score) for n, score in top_k(reloaded, query, 10)]
             assert before == after
 
 
 class TestMalformedIndexFile:
-    """Structurally broken nodes fail with ``IndexFormatError`` naming the node."""
+    """A broken header or matrix file fails with ``IndexFormatError`` naming
+    the header file (and the node, for a broken payload)."""
 
     def _saved_doc(self, tmp_path, kind):
         kb = small_kb()
@@ -304,31 +366,84 @@ class TestMalformedIndexFile:
         save_index(index, path)
         return path, json.loads(path.read_text())
 
-    def _assert_rejected(self, path, doc, needle):
-        path.write_text(json.dumps(doc))
+    def _rejected(self, path, *needles):
         with pytest.raises(IndexFormatError) as excinfo:
             load_index(path)
-        assert "node 1" in str(excinfo.value)
-        assert needle in str(excinfo.value)
+        for needle in (str(path), *needles):
+            assert needle in str(excinfo.value)
+
+    def _assert_rejected(self, path, doc, needle):
+        path.write_text(json.dumps(doc))
+        self._rejected(path, "node 1", needle)
 
     @pytest.mark.parametrize("field", ["payload", "vector"])
     def test_node_missing_field(self, tmp_path, field):
+        # v2 keeps payloads and vectors apart, so a node missing either one
+        # leaves the matrix with a row count that differs from the payloads'
         path, doc = self._saved_doc(tmp_path, "triplet")
-        del doc["nodes"][1][field]
-        self._assert_rejected(path, doc, field)
+        matrix_path = path.with_suffix(".npy")
+        if field == "payload":
+            del doc["payloads"][1]
+            path.write_text(json.dumps(doc))
+        else:
+            np.save(matrix_path, np.delete(np.load(matrix_path), 1, axis=0))
+        self._rejected(path, "shape", str(matrix_path))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda p, m: p.unlink(), id="missing"),
+            pytest.param(lambda p, m: p.write_bytes(p.read_bytes()[:-9]), id="truncated"),
+            pytest.param(lambda p, m: p.write_bytes(b""), id="empty"),
+            pytest.param(lambda p, m: np.save(p, m.astype(np.float32)), id="float32"),
+            pytest.param(lambda p, m: np.save(p, m.astype(">f8")), id="big-endian"),
+            pytest.param(lambda p, m: np.save(p, np.vstack([m, m[:1]])), id="extra-row"),
+            pytest.param(lambda p, m: np.save(p, m[:, :-1]), id="too-few-columns"),
+            pytest.param(lambda p, m: np.save(p, np.hstack([m, m[:, :1]])), id="too-many-columns"),
+            pytest.param(lambda p, m: np.save(p, m.ravel()), id="flat"),
+            pytest.param(lambda p, m: np.save(p, m.astype(object), allow_pickle=True), id="object"),
+            pytest.param(lambda p, m: p.write_bytes(pickle.dumps(m)), id="pickled"),
+        ],
+    )
+    def test_malformed_matrix_file(self, tmp_path, damage):
+        path, _ = self._saved_doc(tmp_path, "triplet")
+        matrix_path = path.with_suffix(".npy")
+        damage(matrix_path, np.load(matrix_path))
+        self._rejected(path, "matrix file")
+
+    def test_non_unit_matrix_row_rejected(self, tmp_path):
+        path, _ = self._saved_doc(tmp_path, "triplet")
+        matrix_path = path.with_suffix(".npy")
+        matrix = np.load(matrix_path)
+        matrix[1] *= 2.0
+        np.save(matrix_path, matrix)
+        self._rejected(path, "node 1", "not unit")
+
+    def test_version_1_file_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "index.json"
+        v1 = {
+            "version": 1,
+            "dimension": 4,
+            "metric": "cosine",
+            "kind": "triplet",
+            "encoder": "hashed-ngram:dim=4:ngrams=3-5",
+            "nodes": [{"id": 0, "payload": ["a", "r", "b"], "vector": [1.0, 0.0, 0.0, 0.0]}],
+        }
+        path.write_text(json.dumps(v1))
+        self._rejected(path, "version 1", "kgte index")
 
     @pytest.mark.parametrize("field", ["text", "triplets"])
     def test_example_payload_missing_field(self, tmp_path, field):
         path, doc = self._saved_doc(tmp_path, "example")
-        del doc["nodes"][1]["payload"][field]
+        del doc["payloads"][1][field]
         self._assert_rejected(path, doc, field)
 
     def test_example_triplet_not_three_elements(self, tmp_path):
         path, doc = self._saved_doc(tmp_path, "example")
-        doc["nodes"][1]["payload"]["triplets"] = [["a", "r"]]
+        doc["payloads"][1]["triplets"] = [["a", "r"]]
         self._assert_rejected(path, doc, "3-element")
 
     def test_node_not_an_object(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path, "triplet")
-        doc["nodes"][1] = [1, 2]
+        path, doc = self._saved_doc(tmp_path, "example")
+        doc["payloads"][1] = [1, 2]
         self._assert_rejected(path, doc, "not an object")
