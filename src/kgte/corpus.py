@@ -8,9 +8,12 @@ with one file per split and a manifest JSON mapping split names to files:
 
     {"train": "train.jsonl", "validation": "valid.jsonl", "test": "test.jsonl"}
 
-All triplet surface strings are normalized on load (lowercase, underscores to
-spaces, whitespace runs collapsed) so that string equality is meaningful
-between dataset labels and generator output. Sentence text is kept raw.
+Every ``Triplet`` normalizes its surface strings at construction (lowercase,
+underscores to spaces, whitespace runs collapsed), so that string equality is
+meaningful between dataset labels, index payloads and generator output, and
+interns them: each distinct normalized surface is one ``str`` object shared by
+every triplet that carries it, whichever path built the triplet. Sentence text
+is kept raw.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -43,9 +47,10 @@ def normalize_surface(raw: str) -> str:
     return " ".join(raw.lower().replace("_", " ").split())
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triplet:
-    """A (subject, predicate, object) fact; fields are normalized at construction."""
+    """A (subject, predicate, object) fact. Fields are normalized and
+    interned at construction; instances are slotted (no ``__dict__``)."""
 
     subject: str
     predicate: str
@@ -56,15 +61,16 @@ class Triplet:
             norm = normalize_surface(getattr(self, name))
             if not norm:
                 raise ValueError(f"triplet {name} is empty after normalization")
-            object.__setattr__(self, name, norm)
+            object.__setattr__(self, name, sys.intern(norm))
 
     def as_tuple(self) -> tuple[str, str, str]:
         return (self.subject, self.predicate, self.object)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
-    """A sentence together with its gold triplet set (ordered, deduplicated)."""
+    """A sentence together with its gold triplet set (ordered, deduplicated);
+    slotted (no ``__dict__``)."""
 
     text: str
     gold: tuple[Triplet, ...]

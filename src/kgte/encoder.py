@@ -152,9 +152,19 @@ class ExternalEncoderClient:
             raise APIError(f"embeddings endpoint returned {len(data)} items for {len(texts)} inputs")
         vectors = []
         for position, entry in enumerate(data):
+            field_name = f"data[{position}].embedding"
             if not isinstance(entry, dict) or not isinstance(entry.get("embedding"), list):
-                raise APIError(f"embeddings body field 'data[{position}].embedding' is not a list: {entry!r}")
-            values = np.asarray(entry["embedding"], dtype=np.float64)
+                raise APIError(f"embeddings body field {field_name!r} is not a list: {entry!r}")
+            # bool is an int subclass but not a coordinate; "1" is not a number
+            bad = [x for x in entry["embedding"] if type(x) not in (int, float)]
+            if bad:
+                raise APIError(f"embeddings body field {field_name!r} holds a non-number: {bad[0]!r}")
+            try:
+                values = np.asarray(entry["embedding"], dtype=np.float64)
+            except OverflowError as exc:  # an int beyond float range
+                raise APIError(f"embeddings body field {field_name!r} holds a coordinate out of range") from exc
+            if not np.isfinite(values).all():
+                raise APIError(f"embeddings body field {field_name!r} holds a non-finite coordinate")
             if values.shape != (self.config.dimension,):
                 raise ValueError(
                     f"embedding dimension {values.shape} does not match configured {self.config.dimension}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import Triplet, normalize_surface
+from .corpus import Triplet
 
 # leading enumeration markers models like to emit: "1. ", "- ", "* "
 _MARKER_RE = re.compile(r"^(?:\d+\.|[-*])\s*")
@@ -67,11 +67,12 @@ def parse_triplets(raw: str, max_triplets: int) -> ParseOutcome:
         if fields is None:
             malformed += 1
             continue
-        normalized = tuple(normalize_surface(f) for f in fields)
-        if not all(normalized):
+        try:
+            triplet = Triplet(*fields)
+        except ValueError:  # a field empty after normalization
             malformed += 1
             continue
-        collected.setdefault(Triplet(*normalized))
+        collected.setdefault(triplet)
     triplets = list(collected)
     truncated = len(triplets) > max_triplets
     return ParseOutcome(

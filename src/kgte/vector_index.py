@@ -37,8 +37,11 @@ class IndexFormatError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexNode:
+    """One indexed payload and its row view of the index matrix; slotted
+    (no ``__dict__``)."""
+
     id: int
     kind: str
     payload: Triplet | AnnotatedSentence
@@ -177,20 +180,30 @@ def _payload_to_json(node: IndexNode):
     }
 
 
-def _payload_from_json(kind: str, raw, path: Path, position: int) -> Triplet | AnnotatedSentence:
-    if kind == "triplet":
-        if not isinstance(raw, list) or len(raw) != 3:
-            raise IndexFormatError(f"{path}: node {position}: triplet payload {raw!r} is not a 3-element list")
+def _triplet_from_json(raw, where: str) -> Triplet:
+    if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(f, str) for f in raw):
+        raise IndexFormatError(f"{where}: triplet {raw!r} is not a 3-element list of strings")
+    try:
         return Triplet(*raw)
+    except ValueError as exc:
+        raise IndexFormatError(f"{where}: {exc}") from exc
+
+
+def _payload_from_json(kind: str, raw, path: Path, position: int) -> Triplet | AnnotatedSentence:
+    where = f"{path}: node {position}"
+    if kind == "triplet":
+        return _triplet_from_json(raw, where)
     if not isinstance(raw, dict):
-        raise IndexFormatError(f"{path}: node {position}: example payload {raw!r} is not an object")
+        raise IndexFormatError(f"{where}: example payload {raw!r} is not an object")
     for key in ("text", "triplets"):
         if key not in raw:
-            raise IndexFormatError(f"{path}: node {position}: example payload missing field {key!r}")
-    triplets = raw["triplets"]
-    if not isinstance(triplets, list) or not all(isinstance(t, list) and len(t) == 3 for t in triplets):
-        raise IndexFormatError(f"{path}: node {position}: example triplets {triplets!r} are not 3-element lists")
-    return AnnotatedSentence(text=raw["text"], gold=tuple(Triplet(*t) for t in triplets))
+            raise IndexFormatError(f"{where}: example payload missing field {key!r}")
+    text, triplets = raw["text"], raw["triplets"]
+    if not isinstance(text, str) or not text.strip():
+        raise IndexFormatError(f"{where}: example text {text!r} is not a non-empty string")
+    if not isinstance(triplets, list):
+        raise IndexFormatError(f"{where}: example triplets {triplets!r} are not a list")
+    return AnnotatedSentence(text=text, gold=tuple(_triplet_from_json(t, where) for t in triplets))
 
 
 def save_index(index: VectorIndex, path: str | Path) -> Path:

@@ -6,9 +6,12 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgte import (
     AnnotatedSentence,
+    Dataset,
     DatasetFormatError,
     Triplet,
     build_kb,
@@ -64,6 +67,66 @@ class TestTriplet:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             AnnotatedSentence("   ", (Triplet("a", "r", "b"),))
+
+
+def _surface_objects_shared(triplets) -> bool:
+    """True if each distinct surface value among the fields is one object."""
+    fields = [f for t in triplets for f in t.as_tuple()]
+    return len({id(f) for f in fields}) == len(set(fields))
+
+
+class TestMemoryLayout:
+    def test_records_have_no_instance_dict(self):
+        t = Triplet("a", "r", "b")
+        s = AnnotatedSentence("some text", (t,))
+        assert not hasattr(t, "__dict__")
+        assert not hasattr(s, "__dict__")
+
+    def test_equal_surfaces_are_one_object(self):
+        a = Triplet("Rome", "Capital_of", "Italy")
+        b = Triplet("Canberra", "capital  of", "Australia")
+        assert a.predicate is b.predicate
+
+    def test_loaded_dataset_shares_surface_objects(self, mini_manifest):
+        dataset = load_dataset(mini_manifest)
+        triplets = [t for s in dataset.train + dataset.validation + dataset.test for t in s.gold]
+        assert len({f for t in triplets for f in t.as_tuple()}) < 3 * len(triplets)  # surfaces do repeat
+        assert _surface_objects_shared(triplets)
+        # and with triplets built elsewhere
+        assert Triplet("Rome", "capital_of", "Italy").subject is dataset.test[2].gold[0].subject
+
+
+# raw surface text: non-ASCII, underscores and whitespace runs included
+_raw_field = st.text(
+    st.one_of(st.sampled_from("_ \t\u00a0\u3000"), st.characters(blacklist_categories=("Cs", "Cc"))),
+    min_size=1,
+    max_size=12,
+).filter(normalize_surface)
+
+
+@st.composite
+def _raw_records(draw):
+    """(text, raw triplets) records whose triplets repeat, within a record too."""
+    pool = draw(st.lists(st.tuples(_raw_field, _raw_field, _raw_field), min_size=1, max_size=6))
+    text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=20).filter(str.strip)
+    record = st.tuples(text, st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    return draw(st.lists(record, min_size=3, max_size=8))
+
+
+class TestDatasetRoundTrip:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(records=_raw_records())
+    def test_save_load_round_trip_normalizes_once(self, tmp_path_factory, records):
+        sentences = [AnnotatedSentence(text, tuple(Triplet(*raw) for raw in raws)) for text, raws in records]
+        dataset = Dataset.from_splits(sentences[:1], sentences[1:2], sentences[2:])
+        reloaded = load_dataset(save_dataset(dataset, tmp_path_factory.mktemp("dataset")))
+        assert reloaded == dataset
+        reloaded_sentences = reloaded.train + reloaded.validation + reloaded.test
+        for (text, raws), sentence in zip(records, reloaded_sentences):
+            assert sentence.text == text
+            expected = dict.fromkeys(tuple(normalize_surface(f) for f in raw) for raw in raws)
+            assert [t.as_tuple() for t in sentence.gold] == list(expected)
+        assert _surface_objects_shared([t for s in reloaded_sentences for t in s.gold])
 
 
 class TestLoadDataset:

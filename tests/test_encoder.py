@@ -228,6 +228,14 @@ class TestExternalEncoderClient:
             ('{"data": [{}]}', "'data[0].embedding'"),
             ('{"data": [{"embedding": 7}]}', "'data[0].embedding'"),
             ('{"vectors": []}', "'data'"),
+            ('{"data": [{"embedding": [null, 1, 0, 0]}]}', "'data[0].embedding'"),
+            ('{"data": [{"embedding": ["1", 0, 0, 0]}]}', "'data[0].embedding'"),
+            ('{"data": [{"embedding": [true, 0, 0, 0]}]}', "'data[0].embedding'"),
+            ('{"data": [{"embedding": [NaN, 1, 0, 0]}]}', "'data[0].embedding'"),
+            ('{"data": [{"embedding": [1e400, 1, 0, 0]}]}', "'data[0].embedding'"),
+            pytest.param(
+                '{"data": [{"embedding": [1%s, 1, 0, 0]}]}' % ("0" * 400), "'data[0].embedding'", id="int-beyond-float"
+            ),
         ],
     )
     def test_wrong_shaped_body_is_api_error_naming_the_field(self, body, field):

@@ -80,6 +80,14 @@ class TestGrammar:
             parse_triplets("(a, b, c)", max_triplets=0)
 
 
+def test_parsed_triplets_share_surface_objects():
+    outcome = parse_triplets("(Alan_Bean, occupation, Test pilot)\n(alan  bean, birth place, Wheeler)", 5)
+    first, second = outcome.triplets
+    assert first.subject is second.subject
+    assert first.predicate is Triplet("a", "Occupation", "b").predicate
+    assert not hasattr(first, "__dict__")
+
+
 def _random_normalized_field(rng: random.Random) -> str:
     words = [
         "".join(rng.choice(string.ascii_lowercase + string.digits) for _ in range(rng.randint(1, 8)))

@@ -199,6 +199,13 @@ class TestImmutability:
             assert node.vector.base is index._matrix
             assert np.array_equal(node.vector, index._matrix[node.id])
 
+    def test_nodes_have_no_instance_dict(self):
+        index, _ = random_unit_index(3, 4)
+        gathered = VectorIndex(index.kind, index.dimension, index.encoder_config, index.nodes)
+        for node in index.nodes + gathered.nodes:
+            assert not hasattr(node, "__dict__")
+        assert gathered.nodes[1].vector.base is gathered._matrix
+
     def test_non_unit_vector_rejected(self):
         config = EncoderConfig(dimension=4)
         with pytest.raises(ValueError):
@@ -355,6 +362,22 @@ class TestPersistence:
             assert before == after
 
 
+class TestSharedSurfaces:
+    @pytest.mark.parametrize("kind", ["triplet", "example"])
+    def test_reloaded_payloads_share_surface_objects(self, tmp_path, kind):
+        kb = small_kb()
+        path = tmp_path / "index.json"
+        save_index(build_index(kb, kind, config=EncoderConfig(dimension=16)), path)
+        reloaded = load_index(path)
+        payloads = [node.payload for node in reloaded.nodes]
+        triplets = payloads if kind == "triplet" else [t for ex in payloads for t in ex.gold]
+        by_value = {}
+        for t in list(kb.triplets) + triplets:
+            for f in t.as_tuple():
+                assert by_value.setdefault(f, f) is f
+        assert by_value["alan bean"] is triplets[0].subject
+
+
 class TestMalformedIndexFile:
     """A broken header or matrix file fails with ``IndexFormatError`` naming
     the header file (and the node, for a broken payload)."""
@@ -442,6 +465,37 @@ class TestMalformedIndexFile:
         path, doc = self._saved_doc(tmp_path, "example")
         doc["payloads"][1]["triplets"] = [["a", "r"]]
         self._assert_rejected(path, doc, "3-element")
+
+    @pytest.mark.parametrize(
+        "fields,needle",
+        [
+            pytest.param([1, "r", "b"], "3-element list of strings", id="int-field"),
+            pytest.param(["a", None, "b"], "3-element list of strings", id="null-field"),
+            pytest.param(["a", " _\t ", "b"], "predicate is empty after normalization", id="blank-field"),
+        ],
+    )
+    def test_bad_triplet_payload_field(self, tmp_path, fields, needle):
+        path, doc = self._saved_doc(tmp_path, "triplet")
+        doc["payloads"][1] = fields
+        self._assert_rejected(path, doc, needle)
+
+    @pytest.mark.parametrize(
+        "fields,needle",
+        [
+            pytest.param([1, "r", "b"], "3-element list of strings", id="int-field"),
+            pytest.param(["a", "r", "  "], "object is empty after normalization", id="blank-field"),
+        ],
+    )
+    def test_bad_example_triplet_field(self, tmp_path, fields, needle):
+        path, doc = self._saved_doc(tmp_path, "example")
+        doc["payloads"][1]["triplets"].append(fields)
+        self._assert_rejected(path, doc, needle)
+
+    @pytest.mark.parametrize("text", [5, None, "  "])
+    def test_bad_example_text(self, tmp_path, text):
+        path, doc = self._saved_doc(tmp_path, "example")
+        doc["payloads"][1]["text"] = text
+        self._assert_rejected(path, doc, "example text")
 
     def test_node_not_an_object(self, tmp_path):
         path, doc = self._saved_doc(tmp_path, "example")
