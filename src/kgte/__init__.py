@@ -9,6 +9,7 @@ from .analysis import (
     FitResult,
     StudyRow,
     fit_ablation,
+    index_dataset,
     linear_fit,
     log_param_fit,
     random_model_study,

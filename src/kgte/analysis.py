@@ -15,6 +15,7 @@ from .corpus import (
     AnnotatedSentence,
     Dataset,
     build_kb,
+    check_scale,
     downscale_kb,
     load_dataset,
 )
@@ -216,6 +217,9 @@ class ExperimentRunSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"unknown extractor {self.extractor!r}")
+        check_scale(self.scale)
+        if self.char_budget is not None and self.char_budget < 1:
+            raise ValueError(f"char_budget must be >= 1, got {self.char_budget}")
         object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
 
     def encoder_config(self) -> EncoderConfig:
@@ -267,6 +271,17 @@ class ExperimentResult:
         return sum(1 for run in self.runs if run.error is not None)
 
 
+def index_dataset(
+    dataset: Dataset, kind: str, scale: float, seed: int, example_embed_mode: str, config: EncoderConfig | None
+) -> VectorIndex | None:
+    """Index the dataset's KB downscaled to ``scale`` (in [0, 1], NaN rejected)
+    under ``seed``; ``None`` when the retained KB is empty."""
+    kb = downscale_kb(build_kb(dataset.train, dataset.validation), scale, seed)
+    if not kb.examples:
+        return None
+    return build_index(kb, kind, example_embed_mode, config)
+
+
 def _build_contexts(
     spec: ExperimentRunSpec, dataset: Dataset, sentences: Sequence[AnnotatedSentence]
 ) -> list[RetrievedContext]:
@@ -274,13 +289,10 @@ def _build_contexts(
     context_mode = "triplets" if kind != "example" else "examples"
     if kind is None:
         return [empty_context(context_mode) for _ in sentences]
-    kb = build_kb(dataset.train, dataset.validation)
-    if spec.scale < 1.0:
-        kb = downscale_kb(kb, spec.scale, spec.seed)
-    if not kb.examples:
+    index = index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder_config())
+    if index is None:
         # a fully downscaled KB degenerates to the no-context setting
         return [empty_context(context_mode, spec.n_kb) for _ in sentences]
-    index = build_index(kb, kind, spec.embed_mode, spec.encoder_config())
     retrieve = retrieve_triplets if kind == "triplet" else retrieve_examples
     return [retrieve(s.text, index, spec.n_kb) for s in sentences]
 
@@ -335,20 +347,27 @@ def run_experiment(
     *,
     llm_client: RemoteLLMClient | None = None,
 ) -> ExperimentResult:
-    """End-to-end run: retrieve, render, extract, parse, score.
+    """End-to-end run: load the dataset, retrieve, render, extract, parse, score.
 
     With a pure extractor the result is a deterministic function of the spec.
     Remote failures are recorded per sentence, scored as empty predictions,
     and flagged in the per-sentence log. When ``out_dir`` is given, writes
     ``report.json``, ``sentences.jsonl``, and ``spec.json`` for replay.
     """
+    result = _run_on(spec, load_dataset(spec.manifest), llm_client)
+    if out_dir is not None:
+        _write_artifacts(result, Path(out_dir))
+    return result
+
+
+def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClient | None) -> ExperimentResult:
+    """``run_experiment`` on an already loaded dataset, writing nothing."""
     if spec.extractor == "llm" and llm_client is None:
         raise ValueError("extractor 'llm' requires a RemoteLLMClient")
-    dataset = load_dataset(spec.manifest)
     sentences = dataset.split(spec.split)
     max_triplets = dataset.max_triplets
     template = get_template(spec.prompt_kind, _MODE_TO_SHOT[spec.mode])
-    budget = spec.char_budget or char_budget_for(spec.generation.model)
+    budget = char_budget_for(spec.generation.model) if spec.char_budget is None else spec.char_budget
     contexts = _build_contexts(spec, dataset, sentences)
 
     prompts = [
@@ -375,10 +394,7 @@ def run_experiment(
             )
         )
     report = micro_f1([run.predictions for run in runs], [s.gold for s in sentences])
-    result = ExperimentResult(spec=spec, report=report, runs=runs)
-    if out_dir is not None:
-        _write_artifacts(result, Path(out_dir))
-    return result
+    return ExperimentResult(spec=spec, report=report, runs=runs)
 
 
 def _sentence_log_line(run: SentenceRun) -> str:
@@ -409,7 +425,12 @@ def _write_artifacts(result: ExperimentResult, out_dir: Path) -> None:
 
 
 def replay_experiment(spec_path: str | Path, out_dir: str | Path | None = None) -> ExperimentResult:
-    spec = ExperimentRunSpec.from_json(Path(spec_path).read_text(encoding="utf-8"))
+    """Run the spec saved at ``spec_path`` again; a spec file that does not
+    describe a valid run raises ``ValueError`` naming the file."""
+    try:
+        spec = ExperimentRunSpec.from_json(Path(spec_path).read_text(encoding="utf-8"))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{spec_path}: not a valid run spec: {exc}") from exc
     return run_experiment(spec, out_dir)
 
 
@@ -465,8 +486,8 @@ def run_ablation(
     against P_S(N_KB).
 
     P_S is ``context_hit_probability`` over the contexts the run itself
-    retrieved, so each scale builds its KB and index once. A scale whose KB
-    is empty gives empty contexts and P_S = 0.
+    retrieved, so the dataset is loaded once and each scale builds its KB and
+    index once. A scale whose KB is empty gives empty contexts and P_S = 0.
     """
     if mode not in ("triplets", "examples"):
         raise ValueError("ablation runs in a KB-augmented mode")
@@ -481,13 +502,15 @@ def run_ablation(
         dimension=dimension,
         ngram_range=ngram_range,
     )
+    specs = [dataclasses.replace(spec, scale=scale) for scale in scales]  # every scale checked before the load
+    dataset = load_dataset(spec.manifest)
     points = []
-    for scale in scales:
-        result = run_experiment(dataclasses.replace(spec, scale=scale), llm_client=llm_client)
+    for scaled in specs:
+        result = _run_on(scaled, dataset, llm_client)
         p = context_hit_probability(
             [run.context for run in result.runs], [run.sentence.gold for run in result.runs]
         )
-        points.append(AblationPoint(scale=scale, p=p, f1=result.report.f1))
+        points.append(AblationPoint(scale=scaled.scale, p=p, f1=result.report.f1))
     xs = {point.p for point in points}
     fit = fit_ablation([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None
     return AblationResult(points=tuple(points), fit=fit)

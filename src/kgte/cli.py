@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,24 +18,18 @@ from .analysis import (
     EXPERIMENT_MODES,
     EXTRACTORS,
     ExperimentRunSpec,
+    index_dataset,
     linear_fit,
     log_param_fit,
     run_ablation,
     run_experiment,
 )
-from .corpus import (
-    Triplet,
-    build_kb,
-    dataset_stats,
-    downscale_kb,
-    load_dataset,
-    load_records,
-)
+from .corpus import Triplet, dataset_stats, load_dataset, load_records
 from .encoder import EncoderConfig
 from .evaluation import micro_f1, sweep_context_quality
 from .extraction import GenerationConfig, RemoteLLMClient
 from .retriever import retrieve_examples, retrieve_triplets
-from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, build_index, load_index, save_index
+from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, load_index, save_index
 
 _PROMPT_FLAG_TO_KIND = {"base": "base", "cot": "chain_of_thought", "documented": "documented"}
 
@@ -83,12 +78,16 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+def _kb_index(args, dataset):
+    """The KB index the flags ask for; an empty retained KB is an error."""
+    index = index_dataset(dataset, args.kind, args.scale, args.seed, args.embed_mode, _encoder_config(args))
+    if index is None:
+        raise ValueError(f"the knowledge base at scale {args.scale} has no content")
+    return index
+
+
 def _cmd_index(args) -> int:
-    dataset = load_dataset(args.manifest)
-    kb = build_kb(dataset.train, dataset.validation)
-    if args.scale < 1.0:
-        kb = downscale_kb(kb, args.scale, args.seed)
-    index = build_index(kb, args.kind, args.embed_mode, _encoder_config(args))
+    index = _kb_index(args, load_dataset(args.manifest))
     matrix_path = save_index(index, args.out)
     sys.stdout.write(f"wrote {len(index)} nodes to {args.out} and {matrix_path}\n")
     return 0
@@ -164,10 +163,15 @@ def _read_triplet_lines(path: str) -> list[list[Triplet]]:
             raw = obj.get("triplets") if isinstance(obj, dict) else obj
             if not isinstance(raw, list):
                 raise ValueError(f"{path}:{lineno}: expected a list of triplets or an object with 'triplets'")
+            triplets = []
             for item in raw:
                 if not (isinstance(item, list) and len(item) == 3 and all(isinstance(x, str) for x in item)):
                     raise ValueError(f"{path}:{lineno}: triplet {item!r} is not a 3-element list of strings")
-            rows.append([Triplet(*item) for item in raw])
+                try:
+                    triplets.append(Triplet(*item))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: triplet {item!r}: {exc}") from None
+            rows.append(triplets)
     return rows
 
 
@@ -181,13 +185,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_p(args) -> int:
     dataset = load_dataset(args.manifest)
-    kb = build_kb(dataset.train, dataset.validation)
-    if args.scale < 1.0:
-        kb = downscale_kb(kb, args.scale, args.seed)
-    index = build_index(kb, args.kind, args.embed_mode, _encoder_config(args))
     values = [int(v) for v in args.nkb_list.split(",")]
     curve = sweep_context_quality(
-        dataset.split(args.split), index, values, scale=args.scale
+        dataset.split(args.split), _kb_index(args, dataset), values, scale=args.scale
     )
     _emit(curve.to_csv(), args.out)
     return 0
@@ -226,10 +226,14 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
             if len(cells) < 2:
                 raise ValueError(f"{path}:{lineno}: expected two CSV columns, got {line!r}")
             try:
-                points.append((float(cells[0]), float(cells[1])))
+                point = (float(cells[0]), float(cells[1]))
             except ValueError:
                 if seen_line:
                     raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+            else:
+                if not all(map(math.isfinite, point)):
+                    raise ValueError(f"{path}:{lineno}: non-finite value in row {line!r}")
+                points.append(point)
             seen_line = True
     if not points:
         raise ValueError(f"no numeric rows in {path}")

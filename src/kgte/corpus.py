@@ -175,6 +175,12 @@ def build_kb(
     return KnowledgeBase(triplets=tuple(triplets), examples=examples, source_scale=1.0)
 
 
+def check_scale(scale: float) -> None:
+    """Reject a KB scale outside [0, 1]; NaN is outside too."""
+    if not 0.0 <= scale <= 1.0:
+        raise ValueError(f"scale must be in [0, 1], got {scale}")
+
+
 def downscale_kb(kb: KnowledgeBase, scale: float, seed: int) -> KnowledgeBase:
     """Retain floor(scale * |examples|) examples, sampled uniformly without
     replacement; triplets are recomputed from the retained examples.
@@ -183,8 +189,7 @@ def downscale_kb(kb: KnowledgeBase, scale: float, seed: int) -> KnowledgeBase:
     seed a smaller scale always retains a subset of a larger scale's examples.
     Retained examples keep their original order.
     """
-    if not 0.0 <= scale <= 1.0:
-        raise ValueError(f"scale must be in [0, 1], got {scale}")
+    check_scale(scale)
     n = len(kb.examples)
     # tiny epsilon guards float error in products like 0.3 * 10 -> 2.999...
     keep = math.floor(scale * n + 1e-9)
@@ -220,13 +225,13 @@ def load_records(path: str | Path) -> list[AnnotatedSentence]:
     carrying the offending line number on malformed input."""
     path = Path(path)
     records: list[AnnotatedSentence] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with path.open("rb") as fh:  # decoded per line, so invalid UTF-8 is located too
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-                records.append(_parse_record(obj))
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                records.append(_parse_record(json.loads(line)))
             except DatasetFormatError:
                 raise
             except (ValueError, TypeError) as exc:
@@ -252,6 +257,8 @@ def load_dataset(manifest_path: str | Path, format: str = "jsonl") -> Dataset:
         raise DatasetFormatError(f"manifest missing splits: {missing}", path=manifest_path)
     splits = {}
     for name in SPLIT_NAMES:
+        if not isinstance(manifest[name], str):
+            raise DatasetFormatError(f"split {name!r} path {manifest[name]!r} is not a string", path=manifest_path)
         split_path = Path(manifest[name])
         if not split_path.is_absolute():
             split_path = manifest_path.parent / split_path

@@ -1,7 +1,8 @@
-"""Immutable node-based vector store with exact top-k retrieval and persistence.
+"""Immutable vector store with exact top-k retrieval and persistence.
 
-The vectors live once, as the rows of one dense float64 matrix, from
-``build_index`` to disk (a raw ``.npy`` file beside a JSON header) and back.
+``VectorIndex(kind, payloads, vectors, encoder_config)`` is the only way to
+make an index. Its vectors live once, as the rows of one dense float64 matrix,
+from ``build_index`` to disk (a raw ``.npy`` file beside a JSON header) and back.
 Retrieval scans every node (one matrix-vector product) and then selects the
 top k exactly with a partial selection instead of a full sort:
 deterministic, and fast enough at the KB sizes this library targets (tens of
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -25,6 +26,8 @@ from .encoder import EncoderConfig, encode, triplet_to_string
 INDEX_FORMAT_VERSION = 2
 NODE_KINDS = ("triplet", "example")
 EXAMPLE_EMBED_MODES = ("sentence", "sentence+triplets")
+# the one scoring metric; index headers record it
+METRIC = "cosine"
 
 _NORM_TOLERANCE = 1e-6
 
@@ -39,8 +42,8 @@ class IndexFormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class IndexNode:
-    """One indexed payload and its row view of the index matrix; slotted
-    (no ``__dict__``)."""
+    """One indexed payload with its id (its row), the index's kind and its row
+    view of the index matrix; made by ``VectorIndex``, slotted (no ``__dict__``)."""
 
     id: int
     kind: str
@@ -48,61 +51,42 @@ class IndexNode:
     vector: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorIndex:
-    """Nodes in id order over one read-only ``(len(nodes), dimension)``
-    matrix, ``_matrix``; each node's ``vector`` is a row view of it. Built
-    from nodes alone, the index gathers their vectors into a new matrix."""
+    """``payloads[i]`` under unit row ``i`` of one read-only ``(len(payloads),
+    encoder_config.dimension)`` float64 matrix, ``_matrix``: a C-contiguous
+    float64 ``vectors`` array is adopted without a copy, anything else is
+    copied. ``nodes`` holds one ``IndexNode`` per payload, in id order, whose
+    ``vector`` is a row view of the matrix. Indexes compare by identity."""
 
     kind: str
-    dimension: int
+    payloads: InitVar[Sequence[Triplet | AnnotatedSentence]]
+    vectors: InitVar[np.ndarray | Sequence[np.ndarray]]
     encoder_config: EncoderConfig
-    nodes: tuple[IndexNode, ...]
-    metric: str = "cosine"
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    nodes: tuple[IndexNode, ...] = field(init=False, repr=False)
+    _matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, payloads, vectors) -> None:
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown index kind {self.kind!r}")
-        if self.metric != "cosine":
-            raise ValueError(f"unsupported metric {self.metric!r}")
-        if not self.nodes:
+        if not payloads:
             raise ValueError("index has no nodes")
-        for position, node in enumerate(self.nodes):
-            if node.id != position:
-                raise ValueError(f"node ids must be contiguous from 0; got {node.id} at {position}")
-            if node.vector.shape != (self.dimension,):
-                raise ValueError(f"node {node.id} has dimension {node.vector.shape}, expected {self.dimension}")
-        matrix = self._matrix
-        if matrix is None:
-            matrix = np.stack([node.vector for node in self.nodes])
-            matrix.setflags(write=False)
-            object.__setattr__(self, "_matrix", matrix)
-            nodes = tuple(dataclasses.replace(node, vector=row) for node, row in zip(self.nodes, matrix))
-            object.__setattr__(self, "nodes", nodes)
+        matrix = np.ascontiguousarray(vectors, dtype=np.float64)
+        if matrix.shape != (len(payloads), self.dimension):
+            raise ValueError(f"vectors have shape {matrix.shape}, not (payloads, dim) {len(payloads), self.dimension}")
         # row-wise squared norms, without a temporary the size of the matrix
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         if not np.all(np.abs(norms - 1.0) <= _NORM_TOLERANCE):
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"node {worst} vector norm {norms[worst]} is not unit")
-
-    @classmethod
-    def from_entries(
-        cls,
-        kind: str,
-        payloads: Sequence[Triplet | AnnotatedSentence],
-        vectors: np.ndarray | Sequence[np.ndarray],
-        encoder_config: EncoderConfig,
-    ) -> "VectorIndex":
-        """Index ``payloads[i]`` under ``vectors[i]``. A C-contiguous float64
-        ``(n, dim)`` array is adopted as the index matrix without a copy and
-        made read-only; any other ``vectors`` are copied into a new one."""
-        if len(payloads) != len(vectors):
-            raise ValueError("payload/vector count mismatch")
-        matrix = np.ascontiguousarray(vectors, dtype=np.float64)
         matrix.setflags(write=False)  # before the row views: a view keeps the flags it was made with
-        nodes = tuple(IndexNode(i, kind, payload, row) for i, (payload, row) in enumerate(zip(payloads, matrix)))
-        return cls(kind, encoder_config.dimension, encoder_config, nodes, _matrix=matrix)
+        object.__setattr__(self, "_matrix", matrix)
+        nodes = tuple(IndexNode(i, self.kind, payload, row) for i, (payload, row) in enumerate(zip(payloads, matrix)))
+        object.__setattr__(self, "nodes", nodes)
+
+    @property
+    def dimension(self) -> int:
+        return self.encoder_config.dimension
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -141,12 +125,10 @@ def build_index(
     else:
         payloads = kb.examples
         texts = [_example_embed_text(ex, example_embed_mode) for ex in kb.examples]
-    if not payloads:
-        raise ValueError(f"knowledge base has no content for kind {kind!r}")
     matrix = np.empty((len(texts), config.dimension))
     for row, text in zip(matrix, texts):
         row[:] = encode(text, config, client=client)
-    return VectorIndex.from_entries(kind, payloads, matrix, config)
+    return VectorIndex(kind, payloads, matrix, config)
 
 
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode, float]]:
@@ -222,7 +204,7 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
     doc = {
         "version": INDEX_FORMAT_VERSION,
         "dimension": index.dimension,
-        "metric": index.metric,
+        "metric": METRIC,
         "kind": index.kind,
         "encoder": dataclasses.asdict(index.encoder_config),
         "matrix": matrix_path.name,
@@ -261,7 +243,7 @@ def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorI
         config = stored
     elif config.fingerprint != stored.fingerprint:
         raise IndexFormatError(f"{path}: encoder fingerprint {stored.fingerprint!r} != configured {config.fingerprint!r}")
-    if doc["metric"] != "cosine":
+    if doc["metric"] != METRIC:
         raise IndexFormatError(f"{path}: unsupported metric {doc['metric']!r}")
     if config.dimension != doc["dimension"]:
         raise IndexFormatError(f"{path}: dimension {doc['dimension']} != configured encoder's {config.dimension}")
@@ -277,10 +259,7 @@ def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorI
         raise IndexFormatError(f"{path}: cannot read matrix file {doc['matrix']!r}: {exc}") from exc
     if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
         raise IndexFormatError(f"{path}: matrix file {matrix_path} does not hold a float64 array")
-    expected = (len(payloads), config.dimension)
-    if matrix.shape != expected:
-        raise IndexFormatError(f"{path}: matrix file {matrix_path} has shape {matrix.shape}, not (nodes, dim) {expected}")
     try:
-        return VectorIndex.from_entries(doc["kind"], payloads, matrix, config)
+        return VectorIndex(doc["kind"], payloads, matrix, config)
     except ValueError as exc:
-        raise IndexFormatError(f"{path}: {exc}") from exc
+        raise IndexFormatError(f"{path}: matrix file {matrix_path}: {exc}") from exc

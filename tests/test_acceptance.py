@@ -63,7 +63,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(1000)]
     config = EncoderConfig(dimension=dimension)
-    index = VectorIndex.from_entries("triplet", payloads, list(vectors), config)
+    index = VectorIndex("triplet", payloads, list(vectors), config)
 
     # Ties: 1000 nodes drawn from 250 distinct unit vectors with four +-0.5
     # coordinates, queried with small-integer vectors. Every score is then
@@ -72,7 +72,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
     distinct = np.zeros((250, dimension))
     for row in distinct:
         row[rng.choice(dimension, size=4, replace=False)] = rng.choice([-0.5, 0.5], size=4)
-    tied_index = VectorIndex.from_entries(
+    tied_index = VectorIndex(
         "triplet", payloads, list(distinct[rng.integers(0, 250, size=1000)]), config
     )
 

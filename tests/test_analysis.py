@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import kgte.analysis
@@ -16,6 +17,7 @@ from kgte import (
     build_kb,
     downscale_kb,
     fit_ablation,
+    index_dataset,
     linear_fit,
     load_dataset,
     log_param_fit,
@@ -274,6 +276,67 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             spec_for(pair_manifest, extractor="psychic")
 
+    @pytest.mark.parametrize("scale", [-0.5, 1.5, 7.0, float("nan")])
+    def test_scale_outside_unit_interval_rejected(self, pair_manifest, scale):
+        with pytest.raises(ValueError, match="scale must be in"):
+            spec_for(pair_manifest, scale=scale)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_nonpositive_char_budget_rejected(self, pair_manifest, budget):
+        with pytest.raises(ValueError, match="char_budget"):
+            spec_for(pair_manifest, char_budget=budget)
+
+    def test_char_budget_takes_effect(self, pair_manifest):
+        default = run_experiment(spec_for(pair_manifest, extractor="random"))
+        budget = min(len(run.prompt.rendered) for run in default.runs) - 1
+        tight = run_experiment(spec_for(pair_manifest, extractor="random", char_budget=budget))
+        assert not any(run.prompt.truncated for run in default.runs)
+        assert all(run.prompt.truncated and len(run.prompt.rendered) <= budget for run in tight.runs)
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            pytest.param('{"manifest": "m.json", ', "Expecting", id="invalid-json"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "shots": 2}', "shots", id="unknown-key"),
+            pytest.param('{"mode": "zero", "extractor": "random"}', "manifest", id="no-manifest"),
+            pytest.param('["manifest"]', "", id="not-an-object"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "scale": 2}', "scale", id="bad-scale"),
+        ],
+    )
+    def test_replay_of_a_bad_spec_file_names_the_file(self, tmp_path, text, needle):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            replay_experiment(spec_path)
+        assert str(excinfo.value).startswith(f"{spec_path}: ")
+        assert needle in str(excinfo.value)
+
+
+class TestIndexDataset:
+    def test_full_scale_equals_the_kb_index(self, pair_manifest):
+        dataset = load_dataset(pair_manifest)
+        config = EncoderConfig(dimension=64)
+        got = index_dataset(dataset, "example", 1.0, 3, "sentence+triplets", config)
+        want = build_index(build_kb(dataset.train, dataset.validation), "example", "sentence+triplets", config)
+        assert np.array_equal(got._matrix, want._matrix)
+        assert [n.payload for n in got.nodes] == [n.payload for n in want.nodes]
+
+    def test_downscaled_index_matches_downscale_kb(self, pair_manifest):
+        dataset = load_dataset(pair_manifest)
+        config = EncoderConfig(dimension=64)
+        kb = downscale_kb(build_kb(dataset.train, dataset.validation), 0.4, 5)
+        got = index_dataset(dataset, "triplet", 0.4, 5, "sentence", config)
+        assert [n.payload for n in got.nodes] == list(kb.triplets)
+        assert np.array_equal(got._matrix, build_index(kb, "triplet", config=config)._matrix)
+
+    def test_empty_retained_kb_gives_none(self, pair_manifest):
+        assert index_dataset(load_dataset(pair_manifest), "triplet", 0.0, 0, "sentence", None) is None
+
+    @pytest.mark.parametrize("scale", [-0.1, 1.5, float("nan")])
+    def test_scale_outside_unit_interval_rejected(self, pair_manifest, scale):
+        with pytest.raises(ValueError, match="scale must be in"):
+            index_dataset(load_dataset(pair_manifest), "triplet", scale, 0, "sentence", None)
+
 
 class TestRandomModelStudy:
     def test_dilution_decreases_monte_carlo_f1(self):
@@ -382,6 +445,24 @@ class TestRunAblation:
             curve = sweep_context_quality(dataset.test, index, [n_kb])
             assert point.p == curve.points[0][1]
         assert 0.0 < result.points[0].p < 1.0
+
+    def test_dataset_loaded_once_for_all_scales(self, pair_manifest, monkeypatch):
+        loads = []
+        real_load_dataset = kgte.analysis.load_dataset
+
+        def counting_load_dataset(*args, **kwargs):
+            loads.append(1)
+            return real_load_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(kgte.analysis, "load_dataset", counting_load_dataset)
+        run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize("scales", [[0.5, 1.5], [float("nan")], [-0.25, 1.0]])
+    def test_scale_outside_unit_interval_rejected_before_any_run(self, pair_manifest, monkeypatch, scales):
+        monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
+        with pytest.raises(ValueError, match="scale must be in"):
+            run_ablation(pair_manifest, scales=scales, seed=2, extractor="random", n_kb=2, dimension=128)
 
     def test_degenerate_single_p_has_no_fit(self, pair_manifest):
         result = run_ablation(

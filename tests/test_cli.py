@@ -4,10 +4,19 @@ import argparse
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgte import Triplet
 from kgte.analysis import EXTRACTORS
-from kgte.cli import build_parser, main
+from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
+from kgte.corpus import normalize_surface
 from conftest import MINI_STATS
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# any printable text, non-ASCII included, that survives normalization
+_surface = st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=10).filter(normalize_surface)
+_triplet_fields = st.lists(_surface, min_size=3, max_size=3)
 
 
 def run_cli(args):
@@ -183,8 +192,13 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "bad_line",
-        ['{"triplets": [["a", "r", "b"]', '{"pred": [["a", "r", "b"]]}', '{"triplets": [["a", "r"]]}'],
-        ids=["invalid-json", "no-triplets", "short-triplet"],
+        [
+            '{"triplets": [["a", "r", "b"]',
+            '{"pred": [["a", "r", "b"]]}',
+            '{"triplets": [["a", "r"]]}',
+            '{"triplets": [["  ", "r", "b"]]}',
+        ],
+        ids=["invalid-json", "no-triplets", "short-triplet", "blank-field"],
     )
     def test_malformed_prediction_line_fails_naming_line(self, mini_manifest, tmp_path, capsys, bad_line):
         pred_path = tmp_path / "pred.jsonl"
@@ -194,6 +208,56 @@ class TestEval:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"{pred_path}:3: ")
+
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(lines=st.lists(st.tuples(st.lists(_triplet_fields, max_size=4), st.booleans()), min_size=1, max_size=6))
+    def test_predictions_round_trip(self, tmp_path_factory, lines):
+        pred_path = tmp_path_factory.mktemp("pred") / "pred.jsonl"
+        text = "".join(
+            json.dumps({"triplets": triplets} if wrapped else triplets, ensure_ascii=False) + "\n\n"
+            for triplets, wrapped in lines
+        )
+        pred_path.write_text(text, encoding="utf-8")
+        got = _read_triplet_lines(str(pred_path))
+        assert got == [[Triplet(*fields) for fields in triplets] for triplets, _ in lines]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["index", "--out", "{tmp}/kb.index.json"],
+        ["sweep-p", "--nkb-list", "1,2"],
+        ["extract", "--extractor", "oracle-prefix", "--mode", "triplets", "--out", "{tmp}/run"],
+        ["ablate", "--extractor", "oracle-prefix", "--scales", "0,{scale}"],
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("scale", ["1.5", "7", "-0.25", "nan"])
+def test_scale_outside_unit_interval_exits_1(planted_pair_manifest, tmp_path, capsys, command, scale):
+    out = tmp_path / "out"
+    args = [arg.format(tmp=out, scale=scale) for arg in command]
+    if command[0] != "ablate":
+        args += ["--scale", scale]
+    assert run_cli([*args, "--manifest", str(planted_pair_manifest), "--dimension", "64"]) == 1
+    assert "scale must be in [0, 1]" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["index", "--out", "{tmp}/kb.index.json"], ["sweep-p", "--nkb-list", "1,2"]], ids=lambda c: c[0])
+def test_empty_kb_at_scale_zero_exits_1(planted_pair_manifest, tmp_path, capsys, command):
+    args = [arg.format(tmp=tmp_path) for arg in command]
+    assert run_cli([*args, "--scale", "0", "--manifest", str(planted_pair_manifest), "--dimension", "64"]) == 1
+    assert "no content" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_extract_nonpositive_budget_exits_1(planted_pair_manifest, tmp_path, capsys, budget):
+    code = run_cli(["extract", "--manifest", str(planted_pair_manifest), "--extractor", "oracle-prefix",
+                    "--budget", budget, "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "char_budget" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not (tmp_path / "run").exists()
 
 
 class TestSweepP:
@@ -280,6 +344,33 @@ class TestFit:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert f"{csv}:4" in message
         assert "2,oops" in message
+
+    @pytest.mark.parametrize("row", ["nan,1", "1,inf", "-inf,2", "1e400,3"])
+    @pytest.mark.parametrize("header", ["x,y\n", ""], ids=["header", "no-header"])
+    def test_non_finite_cell_fails_naming_line(self, tmp_path, capsys, header, row):
+        csv = tmp_path / "points.csv"
+        csv.write_text(f"{header}0,1\n{row}\n2,3\n")
+        assert run_cli(["fit", "--input", str(csv)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{csv}:{3 if header else 2}: ")
+        assert row in error["message"]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        points=st.lists(st.tuples(_finite, _finite), min_size=1, max_size=8),
+        header=st.sampled_from([None, "x,y", "n_par,f1", "p_s , f1 ,note"]),
+        blanks=st.lists(st.integers(0, 9), max_size=4),
+    )
+    def test_csv_round_trip(self, tmp_path_factory, points, header, blanks):
+        lines = [f"{x!r},{y!r}" for x, y in points]
+        for at in blanks:
+            lines.insert(min(at, len(lines)), " \t")
+        if header is not None:
+            lines.insert(0, header)
+        csv = tmp_path_factory.mktemp("fit") / "points.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        assert _read_xy_csv(str(csv)) == points
 
     def test_empty_csv_fails(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"

@@ -174,6 +174,26 @@ class TestLoadDataset:
             load_dataset(manifest)
         assert excinfo.value.line == 1
 
+    def test_invalid_utf8_carries_path_and_line_number(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"text":"ok","triplets":[["a","r","b"]]}\n\n{"text":"caf\xe9","triplets":[["a","r","b"]]}\n')
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"train": "bad.jsonl", "validation": "bad.jsonl", "test": "bad.jsonl"}))
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(manifest)
+        assert excinfo.value.line == 3
+        assert str(excinfo.value).startswith(f"{bad}:3: ")
+
+    @pytest.mark.parametrize("value", [5, None, ["train.jsonl"]])
+    def test_non_string_split_path_names_the_manifest(self, mini_manifest, tmp_path, value):
+        manifest = tmp_path / "manifest.json"
+        splits = {"train": value, "validation": str(mini_manifest.parent / "valid.jsonl"), "test": "test.jsonl"}
+        manifest.write_text(json.dumps(splits))
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(manifest)
+        assert excinfo.value.path == str(manifest)
+        assert "'train'" in str(excinfo.value)
+
     def test_empty_split_rejected(self, tmp_path):
         (tmp_path / "empty.jsonl").write_text("")
         manifest = tmp_path / "manifest.json"
@@ -236,6 +256,11 @@ class TestDownscaleKb:
         assert small.examples == ()
         assert small.triplets == ()
         assert small.source_scale == 0.0
+
+    @pytest.mark.parametrize("scale", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_scale_outside_unit_interval_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be in"):
+            downscale_kb(_toy_kb(10), scale, seed=3)
 
     def test_scale_one_is_identity(self):
         kb = _toy_kb(10)

@@ -59,7 +59,7 @@ def random_unit_index(n, dimension, seed=0):
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(n)]
     config = EncoderConfig(dimension=dimension)
-    return VectorIndex.from_entries("triplet", payloads, list(vectors), config), rng
+    return VectorIndex("triplet", payloads, list(vectors), config), rng
 
 
 def small_kb():
@@ -144,7 +144,7 @@ class TestTopK:
         config = EncoderConfig(dimension=4)
         v = np.array([1.0, 0.0, 0.0, 0.0])
         payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(4)]
-        index = VectorIndex.from_entries("triplet", payloads, [v, v, v, v], config)
+        index = VectorIndex("triplet", payloads, [v, v, v, v], config)
         ranked = top_k(index, v, 4)
         assert [node.id for node, _ in ranked] == [0, 1, 2, 3]
 
@@ -165,7 +165,7 @@ class TestTopK:
     )
     def test_repeated_rows_match_oracle_for_every_k(self, rows, query):
         payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(rows))]
-        index = VectorIndex.from_entries(
+        index = VectorIndex(
             "triplet", payloads, [EXACT_ROWS[r] for r in rows], EncoderConfig(dimension=4)
         )
         query = np.array(query, dtype=np.float64)
@@ -182,6 +182,60 @@ class TestTopK:
         index, _ = random_unit_index(5, 8)
         with pytest.raises(ValueError):
             top_k(index, index.nodes[0].vector, 0)
+
+
+class TestConstructor:
+    def test_adopts_a_contiguous_float64_matrix_without_a_copy(self):
+        matrix = np.array(EXACT_ROWS)
+        payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(matrix))]
+        index = VectorIndex("triplet", payloads, matrix, EncoderConfig(dimension=4))
+        assert index._matrix is matrix
+        assert not matrix.flags.writeable
+        assert [(n.id, n.kind, n.payload) for n in index.nodes] == [(i, "triplet", p) for i, p in enumerate(payloads)]
+
+    def test_dimension_is_the_encoder_configs(self):
+        index, _ = random_unit_index(3, 8)
+        assert index.dimension == index.encoder_config.dimension == 8
+        with pytest.raises(AttributeError):
+            index.dimension = 9
+        assert not hasattr(index, "metric")
+        assert not hasattr(VectorIndex, "from_entries")
+
+    @pytest.mark.parametrize(
+        "payload_count,vectors,dimension",
+        [
+            pytest.param(1, [[1.0, 0.0]], 384, id="dimension-below-config"),
+            pytest.param(1, [[1.0, 0.0, 0.0, 0.0, 0.0]], 4, id="dimension-above-config"),
+            pytest.param(2, [[1.0, 0.0, 0.0, 0.0]], 4, id="fewer-rows-than-payloads"),
+            pytest.param(1, [[1.0, 0.0, 0.0, 0.0]] * 2, 4, id="more-rows-than-payloads"),
+            pytest.param(1, [1.0, 0.0, 0.0, 0.0], 4, id="flat"),
+        ],
+    )
+    def test_shape_must_match_payloads_and_config(self, payload_count, vectors, dimension):
+        payloads = [Triplet(f"s{i}", "r", "o") for i in range(payload_count)]
+        with pytest.raises(ValueError, match="shape"):
+            VectorIndex("triplet", payloads, np.array(vectors), EncoderConfig(dimension=dimension))
+
+    def test_unknown_kind_and_empty_index_rejected(self):
+        config = EncoderConfig(dimension=4)
+        with pytest.raises(ValueError, match="kind"):
+            VectorIndex("sentence", [Triplet("a", "r", "b")], EXACT_ROWS[:1], config)
+        with pytest.raises(ValueError, match="no nodes"):
+            VectorIndex("triplet", [], np.empty((0, 4)), config)
+
+    def test_rejected_vectors_stay_writable(self):
+        matrix = np.array([[1.0, 1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="not unit"):
+            VectorIndex("triplet", [Triplet("a", "r", "b")], matrix, EncoderConfig(dimension=4))
+        assert matrix.flags.writeable
+
+    def test_indexes_compare_by_identity(self):
+        payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(EXACT_ROWS))]
+        config = EncoderConfig(dimension=4)
+        a = VectorIndex("triplet", payloads, EXACT_ROWS, config)
+        b = VectorIndex("triplet", payloads, EXACT_ROWS, config)
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestImmutability:
@@ -201,25 +255,16 @@ class TestImmutability:
 
     def test_nodes_have_no_instance_dict(self):
         index, _ = random_unit_index(3, 4)
-        gathered = VectorIndex(index.kind, index.dimension, index.encoder_config, index.nodes)
-        for node in index.nodes + gathered.nodes:
+        for node in index.nodes:
             assert not hasattr(node, "__dict__")
-        assert gathered.nodes[1].vector.base is gathered._matrix
 
     def test_non_unit_vector_rejected(self):
         config = EncoderConfig(dimension=4)
         with pytest.raises(ValueError):
-            VectorIndex.from_entries(
+            VectorIndex(
                 "triplet", [Triplet("a", "r", "b")], [np.array([1.0, 1.0, 0.0, 0.0])], config
             )
 
-    def test_ids_must_be_contiguous(self):
-        from kgte.vector_index import IndexNode
-
-        config = EncoderConfig(dimension=2)
-        nodes = (IndexNode(id=1, kind="triplet", payload=Triplet("a", "r", "b"), vector=np.array([1.0, 0.0])),)
-        with pytest.raises(ValueError):
-            VectorIndex(kind="triplet", dimension=2, encoder_config=config, nodes=nodes)
 
 
 def _payload_text():
@@ -260,7 +305,7 @@ class TestPersistence:
     @given(inputs=saved_index_inputs(), query_seed=st.integers(0, 2**32 - 1))
     def test_round_trip_small_index(self, tmp_path_factory, inputs, query_seed):
         kind, payloads, matrix = inputs
-        index = VectorIndex.from_entries(kind, payloads, matrix, EncoderConfig(dimension=matrix.shape[1]))
+        index = VectorIndex(kind, payloads, matrix, EncoderConfig(dimension=matrix.shape[1]))
         path = tmp_path_factory.mktemp("index") / "index.json"
         save_index(index, path)
         reloaded = load_index(path)
@@ -295,7 +340,7 @@ class TestPersistence:
     def test_external_provider_index_reloads_without_config(self, tmp_path):
         config = EncoderConfig(provider="external", dimension=4, endpoint="http://embed.invalid/v1", model="m-1")
         payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(EXACT_ROWS))]
-        index = VectorIndex.from_entries("triplet", payloads, EXACT_ROWS, config)
+        index = VectorIndex("triplet", payloads, EXACT_ROWS, config)
         path = tmp_path / "index.json"
         save_index(index, path)
         reloaded = load_index(path)
