@@ -74,6 +74,7 @@ from .retriever import (
     RetrievedContext,
     diversity_filter,
     empty_context,
+    retrieve_contexts,
     retrieve_examples,
     retrieve_triplets,
 )

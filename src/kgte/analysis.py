@@ -38,13 +38,7 @@ from .extraction import (
 )
 from .parsing import parse_triplets
 from .prompting import PromptInstance, get_template, render
-from .retriever import (
-    RetrievedContext,
-    empty_context,
-    retrieve_contexts,
-    retrieve_examples,
-    retrieve_triplets,
-)
+from .retriever import RetrievedContext, context_mode, empty_context, retrieve_contexts
 from .vector_index import VectorIndex, build_index
 
 EXPERIMENT_MODES = ("zero", "static2", "triplets", "examples")
@@ -156,11 +150,10 @@ def random_model_study(
         raise ValueError("trials must be >= 1")
     if index.kind != "triplet":
         raise ValueError("the random model study runs on a triplet index")
-    per_sentence = [retrieve_contexts(s.text, index, n_kb_values) for s in sentences]
+    golds = [set(s.gold) for s in sentences]
+    columns = retrieve_contexts([s.text for s in sentences], index, n_kb_values)
     rows = []
-    for j, n_kb in enumerate(n_kb_values):
-        contexts = [sentence_contexts[j] for sentence_contexts in per_sentence]
-        golds = [set(s.gold) for s in sentences]
+    for n_kb, contexts in zip(n_kb_values, columns):
         p = context_hit_probability(contexts, golds)
         mc_total = 0.0
         for i, (context, gold) in enumerate(zip(contexts, golds)):
@@ -217,6 +210,8 @@ class ExperimentRunSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"unknown extractor {self.extractor!r}")
+        if self.n_kb < 1:
+            raise ValueError(f"n_kb must be >= 1, got {self.n_kb}")
         check_scale(self.scale)
         if self.char_budget is not None and self.char_budget < 1:
             raise ValueError(f"char_budget must be >= 1, got {self.char_budget}")
@@ -286,15 +281,13 @@ def _build_contexts(
     spec: ExperimentRunSpec, dataset: Dataset, sentences: Sequence[AnnotatedSentence]
 ) -> list[RetrievedContext]:
     kind = _MODE_TO_INDEX_KIND.get(spec.mode)
-    context_mode = "triplets" if kind != "example" else "examples"
     if kind is None:
-        return [empty_context(context_mode) for _ in sentences]
+        return [empty_context("triplets") for _ in sentences]
     index = index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder_config())
     if index is None:
         # a fully downscaled KB degenerates to the no-context setting
-        return [empty_context(context_mode, spec.n_kb) for _ in sentences]
-    retrieve = retrieve_triplets if kind == "triplet" else retrieve_examples
-    return [retrieve(s.text, index, spec.n_kb) for s in sentences]
+        return [empty_context(context_mode(kind), spec.n_kb) for _ in sentences]
+    return retrieve_contexts([s.text for s in sentences], index, [spec.n_kb])[0]
 
 
 def _pure_extract_raw(

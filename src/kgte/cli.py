@@ -28,8 +28,8 @@ from .corpus import Triplet, dataset_stats, load_dataset, load_records
 from .encoder import EncoderConfig
 from .evaluation import micro_f1, sweep_context_quality
 from .extraction import GenerationConfig, RemoteLLMClient
-from .retriever import retrieve_examples, retrieve_triplets
-from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, load_index, save_index
+from .retriever import retrieve_contexts
+from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, index_matrix_path, load_index, save_index
 
 _PROMPT_FLAG_TO_KIND = {"base": "base", "cot": "chain_of_thought", "documented": "documented"}
 
@@ -87,6 +87,7 @@ def _kb_index(args, dataset):
 
 
 def _cmd_index(args) -> int:
+    index_matrix_path(args.out)  # a bad --out fails before the build
     index = _kb_index(args, load_dataset(args.manifest))
     matrix_path = save_index(index, args.out)
     sys.stdout.write(f"wrote {len(index)} nodes to {args.out} and {matrix_path}\n")
@@ -94,14 +95,12 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    index = load_index(args.index)
-    if index.kind == "triplet":
-        context = retrieve_triplets(args.text, index, args.nkb)
+    context = retrieve_contexts([args.text], load_index(args.index), [args.nkb])[0][0]
+    if context.mode == "triplets":
         items = [
             {"triplet": list(t.as_tuple()), "score": score} for t, score in context.items
         ]
     else:
-        context = retrieve_examples(args.text, index, args.nkb)
         items = [
             {
                 "text": ex.text,
@@ -186,9 +185,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep_p(args) -> int:
     dataset = load_dataset(args.manifest)
     values = [int(v) for v in args.nkb_list.split(",")]
-    curve = sweep_context_quality(
-        dataset.split(args.split), _kb_index(args, dataset), values, scale=args.scale
-    )
+    curve = sweep_context_quality(dataset.split(args.split), _kb_index(args, dataset), values)
     _emit(curve.to_csv(), args.out)
     return 0
 

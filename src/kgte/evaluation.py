@@ -173,9 +173,10 @@ def context_hit_probability(
 
 @dataclass(frozen=True)
 class ContextQualityCurve:
+    """P(N_KB) at strictly increasing N_KB values, as ``(n_kb, p)`` points; P
+    never decreases as N_KB grows."""
+
     points: tuple[tuple[int, float], ...]
-    mode: str
-    scale: float
 
     def __post_init__(self) -> None:
         ns = [n for n, _ in self.points]
@@ -192,20 +193,13 @@ class ContextQualityCurve:
 
 
 def sweep_context_quality(
-    sentences: Sequence[AnnotatedSentence],
-    index: VectorIndex,
-    n_kb_values: Sequence[int],
-    *,
-    mode: str | None = None,
-    scale: float = 1.0,
-    client=None,
+    sentences: Sequence[AnnotatedSentence], index: VectorIndex, n_kb_values: Sequence[int]
 ) -> ContextQualityCurve:
-    """P(N_KB) over a split for each requested N_KB.
+    """P(N_KB) over a split for each requested N_KB, strictly increasing.
 
-    Uses the retrieval pipeline, including the diversity filter in triplets
-    mode. Each sentence is encoded and ranked once at the largest N_KB; the
-    smaller values reuse rank prefixes (``retrieve_contexts``), which is
-    equivalent to retrieving at each N_KB separately.
+    The contexts come from ``retrieve_contexts`` over the split, diversity
+    filter included for a triplet index: each sentence is encoded and ranked
+    once, at the largest N_KB.
     """
     if not sentences:
         raise ValueError("no sentences to sweep")
@@ -214,13 +208,8 @@ def sweep_context_quality(
         raise ValueError("n_kb values must be >= 1")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError("n_kb values must be strictly increasing")
-    derived_mode = "triplets" if index.kind == "triplet" else "examples"
-    if mode is not None and mode != derived_mode:
-        raise ValueError(f"mode {mode!r} does not match index kind {index.kind!r}")
     golds = [set(s.gold) for s in sentences]
-    per_sentence = [retrieve_contexts(s.text, index, values, client=client) for s in sentences]
-    points = [
-        (n, context_hit_probability([contexts[j] for contexts in per_sentence], golds))
-        for j, n in enumerate(values)
-    ]
-    return ContextQualityCurve(points=tuple(points), mode=derived_mode, scale=scale)
+    columns = retrieve_contexts([s.text for s in sentences], index, values)
+    return ContextQualityCurve(
+        points=tuple((n, context_hit_probability(contexts, golds)) for n, contexts in zip(values, columns))
+    )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import random
 import threading
 import time
@@ -69,8 +70,12 @@ class GenerationConfig:
     in_flight: int = 4
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
+        if self.max_output_tokens < 1:
+            raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.in_flight < 1:

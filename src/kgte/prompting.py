@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .corpus import AnnotatedSentence, Triplet
 from .encoder import triplet_to_string
@@ -151,33 +150,30 @@ def export_catalog(directory: str | Path) -> list[Path]:
     return paths
 
 
-def _context_payloads(template: PromptTemplate, context) -> list:
-    if context is None:
+# the context mode each context-taking shot mode renders
+_SHOT_CONTEXT_MODES = {"context_triplets": "triplets", "examples": "examples"}
+
+
+def _context_payloads(template: PromptTemplate, context: RetrievedContext | None) -> list:
+    wanted = _SHOT_CONTEXT_MODES.get(template.shot_mode)
+    if context is None or wanted is None:
         return []
-    if isinstance(context, RetrievedContext):
-        items = [payload for payload, _ in context.items]
-    else:
-        items = list(context)
-    if template.shot_mode == "context_triplets":
-        if not all(isinstance(item, Triplet) for item in items):
-            raise TypeError("context_triplets mode requires Triplet context items")
-    elif template.shot_mode == "examples":
-        if not all(isinstance(item, AnnotatedSentence) for item in items):
-            raise TypeError("examples mode requires AnnotatedSentence context items")
-    else:
-        items = []
-    return items
+    if context.mode != wanted:
+        raise TypeError(f"a {template.shot_mode} template needs a context of mode {wanted!r}, got {context.mode!r}")
+    return [payload for payload, _ in context.items]
 
 
 def render(
     template: PromptTemplate,
     sentence: str,
     max_triplets: int,
-    context: RetrievedContext | Sequence | None = None,
+    context: RetrievedContext | None = None,
     budget: int | None = None,
 ) -> PromptInstance:
     """Substitute placeholders and fit the result into ``budget`` characters.
 
+    A context-triplets template takes a triplets ``RetrievedContext`` and an
+    examples template an examples one; other shot modes ignore ``context``.
     Context items are included highest-ranked first; if the render exceeds
     the budget, the lowest-ranked items are dropped until it fits. A budget
     too small for the zero-context render raises ``PromptBudgetError``.

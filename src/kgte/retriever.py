@@ -1,5 +1,10 @@
-"""Turn an input sentence into KB context: a diversity-filtered triplet set or
-a ranked list of (sentence, triplets) examples."""
+"""Turn input sentences into KB context: from a triplet index, a
+diversity-filtered triplet set; from an example index, a ranked list of
+(sentence, triplets) examples.
+
+``retrieve_contexts`` is the one path from a split of sentences to their
+contexts, at one or more N_KB values; ``retrieve_triplets`` and
+``retrieve_examples`` are its one-sentence forms."""
 
 from __future__ import annotations
 
@@ -12,6 +17,11 @@ from .encoder import encode
 from .vector_index import VectorIndex, top_k
 
 CONTEXT_MODES = ("triplets", "examples")
+
+
+def context_mode(kind: str) -> str:
+    """The mode of the contexts retrieved from an index of ``kind``."""
+    return "triplets" if kind == "triplet" else "examples"
 
 
 @dataclass(frozen=True)
@@ -84,13 +94,14 @@ def diversity_filter(
 
 
 def retrieve_contexts(
-    sentence: str, index: VectorIndex, n_kb_values: Sequence[int], *, client=None
-) -> list[RetrievedContext]:
-    """The sentence's context at each N_KB in ``n_kb_values``, in that order,
-    from one encoding and one ranking at the largest N_KB.
+    texts: Sequence[str], index: VectorIndex, n_kb_values: Sequence[int]
+) -> list[list[RetrievedContext]]:
+    """The contexts of a split: ``result[j][i]`` is the context of
+    ``texts[i]`` at ``n_kb_values[j]``.
 
-    ``top_k`` orders nodes totally by (-score, id), so the top n nodes are
-    the length-n prefix of the top max(N_KB): each context equals a separate
+    Each text is encoded once and ranked once, at the largest N_KB. ``top_k``
+    orders nodes totally by (-score, id), so the top n nodes are the
+    length-n prefix of the top max(N_KB): each context equals a separate
     retrieval at its N_KB. A triplet index passes each prefix through the
     diversity filter; an example index keeps it as is.
     """
@@ -98,31 +109,29 @@ def retrieve_contexts(
         raise ValueError("n_kb must be >= 1")
     if not n_kb_values:
         return []
-    mode = "triplets" if index.kind == "triplet" else "examples"
-    query = encode(sentence, index.encoder_config, client=client)
-    ranked = [(node.payload, score) for node, score in top_k(index, query, max(n_kb_values))]
-    contexts = []
-    for n in n_kb_values:
-        items = diversity_filter(ranked[:n]) if mode == "triplets" else ranked[:n]
-        contexts.append(RetrievedContext(mode=mode, items=tuple(items), n_kb_requested=n))
-    return contexts
+    mode = context_mode(index.kind)
+    k = max(n_kb_values)
+    columns: list[list[RetrievedContext]] = [[] for _ in n_kb_values]
+    for text in texts:
+        query = encode(text, index.encoder_config)
+        ranked = [(node.payload, score) for node, score in top_k(index, query, k)]
+        for column, n in zip(columns, n_kb_values):
+            items = diversity_filter(ranked[:n]) if mode == "triplets" else ranked[:n]
+            column.append(RetrievedContext(mode=mode, items=tuple(items), n_kb_requested=n))
+    return columns
 
 
-def retrieve_triplets(
-    sentence: str, index: VectorIndex, n_kb: int, *, client=None
-) -> RetrievedContext:
+def retrieve_triplets(sentence: str, index: VectorIndex, n_kb: int) -> RetrievedContext:
     """Top ``n_kb`` KB triplets by cosine similarity to the sentence, then the
     diversity filter. The filter may return fewer than ``n_kb`` items; no
     top-up is performed."""
     if index.kind != "triplet":
         raise ValueError(f"retrieve_triplets needs a triplet index, got {index.kind!r}")
-    return retrieve_contexts(sentence, index, [n_kb], client=client)[0]
+    return retrieve_contexts([sentence], index, [n_kb])[0][0]
 
 
-def retrieve_examples(
-    sentence: str, index: VectorIndex, n_kb: int, *, client=None
-) -> RetrievedContext:
+def retrieve_examples(sentence: str, index: VectorIndex, n_kb: int) -> RetrievedContext:
     """Top ``n_kb`` (sentence, triplets) examples by similarity; no filtering."""
     if index.kind != "example":
         raise ValueError(f"retrieve_examples needs an example index, got {index.kind!r}")
-    return retrieve_contexts(sentence, index, [n_kb], client=client)[0]
+    return retrieve_contexts([sentence], index, [n_kb])[0][0]

@@ -103,8 +103,6 @@ def build_index(
     kind: str,
     example_embed_mode: str = "sentence",
     config: EncoderConfig | None = None,
-    *,
-    client=None,
 ) -> VectorIndex:
     """Embed KB content into a frozen index.
 
@@ -127,7 +125,7 @@ def build_index(
         texts = [_example_embed_text(ex, example_embed_mode) for ex in kb.examples]
     matrix = np.empty((len(texts), config.dimension))
     for row, text in zip(matrix, texts):
-        row[:] = encode(text, config, client=client)
+        row[:] = encode(text, config)
     return VectorIndex(kind, payloads, matrix, config)
 
 
@@ -188,18 +186,28 @@ def _payload_from_json(kind: str, raw, path: Path, position: int) -> Triplet | A
     return AnnotatedSentence(text=text, gold=tuple(_triplet_from_json(t, where) for t in triplets))
 
 
-def save_index(index: VectorIndex, path: str | Path) -> Path:
-    """Write the index as format v2; returns the path of its matrix file.
-
-    The matrix goes, bit-exact, to ``path`` with the suffix ``.npy`` (written
-    first), and a JSON header to ``path``: format version, dimension, metric,
-    kind, every ``EncoderConfig`` field, the ``.npy`` file name and the node
-    payloads in id order.
-    """
+def index_matrix_path(path: str | Path) -> Path:
+    """The matrix file of the index whose JSON header is at ``path``: ``path``
+    with the suffix ``.npy``. A header path that itself ends in ``.npy`` is
+    rejected."""
     path = Path(path)
     matrix_path = path.with_suffix(".npy")
     if matrix_path == path:
         raise ValueError(f"index header path {path} must not end in .npy")
+    return matrix_path
+
+
+def save_index(index: VectorIndex, path: str | Path) -> Path:
+    """Write the index as format v2; returns the path of its matrix file.
+
+    The matrix goes, bit-exact, to ``index_matrix_path(path)`` (written
+    first), and a JSON header to ``path``: format version, dimension, metric,
+    kind, every ``EncoderConfig`` field, the ``.npy`` file name and the node
+    payloads in id order. Missing parent directories are created.
+    """
+    path = Path(path)
+    matrix_path = index_matrix_path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     np.save(matrix_path, index._matrix, allow_pickle=False)
     doc = {
         "version": INDEX_FORMAT_VERSION,

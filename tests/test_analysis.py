@@ -281,6 +281,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="scale must be in"):
             spec_for(pair_manifest, scale=scale)
 
+    @pytest.mark.parametrize("mode", ["zero", "static2", "triplets", "examples"])
+    @pytest.mark.parametrize("n_kb", [0, -3])
+    def test_nonpositive_n_kb_rejected_in_every_mode(self, pair_manifest, mode, n_kb):
+        with pytest.raises(ValueError, match="n_kb must be >= 1"):
+            spec_for(pair_manifest, mode=mode, n_kb=n_kb)
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_nonpositive_char_budget_rejected(self, pair_manifest, budget):
         with pytest.raises(ValueError, match="char_budget"):
@@ -301,6 +307,12 @@ class TestRunExperiment:
             pytest.param('{"mode": "zero", "extractor": "random"}', "manifest", id="no-manifest"),
             pytest.param('["manifest"]', "", id="not-an-object"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "scale": 2}', "scale", id="bad-scale"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "n_kb": 0}', "n_kb", id="bad-n-kb"),
+            pytest.param(
+                '{"manifest": "m.json", "mode": "zero", "extractor": "random", "generation": {"temperature": NaN}}',
+                "temperature",
+                id="nan-temperature",
+            ),
         ],
     )
     def test_replay_of_a_bad_spec_file_names_the_file(self, tmp_path, text, needle):

@@ -1,9 +1,12 @@
 """The benchmark's view of the program: every name ``bench/workload.py``
-traces still exists, and its brute-force retrieval check agrees with
-``retrieve_triplets``. ``bench/`` is imported, never changed."""
+traces still exists, every workload's jobs still run against the program's
+signatures and pass the benchmark's own output checks, and its brute-force
+retrieval check agrees with ``retrieve_triplets``. ``bench/`` is imported,
+never changed."""
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -41,3 +44,17 @@ def test_brute_force_check_equals_retrieve_triplets(workload, mini_manifest, n_k
     for sentence in dataset.test + dataset.train:
         want = workload.brute_force_triplets(kgte, index, matrix, sentence.text, n_kb)
         assert list(retrieve_triplets(sentence.text, index, n_kb).items) == want
+
+
+@pytest.mark.parametrize("name", ["webnlg-pipeline", "nyt-index", "webnlg-llm"])
+def test_every_workload_runs_its_jobs_on_the_mini_fixture(workload, mini_manifest, tmp_path, name):
+    dataset = load_dataset(mini_manifest)
+    ctx = workload.Context(kgte, dataset, build_kb(dataset.train, dataset.validation), mini_manifest, 0, tmp_path)
+    if name == "webnlg-llm":
+        records = map(json.loads, (mini_manifest.parent / "test.jsonl").read_text(encoding="utf-8").splitlines())
+        ctx.results["golds"] = {r["text"]: tuple(tuple(t) for t in r["triplets"]) for r in records}
+    workload.run_pass(ctx, workload.WORKLOADS[name])
+    if name == "webnlg-llm":
+        assert workload.check_llm(ctx)[0] == []
+    else:
+        assert workload.check_retrieval(ctx, list(range(len(dataset.test)))) == []

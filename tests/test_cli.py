@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgte.analysis
 from kgte import Triplet
 from kgte.analysis import EXTRACTORS
 from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
@@ -112,6 +113,23 @@ class TestIndexAndRetrieve:
         )
         doc = json.loads(index_path.read_text())
         assert doc["kind"] == "example"
+
+
+    def test_missing_output_directory_is_created(self, planted_pair_manifest, tmp_path):
+        index_path = tmp_path / "missing" / "dir" / "kb.index.json"
+        code = run_cli(["index", "--manifest", str(planted_pair_manifest), "--dimension", "64", "--out", str(index_path)])
+        assert code == 0
+        assert index_path.exists() and index_path.with_suffix(".npy").exists()
+
+    def test_npy_header_path_exits_1_before_the_build(self, planted_pair_manifest, tmp_path, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(kgte.analysis, "build_index", lambda *args, **kwargs: builds.append(args))
+        out = tmp_path / "out"
+        code = run_cli(["index", "--manifest", str(planted_pair_manifest), "--out", str(out / "kb.npy")])
+        assert code == 1
+        assert "must not end in .npy" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert builds == []
+        assert not out.exists()
 
 
 class TestExtract:
@@ -249,6 +267,37 @@ def test_empty_kb_at_scale_zero_exits_1(planted_pair_manifest, tmp_path, capsys,
     args = [arg.format(tmp=tmp_path) for arg in command]
     assert run_cli([*args, "--scale", "0", "--manifest", str(planted_pair_manifest), "--dimension", "64"]) == 1
     assert "no content" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extract", "--mode", "zero", "--out", "{tmp}/run"],
+        ["extract", "--mode", "triplets", "--out", "{tmp}/run"],
+        ["ablate", "--out", "{tmp}/ablation.json"],
+    ],
+    ids=lambda command: f"{command[0]}-{command[2]}" if command[0] == "extract" else command[0],
+)
+@pytest.mark.parametrize("nkb", ["0", "-3"])
+def test_nonpositive_nkb_exits_1_before_any_load(planted_pair_manifest, tmp_path, capsys, monkeypatch, command, nkb):
+    loads = []
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
+    out = tmp_path / "out"
+    args = [arg.format(tmp=out) for arg in command]
+    code = run_cli([*args, "--manifest", str(planted_pair_manifest), "--extractor", "random", "--nkb", nkb])
+    assert code == 1
+    assert "n_kb must be >= 1" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
+def test_extract_out_of_range_temperature_exits_1(mini_manifest, tmp_path, capsys, temperature):
+    code = run_cli(["extract", "--manifest", str(mini_manifest), "--mode", "zero", "--extractor", "random",
+                    "--temperature", temperature, "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "temperature" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -199,7 +199,6 @@ class TestSweepContextQuality:
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=128))
         curve = sweep_context_quality(records, index, [1, 2, 5])
         assert curve.points[0] == (1, 1.0)
-        assert curve.mode == "triplets"
 
     def test_non_decreasing_on_mixed_fixture(self, mini_manifest):
         from kgte import load_dataset
@@ -238,7 +237,7 @@ class TestSweepContextQuality:
             scaled = downscale_kb(kb, scale, seed=4)
             assert set(scaled.examples) <= set(kb.examples)
             index = build_index(scaled, "triplet", config=config)
-            curves[scale] = sweep_context_quality(records, index, [n_kb], scale=scale)
+            curves[scale] = sweep_context_quality(records, index, [n_kb])
         assert (
             curves[0.25].points[0][1]
             <= curves[0.5].points[0][1]
@@ -254,17 +253,10 @@ class TestSweepContextQuality:
         with pytest.raises(ValueError):
             sweep_context_quality(records, index, [0, 1])
 
-    def test_mode_mismatch_rejected(self):
-        records = planted_single_records(6)
-        kb = build_kb(records[:3], records[3:])
-        index = build_index(kb, "triplet", config=EncoderConfig(dimension=64))
-        with pytest.raises(ValueError):
-            sweep_context_quality(records, index, [1], mode="examples")
-
     def test_curve_csv_export(self):
-        curve = ContextQualityCurve(points=((1, 0.25), (5, 0.5)), mode="triplets", scale=1.0)
+        curve = ContextQualityCurve(points=((1, 0.25), (5, 0.5)))
         assert curve.to_csv() == "n_kb,p\n1,0.25\n5,0.5\n"
 
     def test_curve_rejects_decreasing_p(self):
         with pytest.raises(ValueError):
-            ContextQualityCurve(points=((1, 0.5), (2, 0.4)), mode="triplets", scale=1.0)
+            ContextQualityCurve(points=((1, 0.5), (2, 0.4)))

@@ -55,6 +55,24 @@ class TestModelCatalog:
     def test_default_temperature(self):
         assert GenerationConfig().temperature == 0.1
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("temperature", float("nan")),
+            ("temperature", float("inf")),
+            ("temperature", -0.5),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("timeout", 0.0),
+            ("timeout", -1.0),
+            ("max_output_tokens", 0),
+            ("max_output_tokens", -3),
+        ],
+    )
+    def test_out_of_range_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GenerationConfig(**{field: value})
+
 
 class TestRemoteLLMClient:
     def test_mock_transport_returns_content_verbatim(self):

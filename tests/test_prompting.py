@@ -166,6 +166,14 @@ class TestRender:
         assert f"Sentence: {example.text}" in instance.rendered
         assert "(marie curie, birth place, warsaw)" in instance.rendered
 
+    @pytest.mark.parametrize("n_items", [0, 2])
+    def test_context_mode_must_match_shot_mode(self, n_items):
+        with pytest.raises(TypeError, match="mode 'examples'"):
+            render(get_template("base", "examples"), "sentence", 5, triplet_context(n_items))
+        examples = RetrievedContext(mode="examples", items=((STATIC_EXAMPLES[0], 0.9),)[:n_items], n_kb_requested=2)
+        with pytest.raises(TypeError, match="mode 'triplets'"):
+            render(get_template("base", "context_triplets"), "sentence", 5, examples)
+
     def test_deterministic(self):
         template = get_template("documented", "context_triplets")
         context = triplet_context(4)

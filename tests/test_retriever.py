@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import functools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgte import (
+    AnnotatedSentence,
     EncoderConfig,
     RetrievedContext,
     Triplet,
+    VectorIndex,
     build_index,
     build_kb,
     diversity_filter,
     empty_context,
     encode,
+    retrieve_contexts,
     retrieve_examples,
     retrieve_triplets,
     top_k,
 )
-from kgte.retriever import retrieve_contexts
 from conftest import planted_pair_records, planted_single_records
 
 
@@ -114,22 +120,84 @@ class TestRetrieveTriplets:
             assert longer[:k] == shorter
 
 
+def _tied_vectors(rng, rows, dimension):
+    """The tied recipe of the acceptance suite's criterion 1: rows drawn from a
+    quarter as many distinct unit vectors with four +-0.5 coordinates, so
+    duplicated rows score exactly alike and ties straddle every cut."""
+    distinct = np.zeros((rows // 4, dimension))
+    for row in distinct:
+        row[rng.choice(dimension, size=4, replace=False)] = rng.choice([-0.5, 0.5], size=4)
+    return distinct[rng.integers(0, len(distinct), size=rows)]
+
+
+_SPLIT_RECORDS = planted_pair_records(16)
+
+
+@functools.cache
+def _split_indexes() -> dict[str, VectorIndex]:
+    """Both index kinds built from a KB, and both kinds over tied vectors."""
+    kb = build_kb(_SPLIT_RECORDS[:8], _SPLIT_RECORDS[8:])
+    config = EncoderConfig(dimension=32)
+    tied = _tied_vectors(np.random.default_rng(2024), 400, config.dimension)
+    examples = [
+        AnnotatedSentence(f"example sentence {i}", (Triplet(f"s{i}", f"r{i % 5}", f"o{i}"),)) for i in range(len(tied))
+    ]
+    return {
+        "triplet": build_index(kb, "triplet", config=config),
+        "example": build_index(kb, "example", config=config),
+        "tied-triplet": VectorIndex("triplet", [ex.gold[0] for ex in examples], tied, config),
+        "tied-example": VectorIndex("example", examples, tied, config),
+    }
+
+
+@st.composite
+def split_queries(draw):
+    """An index, a split of texts, and an unsorted N_KB list holding a
+    repeated value and a value past the index size."""
+    index = draw(st.sampled_from(list(_split_indexes().values())))
+    texts = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([r.text for r in _SPLIT_RECORDS]),
+                st.text("abcdefgh xyz", min_size=3, max_size=24).filter(str.strip),
+            ),
+            max_size=4,
+        )
+    )
+    values = draw(st.lists(st.integers(1, len(index) + 3), min_size=1, max_size=4))
+    n_kb_values = draw(st.permutations([*values, values[0], len(index) + 1]))
+    return index, texts, n_kb_values
+
+
 class TestRetrieveContexts:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(query=split_queries())
+    def test_each_context_equals_its_one_sentence_retrieval(self, query):
+        index, texts, n_kb_values = query
+        retrieve = retrieve_triplets if index.kind == "triplet" else retrieve_examples
+        columns = retrieve_contexts(texts, index, n_kb_values)
+        assert len(columns) == len(n_kb_values)
+        for n_kb, column in zip(n_kb_values, columns):
+            assert len(column) == len(texts)
+            for text, context in zip(texts, column):
+                # exact equality: same payloads, same float scores, same request
+                assert context == retrieve(text, index, n_kb)
+
     def test_prefixes_equal_separate_retrievals(self):
         records = planted_pair_records(16)
         kb = build_kb(records[:8], records[8:])
         config = EncoderConfig(dimension=64)
+        texts = [record.text for record in records[:4]]
         n_kb_values = [7, 1, 3, 3, 12]
         for kind, retrieve in (("triplet", retrieve_triplets), ("example", retrieve_examples)):
             index = build_index(kb, kind, config=config)
-            for record in records[:4]:
-                contexts = retrieve_contexts(record.text, index, n_kb_values)
-                assert contexts == [retrieve(record.text, index, n) for n in n_kb_values]
+            columns = retrieve_contexts(texts, index, n_kb_values)
+            assert columns == [[retrieve(text, index, n) for text in texts] for n in n_kb_values]
 
     def test_rejects_nonpositive_n_kb(self):
         index = _planted_triplet_index(planted_pair_records(6))
         with pytest.raises(ValueError):
-            retrieve_contexts("whatever sentence", index, [3, 0])
+            retrieve_contexts(["whatever sentence"], index, [3, 0])
 
 
 class TestRetrieveExamples:
