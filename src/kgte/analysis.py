@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import (
+    SPLIT_NAMES,
     AnnotatedSentence,
     Dataset,
     build_kb,
@@ -37,9 +38,9 @@ from .extraction import (
     sentence_rng,
 )
 from .parsing import parse_triplets
-from .prompting import PromptInstance, get_template, render
-from .retriever import RetrievedContext, context_mode, empty_context, retrieve_contexts
-from .vector_index import VectorIndex, build_index
+from .prompting import PROMPT_KINDS, PromptInstance, get_template, render
+from .retriever import RetrievedContext, check_n_kb, context_mode, empty_context, retrieve_contexts
+from .vector_index import EXAMPLE_EMBED_MODES, VectorIndex, build_index
 
 EXPERIMENT_MODES = ("zero", "static2", "triplets", "examples")
 EXTRACTORS = ("llm", "oracle-gold", "oracle-prefix", "random")
@@ -210,12 +211,18 @@ class ExperimentRunSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"unknown extractor {self.extractor!r}")
-        if self.n_kb < 1:
-            raise ValueError(f"n_kb must be >= 1, got {self.n_kb}")
+        if self.prompt_kind not in PROMPT_KINDS:
+            raise ValueError(f"unknown prompt kind {self.prompt_kind!r}")
+        if self.split not in SPLIT_NAMES:
+            raise ValueError(f"unknown split {self.split!r}")
+        if self.embed_mode not in EXAMPLE_EMBED_MODES:
+            raise ValueError(f"unknown example embed mode {self.embed_mode!r}")
+        check_n_kb(self.n_kb)
         check_scale(self.scale)
         if self.char_budget is not None and self.char_budget < 1:
             raise ValueError(f"char_budget must be >= 1, got {self.char_budget}")
         object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
+        self.encoder_config()  # rejects a bad dimension or n-gram range
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(

@@ -24,11 +24,11 @@ from .analysis import (
     run_ablation,
     run_experiment,
 )
-from .corpus import Triplet, dataset_stats, load_dataset, load_records
+from .corpus import SPLIT_NAMES, Triplet, dataset_stats, load_dataset, load_records, sentence_to_json, triplet_from_json
 from .encoder import EncoderConfig
-from .evaluation import micro_f1, sweep_context_quality
+from .evaluation import check_n_kb_values, micro_f1, sweep_context_quality
 from .extraction import GenerationConfig, RemoteLLMClient
-from .retriever import retrieve_contexts
+from .retriever import check_n_kb, retrieve_contexts
 from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, index_matrix_path, load_index, save_index
 
 _PROMPT_FLAG_TO_KIND = {"base": "base", "cot": "chain_of_thought", "documented": "documented"}
@@ -95,20 +95,12 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    check_n_kb(args.nkb)  # before the index is read
     context = retrieve_contexts([args.text], load_index(args.index), [args.nkb])[0][0]
     if context.mode == "triplets":
-        items = [
-            {"triplet": list(t.as_tuple()), "score": score} for t, score in context.items
-        ]
+        items = [{"triplet": list(t.as_tuple()), "score": score} for t, score in context.items]
     else:
-        items = [
-            {
-                "text": ex.text,
-                "triplets": [list(t.as_tuple()) for t in ex.gold],
-                "score": score,
-            }
-            for ex, score in context.items
-        ]
+        items = [{**sentence_to_json(ex), "score": score} for ex, score in context.items]
     _emit_json({"mode": context.mode, "n_kb": args.nkb, "items": items}, args.out)
     return 0
 
@@ -157,20 +149,12 @@ def _read_triplet_lines(path: str) -> list[list[Triplet]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            raw = obj.get("triplets") if isinstance(obj, dict) else obj
-            if not isinstance(raw, list):
-                raise ValueError(f"{path}:{lineno}: expected a list of triplets or an object with 'triplets'")
-            triplets = []
-            for item in raw:
-                if not (isinstance(item, list) and len(item) == 3 and all(isinstance(x, str) for x in item)):
-                    raise ValueError(f"{path}:{lineno}: triplet {item!r} is not a 3-element list of strings")
-                try:
-                    triplets.append(Triplet(*item))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: triplet {item!r}: {exc}") from None
-            rows.append(triplets)
+                raw = obj.get("triplets") if isinstance(obj, dict) else obj
+                if not isinstance(raw, list):
+                    raise ValueError("expected a list of triplets or an object with 'triplets'")
+                rows.append([triplet_from_json(item) for item in raw])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
@@ -183,14 +167,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep_p(args) -> int:
+    values = check_n_kb_values([int(v) for v in args.nkb_list.split(",")])  # before the load
     dataset = load_dataset(args.manifest)
-    values = [int(v) for v in args.nkb_list.split(",")]
     curve = sweep_context_quality(dataset.split(args.split), _kb_index(args, dataset), values)
     _emit(curve.to_csv(), args.out)
     return 0
 
 
 def _cmd_ablate(args) -> int:
+    if args.extractor == "llm":
+        raise ValueError("the CLI ablation runs the pure extractors; --extractor llm needs run_ablation's llm_client")
     scales = [float(v) for v in args.scales.split(",")]
     result = run_ablation(
         args.manifest,
@@ -278,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nkb", type=int, default=5)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", choices=("train", "validation", "test"), default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
     p.add_argument("--model", default="llama-65b")
     p.add_argument("--temperature", type=float, default=0.1)
@@ -301,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nkb-list", required=True, help="comma-separated N_KB values, increasing")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", choices=("train", "validation", "test"), default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--out")
     _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_sweep_p)

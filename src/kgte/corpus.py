@@ -1,10 +1,19 @@
-"""Sentence/triplet data model, dataset ingestion, and knowledge-base construction.
+"""Sentence/triplet data model, its JSON grammar, dataset ingestion, and
+knowledge-base construction.
 
-Datasets are newline-delimited JSON files, one record per sentence:
+The record grammar is one JSON shape for a sentence and its triplets:
 
     {"text": "...", "triplets": [["subject", "predicate", "object"], ...]}
 
-with one file per split and a manifest JSON mapping split names to files:
+where each triplet is a list of exactly three strings. It is shared by every
+file that carries sentences or triplets: dataset lines, the example payloads
+(and, as bare triplets, the triplet payloads) of an index file, prediction
+lines and ``kgte retrieve`` output. ``triplet_from_json``,
+``sentence_from_json`` and ``sentence_to_json`` are its only reader and
+writer; each caller adds where the input came from to the error.
+
+Datasets are newline-delimited JSON files, one record per sentence, with one
+file per split and a manifest JSON mapping split names to files:
 
     {"train": "train.jsonl", "validation": "valid.jsonl", "test": "test.jsonl"}
 
@@ -150,15 +159,10 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Deduplicated triplet set plus the sentences it was collected from.
-
-    ``source_scale`` records the fraction of the original example pool
-    retained (1.0 for an undownscaled KB).
-    """
+    """Deduplicated triplet set plus the sentences it was collected from."""
 
     triplets: tuple[Triplet, ...]
     examples: tuple[AnnotatedSentence, ...]
-    source_scale: float = 1.0
 
 
 def build_kb(
@@ -172,7 +176,7 @@ def build_kb(
         raise ValueError("build_kb requires non-empty train and validation splits")
     examples = tuple(train) + tuple(validation)
     triplets = dict.fromkeys(t for ex in examples for t in ex.gold)
-    return KnowledgeBase(triplets=tuple(triplets), examples=examples, source_scale=1.0)
+    return KnowledgeBase(triplets=tuple(triplets), examples=examples)
 
 
 def check_scale(scale: float) -> None:
@@ -198,26 +202,45 @@ def downscale_kb(kb: KnowledgeBase, scale: float, seed: int) -> KnowledgeBase:
     retained = sorted(order[:keep])
     examples = tuple(kb.examples[i] for i in retained)
     triplets = dict.fromkeys(t for ex in examples for t in ex.gold)
-    return KnowledgeBase(triplets=tuple(triplets), examples=examples, source_scale=scale)
+    return KnowledgeBase(triplets=tuple(triplets), examples=examples)
 
 
-def _parse_record(obj: object) -> AnnotatedSentence:
+def triplet_from_json(raw: object) -> Triplet:
+    """The ``Triplet`` a JSON value ``[subject, predicate, object]`` spells.
+
+    Raises ``ValueError`` naming the value when it is not a list of exactly
+    three strings or when a field is empty after normalization.
+    """
+    if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(f, str) for f in raw):
+        raise ValueError(f"triplet {raw!r} is not a 3-element list of strings")
+    try:
+        return Triplet(*raw)
+    except ValueError as exc:
+        raise ValueError(f"triplet {raw!r}: {exc}") from None
+
+
+def sentence_from_json(obj: object) -> AnnotatedSentence:
+    """The ``AnnotatedSentence`` a JSON record ``{"text": ..., "triplets":
+    [...]}`` spells; other keys are ignored and the triplet list may be empty.
+
+    Raises ``ValueError`` naming the bad field: a record that is not an
+    object, a missing or non-string ``text``, a missing or non-list
+    ``triplets``, a malformed triplet, or a blank text.
+    """
     if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    text = obj.get("text")
+        raise ValueError(f"record {obj!r} is not an object")
+    text, triplets = obj.get("text"), obj.get("triplets")
     if not isinstance(text, str):
         raise ValueError("record field 'text' missing or not a string")
-    raw_triplets = obj.get("triplets")
-    if not isinstance(raw_triplets, list) or not raw_triplets:
-        raise ValueError("record field 'triplets' missing or empty")
-    triplets = []
-    for item in raw_triplets:
-        if not isinstance(item, (list, tuple)) or len(item) != 3:
-            raise ValueError(f"triplet entry {item!r} is not a 3-element list")
-        if not all(isinstance(f, str) for f in item):
-            raise ValueError(f"triplet entry {item!r} has non-string fields")
-        triplets.append(Triplet(*item))
-    return AnnotatedSentence(text=text, gold=tuple(triplets))
+    if not isinstance(triplets, list):
+        raise ValueError("record field 'triplets' missing or not a list")
+    return AnnotatedSentence(text=text, gold=tuple(triplet_from_json(t) for t in triplets))
+
+
+def sentence_to_json(sentence: AnnotatedSentence) -> dict:
+    """The JSON record of a sentence, read back by ``sentence_from_json``:
+    ``{"text": ..., "triplets": [[s, p, o], ...]}`` in gold order."""
+    return {"text": sentence.text, "triplets": [list(t.as_tuple()) for t in sentence.gold]}
 
 
 def load_records(path: str | Path) -> list[AnnotatedSentence]:
@@ -231,20 +254,19 @@ def load_records(path: str | Path) -> list[AnnotatedSentence]:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                records.append(_parse_record(json.loads(line)))
-            except DatasetFormatError:
-                raise
-            except (ValueError, TypeError) as exc:
+                record = sentence_from_json(json.loads(line))
+                if not record.gold:
+                    raise ValueError("record field 'triplets' is empty")
+            except ValueError as exc:
                 raise DatasetFormatError(str(exc), path=path, line=lineno) from exc
+            records.append(record)
     if not records:
         raise DatasetFormatError("split contains no records", path=path)
     return records
 
 
-def load_dataset(manifest_path: str | Path, format: str = "jsonl") -> Dataset:
+def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset from a manifest file; split paths resolve relative to it."""
-    if format != "jsonl":
-        raise ValueError(f"unsupported dataset format {format!r}")
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -266,19 +288,13 @@ def load_dataset(manifest_path: str | Path, format: str = "jsonl") -> Dataset:
     return Dataset.from_splits(splits["train"], splits["validation"], splits["test"])
 
 
-def _record_to_json(sentence: AnnotatedSentence) -> str:
-    return json.dumps(
-        {"text": sentence.text, "triplets": [list(t.as_tuple()) for t in sentence.gold]}
-    )
-
-
 def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
     """Write the dataset back out in the record grammar; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     filenames = {"train": "train.jsonl", "validation": "valid.jsonl", "test": "test.jsonl"}
     for name, filename in filenames.items():
-        lines = [_record_to_json(s) for s in dataset.split(name)]
+        lines = [json.dumps(sentence_to_json(s)) for s in dataset.split(name)]
         (directory / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(json.dumps(filenames, indent=2) + "\n", encoding="utf-8")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import AnnotatedSentence, Triplet
-from .retriever import RetrievedContext, retrieve_contexts
+from .retriever import RetrievedContext, check_n_kb, retrieve_contexts
 from .vector_index import VectorIndex, top_k  # noqa: F401  kept importable from here for call tracers
 
 
@@ -192,6 +192,19 @@ class ContextQualityCurve:
         return "\n".join(lines) + "\n"
 
 
+def check_n_kb_values(n_kb_values: Sequence[int]) -> list[int]:
+    """The N_KB values of a sweep as ints; rejects an empty list, a value
+    below 1 and a list that is not strictly increasing."""
+    values = [int(n) for n in n_kb_values]
+    if not values:
+        raise ValueError("no n_kb values to sweep")
+    for n in values:
+        check_n_kb(n)
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError("n_kb values must be strictly increasing")
+    return values
+
+
 def sweep_context_quality(
     sentences: Sequence[AnnotatedSentence], index: VectorIndex, n_kb_values: Sequence[int]
 ) -> ContextQualityCurve:
@@ -203,11 +216,7 @@ def sweep_context_quality(
     """
     if not sentences:
         raise ValueError("no sentences to sweep")
-    values = [int(n) for n in n_kb_values]
-    if not values or any(n < 1 for n in values):
-        raise ValueError("n_kb values must be >= 1")
-    if any(a >= b for a, b in zip(values, values[1:])):
-        raise ValueError("n_kb values must be strictly increasing")
+    values = check_n_kb_values(n_kb_values)
     golds = [set(s.gold) for s in sentences]
     columns = retrieve_contexts([s.text for s in sentences], index, values)
     return ContextQualityCurve(

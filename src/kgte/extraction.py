@@ -52,12 +52,12 @@ _DEFAULT_CONTEXT_WINDOW = 4096
 _CHARS_PER_TOKEN = 4
 
 
-def char_budget_for(model_id: str | None, chars_per_token: int = _CHARS_PER_TOKEN) -> int:
+def char_budget_for(model_id: str | None) -> int:
     """Prompt character budget from the model's context window (4 chars/token
     heuristic); unknown models get a conservative default window."""
     meta = MODEL_CATALOG.get(model_id or "")
     window = meta.context_window if meta else _DEFAULT_CONTEXT_WINDOW
-    return window * chars_per_token
+    return window * _CHARS_PER_TOKEN
 
 
 @dataclass(frozen=True)

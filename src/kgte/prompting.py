@@ -18,8 +18,6 @@ from .corpus import AnnotatedSentence, Triplet
 from .encoder import triplet_to_string
 from .retriever import RetrievedContext
 
-CATALOG_VERSION = "1"
-
 PROMPT_KINDS = ("base", "chain_of_thought", "documented")
 SHOT_MODES = ("zero", "static_two_shot", "context_triplets", "examples")
 
@@ -33,7 +31,6 @@ class PromptTemplate:
     kind: str
     shot_mode: str
     body: str
-    version: str = CATALOG_VERSION
 
     def __post_init__(self) -> None:
         if self.kind not in PROMPT_KINDS:

@@ -93,6 +93,12 @@ def diversity_filter(
     return kept
 
 
+def check_n_kb(n_kb: int) -> None:
+    """Reject an N_KB below 1, the one rule every context request obeys."""
+    if n_kb < 1:
+        raise ValueError(f"n_kb must be >= 1, got {n_kb}")
+
+
 def retrieve_contexts(
     texts: Sequence[str], index: VectorIndex, n_kb_values: Sequence[int]
 ) -> list[list[RetrievedContext]]:
@@ -105,8 +111,8 @@ def retrieve_contexts(
     retrieval at its N_KB. A triplet index passes each prefix through the
     diversity filter; an example index keeps it as is.
     """
-    if any(n < 1 for n in n_kb_values):
-        raise ValueError("n_kb must be >= 1")
+    for n in n_kb_values:
+        check_n_kb(n)
     if not n_kb_values:
         return []
     mode = context_mode(index.kind)

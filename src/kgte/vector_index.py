@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, KnowledgeBase, Triplet
+from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, sentence_from_json, sentence_to_json, triplet_from_json
 from .encoder import EncoderConfig, encode, triplet_to_string
 
 INDEX_FORMAT_VERSION = 2
@@ -154,36 +154,7 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode
 def _payload_to_json(node: IndexNode):
     if node.kind == "triplet":
         return list(node.payload.as_tuple())
-    return {
-        "text": node.payload.text,
-        "triplets": [list(t.as_tuple()) for t in node.payload.gold],
-    }
-
-
-def _triplet_from_json(raw, where: str) -> Triplet:
-    if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(f, str) for f in raw):
-        raise IndexFormatError(f"{where}: triplet {raw!r} is not a 3-element list of strings")
-    try:
-        return Triplet(*raw)
-    except ValueError as exc:
-        raise IndexFormatError(f"{where}: {exc}") from exc
-
-
-def _payload_from_json(kind: str, raw, path: Path, position: int) -> Triplet | AnnotatedSentence:
-    where = f"{path}: node {position}"
-    if kind == "triplet":
-        return _triplet_from_json(raw, where)
-    if not isinstance(raw, dict):
-        raise IndexFormatError(f"{where}: example payload {raw!r} is not an object")
-    for key in ("text", "triplets"):
-        if key not in raw:
-            raise IndexFormatError(f"{where}: example payload missing field {key!r}")
-    text, triplets = raw["text"], raw["triplets"]
-    if not isinstance(text, str) or not text.strip():
-        raise IndexFormatError(f"{where}: example text {text!r} is not a non-empty string")
-    if not isinstance(triplets, list):
-        raise IndexFormatError(f"{where}: example triplets {triplets!r} are not a list")
-    return AnnotatedSentence(text=text, gold=tuple(_triplet_from_json(t, where) for t in triplets))
+    return sentence_to_json(node.payload)
 
 
 def index_matrix_path(path: str | Path) -> Path:
@@ -259,7 +230,13 @@ def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorI
         raise IndexFormatError(f"{path}: unknown index kind {doc['kind']!r}")
     if not isinstance(doc["payloads"], list):
         raise IndexFormatError(f"{path}: payloads are not a list")
-    payloads = [_payload_from_json(doc["kind"], raw, path, position) for position, raw in enumerate(doc["payloads"])]
+    payload_from_json = triplet_from_json if doc["kind"] == "triplet" else sentence_from_json
+    payloads = []
+    for position, raw in enumerate(doc["payloads"]):
+        try:
+            payloads.append(payload_from_json(raw))
+        except ValueError as exc:
+            raise IndexFormatError(f"{path}: node {position}: {exc}") from exc
     try:
         matrix_path = path.parent / doc["matrix"]
         matrix = np.load(matrix_path, allow_pickle=False)

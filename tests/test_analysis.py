@@ -276,6 +276,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             spec_for(pair_manifest, extractor="psychic")
 
+    @pytest.mark.parametrize(
+        "field,value,needle",
+        [
+            ("prompt_kind", "bogus", "prompt kind"),
+            ("split", "nope", "split"),
+            ("embed_mode", "what", "embed mode"),
+            ("dimension", 0, "dimension"),
+            ("dimension", -4, "dimension"),
+            ("ngram_range", (5, 3), "ngram_range"),
+            ("ngram_range", (0, 2), "ngram_range"),
+        ],
+    )
+    def test_every_field_checked_at_construction(self, pair_manifest, field, value, needle):
+        with pytest.raises(ValueError, match=needle):
+            spec_for(pair_manifest, **{field: value})
+
     @pytest.mark.parametrize("scale", [-0.5, 1.5, 7.0, float("nan")])
     def test_scale_outside_unit_interval_rejected(self, pair_manifest, scale):
         with pytest.raises(ValueError, match="scale must be in"):
@@ -308,6 +324,11 @@ class TestRunExperiment:
             pytest.param('["manifest"]', "", id="not-an-object"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "scale": 2}', "scale", id="bad-scale"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "n_kb": 0}', "n_kb", id="bad-n-kb"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "split": "nope"}', "split", id="bad-split"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "prompt_kind": "x"}', "prompt kind", id="bad-prompt-kind"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "embed_mode": "x"}', "embed mode", id="bad-embed-mode"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "dimension": 0}', "dimension", id="bad-dimension"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": [5, 3]}', "ngram_range", id="bad-ngram-range"),
             pytest.param(
                 '{"manifest": "m.json", "mode": "zero", "extractor": "random", "generation": {"temperature": NaN}}',
                 "temperature",

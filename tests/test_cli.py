@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgte.analysis
+import kgte.cli
 from kgte import Triplet
 from kgte.analysis import EXTRACTORS
 from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
@@ -287,6 +288,64 @@ def test_nonpositive_nkb_exits_1_before_any_load(planted_pair_manifest, tmp_path
     code = run_cli([*args, "--manifest", str(planted_pair_manifest), "--extractor", "random", "--nkb", nkb])
     assert code == 1
     assert "n_kb must be >= 1" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,needle",
+    [
+        pytest.param(["--dimension", "0"], "dimension", id="zero-dimension"),
+        pytest.param(["--dimension", "-8"], "dimension", id="negative-dimension"),
+        pytest.param(["--ngram-min", "5", "--ngram-max", "3"], "ngram_range", id="reversed-ngrams"),
+        pytest.param(["--ngram-min", "0"], "ngram_range", id="zero-ngram-min"),
+    ],
+)
+@pytest.mark.parametrize("command", [["extract", "--out", "{tmp}/run"], ["ablate", "--out", "{tmp}/ablation.json"]], ids=lambda c: c[0])
+def test_bad_encoder_flags_exit_1_before_any_load(planted_pair_manifest, tmp_path, capsys, monkeypatch, command, flags, needle):
+    loads = []
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
+    out = tmp_path / "out"
+    args = [arg.format(tmp=out) for arg in command]
+    code = run_cli([*args, "--manifest", str(planted_pair_manifest), "--extractor", "random", *flags])
+    assert code == 1
+    assert needle in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nkb", ["0", "-3"])
+def test_retrieve_nonpositive_nkb_exits_1_before_the_index_is_read(tmp_path, capsys, monkeypatch, nkb):
+    loads = []
+    monkeypatch.setattr(kgte.cli, "load_index", loads.append)
+    code = run_cli(["retrieve", "--index", str(tmp_path / "kb.index.json"), "--text", "some text", "--nkb", nkb])
+    assert code == 1
+    assert "n_kb must be >= 1" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == []
+
+
+@pytest.mark.parametrize(
+    "nkb_list,needle",
+    [("5,3", "strictly increasing"), ("2,2", "strictly increasing"), ("0", "n_kb must be >= 1"), ("1,-2", "n_kb must be >= 1")],
+)
+def test_sweep_p_bad_nkb_list_exits_1_before_any_load(planted_pair_manifest, tmp_path, capsys, monkeypatch, nkb_list, needle):
+    loads = []
+    monkeypatch.setattr(kgte.cli, "load_dataset", loads.append)
+    out = tmp_path / "curve.csv"
+    code = run_cli(["sweep-p", "--manifest", str(planted_pair_manifest), "--nkb-list", nkb_list, "--out", str(out)])
+    assert code == 1
+    assert needle in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == []
+    assert not out.exists()
+
+
+def test_ablate_llm_extractor_exits_1_before_any_load(planted_pair_manifest, tmp_path, capsys, monkeypatch):
+    loads = []
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
+    out = tmp_path / "ablation.json"
+    code = run_cli(["ablate", "--manifest", str(planted_pair_manifest), "--extractor", "llm", "--out", str(out)])
+    assert code == 1
+    assert "pure extractors" in json.loads(capsys.readouterr().err)["error"]["message"]
     assert loads == []
     assert not out.exists()
 

@@ -16,7 +16,7 @@ from kgte import (
     sentence_f1,
     sweep_context_quality,
 )
-from kgte.evaluation import ContextQualityCurve
+from kgte.evaluation import ContextQualityCurve, check_n_kb_values
 from conftest import planted_single_records
 
 
@@ -252,6 +252,14 @@ class TestSweepContextQuality:
             sweep_context_quality(records, index, [3, 1])
         with pytest.raises(ValueError):
             sweep_context_quality(records, index, [0, 1])
+
+    @pytest.mark.parametrize(
+        "values,needle",
+        [([], "no n_kb values"), ([0, 1], "n_kb must be >= 1"), ([5, 3], "strictly increasing"), ([2, 2], "strictly increasing")],
+    )
+    def test_n_kb_values_checked_alone(self, values, needle):
+        with pytest.raises(ValueError, match=needle):
+            check_n_kb_values(values)
 
     def test_curve_csv_export(self):
         curve = ContextQualityCurve(points=((1, 0.25), (5, 0.5)))

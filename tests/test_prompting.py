@@ -29,7 +29,6 @@ class TestCatalog:
         assert len(templates) == len(PROMPT_KINDS) * len(SHOT_MODES)
         combos = {(t.kind, t.shot_mode) for t in templates}
         assert combos == {(k, s) for k in PROMPT_KINDS for s in SHOT_MODES}
-        assert all(t.version == "1" for t in templates)
 
     def test_placeholder_invariants(self):
         for template in catalog():

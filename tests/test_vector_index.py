@@ -540,7 +540,7 @@ class TestMalformedIndexFile:
     def test_bad_example_text(self, tmp_path, text):
         path, doc = self._saved_doc(tmp_path, "example")
         doc["payloads"][1]["text"] = text
-        self._assert_rejected(path, doc, "example text")
+        self._assert_rejected(path, doc, "sentence text is empty" if isinstance(text, str) else "field 'text'")
 
     def test_node_not_an_object(self, tmp_path):
         path, doc = self._saved_doc(tmp_path, "example")
