@@ -16,6 +16,7 @@ from .corpus import (
     AnnotatedSentence,
     Dataset,
     build_kb,
+    check_int,
     check_scale,
     downscale_kb,
     load_dataset,
@@ -38,20 +39,11 @@ from .extraction import (
     sentence_rng,
 )
 from .parsing import parse_triplets
-from .prompting import PROMPT_KINDS, PromptInstance, get_template, render
-from .retriever import RetrievedContext, check_n_kb, context_mode, empty_context, retrieve_contexts
+from .prompting import MODES, PROMPT_KINDS, PromptInstance, get_template, render
+from .retriever import CONTEXT_INDEX_KINDS, CONTEXT_MODES, RetrievedContext, check_n_kb, empty_context, retrieve_contexts
 from .vector_index import EXAMPLE_EMBED_MODES, VectorIndex, build_index
 
-EXPERIMENT_MODES = ("zero", "static2", "triplets", "examples")
 EXTRACTORS = ("llm", "oracle-gold", "oracle-prefix", "random")
-
-_MODE_TO_SHOT = {
-    "zero": "zero",
-    "static2": "static_two_shot",
-    "triplets": "context_triplets",
-    "examples": "examples",
-}
-_MODE_TO_INDEX_KIND = {"triplets": "triplet", "examples": "example"}
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ class ExperimentRunSpec:
     generation: GenerationConfig = field(default_factory=GenerationConfig)
 
     def __post_init__(self) -> None:
-        if self.mode not in EXPERIMENT_MODES:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"unknown extractor {self.extractor!r}")
@@ -219,8 +211,9 @@ class ExperimentRunSpec:
             raise ValueError(f"unknown example embed mode {self.embed_mode!r}")
         check_n_kb(self.n_kb)
         check_scale(self.scale)
-        if self.char_budget is not None and self.char_budget < 1:
-            raise ValueError(f"char_budget must be >= 1, got {self.char_budget}")
+        check_int("seed", self.seed)
+        if self.char_budget is not None:
+            check_int("char_budget", self.char_budget, 1)
         object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
         self.encoder_config()  # rejects a bad dimension or n-gram range
 
@@ -241,8 +234,6 @@ class ExperimentRunSpec:
         generation = data.pop("generation", None)
         if generation is not None:
             data["generation"] = GenerationConfig(**generation)
-        if "ngram_range" in data:
-            data["ngram_range"] = tuple(data["ngram_range"])
         return cls(**data)
 
     @classmethod
@@ -287,13 +278,13 @@ def index_dataset(
 def _build_contexts(
     spec: ExperimentRunSpec, dataset: Dataset, sentences: Sequence[AnnotatedSentence]
 ) -> list[RetrievedContext]:
-    kind = _MODE_TO_INDEX_KIND.get(spec.mode)
+    kind = CONTEXT_INDEX_KINDS.get(spec.mode)
     if kind is None:
         return [empty_context("triplets") for _ in sentences]
     index = index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder_config())
     if index is None:
         # a fully downscaled KB degenerates to the no-context setting
-        return [empty_context(context_mode(kind), spec.n_kb) for _ in sentences]
+        return [empty_context(spec.mode, spec.n_kb) for _ in sentences]
     return retrieve_contexts([s.text for s in sentences], index, [spec.n_kb])[0]
 
 
@@ -366,7 +357,7 @@ def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClie
         raise ValueError("extractor 'llm' requires a RemoteLLMClient")
     sentences = dataset.split(spec.split)
     max_triplets = dataset.max_triplets
-    template = get_template(spec.prompt_kind, _MODE_TO_SHOT[spec.mode])
+    template = get_template(spec.prompt_kind, spec.mode)
     budget = char_budget_for(spec.generation.model) if spec.char_budget is None else spec.char_budget
     contexts = _build_contexts(spec, dataset, sentences)
 
@@ -489,7 +480,7 @@ def run_ablation(
     retrieved, so the dataset is loaded once and each scale builds its KB and
     index once. A scale whose KB is empty gives empty contexts and P_S = 0.
     """
-    if mode not in ("triplets", "examples"):
+    if mode not in CONTEXT_MODES:
         raise ValueError("ablation runs in a KB-augmented mode")
     spec = ExperimentRunSpec(
         manifest=str(manifest),

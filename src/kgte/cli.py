@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    EXPERIMENT_MODES,
     EXTRACTORS,
     ExperimentRunSpec,
     index_dataset,
@@ -28,10 +27,25 @@ from .corpus import SPLIT_NAMES, Triplet, dataset_stats, load_dataset, load_reco
 from .encoder import EncoderConfig
 from .evaluation import check_n_kb_values, micro_f1, sweep_context_quality
 from .extraction import GenerationConfig, RemoteLLMClient
-from .retriever import check_n_kb, retrieve_contexts
+from .prompting import MODES, PROMPT_KINDS
+from .retriever import CONTEXT_MODES, check_n_kb, retrieve_contexts
 from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, index_matrix_path, load_index, save_index
 
-_PROMPT_FLAG_TO_KIND = {"base": "base", "cot": "chain_of_thought", "documented": "documented"}
+
+def _comma_list(convert, what: str):
+    """An argparse ``type`` for a comma-separated list: a bad item is an
+    argument error naming its 1-based position."""
+
+    def parse(text: str) -> list:
+        values = []
+        for position, item in enumerate(text.split(","), start=1):
+            try:
+                values.append(convert(item))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"item {position} ({item!r}) is not {what}") from None
+        return values
+
+    return parse
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -110,7 +124,7 @@ def _cmd_extract(args) -> int:
         manifest=args.manifest,
         mode=args.mode,
         extractor=args.extractor,
-        prompt_kind=_PROMPT_FLAG_TO_KIND[args.prompt],
+        prompt_kind=args.prompt,
         n_kb=args.nkb,
         scale=args.scale,
         seed=args.seed,
@@ -143,11 +157,12 @@ def _read_triplet_lines(path: str) -> list[list[Triplet]]:
     """One triplet list per non-blank line: a JSON list of [s, p, o] lists,
     or an object holding one under "triplets"."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:  # decoded per line, so invalid UTF-8 is located too
+        for lineno, raw_line in enumerate(fh, start=1):
             try:
+                line = raw_line.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 raw = obj.get("triplets") if isinstance(obj, dict) else obj
                 if not isinstance(raw, list):
@@ -167,7 +182,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep_p(args) -> int:
-    values = check_n_kb_values([int(v) for v in args.nkb_list.split(",")])  # before the load
+    values = check_n_kb_values(args.nkb_list)  # before the load
     dataset = load_dataset(args.manifest)
     curve = sweep_context_quality(dataset.split(args.split), _kb_index(args, dataset), values)
     _emit(curve.to_csv(), args.out)
@@ -177,10 +192,9 @@ def _cmd_sweep_p(args) -> int:
 def _cmd_ablate(args) -> int:
     if args.extractor == "llm":
         raise ValueError("the CLI ablation runs the pure extractors; --extractor llm needs run_ablation's llm_client")
-    scales = [float(v) for v in args.scales.split(",")]
     result = run_ablation(
         args.manifest,
-        scales,
+        args.scales,
         args.seed,
         mode=args.mode,
         extractor=args.extractor,
@@ -200,9 +214,12 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
     may be a non-numeric header."""
     points = []
     seen_line = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:  # decoded per line, so invalid UTF-8 is located too
+        for lineno, raw_line in enumerate(fh, start=1):
+            try:
+                line = raw_line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not line:
                 continue
             cells = line.split(",")
@@ -258,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="run the full extraction pipeline over a split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=EXPERIMENT_MODES, default="zero")
-    p.add_argument("--prompt", choices=tuple(_PROMPT_FLAG_TO_KIND), default="base")
+    p.add_argument("--mode", choices=MODES, default="zero")
+    p.add_argument("--prompt", choices=PROMPT_KINDS, default="base")
     p.add_argument("--extractor", choices=EXTRACTORS, default="llm")
     p.add_argument("--nkb", type=int, default=5)
     p.add_argument("--scale", type=float, default=1.0)
@@ -284,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=NODE_KINDS, default="triplet")
     p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
-    p.add_argument("--nkb-list", required=True, help="comma-separated N_KB values, increasing")
+    p.add_argument("--nkb-list", type=_comma_list(int, "an integer"), required=True, help="comma-separated N_KB values, increasing")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", choices=SPLIT_NAMES, default="test")
@@ -294,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="KB-downscale ablation with a linear fit of F1 vs P_S")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--scales", default="0,0.1,0.25,0.5,1")
+    p.add_argument("--scales", type=_comma_list(float, "a number"), default="0,0.1,0.25,0.5,1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("triplets", "examples"), default="triplets")
+    p.add_argument("--mode", choices=CONTEXT_MODES, default="triplets")
     p.add_argument("--extractor", choices=EXTRACTORS, default="random")
     p.add_argument("--nkb", type=int, default=5)
     p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 import sys
 from dataclasses import dataclass
@@ -179,8 +180,20 @@ def build_kb(
     return KnowledgeBase(triplets=tuple(triplets), examples=examples)
 
 
+def check_int(name: str, value: object, minimum: int | None = None) -> None:
+    """Reject a ``value`` of field ``name`` that is not an ``int`` (a ``bool``
+    is not one) or is below ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def check_scale(scale: float) -> None:
-    """Reject a KB scale outside [0, 1]; NaN is outside too."""
+    """Reject a KB scale that is not a real number or lies outside [0, 1];
+    NaN is outside too."""
+    if not isinstance(scale, numbers.Real) or isinstance(scale, bool):
+        raise ValueError(f"scale must be a real number, got {scale!r}")
     if not 0.0 <= scale <= 1.0:
         raise ValueError(f"scale must be in [0, 1], got {scale}")
 
@@ -272,6 +285,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"manifest is not valid JSON: {exc}", path=manifest_path) from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"manifest is not valid UTF-8 at byte {exc.start}: {exc.reason}", path=manifest_path) from exc
     if not isinstance(manifest, dict):
         raise DatasetFormatError("manifest must be a JSON object", path=manifest_path)
     missing = [name for name in SPLIT_NAMES if name not in manifest]

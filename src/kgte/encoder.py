@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._transport import APIError, HTTPClient, RetryPolicy, Transport
-from .corpus import Triplet, normalize_surface
+from .corpus import Triplet, check_int, normalize_surface
 
 PROVIDERS = ("hashed-ngram", "external")
 
@@ -40,9 +40,10 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.provider not in PROVIDERS:
             raise ValueError(f"unknown provider {self.provider!r}")
-        if self.dimension <= 0:
-            raise ValueError("dimension must be positive")
+        check_int("dimension", self.dimension, 1)
         object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
+        for n in self.ngram_range:
+            check_int("ngram_range item", n)
         lo, hi = self.ngram_range
         if not (1 <= lo <= hi):
             raise ValueError(f"invalid ngram_range {self.ngram_range}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ._transport import APIError, HTTPClient, RetryPolicy, Transport
-from .corpus import AnnotatedSentence, Triplet
+from .corpus import AnnotatedSentence, Triplet, check_int
 from .evaluation import sentence_f1
 from .prompting import PromptInstance
 from .retriever import RetrievedContext
@@ -72,14 +72,11 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
-        if self.max_output_tokens < 1:
-            raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+        check_int("max_output_tokens", self.max_output_tokens, 1)
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.in_flight < 1:
-            raise ValueError("in_flight must be >= 1")
+        check_int("max_retries", self.max_retries, 0)
+        check_int("in_flight", self.in_flight, 1)
 
 
 class RemoteLLMClient:
@@ -198,7 +195,7 @@ def random_f1_closed_form(p: float, n_kb: int, n: int) -> float:
 
 
 def exhaustive_random_f1(
-    context_triplets: Sequence[Triplet],
+    triplets: Sequence[Triplet],
     gold: Iterable[Triplet],
     max_triplets: int,
 ) -> float:
@@ -207,7 +204,7 @@ def exhaustive_random_f1(
     (the study caps them at 12)."""
     if max_triplets < 1:
         raise ValueError("max_triplets must be >= 1")
-    pool = list(context_triplets)
+    pool = list(triplets)
     gold_set = set(gold)
     if not pool:
         return 0.0

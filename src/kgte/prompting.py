@@ -1,25 +1,29 @@
 """Prompt catalog and rendering.
 
 Three prompt kinds (base, chain-of-thought, documented) crossed with four
-shot modes (zero, static two-shot, context triplets, retrieved examples).
-Templates carry ``{text}`` and ``{max_triplets}`` placeholders, plus
-``{context_triplets}`` or ``{examples}`` depending on the shot mode. The
-wording here is canonical for this artifact; the structural elements are the
-contract: a task explanation, the "(subject, predicate, object)" line format,
-the maximum-triplet instruction, and the section headers below.
+modes: ``zero`` (no context), ``static2`` (two fixed examples), ``triplets``
+(context triplets retrieved from the KB) and ``examples`` ((sentence,
+triplets) examples retrieved from the KB). ``MODES`` is the one list of them:
+experiment specs, ``spec.json`` and the CLI use the same names. Templates
+carry ``{text}`` and ``{max_triplets}`` placeholders, plus one ``{context}``
+placeholder in the two retrieval modes. The wording here is canonical for
+this artifact; the structural elements are the contract: a task explanation,
+the "(subject, predicate, object)" line format, the maximum-triplet
+instruction, and the section headers below.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import AnnotatedSentence, Triplet
 from .encoder import triplet_to_string
-from .retriever import RetrievedContext
+from .retriever import CONTEXT_MODES, RetrievedContext
 
 PROMPT_KINDS = ("base", "chain_of_thought", "documented")
-SHOT_MODES = ("zero", "static_two_shot", "context_triplets", "examples")
+MODES = ("zero", "static2", *CONTEXT_MODES)
 
 
 class PromptBudgetError(ValueError):
@@ -29,30 +33,26 @@ class PromptBudgetError(ValueError):
 @dataclass(frozen=True)
 class PromptTemplate:
     kind: str
-    shot_mode: str
+    mode: str
     body: str
 
     def __post_init__(self) -> None:
         if self.kind not in PROMPT_KINDS:
             raise ValueError(f"unknown prompt kind {self.kind!r}")
-        if self.shot_mode not in SHOT_MODES:
-            raise ValueError(f"unknown shot mode {self.shot_mode!r}")
-        for placeholder in ("{text}", "{max_triplets}"):
-            if self.body.count(placeholder) != 1:
-                raise ValueError(f"template body must contain {placeholder} exactly once")
-        wants_context = self.shot_mode == "context_triplets"
-        if (self.body.count("{context_triplets}") == 1) != wants_context:
-            raise ValueError("{context_triplets} placeholder does not match shot mode")
-        wants_examples = self.shot_mode == "examples"
-        if (self.body.count("{examples}") == 1) != wants_examples:
-            raise ValueError("{examples} placeholder does not match shot mode")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        # each placeholder once, {context} only in a retrieval mode, and nothing else
+        wanted = sorted(["text", "max_triplets", *(["context"] if self.mode in CONTEXT_MODES else [])])
+        fields = sorted(name for _, name, _, _ in string.Formatter().parse(self.body) if name is not None)
+        if fields != wanted:
+            raise ValueError(f"a {self.mode} template body must hold the placeholders {wanted} once each, got {fields}")
 
 
 @dataclass(frozen=True)
 class PromptInstance:
     rendered: str
     kind: str
-    shot_mode: str
+    mode: str
     context_items_included: int
     truncated: bool
 
@@ -80,7 +80,7 @@ _TASK_TEXT = {
     ),
 }
 
-# fixed examples for the static two-shot mode; never retrieved, never changed
+# fixed examples for the static2 mode; never retrieved, never changed
 STATIC_EXAMPLES: tuple[AnnotatedSentence, ...] = (
     AnnotatedSentence(
         text="Rome is the capital of Italy.",
@@ -106,33 +106,27 @@ def _static_examples_section() -> str:
     return "\n\n".join(format_example_block(ex) for ex in STATIC_EXAMPLES)
 
 
-def _build_body(kind: str, shot_mode: str) -> str:
+def _build_body(kind: str, mode: str) -> str:
     parts = [_TASK_TEXT[kind]]
-    if shot_mode == "static_two_shot":
+    if mode == "static2":
         parts.append("\n" + _static_examples_section() + "\n")
-    elif shot_mode == "context_triplets":
-        parts.append("\nContext Triplets:\n{context_triplets}\n")
-    elif shot_mode == "examples":
-        parts.append("\n{examples}\n")
+    elif mode == "triplets":
+        parts.append("\nContext Triplets:\n{context}\n")
+    elif mode == "examples":
+        parts.append("\n{context}\n")
     parts.append("\nSentence: {text}\nTriplets:\n")
     return "".join(parts)
 
 
 def catalog() -> list[PromptTemplate]:
-    """All built-in templates: every prompt kind in every shot mode."""
-    return [
-        PromptTemplate(kind=kind, shot_mode=shot, body=_build_body(kind, shot))
-        for kind in PROMPT_KINDS
-        for shot in SHOT_MODES
-    ]
+    """All built-in templates: every prompt kind in every mode."""
+    return [get_template(kind, mode) for kind in PROMPT_KINDS for mode in MODES]
 
 
-def get_template(kind: str, shot_mode: str) -> PromptTemplate:
-    if kind not in PROMPT_KINDS:
+def get_template(kind: str, mode: str) -> PromptTemplate:
+    if kind not in PROMPT_KINDS:  # before the body is built; the template checks the mode
         raise ValueError(f"unknown prompt kind {kind!r}")
-    if shot_mode not in SHOT_MODES:
-        raise ValueError(f"unknown shot mode {shot_mode!r}")
-    return PromptTemplate(kind=kind, shot_mode=shot_mode, body=_build_body(kind, shot_mode))
+    return PromptTemplate(kind=kind, mode=mode, body=_build_body(kind, mode))
 
 
 def export_catalog(directory: str | Path) -> list[Path]:
@@ -141,22 +135,17 @@ def export_catalog(directory: str | Path) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for template in catalog():
-        path = directory / f"{template.kind}__{template.shot_mode}.txt"
+        path = directory / f"{template.kind}__{template.mode}.txt"
         path.write_text(template.body, encoding="utf-8")
         paths.append(path)
     return paths
 
 
-# the context mode each context-taking shot mode renders
-_SHOT_CONTEXT_MODES = {"context_triplets": "triplets", "examples": "examples"}
-
-
 def _context_payloads(template: PromptTemplate, context: RetrievedContext | None) -> list:
-    wanted = _SHOT_CONTEXT_MODES.get(template.shot_mode)
-    if context is None or wanted is None:
+    if context is None or template.mode not in CONTEXT_MODES:
         return []
-    if context.mode != wanted:
-        raise TypeError(f"a {template.shot_mode} template needs a context of mode {wanted!r}, got {context.mode!r}")
+    if context.mode != template.mode:
+        raise TypeError(f"a {template.mode} template needs a context of mode {template.mode!r}, got {context.mode!r}")
     return [payload for payload, _ in context.items]
 
 
@@ -169,8 +158,8 @@ def render(
 ) -> PromptInstance:
     """Substitute placeholders and fit the result into ``budget`` characters.
 
-    A context-triplets template takes a triplets ``RetrievedContext`` and an
-    examples template an examples one; other shot modes ignore ``context``.
+    A template of a retrieval mode takes a ``RetrievedContext`` of the
+    template's mode; the other modes ignore ``context``.
     Context items are included highest-ranked first; if the render exceeds
     the budget, the lowest-ranked items are dropped until it fits. A budget
     too small for the zero-context render raises ``PromptBudgetError``.
@@ -178,21 +167,16 @@ def render(
     items = _context_payloads(template, context)
     for included in range(len(items), -1, -1):
         kept = items[:included]
-        if template.shot_mode == "context_triplets":
+        if template.mode == "triplets":
             section = "\n".join(triplet_to_string(t) for t in kept)
         else:
             section = "\n\n".join(format_example_block(ex) for ex in kept)
-        rendered = template.body.format(
-            text=sentence,
-            max_triplets=max_triplets,
-            context_triplets=section,
-            examples=section,
-        )
+        rendered = template.body.format(text=sentence, max_triplets=max_triplets, context=section)
         if budget is None or len(rendered) <= budget:
             return PromptInstance(
                 rendered=rendered,
                 kind=template.kind,
-                shot_mode=template.shot_mode,
+                mode=template.mode,
                 context_items_included=included,
                 truncated=included < len(items),
             )

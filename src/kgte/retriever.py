@@ -12,16 +12,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import AnnotatedSentence, Triplet
+from .corpus import AnnotatedSentence, Triplet, check_int
 from .encoder import encode
 from .vector_index import VectorIndex, top_k
 
-CONTEXT_MODES = ("triplets", "examples")
-
-
-def context_mode(kind: str) -> str:
-    """The mode of the contexts retrieved from an index of ``kind``."""
-    return "triplets" if kind == "triplet" else "examples"
+# the persisted index kind each retrieval mode reads; the modes are also
+# the prompting modes of the same names
+CONTEXT_INDEX_KINDS = {"triplets": "triplet", "examples": "example"}
+CONTEXT_MODES = tuple(CONTEXT_INDEX_KINDS)
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,9 @@ def diversity_filter(
 
 
 def check_n_kb(n_kb: int) -> None:
-    """Reject an N_KB below 1, the one rule every context request obeys."""
-    if n_kb < 1:
-        raise ValueError(f"n_kb must be >= 1, got {n_kb}")
+    """Reject an N_KB that is not an int of at least 1, the one rule every
+    context request obeys."""
+    check_int("n_kb", n_kb, 1)
 
 
 def retrieve_contexts(
@@ -115,7 +113,7 @@ def retrieve_contexts(
         check_n_kb(n)
     if not n_kb_values:
         return []
-    mode = context_mode(index.kind)
+    mode = next(mode for mode, kind in CONTEXT_INDEX_KINDS.items() if kind == index.kind)
     k = max(n_kb_values)
     columns: list[list[RetrievedContext]] = [[] for _ in n_kb_values]
     for text in texts:

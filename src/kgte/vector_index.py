@@ -206,6 +206,8 @@ def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorI
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise IndexFormatError(f"{path}: not valid JSON at offset {exc.pos}: {exc.msg}", offset=exc.pos) from exc
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: not valid UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start) from exc
     if not isinstance(doc, dict):
         raise IndexFormatError(f"{path}: index document must be a JSON object")
     version = doc.get("version")

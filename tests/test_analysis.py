@@ -308,6 +308,37 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="char_budget"):
             spec_for(pair_manifest, char_budget=budget)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_kb", 2.5),
+            ("n_kb", True),
+            ("seed", True),
+            ("seed", 1.5),
+            ("seed", "0"),
+            ("dimension", 1.5),
+            ("dimension", False),
+            ("char_budget", 2000.0),
+            ("ngram_range", (3.0, 5)),
+            ("ngram_range", (3, True)),
+            ("scale", "0.5"),
+            ("scale", True),
+            ("scale", None),
+        ],
+    )
+    def test_wrong_typed_field_rejected_naming_it(self, pair_manifest, field, value):
+        with pytest.raises(ValueError, match=field):
+            spec_for(pair_manifest, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [("n_kb", 2.5), ("dimension", 1.5), ("seed", True)])
+    def test_replay_of_a_wrong_typed_spec_file_names_the_file(self, tmp_path, field, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"manifest": "m.json", "mode": "triplets", "extractor": "random", field: value}))
+        with pytest.raises(ValueError) as excinfo:
+            replay_experiment(spec_path)
+        assert str(excinfo.value).startswith(f"{spec_path}: ")
+        assert field in str(excinfo.value)
+
     def test_char_budget_takes_effect(self, pair_manifest):
         default = run_experiment(spec_for(pair_manifest, extractor="random"))
         budget = min(len(run.prompt.rendered) for run in default.runs) - 1

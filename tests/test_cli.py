@@ -13,6 +13,8 @@ from kgte import Triplet
 from kgte.analysis import EXTRACTORS
 from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
 from kgte.corpus import normalize_surface
+from kgte.prompting import MODES, PROMPT_KINDS
+from kgte.retriever import CONTEXT_MODES
 from conftest import MINI_STATS
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -195,6 +197,17 @@ def test_extractor_choices_are_the_experiment_extractors(command):
     assert tuple(extractor.choices) == EXTRACTORS
 
 
+@pytest.mark.parametrize(
+    "command,dest,names",
+    [("extract", "mode", MODES), ("ablate", "mode", CONTEXT_MODES), ("extract", "prompt", PROMPT_KINDS)],
+    ids=["extract-mode", "ablate-mode", "extract-prompt"],
+)
+def test_setting_choices_are_the_library_names(command, dest, names):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in subparsers.choices[command]._actions if a.dest == dest)
+    assert tuple(action.choices) == names
+
+
 class TestEval:
     def test_eval_predictions_against_gold(self, mini_manifest, tmp_path, capsys):
         gold_path = mini_manifest.parent / "test.jsonl"
@@ -227,6 +240,15 @@ class TestEval:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"{pred_path}:3: ")
+
+    def test_invalid_utf8_prediction_line_fails_naming_line(self, mini_manifest, tmp_path, capsys):
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_bytes(b'[["a", "r", "b"]]\n[["caf\xe9", "r", "b"]]\n')
+        gold_path = mini_manifest.parent / "test.jsonl"
+        assert run_cli(["eval", "--pred", str(pred_path), "--gold", str(gold_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{pred_path}:2: ")
 
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -337,6 +359,28 @@ def test_sweep_p_bad_nkb_list_exits_1_before_any_load(planted_pair_manifest, tmp
     assert needle in json.loads(capsys.readouterr().err)["error"]["message"]
     assert loads == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,needle",
+    [
+        ("--nkb-list", "1,2.5", "item 2 ('2.5') is not an integer"),
+        ("--nkb-list", "x", "item 1 ('x') is not an integer"),
+        ("--nkb-list", "1,,3", "item 2 ('') is not an integer"),
+        ("--scales", "0,x", "item 2 ('x') is not a number"),
+        ("--scales", "0.5,1,", "item 3 ('') is not a number"),
+    ],
+)
+def test_bad_list_flag_item_exits_2_naming_flag_and_position(planted_pair_manifest, tmp_path, capsys, monkeypatch, flag, value, needle):
+    loads = []
+    monkeypatch.setattr(kgte.cli, "load_dataset", loads.append)
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
+    command = "sweep-p" if flag == "--nkb-list" else "ablate"
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([command, "--manifest", str(planted_pair_manifest), f"{flag}={value}", "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: {needle}" in capsys.readouterr().err
+    assert loads == []
 
 
 def test_ablate_llm_extractor_exits_1_before_any_load(planted_pair_manifest, tmp_path, capsys, monkeypatch):
@@ -479,6 +523,14 @@ class TestFit:
         csv = tmp_path_factory.mktemp("fit") / "points.csv"
         csv.write_text("\n".join(lines) + "\n")
         assert _read_xy_csv(str(csv)) == points
+
+    def test_invalid_utf8_row_fails_naming_line(self, tmp_path, capsys):
+        csv = tmp_path / "points.csv"
+        csv.write_bytes(b"x,y\n0,1\n1,\xff\n")
+        assert run_cli(["fit", "--input", str(csv)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{csv}:3: ")
 
     def test_empty_csv_fails(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"

@@ -184,6 +184,14 @@ class TestLoadDataset:
         assert excinfo.value.line == 3
         assert str(excinfo.value).startswith(f"{bad}:3: ")
 
+    def test_invalid_utf8_manifest_names_the_manifest(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"train": "tr\xffin.jsonl"}')
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(manifest)
+        assert excinfo.value.path == str(manifest)
+        assert "not valid UTF-8 at byte 13" in str(excinfo.value)
+
     @pytest.mark.parametrize("value", [5, None, ["train.jsonl"]])
     def test_non_string_split_path_names_the_manifest(self, mini_manifest, tmp_path, value):
         manifest = tmp_path / "manifest.json"

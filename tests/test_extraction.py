@@ -73,6 +73,14 @@ class TestModelCatalog:
         with pytest.raises(ValueError, match=field):
             GenerationConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_output_tokens", 64.0), ("max_output_tokens", True), ("max_retries", 1.5), ("in_flight", "4"), ("in_flight", True)],
+    )
+    def test_non_int_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            GenerationConfig(**{field: value})
+
 
 class TestRemoteLLMClient:
     def test_mock_transport_returns_content_verbatim(self):

@@ -1,15 +1,18 @@
 """Byte-for-byte checks of score-free files written for the mini fixture
 against the copies under ``tests/data/golden/``: the ``kgte index`` JSON
-header of each kind and the ``save_dataset`` files. The header holds no
-vectors, so the check does not depend on the host's floating-point rounding.
+header of each kind, the ``save_dataset`` files and the rendered prompt of
+every prompt kind in every mode. The header holds no vectors and the prompt
+contexts are built by hand from KB records, with no retrieval, so the checks
+do not depend on the host's floating-point rounding.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from kgte import load_dataset, save_dataset
+from kgte import RetrievedContext, build_kb, get_template, load_dataset, render, save_dataset
 from kgte.cli import main
+from kgte.prompting import MODES, PROMPT_KINDS
 from kgte.vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS
 from conftest import DATA_DIR
 
@@ -31,3 +34,37 @@ def test_save_dataset_files(mini_manifest, tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == expected
     for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "dataset" / name).read_bytes(), name
+
+
+def _prompt_inputs(manifest):
+    """The first test sentence, the fixture's max triplet count and, per mode,
+    a hand-built context: the first five KB triplets or the first three KB
+    examples, in KB order, under made-up descending scores."""
+    dataset = load_dataset(manifest)
+    kb = build_kb(dataset.train, dataset.validation)
+    triplets = tuple((t, 1.0 - i / 10) for i, t in enumerate(kb.triplets[:5]))
+    examples = tuple((ex, 1.0 - i / 10) for i, ex in enumerate(kb.examples[:3]))
+    contexts = {
+        "zero": None,
+        "static2": None,
+        "triplets": RetrievedContext(mode="triplets", items=triplets, n_kb_requested=5),
+        "examples": RetrievedContext(mode="examples", items=examples, n_kb_requested=3),
+    }
+    return dataset.test[0].text, dataset.max_triplets, contexts
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", PROMPT_KINDS)
+def test_prompt(mini_manifest, kind, mode):
+    sentence, max_triplets, contexts = _prompt_inputs(mini_manifest)
+    prompt = render(get_template(kind, mode), sentence, max_triplets, contexts[mode])
+    assert not prompt.truncated
+    assert prompt.rendered.encode("utf-8") == (GOLDEN / "prompts" / f"{kind}__{mode}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(("mode", "budget", "kept"), [("triplets", 388, 2), ("examples", 515, 1)])
+def test_truncated_prompt(mini_manifest, mode, budget, kept):
+    sentence, max_triplets, contexts = _prompt_inputs(mini_manifest)
+    prompt = render(get_template("base", mode), sentence, max_triplets, contexts[mode], budget)
+    assert prompt.truncated and prompt.context_items_included == kept
+    assert prompt.rendered.encode("utf-8") == (GOLDEN / "prompts" / f"base__{mode}__budget{budget}.txt").read_bytes()

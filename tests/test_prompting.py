@@ -13,7 +13,8 @@ from kgte import (
     get_template,
     render,
 )
-from kgte.prompting import PROMPT_KINDS, SHOT_MODES, STATIC_EXAMPLES, PromptTemplate
+from kgte.prompting import MODES, PROMPT_KINDS, STATIC_EXAMPLES, PromptTemplate
+from kgte.retriever import CONTEXT_MODES
 
 
 def triplet_context(n, n_kb=None):
@@ -26,21 +27,18 @@ def triplet_context(n, n_kb=None):
 class TestCatalog:
     def test_every_kind_in_every_shot_mode(self):
         templates = catalog()
-        assert len(templates) == len(PROMPT_KINDS) * len(SHOT_MODES)
-        combos = {(t.kind, t.shot_mode) for t in templates}
-        assert combos == {(k, s) for k in PROMPT_KINDS for s in SHOT_MODES}
+        assert len(templates) == len(PROMPT_KINDS) * len(MODES)
+        combos = {(t.kind, t.mode) for t in templates}
+        assert combos == {(k, s) for k in PROMPT_KINDS for s in MODES}
 
     def test_placeholder_invariants(self):
         for template in catalog():
             assert template.body.count("{text}") == 1
             assert template.body.count("{max_triplets}") == 1
-            assert ("{context_triplets}" in template.body) == (
-                template.shot_mode == "context_triplets"
-            )
-            assert ("{examples}" in template.body) == (template.shot_mode == "examples")
+            assert template.body.count("{context}") == (template.mode in CONTEXT_MODES)
 
     def test_static_two_shot_examples_are_fixed(self):
-        template = get_template("base", "static_two_shot")
+        template = get_template("base", "static2")
         assert len(STATIC_EXAMPLES) == 2
         for example in STATIC_EXAMPLES:
             assert example.text in template.body
@@ -63,11 +61,25 @@ class TestCatalog:
 
     def test_invalid_template_bodies_rejected(self):
         with pytest.raises(ValueError):
-            PromptTemplate(kind="base", shot_mode="zero", body="no placeholders")
+            PromptTemplate(kind="base", mode="zero", body="no placeholders")
         with pytest.raises(ValueError):
-            PromptTemplate(kind="base", shot_mode="zero", body="{text} {text} {max_triplets}")
+            PromptTemplate(kind="base", mode="zero", body="{text} {text} {max_triplets}")
         with pytest.raises(ValueError):
-            PromptTemplate(kind="base", shot_mode="zero", body="{text} {max_triplets} {examples}")
+            PromptTemplate(kind="base", mode="zero", body="{text} {max_triplets} {context}")
+
+    @pytest.mark.parametrize(
+        "mode,body",
+        [
+            ("zero", "{text} {max_triplets} {examples}"),
+            ("zero", "{text} {max_triplets} {}"),
+            ("examples", "{text} {max_triplets} {context} {context}"),
+            ("triplets", "{text} {max_triplets} {context} {context_triplets}"),
+        ],
+    )
+    def test_unknown_or_repeated_placeholder_rejected(self, mode, body):
+        # render would otherwise fail on it with a bare KeyError or IndexError
+        with pytest.raises(ValueError, match="placeholders"):
+            PromptTemplate(kind="base", mode=mode, body=body)
 
     def test_export_catalog(self, tmp_path):
         paths = export_catalog(tmp_path / "prompts")
@@ -88,13 +100,13 @@ class TestRender:
 
     def test_no_residual_placeholders(self):
         for template in catalog():
-            context = triplet_context(2) if template.shot_mode == "context_triplets" else None
+            context = triplet_context(2) if template.mode == "triplets" else None
             instance = render(template, "a sentence", 3, context)
-            for placeholder in ("{text}", "{max_triplets}", "{context_triplets}", "{examples}"):
+            for placeholder in ("{text}", "{max_triplets}", "{context}"):
                 assert placeholder not in instance.rendered
 
     def test_context_triplets_rendered_one_per_line(self):
-        template = get_template("base", "context_triplets")
+        template = get_template("base", "triplets")
         instance = render(template, "sentence", 5, triplet_context(3))
         assert "Context Triplets:\n(subj0, rel0, obj0)\n(subj1, rel1, obj1)\n(subj2, rel2, obj2)" in instance.rendered
         assert instance.context_items_included == 3
@@ -102,7 +114,7 @@ class TestRender:
     def test_empty_context_matches_zero_shot_task_text(self):
         zero = render(get_template("base", "zero"), "same sentence", 5).rendered
         with_empty = render(
-            get_template("base", "context_triplets"), "same sentence", 5, triplet_context(0, n_kb=5)
+            get_template("base", "triplets"), "same sentence", 5, triplet_context(0, n_kb=5)
         ).rendered
         # the only differences are the empty context section lines
         diff = [
@@ -113,7 +125,7 @@ class TestRender:
         assert all(line.lstrip("+- ") in ("Context Triplets:", "") for line in diff)
 
     def test_budget_truncates_lowest_ranked(self):
-        template = get_template("base", "context_triplets")
+        template = get_template("base", "triplets")
         full = render(template, "sentence", 5, triplet_context(5))
         assert not full.truncated
         # a budget that only fits three context items keeps the top three
@@ -171,10 +183,10 @@ class TestRender:
             render(get_template("base", "examples"), "sentence", 5, triplet_context(n_items))
         examples = RetrievedContext(mode="examples", items=((STATIC_EXAMPLES[0], 0.9),)[:n_items], n_kb_requested=2)
         with pytest.raises(TypeError, match="mode 'triplets'"):
-            render(get_template("base", "context_triplets"), "sentence", 5, examples)
+            render(get_template("base", "triplets"), "sentence", 5, examples)
 
     def test_deterministic(self):
-        template = get_template("documented", "context_triplets")
+        template = get_template("documented", "triplets")
         context = triplet_context(4)
         a = render(template, "sentence", 9, context, budget=5000)
         b = render(template, "sentence", 9, context, budget=5000)
@@ -187,7 +199,7 @@ class TestRender:
         assert a.replace("first input", "second input") == b
 
     def test_context_items_are_rank_prefix(self):
-        template = get_template("base", "context_triplets")
+        template = get_template("base", "triplets")
         context = triplet_context(5)
         for budget in range(80, 2000, 40):
             try:

@@ -362,6 +362,18 @@ class TestPersistence:
         assert "offset" in str(excinfo.value)
         assert str(path) in str(excinfo.value)
 
+    def test_invalid_utf8_header_reports_offset(self, tmp_path):
+        index = build_index(small_kb(), "triplet", config=EncoderConfig(dimension=16))
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        content = path.read_bytes()
+        at = content.index(b"alan bean")
+        path.write_bytes(content[:at] + b"\xff" + content[at + 1 :])
+        with pytest.raises(IndexFormatError) as excinfo:
+            load_index(path)
+        assert excinfo.value.offset == at
+        assert str(excinfo.value).startswith(f"{path}: not valid UTF-8 at byte {at}")
+
     def test_version_mismatch_rejected(self, tmp_path):
         kb = small_kb()
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=16))
