@@ -8,7 +8,6 @@ from .analysis import (
     ExperimentRunSpec,
     FitResult,
     StudyRow,
-    fit_ablation,
     index_dataset,
     linear_fit,
     log_param_fit,

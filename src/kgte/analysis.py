@@ -39,9 +39,9 @@ from .extraction import (
     sentence_rng,
 )
 from .parsing import parse_triplets
-from .prompting import MODES, PROMPT_KINDS, PromptInstance, get_template, render
+from .prompting import MODES, PROMPT_KINDS, PromptBudgetError, PromptInstance, get_template, render
 from .retriever import CONTEXT_INDEX_KINDS, CONTEXT_MODES, RetrievedContext, check_n_kb, empty_context, retrieve_contexts
-from .vector_index import EXAMPLE_EMBED_MODES, VectorIndex, build_index
+from .vector_index import VectorIndex, build_index, check_embed_mode
 
 EXTRACTORS = ("llm", "oracle-gold", "oracle-prefix", "random")
 
@@ -100,12 +100,10 @@ class StudyRow:
     p: float
     monte_carlo_f1: float
     closed_form_f1: float
-    exhaustive_f1: float | None
+    exhaustive_f1: float
 
     @property
-    def closed_form_deviation(self) -> float | None:
-        if self.exhaustive_f1 is None:
-            return None
+    def closed_form_deviation(self) -> float:
         return self.closed_form_f1 - self.exhaustive_f1
 
     def to_dict(self) -> dict:
@@ -126,17 +124,14 @@ def random_model_study(
     max_triplets: int,
     seed: int,
     trials: int,
-    *,
-    exhaustive_limit: int = 12,
 ) -> list[StudyRow]:
     """Random-baseline performance per N_KB: Monte Carlo estimate, the
     (P/N_KB)^n closed form evaluated with the measured P and per-sentence
-    gold counts, and, when every context is small enough to enumerate, the
-    exact expectation.
+    gold counts, and the exact expectation.
 
     All F1 numbers here are per-sentence F1 averaged over sentences (and
     trials), so the Monte Carlo column is an unbiased estimator of the
-    exhaustive one. The closed form is an approximation; its deviation is
+    exact one. The closed form is an approximation; its deviation is
     reported, not asserted.
     """
     if trials < 1:
@@ -158,23 +153,17 @@ def random_model_study(
         closed_total = math.fsum(
             random_f1_closed_form(p, n_kb, len(gold)) for gold in golds
         )
-        if all(len(c.ranked_triplets()) <= exhaustive_limit for c in contexts):
-            exhaustive: float | None = (
-                math.fsum(
-                    exhaustive_random_f1(c.ranked_triplets(), gold, max_triplets)
-                    for c, gold in zip(contexts, golds)
-                )
-                / len(sentences)
-            )
-        else:
-            exhaustive = None
+        exact_total = math.fsum(
+            exhaustive_random_f1(c.ranked_triplets(), gold, max_triplets)
+            for c, gold in zip(contexts, golds)
+        )
         rows.append(
             StudyRow(
                 n_kb=n_kb,
                 p=p,
                 monte_carlo_f1=mc_total / len(sentences),
                 closed_form_f1=closed_total / len(golds),
-                exhaustive_f1=exhaustive,
+                exhaustive_f1=exact_total / len(sentences),
             )
         )
     return rows
@@ -207,8 +196,7 @@ class ExperimentRunSpec:
             raise ValueError(f"unknown prompt kind {self.prompt_kind!r}")
         if self.split not in SPLIT_NAMES:
             raise ValueError(f"unknown split {self.split!r}")
-        if self.embed_mode not in EXAMPLE_EMBED_MODES:
-            raise ValueError(f"unknown example embed mode {self.embed_mode!r}")
+        check_embed_mode(CONTEXT_INDEX_KINDS.get(self.mode), self.embed_mode)
         check_n_kb(self.n_kb)
         check_scale(self.scale)
         check_int("seed", self.seed)
@@ -361,10 +349,12 @@ def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClie
     budget = char_budget_for(spec.generation.model) if spec.char_budget is None else spec.char_budget
     contexts = _build_contexts(spec, dataset, sentences)
 
-    prompts = [
-        render(template, sentence.text, max_triplets, context, budget)
-        for sentence, context in zip(sentences, contexts)
-    ]
+    prompts = []
+    for index, (sentence, context) in enumerate(zip(sentences, contexts)):
+        try:
+            prompts.append(render(template, sentence.text, max_triplets, context, budget))
+        except PromptBudgetError as exc:
+            raise PromptBudgetError(f"{spec.split} sentence {index}: {exc}") from None
     outputs = _generate_all(spec, sentences, contexts, prompts, max_triplets, llm_client)
 
     runs: list[SentenceRun] = []
@@ -453,11 +443,6 @@ class AblationResult:
         return "\n".join(lines) + "\n"
 
 
-def fit_ablation(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Fit F1 against P_S(N_KB) pairs collected by the ablation driver."""
-    return linear_fit(points)
-
-
 def run_ablation(
     manifest: str | Path,
     scales: Sequence[float],
@@ -503,5 +488,5 @@ def run_ablation(
         )
         points.append(AblationPoint(scale=scaled.scale, p=p, f1=result.report.f1))
     xs = {point.p for point in points}
-    fit = fit_ablation([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None
+    fit = linear_fit([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None
     return AblationResult(points=tuple(points), fit=fit)

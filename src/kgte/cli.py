@@ -29,7 +29,7 @@ from .evaluation import check_n_kb_values, micro_f1, sweep_context_quality
 from .extraction import GenerationConfig, RemoteLLMClient
 from .prompting import MODES, PROMPT_KINDS
 from .retriever import CONTEXT_MODES, check_n_kb, retrieve_contexts
-from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, index_matrix_path, load_index, save_index
+from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, check_embed_mode, index_matrix_path, load_index, save_index
 
 
 def _comma_list(convert, what: str):
@@ -101,6 +101,7 @@ def _kb_index(args, dataset):
 
 
 def _cmd_index(args) -> int:
+    check_embed_mode(args.kind, args.embed_mode)  # before the load
     index_matrix_path(args.out)  # a bad --out fails before the build
     index = _kb_index(args, load_dataset(args.manifest))
     matrix_path = save_index(index, args.out)
@@ -183,6 +184,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_p(args) -> int:
     values = check_n_kb_values(args.nkb_list)  # before the load
+    check_embed_mode(args.kind, args.embed_mode)
     dataset = load_dataset(args.manifest)
     curve = sweep_context_quality(dataset.split(args.split), _kb_index(args, dataset), values)
     _emit(curve.to_csv(), args.out)

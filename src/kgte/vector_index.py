@@ -98,6 +98,16 @@ def _example_embed_text(example: AnnotatedSentence, mode: str) -> str:
     return "\n".join([example.text, *(triplet_to_string(t) for t in example.gold)])
 
 
+def check_embed_mode(kind: str | None, embed_mode: str) -> None:
+    """Reject an unknown example embed mode, and a mode other than
+    ``sentence`` for an index ``kind`` other than ``example`` (``None`` for
+    no index), where it would have no effect."""
+    if embed_mode not in EXAMPLE_EMBED_MODES:
+        raise ValueError(f"unknown example embed mode {embed_mode!r}")
+    if embed_mode != "sentence" and kind != "example":
+        raise ValueError(f"example embed mode {embed_mode!r} needs an example index, not {kind or 'none'}")
+
+
 def build_index(
     kb: KnowledgeBase,
     kind: str,
@@ -114,8 +124,7 @@ def build_index(
     """
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown index kind {kind!r}")
-    if example_embed_mode not in EXAMPLE_EMBED_MODES:
-        raise ValueError(f"unknown example embed mode {example_embed_mode!r}")
+    check_embed_mode(kind, example_embed_mode)
     config = config or EncoderConfig()
     if kind == "triplet":
         payloads: Sequence = kb.triplets

@@ -26,7 +26,6 @@ from kgte import (
     dataset_stats,
     diversity_filter,
     exhaustive_random_f1,
-    fit_ablation,
     linear_fit,
     load_dataset,
     log_param_fit,
@@ -301,7 +300,7 @@ def test_criterion_7_fits():
 
     slope, intercept = 0.25, 0.21
     pairs = [(p, slope * p + intercept) for p in (0.0, 0.15, 0.3, 0.55, 0.8)]
-    recovered = fit_ablation(pairs)
+    recovered = linear_fit(pairs)
     assert abs(recovered.slope - slope) < 1e-9
     assert abs(recovered.intercept - intercept) < 1e-9
     report(7, "line recovery to 1e-12 with r2=1; log slope 0.05; scale-response (0.25, 0.21) to 1e-9")

@@ -12,16 +12,18 @@ from kgte import (
     EncoderConfig,
     ExperimentRunSpec,
     GenerationConfig,
+    PromptBudgetError,
     RemoteLLMClient,
     build_index,
     build_kb,
     downscale_kb,
-    fit_ablation,
+    get_template,
     index_dataset,
     linear_fit,
     load_dataset,
     log_param_fit,
     random_model_study,
+    render,
     replay_experiment,
     run_ablation,
     run_experiment,
@@ -100,7 +102,7 @@ class TestFitAblation:
         # the KB-downscale study's linear response, fed synthetically
         slope, intercept = 0.25, 0.21
         pairs = [(p, slope * p + intercept) for p in (0.05, 0.2, 0.35, 0.6, 0.8)]
-        fit = fit_ablation(pairs)
+        fit = linear_fit(pairs)
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.intercept == pytest.approx(intercept, abs=1e-9)
         assert fit.r2 >= 1.0 - 1e-9
@@ -108,7 +110,7 @@ class TestFitAblation:
     def test_sentence_triplets_variant(self):
         slope, intercept = 0.55, 0.21
         pairs = [(p, slope * p + intercept) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        fit = fit_ablation(pairs)
+        fit = linear_fit(pairs)
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.intercept == pytest.approx(intercept, abs=1e-9)
 
@@ -282,6 +284,7 @@ class TestRunExperiment:
             ("prompt_kind", "bogus", "prompt kind"),
             ("split", "nope", "split"),
             ("embed_mode", "what", "embed mode"),
+            ("embed_mode", "sentence+triplets", "needs an example index"),
             ("dimension", 0, "dimension"),
             ("dimension", -4, "dimension"),
             ("ngram_range", (5, 3), "ngram_range"),
@@ -338,6 +341,16 @@ class TestRunExperiment:
             replay_experiment(spec_path)
         assert str(excinfo.value).startswith(f"{spec_path}: ")
         assert field in str(excinfo.value)
+
+    def test_budget_error_names_the_sentence(self, mini_manifest):
+        dataset = load_dataset(mini_manifest)
+        first, second = dataset.test[:2]
+        template = get_template("base", "zero")
+        budget = len(render(template, first.text, dataset.max_triplets).rendered)
+        assert len(render(template, second.text, dataset.max_triplets).rendered) > budget
+        spec = ExperimentRunSpec(manifest=str(mini_manifest), mode="zero", extractor="random", char_budget=budget)
+        with pytest.raises(PromptBudgetError, match=f"^test sentence 1: budget of {budget} characters"):
+            run_experiment(spec)
 
     def test_char_budget_takes_effect(self, pair_manifest):
         default = run_experiment(spec_for(pair_manifest, extractor="random"))
@@ -420,36 +433,28 @@ class TestRandomModelStudy:
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=128))
         rows = random_model_study(records, index, [2, 5], max_triplets=2, seed=1, trials=4000)
         for row in rows:
-            assert row.exhaustive_f1 is not None
             assert row.monte_carlo_f1 == pytest.approx(row.exhaustive_f1, abs=0.02)
-            assert row.closed_form_deviation is not None
-
-    def test_exhaustive_skipped_for_large_contexts(self):
-        records = planted_single_records(4, seed=44)
-        kb = build_kb(records[:2], records[2:])
-        index = build_index(kb, "triplet", config=EncoderConfig(dimension=64))
-        rows = random_model_study(
-            records, index, [4], max_triplets=1, seed=0, trials=10, exhaustive_limit=2
-        )
-        assert rows[0].exhaustive_f1 is None
-        assert rows[0].closed_form_deviation is None
+            assert row.closed_form_deviation == row.closed_form_f1 - row.exhaustive_f1
 
     def test_exhaustive_column_equals_analytic_expectation(self):
         # per sentence, E[F1] = (1/max) * sum_n 2*k*g/(|ctx|*(k+G)) with
-        # k = min(n, |ctx|); the study column averages this over sentences
+        # k = min(n, |ctx|); the study column averages this over sentences,
+        # at every N_KB, including contexts above 12 triplets
         from kgte import retrieve_triplets
 
-        records = planted_single_records(8, seed=47)
-        kb = build_kb(records[:5], records[5:])
+        records = planted_single_records(20, seed=47)
+        kb = build_kb(records[:15], records[15:])
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=128))
         max_triplets = 3
-        for n_kb in (2, 4):
+        for n_kb in (2, 4, 16):
             rows = random_model_study(
                 records, index, [n_kb], max_triplets=max_triplets, seed=0, trials=1
             )
             expected = 0.0
+            largest = 0
             for record in records:
                 context = retrieve_triplets(record.text, index, n_kb).triplets()
+                largest = max(largest, len(context))
                 gold = set(record.gold)
                 in_context = len(gold & set(context))
                 acc = 0.0
@@ -458,7 +463,9 @@ class TestRandomModelStudy:
                     acc += 2.0 * k * in_context / (len(context) * (k + len(gold)))
                 expected += acc / max_triplets
             expected /= len(records)
+            assert isinstance(rows[0].exhaustive_f1, float)
             assert rows[0].exhaustive_f1 == pytest.approx(expected, abs=1e-12)
+        assert largest > 12
 
 
 class TestRunAblation:

@@ -394,6 +394,31 @@ def test_ablate_llm_extractor_exits_1_before_any_load(planted_pair_manifest, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["index", "--kind", "triplet", "--out", "{tmp}/kb.index.json"],
+        ["sweep-p", "--kind", "triplet", "--nkb-list", "1,2", "--out", "{tmp}/curve.csv"],
+        ["extract", "--mode", "zero", "--extractor", "random", "--out", "{tmp}/run"],
+        ["extract", "--mode", "static2", "--extractor", "random", "--out", "{tmp}/run"],
+        ["extract", "--mode", "triplets", "--extractor", "random", "--out", "{tmp}/run"],
+        ["ablate", "--mode", "triplets", "--out", "{tmp}/ablation.json"],
+    ],
+    ids=lambda command: f"{command[0]}-{command[2]}",
+)
+def test_embed_mode_without_example_index_exits_1_before_any_load(planted_pair_manifest, tmp_path, capsys, monkeypatch, command):
+    loads = []
+    monkeypatch.setattr(kgte.cli, "load_dataset", loads.append)
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
+    out = tmp_path / "out"
+    args = [arg.format(tmp=out) for arg in command]
+    code = run_cli([*args, "--manifest", str(planted_pair_manifest), "--embed-mode", "sentence+triplets"])
+    assert code == 1
+    assert "needs an example index" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
 def test_extract_out_of_range_temperature_exits_1(mini_manifest, tmp_path, capsys, temperature):
     code = run_cli(["extract", "--manifest", str(mini_manifest), "--mode", "zero", "--extractor", "random",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
@@ -321,7 +322,36 @@ def hypergeometric_expected_f1(pool_size, gold_in_pool, gold_total, max_triplets
     return total / max_triplets
 
 
+def enumerated_random_f1(pool, gold, max_triplets):
+    """Reference oracle: the random baseline's expected per-sentence F1 by
+    averaging F1 over every (n, k-subset of the pool) outcome; 2^|pool| work."""
+    gold = set(gold)
+    total = 0.0
+    for n in range(1, max_triplets + 1):
+        k = min(n, len(pool))
+        subsets = list(itertools.combinations(pool, k))
+        total += sum(sentence_f1(set(subset), gold) for subset in subsets) / len(subsets)
+    return total / max_triplets
+
+
 class TestExhaustiveRandomF1:
+    @pytest.mark.parametrize("pool_size", range(1, 13))
+    def test_closed_form_matches_enumeration(self, pool_size):
+        # every gold size <= 8, hit count and max_triplets <= 8 for this pool
+        pool = make_triplets(pool_size)
+        for gold_total in range(9):
+            for hits in range(min(pool_size, gold_total) + 1):
+                gold = set(pool[:hits]) | set(make_triplets(gold_total - hits, predicate="missing"))
+                for max_triplets in range(1, 9):
+                    got = exhaustive_random_f1(pool, gold, max_triplets)
+                    want = enumerated_random_f1(pool, gold, max_triplets)
+                    assert got == pytest.approx(want, abs=1e-12), (gold_total, hits, max_triplets)
+
+    def test_repeated_context_triplet_rejected(self):
+        pool = make_triplets(3)
+        with pytest.raises(ValueError, match="distinct"):
+            exhaustive_random_f1(pool + pool[:1], {pool[0]}, 2)
+
     def test_matches_analytic_hypergeometric_form(self):
         rng = random.Random(6)
         for _ in range(40):

@@ -110,6 +110,10 @@ class TestBuildIndex:
         combined = build_index(kb, "example", "sentence+triplets", config)
         assert not np.array_equal(combined.nodes[0].vector, combined.nodes[1].vector)
 
+    def test_embed_mode_rejected_on_a_triplet_index(self):
+        with pytest.raises(ValueError, match="needs an example index"):
+            build_index(small_kb(), "triplet", "sentence+triplets", EncoderConfig(dimension=64))
+
     def test_empty_kb_rejected(self):
         kb = small_kb()
         empty = dataclasses.replace(kb, triplets=(), examples=())
