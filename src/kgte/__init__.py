@@ -37,6 +37,7 @@ from .encoder import (
     ExternalEncoderClient,
     cosine,
     encode,
+    encode_texts,
     triplet_to_string,
 )
 from .evaluation import (

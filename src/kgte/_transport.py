@@ -8,11 +8,14 @@ run fully offline.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+from .corpus import check_int
 
 Transport = Callable[[str, dict, Mapping[str, str], float], tuple[int, str]]
 
@@ -29,8 +32,11 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        check_int("max_retries", self.max_retries, 0)
+        for name in ("backoff_base", "backoff_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
     def delay(self, attempt: int) -> float:
         return self.backoff_base * self.backoff_factor**attempt
@@ -119,21 +125,20 @@ class HTTPClient:
     the request headers, the bound on requests in flight and the retry wiring.
 
     ``api_key=None`` reads ``KGTE_API_KEY`` from the environment; an empty
-    string sends no ``Authorization`` header.
+    string sends no ``Authorization`` header. The defaults (30 s, the default
+    ``RetryPolicy``, one request in flight) are the embedding client's.
     """
 
     def __init__(
         self,
         *,
         api_key: str | None,
-        timeout: float,
-        policy: RetryPolicy,
-        in_flight: int,
+        timeout: float = 30.0,
+        policy: RetryPolicy = RetryPolicy(),
+        in_flight: int = 1,
         transport: Transport | None,
         sleeper: Callable[[float], None],
     ):
-        if in_flight < 1:
-            raise ValueError("in_flight must be >= 1")
         if api_key is None:
             api_key = os.environ.get(API_KEY_ENV)
         self.headers = {"Content-Type": "application/json"}

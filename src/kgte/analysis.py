@@ -64,6 +64,9 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
     constant-y input has SS_tot = 0 and reports r2 = 0 under that clamping.
     """
     pts = [(float(x), float(y)) for x, y in points]
+    for position, point in enumerate(pts):
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"point {position} {point} is not finite")
     if len(pts) < 2:
         raise ValueError("need at least 2 points")
     xs = [x for x, _ in pts]
@@ -88,9 +91,9 @@ def log_param_fit(points: Sequence[tuple[float, float]]) -> FitResult:
 
     Scores are fitted raw (no normalization is applied before fitting).
     """
-    for n_par, _ in points:
-        if n_par <= 0:
-            raise ValueError("parameter counts must be positive")
+    for position, (n_par, _) in enumerate(points):
+        if not n_par > 0:  # NaN too
+            raise ValueError(f"point {position}: parameter count must be positive, got {n_par}")
     return linear_fit([(math.log(n_par), y) for n_par, y in points])
 
 

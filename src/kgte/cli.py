@@ -61,12 +61,14 @@ def _emit_json(payload, out: str | None) -> None:
 
 
 def _encoder_config(args) -> EncoderConfig:
-    if args.embed_url:
+    if (args.embed_url is None) != (args.embed_model is None):
+        raise ValueError("--embed-url and --embed-model must be given together")
+    if args.embed_url is not None:
         return EncoderConfig(
             provider="external",
             dimension=args.dimension,
             endpoint=args.embed_url,
-            model=args.embed_model or "default",
+            model=args.embed_model,
         )
     return EncoderConfig(
         provider="hashed-ngram",
@@ -92,9 +94,9 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _kb_index(args, dataset):
+def _kb_index(args, dataset, config: EncoderConfig):
     """The KB index the flags ask for; an empty retained KB is an error."""
-    index = index_dataset(dataset, args.kind, args.scale, args.seed, args.embed_mode, _encoder_config(args))
+    index = index_dataset(dataset, args.kind, args.scale, args.seed, args.embed_mode, config)
     if index is None:
         raise ValueError(f"the knowledge base at scale {args.scale} has no content")
     return index
@@ -102,8 +104,9 @@ def _kb_index(args, dataset):
 
 def _cmd_index(args) -> int:
     check_embed_mode(args.kind, args.embed_mode)  # before the load
+    config = _encoder_config(args)
     index_matrix_path(args.out)  # a bad --out fails before the build
-    index = _kb_index(args, load_dataset(args.manifest))
+    index = _kb_index(args, load_dataset(args.manifest), config)
     matrix_path = save_index(index, args.out)
     sys.stdout.write(f"wrote {len(index)} nodes to {args.out} and {matrix_path}\n")
     return 0
@@ -185,8 +188,9 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep_p(args) -> int:
     values = check_n_kb_values(args.nkb_list)  # before the load
     check_embed_mode(args.kind, args.embed_mode)
+    config = _encoder_config(args)
     dataset = load_dataset(args.manifest)
-    curve = sweep_context_quality(dataset.split(args.split), _kb_index(args, dataset), values)
+    curve = sweep_context_quality(dataset.split(args.split), _kb_index(args, dataset, config), values)
     _emit(curve.to_csv(), args.out)
     return 0
 

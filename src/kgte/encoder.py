@@ -1,28 +1,31 @@
 """Text embedding providers and cosine similarity.
 
-Embeddings are plain float64 numpy arrays, L2-normalized at encode time so
+``encode_texts`` is the one entry point: index builds and queries alike get
+their embeddings from it as the rows of one float64 matrix, L2-normalized so
 top-k by dot product equals top-k by cosine. The default provider hashes
-character n-grams into a fixed-dimension vector: deterministic across
-processes and machines, dependency-free, good enough for retrieval at desk
-scale. Transformer-grade encoders plug in through ``ExternalEncoderClient``.
+character n-grams (``encode`` is its one-text reference): deterministic
+across machines and dependency-free. Transformer-grade encoders plug in
+through the external provider, which posts blocks of texts to an endpoint.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._transport import APIError, HTTPClient, RetryPolicy, Transport
+from ._transport import APIError, HTTPClient, Transport
 from .corpus import Triplet, check_int, normalize_surface
 
 PROVIDERS = ("hashed-ngram", "external")
 
 _HASH_PERSON = b"kgte.ngram.v1"
+# texts per embeddings POST: text-embeddings-inference's default input cap
+EXTERNAL_BLOCK = 32
 
 
 class EncodeError(ValueError):
@@ -70,25 +73,18 @@ def _ngram_slot(gram: str, dimension: int) -> int:
     return int.from_bytes(digest, "big") % dimension
 
 
-def _unit(vector: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise EncodeError("cannot normalize a zero vector")
-    return vector / norm
+def encode(text: str, config: EncoderConfig) -> np.ndarray:
+    """Embed ``text`` with hashed n-grams as a unit-norm float64 vector of
+    ``config.dimension``: the reference for ``encode_texts``' rows.
 
-
-def encode(text: str, config: EncoderConfig, *, client: "ExternalEncoderClient | None" = None) -> np.ndarray:
-    """Embed ``text`` as a unit-norm float64 vector of ``config.dimension``.
-
-    Deterministic for a fixed (text, config). The hashed n-gram provider
-    lowercases the text, hashes every character n-gram in the configured
-    range with a constant-seeded blake2b, accumulates counts modulo the
-    dimension, and L2-normalizes.
+    Deterministic for a fixed (text, config): lowercases the text, hashes
+    every character n-gram in the configured range with a constant-seeded
+    blake2b, accumulates counts modulo the dimension, and L2-normalizes.
     """
+    if config.provider != "hashed-ngram":
+        raise ValueError(f"encode is the hashed n-gram reference; embed with encode_texts for {config.provider!r}")
     if not normalize_surface(text):
         raise EncodeError("cannot encode text that is empty after normalization")
-    if config.provider == "external":
-        return (client or _external_client(config)).encode_batch([text])[0]
     lowered = text.lower()
     lo, hi = config.ngram_range
     slots = [
@@ -99,7 +95,29 @@ def encode(text: str, config: EncoderConfig, *, client: "ExternalEncoderClient |
     if not slots:
         raise EncodeError(f"text shorter than the minimum n-gram size {lo}")
     counts = np.bincount(slots, minlength=config.dimension).astype(np.float64)
-    return _unit(counts)
+    return counts / float(np.linalg.norm(counts))
+
+
+def encode_texts(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
+    """The ``(len(texts), config.dimension)`` float64 matrix whose row ``i``
+    is the unit embedding of ``texts[i]``: ``encode(texts[i], config)`` for
+    hashed n-grams; for the external provider, once every text is checked,
+    one POST per block of ``EXTERNAL_BLOCK`` texts. Errors name the position."""
+    matrix = np.empty((len(texts), config.dimension))
+    if config.provider == "hashed-ngram":
+        for position, text in enumerate(texts):
+            try:
+                matrix[position] = encode(text, config)
+            except EncodeError as exc:
+                raise EncodeError(f"text {position}: {exc}") from None
+        return matrix
+    for position, text in enumerate(texts):
+        if not normalize_surface(text):
+            raise EncodeError(f"text {position}: cannot encode text that is empty after normalization")
+    client = ExternalEncoderClient(config)
+    for start in range(0, len(texts), EXTERNAL_BLOCK):
+        matrix[start : start + EXTERNAL_BLOCK] = client.encode_batch(texts[start : start + EXTERNAL_BLOCK], start)
+    return matrix
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -115,36 +133,25 @@ class ExternalEncoderClient:
 
     Wire shape: POST ``endpoint`` with {"model": ..., "input": [text, ...]},
     expecting {"data": [{"embedding": [...]}, ...]} in input order. The
-    credential, headers, in-flight bound and retries per ``policy`` come from
-    the shared ``HTTPClient`` core.
+    credential, headers and retries come from the shared ``HTTPClient`` core,
+    at its defaults: requests go one at a time.
     """
 
     config: EncoderConfig
     api_key: str | None = None
-    timeout: float = 30.0
-    policy: RetryPolicy = field(default_factory=RetryPolicy)
-    in_flight: int = 4
     transport: Transport | None = None
     sleeper: Callable[[float], None] = time.sleep
 
     def __post_init__(self) -> None:
         if self.config.provider != "external":
             raise ValueError("ExternalEncoderClient requires an external-provider config")
-        self._http = HTTPClient(
-            api_key=self.api_key,
-            timeout=self.timeout,
-            policy=self.policy,
-            in_flight=self.in_flight,
-            transport=self.transport,
-            sleeper=self.sleeper,
-        )
+        self._http = HTTPClient(api_key=self.api_key, transport=self.transport, sleeper=self.sleeper)
 
-    def encode_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def encode_batch(self, texts: Sequence[str], start: int = 0) -> list[np.ndarray]:
+        """Embed ``texts`` as they are (``encode_texts`` checks them first) in
+        one POST; an error about ``texts[i]`` names it text ``start + i``."""
         if not texts:
             return []
-        for text in texts:
-            if not normalize_surface(text):
-                raise EncodeError("cannot encode text that is empty after normalization")
         doc = self._http.post(self.config.endpoint, {"model": self.config.model, "input": list(texts)})
         data = doc.get("data")
         if not isinstance(data, list):
@@ -152,33 +159,24 @@ class ExternalEncoderClient:
         if len(data) != len(texts):
             raise APIError(f"embeddings endpoint returned {len(data)} items for {len(texts)} inputs")
         vectors = []
-        for position, entry in enumerate(data):
-            field_name = f"data[{position}].embedding"
+        for i, entry in enumerate(data):
+            where = f"text {start + i}: embeddings body field 'data[{i}].embedding'"
             if not isinstance(entry, dict) or not isinstance(entry.get("embedding"), list):
-                raise APIError(f"embeddings body field {field_name!r} is not a list: {entry!r}")
+                raise APIError(f"{where} is not a list: {entry!r}")
             # bool is an int subclass but not a coordinate; "1" is not a number
             bad = [x for x in entry["embedding"] if type(x) not in (int, float)]
             if bad:
-                raise APIError(f"embeddings body field {field_name!r} holds a non-number: {bad[0]!r}")
+                raise APIError(f"{where} holds a non-number: {bad[0]!r}")
             try:
                 values = np.asarray(entry["embedding"], dtype=np.float64)
             except OverflowError as exc:  # an int beyond float range
-                raise APIError(f"embeddings body field {field_name!r} holds a coordinate out of range") from exc
+                raise APIError(f"{where} holds a coordinate out of range") from exc
             if not np.isfinite(values).all():
-                raise APIError(f"embeddings body field {field_name!r} holds a non-finite coordinate")
+                raise APIError(f"{where} holds a non-finite coordinate")
             if values.shape != (self.config.dimension,):
-                raise ValueError(
-                    f"embedding dimension {values.shape} does not match configured {self.config.dimension}"
-                )
-            vectors.append(_unit(values))
+                raise ValueError(f"{where} has dimension {values.shape}, not the configured {self.config.dimension}")
+            norm = float(np.linalg.norm(values))
+            if norm == 0.0:
+                raise EncodeError(f"{where} has norm zero and cannot be normalized")
+            vectors.append(values / norm)
         return vectors
-
-
-_CLIENT_CACHE: dict[EncoderConfig, ExternalEncoderClient] = {}
-
-
-def _external_client(config: EncoderConfig) -> ExternalEncoderClient:
-    client = _CLIENT_CACHE.get(config)
-    if client is None:
-        client = _CLIENT_CACHE[config] = ExternalEncoderClient(config)
-    return client

@@ -193,9 +193,10 @@ class ContextQualityCurve:
 
 
 def check_n_kb_values(n_kb_values: Sequence[int]) -> list[int]:
-    """The N_KB values of a sweep as ints; rejects an empty list, a value
-    below 1 and a list that is not strictly increasing."""
-    values = [int(n) for n in n_kb_values]
+    """The N_KB values of a sweep as a list; rejects an empty list, a value
+    that is not an int of at least 1 and a list that is not strictly
+    increasing."""
+    values = list(n_kb_values)
     if not values:
         raise ValueError("no n_kb values to sweep")
     for n in values:

@@ -29,8 +29,8 @@ class ModelMeta:
     context_window: int
 
     def __post_init__(self) -> None:
-        if self.n_par_billion <= 0:
-            raise ValueError("parameter count must be positive")
+        if not (math.isfinite(self.n_par_billion) and self.n_par_billion > 0):
+            raise ValueError(f"parameter count must be a finite number > 0, got {self.n_par_billion}")
 
 
 MODEL_CATALOG: dict[str, ModelMeta] = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import AnnotatedSentence, Triplet, check_int
-from .encoder import encode
+from .encoder import encode_texts
 from .vector_index import VectorIndex, top_k
 
 # the persisted index kind each retrieval mode reads; the modes are also
@@ -103,11 +103,12 @@ def retrieve_contexts(
     """The contexts of a split: ``result[j][i]`` is the context of
     ``texts[i]`` at ``n_kb_values[j]``.
 
-    Each text is encoded once and ranked once, at the largest N_KB. ``top_k``
-    orders nodes totally by (-score, id), so the top n nodes are the
-    length-n prefix of the top max(N_KB): each context equals a separate
-    retrieval at its N_KB. A triplet index passes each prefix through the
-    diversity filter; an example index keeps it as is.
+    Each text is encoded once, by one ``encode_texts`` call over the split,
+    and ranked once, at the largest N_KB. ``top_k`` orders nodes totally by
+    (-score, id), so the top n nodes are the length-n prefix of the top
+    max(N_KB): each context equals a separate retrieval at its N_KB. A
+    triplet index passes each prefix through the diversity filter; an
+    example index keeps it as is.
     """
     for n in n_kb_values:
         check_n_kb(n)
@@ -116,8 +117,7 @@ def retrieve_contexts(
     mode = next(mode for mode, kind in CONTEXT_INDEX_KINDS.items() if kind == index.kind)
     k = max(n_kb_values)
     columns: list[list[RetrievedContext]] = [[] for _ in n_kb_values]
-    for text in texts:
-        query = encode(text, index.encoder_config)
+    for query in encode_texts(texts, index.encoder_config):
         ranked = [(node.payload, score) for node, score in top_k(index, query, k)]
         for column, n in zip(columns, n_kb_values):
             items = diversity_filter(ranked[:n]) if mode == "triplets" else ranked[:n]

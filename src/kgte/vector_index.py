@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, sentence_from_json, sentence_to_json, triplet_from_json
-from .encoder import EncoderConfig, encode, triplet_to_string
+from .encoder import EncoderConfig, encode_texts, triplet_to_string
 
 INDEX_FORMAT_VERSION = 2
 NODE_KINDS = ("triplet", "example")
@@ -119,8 +119,8 @@ def build_index(
     ``triplet`` kind stores one node per deduplicated KB triplet, embedded
     from its "(s, p, o)" string. ``example`` kind stores one node per KB
     example, embedded from the sentence alone or from the sentence plus its
-    gold triplet strings (newline-joined), per ``example_embed_mode``. Each
-    embedding is written straight into its row of the index matrix.
+    gold triplet strings (newline-joined), per ``example_embed_mode``. The
+    index adopts the matrix ``encode_texts`` returns, one row per node.
     """
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown index kind {kind!r}")
@@ -132,10 +132,7 @@ def build_index(
     else:
         payloads = kb.examples
         texts = [_example_embed_text(ex, example_embed_mode) for ex in kb.examples]
-    matrix = np.empty((len(texts), config.dimension))
-    for row, text in zip(matrix, texts):
-        row[:] = encode(text, config)
-    return VectorIndex(kind, payloads, matrix, config)
+    return VectorIndex(kind, payloads, encode_texts(texts, config), config)
 
 
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode, float]]:

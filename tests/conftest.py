@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+import kgte._transport
 from kgte import AnnotatedSentence, Dataset, Triplet, save_dataset, triplet_to_string
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -20,6 +23,36 @@ MINI_STATS = {
 }
 
 _CONSONANTS = "bcdfghjklmnpqrstvwxz"
+
+# the dimension of fake_embedding's vectors
+FAKE_EMBED_DIM = 8
+
+
+def fake_embedding(text: str) -> list[int]:
+    """A stand-in embedding that is a deterministic function of ``text``: 3
+    and 4 at two coordinates picked by its SHA-256. Its norm is exactly 5, so
+    its unit vector is the same, bit for bit, on every host."""
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    first = digest[0] % FAKE_EMBED_DIM
+    second = (first + 1 + digest[1] % (FAKE_EMBED_DIM - 1)) % FAKE_EMBED_DIM
+    vector = [0] * FAKE_EMBED_DIM
+    vector[first], vector[second] = 3, 4
+    return vector
+
+
+@pytest.fixture
+def embed_posts(monkeypatch) -> list[list[str]]:
+    """Answers every embeddings POST in process, with ``fake_embedding`` of
+    each input, in place of the network transport; returns the input list of
+    each POST, in order."""
+    posts = []
+
+    def transport(url, payload, headers, timeout):
+        posts.append(payload["input"])
+        return 200, json.dumps({"data": [{"embedding": fake_embedding(text)} for text in payload["input"]]})
+
+    monkeypatch.setattr(kgte._transport, "_requests_transport", transport)
+    return posts
 
 
 @pytest.fixture

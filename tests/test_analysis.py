@@ -55,6 +55,11 @@ class TestLinearFit:
         with pytest.raises(ValueError):
             linear_fit([(1, 2)])
 
+    @pytest.mark.parametrize("bad", [(float("nan"), 1.0), (2.0, float("nan")), (float("inf"), 1.0), (2.0, float("-inf"))])
+    def test_non_finite_point_rejected_naming_its_position(self, bad):
+        with pytest.raises(ValueError, match="point 2 .* is not finite"):
+            linear_fit([(0, 1), (1, 3), bad, (3, 7)])
+
     def test_point_order_invariant(self):
         rng = random.Random(3)
         points = [(rng.random(), rng.random()) for _ in range(20)]
@@ -95,6 +100,11 @@ class TestLogParamFit:
     def test_nonpositive_parameter_count_rejected(self):
         with pytest.raises(ValueError):
             log_param_fit([(0.0, 0.1), (1.0, 0.2)])
+
+    @pytest.mark.parametrize("bad", [(float("nan"), 0.2), (float("inf"), 0.2), (7.0, float("nan"))])
+    def test_non_finite_point_rejected_naming_its_position(self, bad):
+        with pytest.raises(ValueError, match="point 1"):
+            log_param_fit([(1.5, 0.1), bad, (40.0, 0.3)])
 
 
 class TestFitAblation:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 import kgte.analysis
 import kgte.cli
-from kgte import Triplet
+import kgte.encoder
+from kgte import Triplet, build_kb, load_dataset, triplet_to_string
 from kgte.analysis import EXTRACTORS
 from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
 from kgte.corpus import normalize_surface
 from kgte.prompting import MODES, PROMPT_KINDS
 from kgte.retriever import CONTEXT_MODES
-from conftest import MINI_STATS
+from conftest import DATA_DIR, MINI_STATS
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 # any printable text, non-ASCII included, that survives normalization
@@ -435,6 +437,88 @@ def test_extract_nonpositive_budget_exits_1(planted_pair_manifest, tmp_path, cap
     assert code == 1
     assert "char_budget" in json.loads(capsys.readouterr().err)["error"]["message"]
     assert not (tmp_path / "run").exists()
+
+
+EMBED_FLAGS = ["--embed-url", "http://embed.test/v1/embeddings", "--embed-model", "fake", "--dimension", "8"]
+EXTERNAL_GOLDEN = DATA_DIR / "golden" / "external"
+
+
+class TestExternalEmbeddings:
+    """The external provider through the CLI, against the in-process fake
+    endpoint of ``embed_posts``. The golden files were written by the
+    one-POST-per-text encoder under the same fake."""
+
+    @pytest.mark.parametrize(
+        "kind,embed_mode,name",
+        [("triplet", "sentence", "triplet"), ("example", "sentence", "example"),
+         ("example", "sentence+triplets", "example-sentence+triplets")],
+    )
+    def test_index_posts_one_block_and_matches_golden(self, mini_manifest, tmp_path, embed_posts, kind, embed_mode, name):
+        header = tmp_path / f"{name}.index.json"
+        args = ["index", "--manifest", str(mini_manifest), "--kind", kind, "--embed-mode", embed_mode, "--out", str(header)]
+        assert run_cli([*args, *EMBED_FLAGS]) == 0
+        nodes = 15 if kind == "triplet" else 10
+        assert [len(texts) for texts in embed_posts] == [nodes]
+        assert header.read_bytes() == (EXTERNAL_GOLDEN / header.name).read_bytes()
+        assert header.with_suffix(".npy").read_bytes() == (EXTERNAL_GOLDEN / f"{name}.index.npy").read_bytes()
+
+    @pytest.mark.parametrize("block", [4, 32])
+    def test_index_posts_ceil_nodes_over_block(self, mini_manifest, tmp_path, embed_posts, monkeypatch, block):
+        monkeypatch.setattr(kgte.encoder, "EXTERNAL_BLOCK", block)
+        assert run_cli(["index", "--manifest", str(mini_manifest), "--out", str(tmp_path / "kb.json"), *EMBED_FLAGS]) == 0
+        assert len(embed_posts) == math.ceil(15 / block)
+        assert (tmp_path / "kb.npy").read_bytes() == (EXTERNAL_GOLDEN / "triplet.index.npy").read_bytes()
+
+    def test_retrieve_posts_once(self, tmp_path, embed_posts, capsys):
+        code = run_cli(["retrieve", "--index", str(EXTERNAL_GOLDEN / "triplet.index.json"), "--text",
+                        "alan bean was born in wheeler texas", "--nkb", "3"])
+        assert code == 0
+        assert embed_posts == [["alan bean was born in wheeler texas"]]
+        assert len(json.loads(capsys.readouterr().out)["items"]) >= 1
+
+    @pytest.mark.parametrize("block", [3, 32])
+    def test_sweep_posts_the_kb_then_the_split_in_blocks(self, mini_manifest, tmp_path, embed_posts, monkeypatch, block):
+        monkeypatch.setattr(kgte.encoder, "EXTERNAL_BLOCK", block)
+        out = tmp_path / "curve.csv"
+        code = run_cli(["sweep-p", "--manifest", str(mini_manifest), "--nkb-list", "1,5", "--out", str(out), *EMBED_FLAGS])
+        assert code == 0
+        kb_posts = math.ceil(15 / block)
+        assert len(embed_posts) == kb_posts + math.ceil(MINI_STATS["test"] / block)
+        assert sum(len(texts) for texts in embed_posts[kb_posts:]) == MINI_STATS["test"]
+        assert out.read_text().startswith("n_kb,p\n1,")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["index", "--out", "{tmp}/kb.index.json"], ["sweep-p", "--nkb-list", "1,2", "--out", "{tmp}/curve.csv"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize(
+    "flags",
+    [["--embed-model", "mini"], ["--embed-url", "http://embed.test/v1/embeddings"]],
+    ids=["model-without-url", "url-without-model"],
+)
+def test_embed_flags_alone_exit_1_before_any_load(mini_manifest, tmp_path, capsys, monkeypatch, embed_posts, command, flags):
+    loads = []
+    monkeypatch.setattr(kgte.cli, "load_dataset", loads.append)
+    out = tmp_path / "out"
+    args = [arg.format(tmp=out) for arg in command]
+    assert run_cli([*args, "--manifest", str(mini_manifest), *flags]) == 1
+    assert "--embed-url and --embed-model must be given together" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == [] and embed_posts == []
+    assert not out.exists()
+
+
+def test_index_text_too_short_for_the_ngrams_is_named(mini_manifest, tmp_path, capsys):
+    dataset = load_dataset(mini_manifest)
+    strings = [triplet_to_string(t) for t in build_kb(dataset.train, dataset.validation).triplets]
+    position = next(i for i, text in enumerate(strings) if len(text) < 30)
+    assert position > 0
+    out = tmp_path / "kb.index.json"
+    assert run_cli(["index", "--manifest", str(mini_manifest), "--ngram-min", "30", "--ngram-max", "30", "--out", str(out)]) == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == f"text {position}: text shorter than the minimum n-gram size 30"
+    assert not out.exists()
 
 
 class TestSweepP:

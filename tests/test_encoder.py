@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
 import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kgte._transport
+import kgte.encoder
 from kgte import (
     APIError,
     EncodeError,
@@ -15,10 +20,13 @@ from kgte import (
     Triplet,
     cosine,
     encode,
+    encode_texts,
+    normalize_surface,
     parse_triplets,
     triplet_to_string,
 )
 from kgte.encoder import _ngram_slot
+from conftest import FAKE_EMBED_DIM, fake_embedding
 
 
 def _random_text(rng, min_len=4, max_len=40):
@@ -183,13 +191,10 @@ class TestExternalEncoderClient:
         assert np.allclose(vectors[0], [1, 0, 0, 0])
         assert np.allclose(vectors[1], [0, 1, 0, 0])
 
-    def test_encode_dispatches_to_client(self):
-        def transport(url, payload, headers, timeout):
-            return 200, '{"data": [{"embedding": [0, 0, 0, 5]}]}'
-
-        client = ExternalEncoderClient(_external_config(), api_key="k", transport=transport)
-        v = encode("hello", _external_config(), client=client)
-        assert np.allclose(v, [0, 0, 0, 1])
+    @pytest.mark.parametrize("knob", ["timeout", "policy", "in_flight"])
+    def test_request_knobs_are_not_fields(self, knob):
+        with pytest.raises(TypeError):
+            ExternalEncoderClient(_external_config(), **{knob: 1})
 
     def test_transient_failure_then_success(self):
         calls = []
@@ -251,3 +256,81 @@ class TestExternalEncoderClient:
         client = ExternalEncoderClient(_external_config(), api_key="k", transport=transport)
         with pytest.raises(ValueError):
             client.encode_batch(["hello"])
+
+
+def _fake_config(dimension=FAKE_EMBED_DIM):
+    return EncoderConfig(provider="external", dimension=dimension, endpoint="http://embed.test/v1/embeddings", model="fake")
+
+
+# texts the hashed provider can embed at n-gram sizes 3 to 5: non-ASCII
+# included, and "İ", whose lower() is two code points
+_encodable = st.text(st.sampled_from("ab zİé.ß"), min_size=3, max_size=24).filter(normalize_surface)
+
+
+class TestEncodeTexts:
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(_encodable, max_size=6), dimension=st.integers(1, 64))
+    def test_hashed_rows_equal_encode_bit_for_bit(self, texts, dimension):
+        config = EncoderConfig(dimension=dimension)
+        matrix = encode_texts(texts, config)
+        assert matrix.shape == (len(texts), dimension) and matrix.dtype == np.float64
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == encode(text, config).tobytes()
+
+    @pytest.mark.parametrize("bad,needle", [("ab", "shorter than the minimum n-gram size 3"), ("__", "empty")])
+    def test_hashed_error_names_the_position(self, bad, needle):
+        with pytest.raises(EncodeError, match=f"text 2: .*{needle}"):
+            encode_texts(["hello world", "rome italy", bad], EncoderConfig())
+
+    def test_external_texts_go_in_blocks_of_one_post(self, embed_posts, monkeypatch):
+        monkeypatch.setattr(kgte.encoder, "EXTERNAL_BLOCK", 4)
+        texts = [f"text number {i}" for i in range(10)]
+        matrix = encode_texts(texts, _fake_config())
+        assert embed_posts == [texts[0:4], texts[4:8], texts[8:10]]
+        for row, text in zip(matrix, texts):
+            assert row.tolist() == [x / 5 for x in fake_embedding(text)]
+
+    def test_one_post_below_the_block_size(self, embed_posts):
+        encode_texts([f"text number {i}" for i in range(kgte.encoder.EXTERNAL_BLOCK)], _fake_config())
+        assert len(embed_posts) == 1
+
+    def test_external_blank_text_fails_before_any_post_naming_its_position(self, embed_posts, monkeypatch):
+        monkeypatch.setattr(kgte.encoder, "EXTERNAL_BLOCK", 2)
+        with pytest.raises(EncodeError, match="text 3: cannot encode text that is empty"):
+            encode_texts(["one", "two", "three", "  "], _fake_config())
+        assert embed_posts == []
+
+    def test_empty_list_is_an_empty_matrix(self, embed_posts):
+        assert encode_texts([], _fake_config()).shape == (0, FAKE_EMBED_DIM)
+        assert encode_texts([], EncoderConfig()).shape == (0, 384)
+        assert embed_posts == []
+
+    def test_external_dimension_mismatch_rejected(self, embed_posts):
+        with pytest.raises(ValueError, match="not the configured 4"):
+            encode_texts(["hello"], _fake_config(dimension=4))
+
+    @pytest.mark.parametrize(
+        "embedding,error,needle",
+        [
+            ([0] * FAKE_EMBED_DIM, EncodeError, "has norm zero"),
+            ([1, 0], ValueError, r"has dimension \(2,\), not the configured 8"),
+            (7, APIError, "is not a list"),
+        ],
+        ids=["zero", "wrong-dimension", "not-a-list"],
+    )
+    def test_bad_embedding_in_a_later_block_names_its_position(self, monkeypatch, embedding, error, needle):
+        monkeypatch.setattr(kgte.encoder, "EXTERNAL_BLOCK", 4)
+        texts = [f"text number {i}" for i in range(10)]
+
+        def transport(url, payload, headers, timeout):
+            data = [{"embedding": embedding if text == texts[6] else fake_embedding(text)} for text in payload["input"]]
+            return 200, json.dumps({"data": data})
+
+        monkeypatch.setattr(kgte._transport, "_requests_transport", transport)
+        with pytest.raises(error, match=rf"^text 6: embeddings body field 'data\[2\]\.embedding' {needle}"):
+            encode_texts(texts, _fake_config())
+
+    def test_encode_rejects_an_external_config(self, embed_posts):
+        with pytest.raises(ValueError, match="encode_texts"):
+            encode("hello", _fake_config())
+        assert embed_posts == []

@@ -255,7 +255,15 @@ class TestSweepContextQuality:
 
     @pytest.mark.parametrize(
         "values,needle",
-        [([], "no n_kb values"), ([0, 1], "n_kb must be >= 1"), ([5, 3], "strictly increasing"), ([2, 2], "strictly increasing")],
+        [
+            ([], "no n_kb values"),
+            ([0, 1], "n_kb must be >= 1"),
+            ([5, 3], "strictly increasing"),
+            ([2, 2], "strictly increasing"),
+            ([1, 2.5], "n_kb must be an int, got 2.5"),
+            ([True, 3], "n_kb must be an int, got True"),
+            ([1, "2"], "n_kb must be an int, got '2'"),
+        ],
     )
     def test_n_kb_values_checked_alone(self, values, needle):
         with pytest.raises(ValueError, match=needle):

@@ -12,7 +12,9 @@ from kgte import (
     APIError,
     GenerationConfig,
     MODEL_CATALOG,
+    ModelMeta,
     RemoteLLMClient,
+    RetryPolicy,
     RetrievedContext,
     TransportError,
     Triplet,
@@ -48,6 +50,11 @@ class TestModelCatalog:
         assert MODEL_CATALOG["gpt-3.5"].context_window == 4096
         assert MODEL_CATALOG["gpt-4"].context_window == 8192
 
+    @pytest.mark.parametrize("n_par", [0, -1.0, float("nan"), float("inf")])
+    def test_parameter_count_must_be_finite_and_positive(self, n_par):
+        with pytest.raises(ValueError, match="parameter count"):
+            ModelMeta("x", n_par, 1024)
+
     def test_char_budget(self):
         assert char_budget_for("llama-65b") == 2048 * 4
         assert char_budget_for("gpt-4") == 8192 * 4
@@ -81,6 +88,23 @@ class TestModelCatalog:
     def test_non_int_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             GenerationConfig(**{field: value})
+
+
+class TestRetryPolicy:
+    @pytest.mark.parametrize("value", [1.5, True, "2"])
+    def test_non_int_max_retries_rejected(self, value):
+        with pytest.raises(ValueError, match="max_retries must be an int"):
+            RetryPolicy(max_retries=value)
+
+    @pytest.mark.parametrize("field", ["backoff_base", "backoff_factor"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_backoff_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
+            RetryPolicy(**{field: value})
+
+    def test_client_with_negative_backoff_fails_when_built(self):
+        with pytest.raises(ValueError, match="backoff_base"):
+            RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k", backoff_base=-1.0)
 
 
 class TestRemoteLLMClient:
