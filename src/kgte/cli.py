@@ -64,16 +64,21 @@ def _encoder_config(args) -> EncoderConfig:
     if (args.embed_url is None) != (args.embed_model is None):
         raise ValueError("--embed-url and --embed-model must be given together")
     if args.embed_url is not None:
+        # the external provider has no n-grams: a given n-gram flag (on ``args`` only then) exits 2
+        for flag in ("--ngram-min", "--ngram-max"):
+            if hasattr(args, flag[2:].replace("-", "_")):
+                args.usage_error(f"argument {flag}: not allowed with --embed-url")
         return EncoderConfig(
             provider="external",
             dimension=args.dimension,
             endpoint=args.embed_url,
             model=args.embed_model,
         )
+    lo, hi = EncoderConfig.ngram_range
     return EncoderConfig(
         provider="hashed-ngram",
         dimension=args.dimension,
-        ngram_range=(args.ngram_min, args.ngram_max),
+        ngram_range=(getattr(args, "ngram_min", lo), getattr(args, "ngram_max", hi)),
     )
 
 
@@ -81,8 +86,9 @@ def _add_encoder_flags(parser: argparse.ArgumentParser, *, external: bool) -> No
     """``external`` adds the external-provider flags, for the commands that
     build an index themselves; experiment runs always use hashed n-grams."""
     parser.add_argument("--dimension", type=int, default=384)
-    parser.add_argument("--ngram-min", type=int, default=3)
-    parser.add_argument("--ngram-max", type=int, default=5)
+    lo, hi = (argparse.SUPPRESS, argparse.SUPPRESS) if external else EncoderConfig.ngram_range
+    parser.add_argument("--ngram-min", type=int, default=lo)
+    parser.add_argument("--ngram-max", type=int, default=hi)
     if external:
         parser.add_argument("--embed-url", help="external embeddings endpoint (default: built-in hashed n-grams)")
         parser.add_argument("--embed-model", help="model id for the external embeddings endpoint")
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON header path; the matrix goes beside it with the suffix .npy")
     _add_encoder_flags(p, external=True)
-    p.set_defaults(func=_cmd_index)
+    p.set_defaults(func=_cmd_index, usage_error=p.error)
 
     p = sub.add_parser("retrieve", help="retrieve KB context for one sentence")
     p.add_argument("--index", required=True)
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--out")
     _add_encoder_flags(p, external=True)
-    p.set_defaults(func=_cmd_sweep_p)
+    p.set_defaults(func=_cmd_sweep_p, usage_error=p.error)
 
     p = sub.add_parser("ablate", help="KB-downscale ablation with a linear fit of F1 vs P_S")
     p.add_argument("--manifest", required=True)

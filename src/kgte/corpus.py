@@ -22,7 +22,8 @@ underscores to spaces, whitespace runs collapsed), so that string equality is
 meaningful between dataset labels, index payloads and generator output, and
 interns them: each distinct normalized surface is one ``str`` object shared by
 every triplet that carries it, whichever path built the triplet. Sentence text
-is kept raw.
+is kept raw. ``canonical_surface`` memoizes the first ``SURFACE_MEMO_SIZE`` raw surfaces
+(full: a 0.4 MB dict plus its raw keys); the earlier code normalized every field.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from pathlib import Path
 from typing import Sequence
 
 SPLIT_NAMES = ("train", "validation", "test")
+SURFACE_MEMO_SIZE = 1 << 14
+_surfaces: dict[str, str] = {}  # raw -> canonical surface; no eviction: with few repeats each field would pay one
+_set_field = object.__setattr__  # Triplet.__init__'s parameter ``object`` shadows the builtin
 
 
 class DatasetFormatError(ValueError):
@@ -57,21 +61,31 @@ def normalize_surface(raw: str) -> str:
     return " ".join(raw.lower().replace("_", " ").split())
 
 
-@dataclass(frozen=True, order=True, slots=True)
+def canonical_surface(raw: str) -> str:
+    """``sys.intern(normalize_surface(raw))``; the first ``SURFACE_MEMO_SIZE`` raws are memoized."""
+    surface = _surfaces.get(raw)
+    if surface is None:
+        surface = sys.intern(normalize_surface(raw))
+        if len(_surfaces) < SURFACE_MEMO_SIZE:
+            _surfaces[raw] = surface
+    return surface
+
+
+@dataclass(init=False, frozen=True, order=True, slots=True)
 class Triplet:
-    """A (subject, predicate, object) fact. Fields are normalized and
-    interned at construction; instances are slotted (no ``__dict__``)."""
+    """A (subject, predicate, object) fact. Fields are canonical surfaces
+    (``canonical_surface``); instances are slotted (no ``__dict__``)."""
 
     subject: str
     predicate: str
     object: str
 
-    def __post_init__(self) -> None:
-        for name in ("subject", "predicate", "object"):
-            norm = normalize_surface(getattr(self, name))
-            if not norm:
+    def __init__(self, subject: str, predicate: str, object: str) -> None:
+        for name, raw in (("subject", subject), ("predicate", predicate), ("object", object)):
+            surface = _surfaces.get(raw) or canonical_surface(raw)  # a hit makes no call
+            if not surface:
                 raise ValueError(f"triplet {name} is empty after normalization")
-            object.__setattr__(self, name, sys.intern(norm))
+            _set_field(self, name, surface)
 
     def as_tuple(self) -> tuple[str, str, str]:
         return (self.subject, self.predicate, self.object)
@@ -224,7 +238,7 @@ def triplet_from_json(raw: object) -> Triplet:
     Raises ``ValueError`` naming the value when it is not a list of exactly
     three strings or when a field is empty after normalization.
     """
-    if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(f, str) for f in raw):
+    if not isinstance(raw, list) or len(raw) != 3 or not all(map(isinstance, raw, (str, str, str))):
         raise ValueError(f"triplet {raw!r} is not a 3-element list of strings")
     try:
         return Triplet(*raw)
@@ -247,7 +261,7 @@ def sentence_from_json(obj: object) -> AnnotatedSentence:
         raise ValueError("record field 'text' missing or not a string")
     if not isinstance(triplets, list):
         raise ValueError("record field 'triplets' missing or not a list")
-    return AnnotatedSentence(text=text, gold=tuple(triplet_from_json(t) for t in triplets))
+    return AnnotatedSentence(text=text, gold=tuple(map(triplet_from_json, triplets)))
 
 
 def sentence_to_json(sentence: AnnotatedSentence) -> dict:

@@ -509,6 +509,28 @@ def test_embed_flags_alone_exit_1_before_any_load(mini_manifest, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["index", "--out", "{tmp}/kb.index.json"], ["sweep-p", "--nkb-list", "1,2", "--out", "{tmp}/curve.csv"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("flag", ["--ngram-min", "--ngram-max"])
+def test_ngram_flags_with_embed_url_exit_2_naming_the_flag(mini_manifest, tmp_path, capsys, monkeypatch, embed_posts, command, flag):
+    # the external provider has no n-grams; the default value is rejected too
+    loads = []
+    monkeypatch.setattr(kgte.cli, "load_dataset", loads.append)
+    out = tmp_path / "out"
+    args = [arg.format(tmp=out) for arg in command]
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([*args, "--manifest", str(mini_manifest), *EMBED_FLAGS, flag, "3"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: kgte {command[0]} ")
+    assert f"argument {flag}: not allowed with --embed-url" in err
+    assert loads == [] and embed_posts == []
+    assert not out.exists()
+
+
 def test_index_text_too_short_for_the_ngrams_is_named(mini_manifest, tmp_path, capsys):
     dataset = load_dataset(mini_manifest)
     strings = [triplet_to_string(t) for t in build_kb(dataset.train, dataset.validation).triplets]

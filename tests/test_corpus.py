@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 import random
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,8 @@ from kgte import (
     normalize_surface,
     save_dataset,
 )
+from kgte import corpus
+from kgte.corpus import SURFACE_MEMO_SIZE
 from conftest import MINI_STATS
 
 
@@ -94,6 +99,89 @@ class TestMemoryLayout:
         assert _surface_objects_shared(triplets)
         # and with triplets built elsewhere
         assert Triplet("Rome", "capital_of", "Italy").subject is dataset.test[2].gold[0].subject
+
+
+FIELDS = ("subject", "predicate", "object")
+# spellings that normalization changes: "İ" lowercases to two code points;
+# NBSP, U+3000, U+2028 and U+0085 are whitespace to str.split()
+_odd_field = st.text(
+    st.one_of(st.sampled_from("İ\u00a0\u3000\u2028\u0085_ \t"), st.characters(blacklist_categories=("Cs",))),
+    max_size=8,
+)
+
+
+class TestConstructorContract:
+    """``Triplet(s, p, o)`` is the only constructor: each field is
+    ``sys.intern(normalize_surface(raw))``, checked in field order."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(raw=st.tuples(_odd_field, _odd_field, _odd_field))
+    def test_fields_are_interned_normal_forms(self, raw):
+        expected = [normalize_surface(f) for f in raw]
+        if not all(expected):
+            first = FIELDS[expected.index("")]
+            with pytest.raises(ValueError, match=f"^triplet {first} is empty after normalization$"):
+                Triplet(*raw)
+            return
+        triplet = Triplet(*raw)
+        for value, f in zip(triplet.as_tuple(), raw):
+            assert value is sys.intern(normalize_surface(f))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(raw=_odd_field.filter(normalize_surface))
+    def test_two_spellings_share_one_object(self, raw):
+        respelled = "\u3000" + raw.replace(" ", "_") + "\u00a0_\u2028"
+        assert Triplet(raw, raw, raw).subject is Triplet(respelled, "p", respelled).object
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(fields=st.lists(st.one_of(_odd_field, st.integers(), st.none()), min_size=3, max_size=3))
+    def test_first_bad_field_decides(self, fields):
+        bad = next((i for i, f in enumerate(fields) if not isinstance(f, str) or not normalize_surface(f)), None)
+        if bad is None:
+            assert Triplet(*fields).as_tuple() == tuple(map(normalize_surface, fields))
+        elif isinstance(fields[bad], str):  # a later field that is not a str does not matter
+            with pytest.raises(ValueError, match=f"^triplet {FIELDS[bad]} is empty after normalization$"):
+                Triplet(*fields)
+        else:
+            with pytest.raises(AttributeError):
+                Triplet(*fields)
+
+    def test_replace_pickle_order_and_hash(self):
+        a = Triplet("Rome", "Capital_of", "Italy")
+        b = dataclasses.replace(a, subject="CANBERRA", object="  australia ")
+        assert b == Triplet("canberra", "capital of", "australia")
+        assert b.subject is sys.intern("canberra") and b.predicate is a.predicate
+        with pytest.raises(ValueError, match="^triplet object is empty"):
+            dataclasses.replace(a, object="_")
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert [t.as_tuple() for t in sorted([a, b])] == sorted([a.as_tuple(), b.as_tuple()])
+        assert b < a and not a < a
+        assert hash(a) == hash(a.as_tuple()) == hash(Triplet("ROME", "capital of", "italy"))
+
+
+class TestSurfaceMemo:
+    def test_reload_normalizes_each_distinct_raw_surface_once(self, mini_manifest, monkeypatch):
+        raw_surfaces = set()
+        for name in json.loads(mini_manifest.read_text()).values():
+            for line in (mini_manifest.parent / name).read_text().splitlines():
+                raw_surfaces.update(f for t in json.loads(line)["triplets"] for f in t)
+        calls = []
+        monkeypatch.setattr(corpus, "_surfaces", {})
+        monkeypatch.setattr(corpus, "normalize_surface", lambda raw: calls.append(raw) or normalize_surface(raw))
+        assert load_dataset(mini_manifest) == load_dataset(mini_manifest)
+        assert sorted(calls) == sorted(raw_surfaces)
+
+    def test_memo_stops_admitting_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_surfaces", {})
+        for i in range(SURFACE_MEMO_SIZE + 100):
+            Triplet(f"Entity_{i}", "p", "o")
+        assert len(corpus._surfaces) == SURFACE_MEMO_SIZE
+        assert "Entity_0" in corpus._surfaces
+        # a surface past the bound is normalized on each call, to the same object
+        late = f"Entity_{SURFACE_MEMO_SIZE + 50}"
+        assert late not in corpus._surfaces
+        assert Triplet(late, "p", "o").subject is Triplet(late.upper(), "p", "o").subject
+        assert len(corpus._surfaces) == SURFACE_MEMO_SIZE
 
 
 # raw surface text: non-ASCII, underscores and whitespace runs included
