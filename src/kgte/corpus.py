@@ -35,12 +35,12 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 SPLIT_NAMES = ("train", "validation", "test")
 SURFACE_MEMO_SIZE = 1 << 14
 _surfaces: dict[str, str] = {}  # raw -> canonical surface; no eviction: with few repeats each field would pay one
-_set_field = object.__setattr__  # Triplet.__init__'s parameter ``object`` shadows the builtin
+_set_field = object.__setattr__  # sets a frozen field; Triplet.__init__'s parameter ``object`` shadows the builtin
 
 
 class DatasetFormatError(ValueError):
@@ -91,18 +91,19 @@ class Triplet:
         return (self.subject, self.predicate, self.object)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, frozen=True, slots=True)
 class AnnotatedSentence:
-    """A sentence together with its gold triplet set (ordered, deduplicated);
-    slotted (no ``__dict__``)."""
+    """A sentence together with its gold triplet set (ordered, deduplicated:
+    the first occurrence of each triplet is kept); slotted (no ``__dict__``)."""
 
     text: str
     gold: tuple[Triplet, ...]
 
-    def __post_init__(self) -> None:
-        if not self.text.strip():
+    def __init__(self, text: str, gold: Iterable[Triplet]) -> None:
+        if not text.strip():
             raise ValueError("sentence text is empty")
-        object.__setattr__(self, "gold", tuple(dict.fromkeys(self.gold)))
+        _set_field(self, "text", text)
+        _set_field(self, "gold", tuple(dict.fromkeys(gold)))
 
 
 @dataclass(frozen=True)

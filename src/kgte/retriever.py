@@ -118,7 +118,7 @@ def retrieve_contexts(
     k = max(n_kb_values)
     columns: list[list[RetrievedContext]] = [[] for _ in n_kb_values]
     for query in encode_texts(texts, index.encoder_config):
-        ranked = [(node.payload, score) for node, score in top_k(index, query, k)]
+        ranked = [(index.payloads[i], score) for i, score in top_k(index, query, k)]
         for column, n in zip(columns, n_kb_values):
             items = diversity_filter(ranked[:n]) if mode == "triplets" else ranked[:n]
             column.append(RetrievedContext(mode=mode, items=tuple(items), n_kb_requested=n))

@@ -3,16 +3,18 @@
 ``VectorIndex(kind, payloads, vectors, encoder_config)`` is the only way to
 make an index. Its vectors live once, as the rows of one dense float64 matrix,
 from ``build_index`` to disk (a raw ``.npy`` file beside a JSON header) and back.
-Retrieval scans every node (one matrix-vector product) and then selects the
-top k exactly with a partial selection instead of a full sort:
-deterministic, and fast enough at the KB sizes this library targets (tens of
-thousands of nodes). Ties are broken by ascending node id, at the k-th
-position too.
+An index is its payloads and that matrix, row ``i`` under payload ``i``, with
+no object per row. Retrieval scans every row (one matrix-vector product) and
+then selects the top k exactly with a partial selection instead of a full
+sort: deterministic, and fast enough at the KB sizes this library targets
+(tens of thousands of rows). It returns row ids and scores; ties are broken
+by ascending row id, at the k-th position too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, sentence_from_json, sentence_to_json, triplet_from_json
+from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, check_int, sentence_from_json, sentence_to_json, triplet_from_json
 from .encoder import EncoderConfig, encode_texts, triplet_to_string
 
 INDEX_FORMAT_VERSION = 2
@@ -43,7 +45,8 @@ class IndexFormatError(ValueError):
 @dataclass(frozen=True, slots=True)
 class IndexNode:
     """One indexed payload with its id (its row), the index's kind and its row
-    view of the index matrix; made by ``VectorIndex``, slotted (no ``__dict__``)."""
+    view of the index matrix; built only by ``VectorIndex.nodes``, slotted (no
+    ``__dict__``)."""
 
     id: int
     kind: str
@@ -56,21 +59,23 @@ class VectorIndex:
     """``payloads[i]`` under unit row ``i`` of one read-only ``(len(payloads),
     encoder_config.dimension)`` float64 matrix, ``_matrix``: a C-contiguous
     float64 ``vectors`` array is adopted without a copy, anything else is
-    copied. ``nodes`` holds one ``IndexNode`` per payload, in id order, whose
-    ``vector`` is a row view of the matrix. Indexes compare by identity."""
+    copied. ``payloads`` is stored as a tuple. ``nodes``, one ``IndexNode``
+    per row in id order whose ``vector`` is a read-only row view of the
+    matrix, is built on first access; nothing in ``kgte`` reads it. Indexes
+    compare by identity."""
 
     kind: str
-    payloads: InitVar[Sequence[Triplet | AnnotatedSentence]]
+    payloads: tuple[Triplet | AnnotatedSentence, ...] = field(repr=False)
     vectors: InitVar[np.ndarray | Sequence[np.ndarray]]
     encoder_config: EncoderConfig
-    nodes: tuple[IndexNode, ...] = field(init=False, repr=False)
     _matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, payloads, vectors) -> None:
+    def __post_init__(self, vectors) -> None:
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown index kind {self.kind!r}")
-        if not payloads:
+        if not self.payloads:
             raise ValueError("index has no nodes")
+        payloads = tuple(self.payloads)
         matrix = np.ascontiguousarray(vectors, dtype=np.float64)
         if matrix.shape != (len(payloads), self.dimension):
             raise ValueError(f"vectors have shape {matrix.shape}, not (payloads, dim) {len(payloads), self.dimension}")
@@ -79,17 +84,23 @@ class VectorIndex:
         if not np.all(np.abs(norms - 1.0) <= _NORM_TOLERANCE):
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"node {worst} vector norm {norms[worst]} is not unit")
-        matrix.setflags(write=False)  # before the row views: a view keeps the flags it was made with
+        matrix.setflags(write=False)
+        object.__setattr__(self, "payloads", payloads)
         object.__setattr__(self, "_matrix", matrix)
-        nodes = tuple(IndexNode(i, self.kind, payload, row) for i, (payload, row) in enumerate(zip(payloads, matrix)))
-        object.__setattr__(self, "nodes", nodes)
+
+    @functools.cached_property
+    def nodes(self) -> tuple[IndexNode, ...]:
+        """One ``IndexNode`` per row, in id order, built on first access and
+        then kept; ``kgte`` never reads it, the benchmark's output checks do."""
+        rows = zip(self.payloads, self._matrix)
+        return tuple(IndexNode(i, self.kind, payload, row) for i, (payload, row) in enumerate(rows))
 
     @property
     def dimension(self) -> int:
         return self.encoder_config.dimension
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.payloads)
 
 
 def _example_embed_text(example: AnnotatedSentence, mode: str) -> str:
@@ -135,17 +146,19 @@ def build_index(
     return VectorIndex(kind, payloads, encode_texts(texts, config), config)
 
 
-def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode, float]]:
-    """Exact top-k by cosine score, descending; ties broken by ascending id.
+def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """Exact top-k ``(row id, cosine score)`` pairs, by score descending; ties
+    broken by ascending id.
 
-    Scans every node, then selects instead of sorting all scores: the k-th
-    largest score is found with a partial selection, every node scoring at
-    least that much is a candidate (so all nodes tied at the k-th position
-    compete), and only the candidates are ordered by (-score, id). Returns
-    min(k, len(index)) entries, the same as a full stable sort would.
+    Scores every row with one matrix-vector product, then selects instead of
+    sorting all scores: the k-th largest score is found with a partial
+    selection, every row scoring at least that much is a candidate (so all
+    rows tied at the k-th position compete), and only the candidates are
+    ordered by (-score, id). Returns min(k, len(index)) pairs, the same as a
+    full stable sort would. ``k`` must be an ``int`` of at least 1; a
+    ``bool``, a float or a numpy integer is rejected, as for N_KB.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int("k", k, 1)
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.dimension,):
         raise ValueError(f"query dimension {query.shape} does not match index dimension {index.dimension}")
@@ -154,13 +167,13 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[IndexNode
     k = min(k, n)
     candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
     order = candidates[np.lexsort((candidates, -scores[candidates]))[:k]]
-    return [(index.nodes[i], float(scores[i])) for i in order]
+    return list(zip(order.tolist(), scores[order].tolist()))
 
 
-def _payload_to_json(node: IndexNode):
-    if node.kind == "triplet":
-        return list(node.payload.as_tuple())
-    return sentence_to_json(node.payload)
+def _payload_to_json(kind: str, payload: Triplet | AnnotatedSentence):
+    if kind == "triplet":
+        return list(payload.as_tuple())
+    return sentence_to_json(payload)
 
 
 def index_matrix_path(path: str | Path) -> Path:
@@ -179,8 +192,8 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
 
     The matrix goes, bit-exact, to ``index_matrix_path(path)`` (written
     first), and a JSON header to ``path``: format version, dimension, metric,
-    kind, every ``EncoderConfig`` field, the ``.npy`` file name and the node
-    payloads in id order. Missing parent directories are created.
+    kind, every ``EncoderConfig`` field, the ``.npy`` file name and the
+    payloads in row order. Missing parent directories are created.
     """
     path = Path(path)
     matrix_path = index_matrix_path(path)
@@ -193,7 +206,7 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
         "kind": index.kind,
         "encoder": dataclasses.asdict(index.encoder_config),
         "matrix": matrix_path.name,
-        "payloads": [_payload_to_json(node) for node in index.nodes],
+        "payloads": [_payload_to_json(index.kind, payload) for payload in index.payloads],
     }
     path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
     return matrix_path

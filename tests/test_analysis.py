@@ -406,14 +406,14 @@ class TestIndexDataset:
         got = index_dataset(dataset, "example", 1.0, 3, "sentence+triplets", config)
         want = build_index(build_kb(dataset.train, dataset.validation), "example", "sentence+triplets", config)
         assert np.array_equal(got._matrix, want._matrix)
-        assert [n.payload for n in got.nodes] == [n.payload for n in want.nodes]
+        assert got.payloads == want.payloads
 
     def test_downscaled_index_matches_downscale_kb(self, pair_manifest):
         dataset = load_dataset(pair_manifest)
         config = EncoderConfig(dimension=64)
         kb = downscale_kb(build_kb(dataset.train, dataset.validation), 0.4, 5)
         got = index_dataset(dataset, "triplet", 0.4, 5, "sentence", config)
-        assert [n.payload for n in got.nodes] == list(kb.triplets)
+        assert got.payloads == kb.triplets
         assert np.array_equal(got._matrix, build_index(kb, "triplet", config=config)._matrix)
 
     def test_empty_retained_kb_gives_none(self, pair_manifest):

@@ -159,6 +159,43 @@ class TestConstructorContract:
         assert hash(a) == hash(a.as_tuple()) == hash(Triplet("ROME", "capital of", "italy"))
 
 
+# few distinct values, so that a list of them repeats triplets often
+_few_triplets = st.builds(Triplet, st.sampled_from("abc"), st.sampled_from("rs"), st.sampled_from("xy"))
+
+
+class TestSentenceContract:
+    """``AnnotatedSentence(text, gold)`` keeps ``text`` as given and stores
+    ``gold`` once, as a tuple deduplicated in first-occurrence order."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(text=st.text(st.sampled_from("a \t\u3000"), max_size=4), gold=st.lists(_few_triplets, max_size=8))
+    def test_gold_is_deduplicated_in_first_occurrence_order(self, text, gold):
+        if not text.strip():
+            with pytest.raises(ValueError, match="^sentence text is empty$"):
+                AnnotatedSentence(text, tuple(gold))
+            return
+        expected = tuple(dict.fromkeys(gold))
+        for given_gold in (gold, tuple(gold), iter(gold)):
+            sentence = AnnotatedSentence(text, given_gold)
+            assert sentence.text is text
+            assert type(sentence.gold) is tuple and sentence.gold == expected
+            assert all(a is b for a, b in zip(sentence.gold, expected, strict=True))
+
+    def test_replace_pickle_equality_and_hash(self):
+        t, u = Triplet("a", "r", "b"), Triplet("c", "r", "d")
+        s = AnnotatedSentence("one", (t, u, Triplet("A", "R", "B")))
+        assert s == AnnotatedSentence(text="one", gold=[t, u]) and s != AnnotatedSentence("one", (u, t))
+        assert hash(s) == hash(AnnotatedSentence("one", (t, u))) == hash(("one", (t, u)))
+        replaced = dataclasses.replace(s, gold=(u, u, t))
+        assert replaced.gold == (u, t) and replaced.text is s.text
+        with pytest.raises(ValueError, match="^sentence text is empty$"):
+            dataclasses.replace(s, text=" ")
+        assert pickle.loads(pickle.dumps(s)) == s
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.gold = ()
+        assert repr(s) == f"AnnotatedSentence(text='one', gold={(t, u)!r})"
+
+
 class TestSurfaceMemo:
     def test_reload_normalizes_each_distinct_raw_surface_once(self, mini_manifest, monkeypatch):
         raw_surfaces = set()

@@ -145,4 +145,4 @@ def test_index_example_payload_without_triplets_loads(tmp_path):
     path = tmp_path / "index.json"
     save_index(build_index(kb, "example", config=EncoderConfig(dimension=16)), path)
     assert json.loads(path.read_text())["payloads"] == [{"text": "no facts here", "triplets": []}]
-    assert load_index(path).nodes[0].payload == AnnotatedSentence("no facts here", ())
+    assert load_index(path).payloads[0] == AnnotatedSentence("no facts here", ())

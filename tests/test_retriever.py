@@ -115,8 +115,8 @@ class TestRetrieveTriplets:
         index = _planted_triplet_index(records)
         query = encode(records[2].text, index.encoder_config)
         for k in range(1, 10):
-            shorter = [node.id for node, _ in top_k(index, query, k)]
-            longer = [node.id for node, _ in top_k(index, query, k + 1)]
+            shorter = [i for i, _ in top_k(index, query, k)]
+            longer = [i for i, _ in top_k(index, query, k + 1)]
             assert longer[:k] == shorter
 
 

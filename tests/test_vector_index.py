@@ -13,12 +13,14 @@ from kgte import (
     AnnotatedSentence,
     EncoderConfig,
     IndexFormatError,
+    IndexNode,
     Triplet,
     VectorIndex,
     build_index,
     build_kb,
     encode,
     load_index,
+    retrieve_contexts,
     save_index,
     top_k,
 )
@@ -26,14 +28,14 @@ from kgte.corpus import normalize_surface
 
 
 def brute_force_top_k(index, query, k):
-    """Independent oracle: per-node python-float dot, full sort by
+    """Independent oracle: per-row python-float dot, full sort by
     (-score, id)."""
     scored = []
-    for node in index.nodes:
+    for row_id, row in enumerate(index._matrix):
         score = 0.0
         for i in range(index.dimension):
-            score += float(node.vector[i]) * float(query[i])
-        scored.append((node.id, score))
+            score += float(row[i]) * float(query[i])
+        scored.append((row_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
@@ -79,14 +81,13 @@ class TestBuildIndex:
         kb = small_kb()
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=64))
         assert len(index) == 3
-        assert [node.id for node in index.nodes] == [0, 1, 2]
-        assert [node.payload for node in index.nodes] == list(kb.triplets)
+        assert index.payloads == kb.triplets
 
     def test_duplicate_triplet_across_examples_single_node(self):
         # t1 appears in two examples but the KB deduplicates upstream
         kb = small_kb()
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=64))
-        subjects = [node.payload for node in index.nodes]
+        subjects = list(index.payloads)
         assert len(subjects) == len(set(subjects))
 
     def test_example_nodes_sentence_only_mode(self):
@@ -94,7 +95,7 @@ class TestBuildIndex:
         config = EncoderConfig(dimension=64)
         index = build_index(kb, "example", "sentence", config)
         assert len(index) == 3
-        assert index.nodes[0].payload is kb.examples[0]
+        assert index.payloads[0] is kb.examples[0]
 
     def test_identical_sentences_same_vector_distinct_payloads(self):
         t1 = Triplet("a", "r1", "b")
@@ -104,11 +105,11 @@ class TestBuildIndex:
         kb = build_kb([s1], [s2])
         config = EncoderConfig(dimension=64)
         index = build_index(kb, "example", "sentence", config)
-        assert np.array_equal(index.nodes[0].vector, index.nodes[1].vector)
-        assert index.nodes[0].payload != index.nodes[1].payload
+        assert np.array_equal(index._matrix[0], index._matrix[1])
+        assert index.payloads[0] != index.payloads[1]
         # sentence+triplets mode separates them
         combined = build_index(kb, "example", "sentence+triplets", config)
-        assert not np.array_equal(combined.nodes[0].vector, combined.nodes[1].vector)
+        assert not np.array_equal(combined._matrix[0], combined._matrix[1])
 
     def test_embed_mode_rejected_on_a_triplet_index(self):
         with pytest.raises(ValueError, match="needs an example index"):
@@ -124,21 +125,21 @@ class TestBuildIndex:
 class TestTopK:
     def test_query_equal_to_node_vector_ranks_first(self):
         index, _ = random_unit_index(50, 16, seed=1)
-        query = index.nodes[17].vector
+        query = index._matrix[17]
         ranked = top_k(index, query, 3)
-        assert ranked[0][0].id == 17
+        assert ranked[0][0] == 17
         assert ranked[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_k_larger_than_node_count_returns_all(self):
         index, _ = random_unit_index(5, 8, seed=2)
-        assert len(top_k(index, index.nodes[0].vector, 50)) == 5
+        assert len(top_k(index, index._matrix[0], 50)) == 5
 
     def test_matches_brute_force_oracle(self):
         index, rng = random_unit_index(200, 16, seed=3)
         for _ in range(10):
             query = rng.normal(size=16)
             query /= np.linalg.norm(query)
-            got = [(node.id, score) for node, score in top_k(index, query, 10)]
+            got = top_k(index, query, 10)
             expected = brute_force_top_k(index, query, 10)
             assert [i for i, _ in got] == [i for i, _ in expected]
             for (_, a), (_, b) in zip(got, expected):
@@ -150,17 +151,17 @@ class TestTopK:
         payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(4)]
         index = VectorIndex("triplet", payloads, [v, v, v, v], config)
         ranked = top_k(index, v, 4)
-        assert [node.id for node, _ in ranked] == [0, 1, 2, 3]
+        assert [i for i, _ in ranked] == [0, 1, 2, 3]
 
     def test_scores_non_increasing_ids_increase_on_ties(self):
         index, rng = random_unit_index(100, 8, seed=4)
         query = rng.normal(size=8)
         query /= np.linalg.norm(query)
         ranked = top_k(index, query, 100)
-        for (na, sa), (nb, sb) in zip(ranked, ranked[1:]):
+        for (ia, sa), (ib, sb) in zip(ranked, ranked[1:]):
             assert sa >= sb
             if sa == sb:
-                assert na.id < nb.id
+                assert ia < ib
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -174,8 +175,7 @@ class TestTopK:
         )
         query = np.array(query, dtype=np.float64)
         for k in range(1, len(index) + 2):
-            got = [(node.id, score) for node, score in top_k(index, query, k)]
-            assert got == brute_force_top_k(index, query, k)
+            assert top_k(index, query, k) == brute_force_top_k(index, query, k)
 
     def test_dimension_mismatch_rejected(self):
         index, _ = random_unit_index(5, 8)
@@ -185,7 +185,21 @@ class TestTopK:
     def test_k_must_be_positive(self):
         index, _ = random_unit_index(5, 8)
         with pytest.raises(ValueError):
-            top_k(index, index.nodes[0].vector, 0)
+            top_k(index, index._matrix[0], 0)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2", np.int64(2), None])
+    def test_k_must_be_an_int(self, k):
+        index, _ = random_unit_index(5, 8)
+        with pytest.raises(ValueError, match="k must be an int"):
+            top_k(index, index._matrix[0], k)
+
+    def test_returns_row_ids_and_scores_as_python_numbers(self):
+        index, _ = random_unit_index(20, 8, seed=5)
+        ranked = top_k(index, index._matrix[3], 4)
+        scores = index._matrix @ index._matrix[3]
+        for row_id, score in ranked:
+            assert type(row_id) is int and type(score) is float
+            assert score == scores[row_id]
 
 
 class TestConstructor:
@@ -195,7 +209,7 @@ class TestConstructor:
         index = VectorIndex("triplet", payloads, matrix, EncoderConfig(dimension=4))
         assert index._matrix is matrix
         assert not matrix.flags.writeable
-        assert [(n.id, n.kind, n.payload) for n in index.nodes] == [(i, "triplet", p) for i, p in enumerate(payloads)]
+        assert index.payloads == tuple(payloads)
 
     def test_dimension_is_the_encoder_configs(self):
         index, _ = random_unit_index(3, 8)
@@ -262,6 +276,13 @@ class TestImmutability:
         for node in index.nodes:
             assert not hasattr(node, "__dict__")
 
+    def test_payloads_and_nodes_cannot_be_reassigned(self):
+        index, _ = random_unit_index(3, 4)
+        for name in ("payloads", "nodes"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(index, name, ())
+        assert isinstance(index.payloads, tuple)
+
     def test_non_unit_vector_rejected(self):
         config = EncoderConfig(dimension=4)
         with pytest.raises(ValueError):
@@ -269,6 +290,32 @@ class TestImmutability:
                 "triplet", [Triplet("a", "r", "b")], [np.array([1.0, 1.0, 0.0, 0.0])], config
             )
 
+
+class TestNoPerRowObjects:
+    """Building, retrieving, saving and loading make no per-row object;
+    ``nodes`` makes one ``IndexNode`` per row on first access."""
+
+    @pytest.mark.parametrize("kind", ["triplet", "example"])
+    def test_no_path_builds_nodes_until_they_are_read(self, tmp_path, kind):
+        kb = small_kb()
+        index = build_index(kb, kind, config=EncoderConfig(dimension=16))
+        texts = [example.text for example in kb.examples]
+        contexts = retrieve_contexts(texts, index, [1, 2])
+        top_k(index, index._matrix[0], 2)
+        save_index(index, tmp_path / "index.json")
+        reloaded = load_index(tmp_path / "index.json")
+        assert retrieve_contexts(texts, reloaded, [1, 2]) == contexts
+        for built in (index, reloaded):
+            assert "nodes" not in vars(built)
+            nodes = built.nodes
+            assert [(n.id, n.kind) for n in nodes] == [(i, kind) for i in range(len(built))]
+            assert all(n.payload is p for n, p in zip(nodes, built.payloads, strict=True))
+            for node in nodes:
+                assert type(node) is IndexNode
+                assert np.shares_memory(node.vector, built._matrix)
+                assert np.array_equal(node.vector, built._matrix[node.id])
+                assert not node.vector.flags.writeable
+            assert built.nodes is nodes and vars(built)["nodes"] is nodes
 
 
 def _payload_text():
@@ -315,13 +362,12 @@ class TestPersistence:
         reloaded = load_index(path)
         assert np.array_equal(reloaded._matrix, index._matrix)
         assert reloaded._matrix.dtype == np.float64 and reloaded._matrix.flags.c_contiguous
-        assert [n.payload for n in reloaded.nodes] == [n.payload for n in index.nodes]
+        assert reloaded.payloads == index.payloads
         assert reloaded.encoder_config == index.encoder_config
         queries = np.random.default_rng(query_seed).normal(size=(3, matrix.shape[1]))
         for query in [*queries, matrix[0]]:
             for k in range(1, len(index) + 1):
-                before = [(n.id, score) for n, score in top_k(index, query, k)]
-                assert [(n.id, score) for n, score in top_k(reloaded, query, k)] == before
+                assert top_k(reloaded, query, k) == top_k(index, query, k)
 
     def test_round_trip_example_index(self, tmp_path):
         kb = small_kb()
@@ -330,7 +376,7 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(index, path)
         reloaded = load_index(path)
-        assert [n.payload for n in reloaded.nodes] == list(kb.examples)
+        assert reloaded.payloads == kb.examples
 
     def test_matrix_written_beside_the_header(self, tmp_path):
         index = build_index(small_kb(), "triplet", config=EncoderConfig(dimension=16))
@@ -418,9 +464,7 @@ class TestPersistence:
         for _ in range(5):
             query = rng.normal(size=32)
             query /= np.linalg.norm(query)
-            before = [(n.id, score) for n, score in top_k(index, query, 10)]
-            after = [(n.id, score) for n, score in top_k(reloaded, query, 10)]
-            assert before == after
+            assert top_k(reloaded, query, 10) == top_k(index, query, 10)
 
 
 class TestSharedSurfaces:
@@ -430,7 +474,7 @@ class TestSharedSurfaces:
         path = tmp_path / "index.json"
         save_index(build_index(kb, kind, config=EncoderConfig(dimension=16)), path)
         reloaded = load_index(path)
-        payloads = [node.payload for node in reloaded.nodes]
+        payloads = list(reloaded.payloads)
         triplets = payloads if kind == "triplet" else [t for ex in payloads for t in ex.gold]
         by_value = {}
         for t in list(kb.triplets) + triplets:
