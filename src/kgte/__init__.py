@@ -35,7 +35,6 @@ from .encoder import (
     EncodeError,
     EncoderConfig,
     ExternalEncoderClient,
-    cosine,
     encode,
     encode_texts,
     triplet_to_string,
@@ -65,8 +64,6 @@ from .prompting import (
     PromptBudgetError,
     PromptInstance,
     PromptTemplate,
-    catalog,
-    export_catalog,
     get_template,
     render,
 )

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -29,17 +28,14 @@ TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
 class RetryPolicy:
     max_retries: int = 2
     backoff_base: float = 0.25
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         check_int("max_retries", self.max_retries, 0)
-        for name in ("backoff_base", "backoff_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
 
     def delay(self, attempt: int) -> float:
-        return self.backoff_base * self.backoff_factor**attempt
+        return self.backoff_base * 2**attempt
 
 
 class TransportError(RuntimeError):
@@ -66,11 +62,11 @@ def post_json(
     url: str,
     payload: dict,
     *,
-    headers: Mapping[str, str] | None = None,
-    timeout: float = 60.0,
-    policy: RetryPolicy | None = None,
-    transport: Transport | None = None,
-    sleeper: Callable[[float], None] = time.sleep,
+    headers: Mapping[str, str],
+    timeout: float,
+    policy: RetryPolicy,
+    transport: Transport | None,
+    sleeper: Callable[[float], None],
 ) -> dict:
     """POST a JSON payload and return the JSON object the endpoint answers,
     retrying transient failures with exponential backoff.
@@ -81,9 +77,7 @@ def post_json(
     Other non-2xx statuses, and a 2xx body that is not a JSON object, raise
     ``APIError`` at once; any other exception from the transport propagates.
     """
-    policy = policy or RetryPolicy()
     transport = transport or _requests_transport
-    headers = headers or {}
     last_failure: str = "no attempt made"
     for attempt in range(policy.max_retries + 1):
         try:

@@ -336,16 +336,27 @@ def run_experiment(
     and flagged in the per-sentence log. When ``out_dir`` is given, writes
     ``report.json``, ``sentences.jsonl``, and ``spec.json`` for replay.
     """
+    _check_llm_client(spec, llm_client)
     result = _run_on(spec, load_dataset(spec.manifest), llm_client)
     if out_dir is not None:
         _write_artifacts(result, Path(out_dir))
     return result
 
 
+def _check_llm_client(spec: ExperimentRunSpec, llm_client: RemoteLLMClient | None) -> None:
+    """A client exactly with the ``llm`` extractor, sending the spec's generation
+    config: the spec sets the budget, pool size and spec.json, the client what is sent."""
+    if spec.extractor != "llm":
+        if llm_client is not None:
+            raise ValueError(f"extractor {spec.extractor!r} would ignore the llm_client; pass one only with 'llm'")
+    elif llm_client is None:
+        raise ValueError("extractor 'llm' requires a RemoteLLMClient")
+    elif llm_client.config != spec.generation:
+        raise ValueError(f"the llm_client's generation config {llm_client.config} differs from the spec's {spec.generation}")
+
+
 def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClient | None) -> ExperimentResult:
     """``run_experiment`` on an already loaded dataset, writing nothing."""
-    if spec.extractor == "llm" and llm_client is None:
-        raise ValueError("extractor 'llm' requires a RemoteLLMClient")
     sentences = dataset.split(spec.split)
     max_triplets = dataset.max_triplets
     template = get_template(spec.prompt_kind, spec.mode)
@@ -467,6 +478,7 @@ def run_ablation(
     P_S is ``context_hit_probability`` over the contexts the run itself
     retrieved, so the dataset is loaded once and each scale builds its KB and
     index once. A scale whose KB is empty gives empty contexts and P_S = 0.
+    The runs' generation config is ``llm_client``'s, when one is given.
     """
     if mode not in CONTEXT_MODES:
         raise ValueError("ablation runs in a KB-augmented mode")
@@ -480,7 +492,9 @@ def run_ablation(
         embed_mode=embed_mode,
         dimension=dimension,
         ngram_range=ngram_range,
+        generation=llm_client.config if llm_client is not None else GenerationConfig(),
     )
+    _check_llm_client(spec, llm_client)
     specs = [dataclasses.replace(spec, scale=scale) for scale in scales]  # every scale checked before the load
     dataset = load_dataset(spec.manifest)
     points = []

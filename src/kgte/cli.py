@@ -85,7 +85,7 @@ def _encoder_config(args) -> EncoderConfig:
 def _add_encoder_flags(parser: argparse.ArgumentParser, *, external: bool) -> None:
     """``external`` adds the external-provider flags, for the commands that
     build an index themselves; experiment runs always use hashed n-grams."""
-    parser.add_argument("--dimension", type=int, default=384)
+    parser.add_argument("--dimension", type=int, default=EncoderConfig.dimension)
     lo, hi = (argparse.SUPPRESS, argparse.SUPPRESS) if external else EncoderConfig.ngram_range
     parser.add_argument("--ngram-min", type=int, default=lo)
     parser.add_argument("--ngram-max", type=int, default=hi)
@@ -130,6 +130,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.llm_url is not None and args.extractor != "llm":
+        raise ValueError(f"--llm-url is only used with --extractor llm, not {args.extractor!r}")
     spec = ExperimentRunSpec(
         manifest=args.manifest,
         mode=args.mode,
@@ -295,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
-    p.add_argument("--model", default="llama-65b")
-    p.add_argument("--temperature", type=float, default=0.1)
+    p.add_argument("--model", default=GenerationConfig.model)
+    p.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
     p.add_argument("--budget", type=int)
     p.add_argument("--llm-url", help="chat-completions base URL (required for --extractor llm)")
     p.add_argument("--out", required=True, help="directory for report.json, sentences.jsonl, spec.json")

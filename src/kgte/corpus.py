@@ -23,7 +23,7 @@ meaningful between dataset labels, index payloads and generator output, and
 interns them: each distinct normalized surface is one ``str`` object shared by
 every triplet that carries it, whichever path built the triplet. Sentence text
 is kept raw. ``canonical_surface`` memoizes the first ``SURFACE_MEMO_SIZE`` raw surfaces
-(full: a 0.4 MB dict plus its raw keys); the earlier code normalized every field.
+(full: a 0.4 MB dict plus its raw keys).
 """
 
 from __future__ import annotations

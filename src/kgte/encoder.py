@@ -1,4 +1,4 @@
-"""Text embedding providers and cosine similarity.
+"""Text embedding providers.
 
 ``encode_texts`` is the one entry point: index builds and queries alike get
 their embeddings from it as the rows of one float64 matrix, L2-normalized so
@@ -118,13 +118,6 @@ def encode_texts(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
     for start in range(0, len(texts), EXTERNAL_BLOCK):
         matrix[start : start + EXTERNAL_BLOCK] = client.encode_batch(texts[start : start + EXTERNAL_BLOCK], start)
     return matrix
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two equal-dimension vectors (cosine for unit vectors)."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
 
 
 @dataclass

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Sequence
 
 from ._transport import APIError, HTTPClient, RetryPolicy, Transport
 from .corpus import AnnotatedSentence, Triplet, check_int
-from .evaluation import sentence_f1
 from .prompting import PromptInstance
 from .retriever import RetrievedContext
 

@@ -1,4 +1,4 @@
-"""Prompt catalog and rendering.
+"""Prompt templates and rendering.
 
 Three prompt kinds (base, chain-of-thought, documented) crossed with four
 modes: ``zero`` (no context), ``static2`` (two fixed examples), ``triplets``
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import AnnotatedSentence, Triplet
 from .encoder import triplet_to_string
@@ -118,27 +117,10 @@ def _build_body(kind: str, mode: str) -> str:
     return "".join(parts)
 
 
-def catalog() -> list[PromptTemplate]:
-    """All built-in templates: every prompt kind in every mode."""
-    return [get_template(kind, mode) for kind in PROMPT_KINDS for mode in MODES]
-
-
 def get_template(kind: str, mode: str) -> PromptTemplate:
     if kind not in PROMPT_KINDS:  # before the body is built; the template checks the mode
         raise ValueError(f"unknown prompt kind {kind!r}")
     return PromptTemplate(kind=kind, mode=mode, body=_build_body(kind, mode))
-
-
-def export_catalog(directory: str | Path) -> list[Path]:
-    """Write every template body to a plain-text file for auditing."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for template in catalog():
-        path = directory / f"{template.kind}__{template.mode}.txt"
-        path.write_text(template.body, encoding="utf-8")
-        paths.append(path)
-    return paths
 
 
 def _context_payloads(template: PromptTemplate, context: RetrievedContext | None) -> list:

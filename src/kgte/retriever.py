@@ -48,21 +48,11 @@ class RetrievedContext:
     def n_returned(self) -> int:
         return len(self.items)
 
-    def triplets(self) -> list[Triplet]:
-        if self.mode != "triplets":
-            raise ValueError("not a triplets context")
-        return [t for t, _ in self.items]
-
-    def examples(self) -> list[AnnotatedSentence]:
-        if self.mode != "examples":
-            raise ValueError("not an examples context")
-        return [ex for ex, _ in self.items]
-
     def ranked_triplets(self) -> list[Triplet]:
         """Context triplets in rank order; for example contexts, gold triplets
         concatenated in example rank order, deduplicated."""
         if self.mode == "triplets":
-            return self.triplets()
+            return [t for t, _ in self.items]
         return list(dict.fromkeys(t for ex, _ in self.items for t in ex.gold))
 
     def triplet_set(self) -> frozenset[Triplet]:

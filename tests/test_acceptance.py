@@ -167,7 +167,7 @@ def test_criterion_3_diversity_filter_and_monotone_growth():
     for record in records[:10]:
         previous: set = set()
         for n_kb in range(1, 21):
-            current = set(retrieve_triplets(record.text, index, n_kb).triplets())
+            current = set(retrieve_triplets(record.text, index, n_kb).ranked_triplets())
             assert previous <= current
             previous = current
     report(3, "10k filtered lists stable with <=2 per predicate; growth monotone for N_KB 1..20")

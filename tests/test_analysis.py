@@ -213,9 +213,27 @@ class TestRunExperiment:
         failed = [run for run in result.runs if run.error is not None]
         assert all(run.predictions == () for run in failed)
 
-    def test_llm_extractor_requires_client(self, single_manifest):
-        with pytest.raises(ValueError):
+    def test_llm_extractor_requires_client(self, single_manifest, monkeypatch):
+        monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
+        with pytest.raises(ValueError, match="requires a RemoteLLMClient"):
             run_experiment(spec_for(single_manifest, mode="zero", extractor="llm"))
+
+    @pytest.mark.parametrize(
+        "extractor,spec_config,client_config,needle",
+        [
+            ("llm", GenerationConfig(model="gpt2-base"), GenerationConfig(), "differs from the spec's"),
+            ("llm", GenerationConfig(), GenerationConfig(in_flight=3), "differs from the spec's"),
+            ("random", GenerationConfig(), GenerationConfig(), "would ignore the llm_client"),
+        ],
+        ids=["model-mismatch", "in-flight-mismatch", "pure-extractor"],
+    )
+    def test_client_checked_before_the_load(self, single_manifest, monkeypatch, extractor, spec_config, client_config, needle):
+        # the spec sets the budget, pool size and spec.json; the client what is sent
+        monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
+        client = RemoteLLMClient("http://llm.local", client_config, api_key="k")
+        spec = spec_for(single_manifest, mode="zero", extractor=extractor, generation=spec_config)
+        with pytest.raises(ValueError, match=needle):
+            run_experiment(spec, llm_client=client)
 
     def test_llm_calls_run_concurrently_but_aggregate_in_order(self, single_manifest):
         import threading
@@ -463,7 +481,7 @@ class TestRandomModelStudy:
             expected = 0.0
             largest = 0
             for record in records:
-                context = retrieve_triplets(record.text, index, n_kb).triplets()
+                context = retrieve_triplets(record.text, index, n_kb).ranked_triplets()
                 largest = max(largest, len(context))
                 gold = set(record.gold)
                 in_context = len(gold & set(context))
@@ -538,6 +556,30 @@ class TestRunAblation:
         monkeypatch.setattr(kgte.analysis, "load_dataset", counting_load_dataset)
         run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
         assert len(loads) == 1
+
+    @pytest.mark.parametrize(
+        "extractor,client_config,needle",
+        [("random", GenerationConfig(), "would ignore the llm_client"), ("llm", None, "requires a RemoteLLMClient")],
+        ids=["pure-extractor", "no-client"],
+    )
+    def test_client_checked_before_the_load(self, pair_manifest, monkeypatch, extractor, client_config, needle):
+        monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
+        client = None if client_config is None else RemoteLLMClient("http://llm.local", client_config, api_key="k")
+        with pytest.raises(ValueError, match=needle):
+            run_ablation(pair_manifest, scales=[1.0], seed=2, extractor=extractor, n_kb=2, dimension=128, llm_client=client)
+
+    def test_llm_runs_use_the_client_generation_config(self, pair_manifest):
+        models = []
+
+        def transport(url, payload, headers, timeout):
+            models.append(payload["model"])
+            return 200, json.dumps({"choices": [{"message": {"content": "(a, r, b)"}}]})
+
+        client = RemoteLLMClient("http://llm.local", GenerationConfig(model="gpt2-base", in_flight=2), api_key="k", transport=transport)
+        result = run_ablation(pair_manifest, scales=[0.5, 1.0], seed=2, extractor="llm", n_kb=2, dimension=128, llm_client=client)
+        assert len(result.points) == 2
+        assert models == ["gpt2-base"] * (2 * len(load_dataset(pair_manifest).test))
+        assert {entry["outcome"] for entry in client.request_log} == {"ok"}
 
     @pytest.mark.parametrize("scales", [[0.5, 1.5], [float("nan")], [-0.25, 1.0]])
     def test_scale_outside_unit_interval_rejected_before_any_run(self, pair_manifest, monkeypatch, scales):

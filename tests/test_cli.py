@@ -15,6 +15,8 @@ from kgte import Triplet, build_kb, load_dataset, triplet_to_string
 from kgte.analysis import EXTRACTORS
 from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
 from kgte.corpus import normalize_surface
+from kgte.encoder import EncoderConfig
+from kgte.extraction import GenerationConfig
 from kgte.prompting import MODES, PROMPT_KINDS
 from kgte.retriever import CONTEXT_MODES
 from conftest import DATA_DIR, MINI_STATS
@@ -180,6 +182,16 @@ class TestExtract:
         assert code == 1
         assert "llm-url" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    @pytest.mark.parametrize("extractor", ["random", "oracle-gold", "oracle-prefix"])
+    def test_llm_url_with_pure_extractor_exits_1_before_any_load(self, mini_manifest, tmp_path, capsys, monkeypatch, extractor):
+        monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
+        out = tmp_path / "run"
+        code = run_cli(["extract", "--manifest", str(mini_manifest), "--mode", "zero", "--extractor", extractor,
+                        "--llm-url", "http://unused.invalid", "--out", str(out)])
+        assert code == 1
+        assert "--llm-url" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["extract", "ablate"])
 def test_experiment_commands_reject_external_encoder_flags(command, planted_pair_manifest, tmp_path):
@@ -208,6 +220,12 @@ def test_setting_choices_are_the_library_names(command, dest, names):
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     action = next(a for a in subparsers.choices[command]._actions if a.dest == dest)
     assert tuple(action.choices) == names
+
+
+def test_extract_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["extract", "--manifest", "m", "--out", "o"])
+    assert GenerationConfig(model=args.model, temperature=args.temperature) == GenerationConfig()
+    assert EncoderConfig(dimension=args.dimension, ngram_range=(args.ngram_min, args.ngram_max)) == EncoderConfig()
 
 
 class TestEval:

@@ -18,7 +18,6 @@ from kgte import (
     ExternalEncoderClient,
     TransportError,
     Triplet,
-    cosine,
     encode,
     encode_texts,
     normalize_surface,
@@ -72,7 +71,7 @@ class TestHashedNgramEncoder:
     def test_self_cosine_is_one(self):
         config = EncoderConfig()
         v = encode("a sentence to embed", config)
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-6)
+        assert float(v @ v) == pytest.approx(1.0, abs=1e-6)
 
     def test_repeated_char_text_hits_single_slot(self):
         # every 3-gram of "aaaa" is "aaa", so exactly one coordinate is set
@@ -120,37 +119,6 @@ class TestHashedNgramEncoder:
     def test_single_word_permutation_atomic(self):
         config = EncoderConfig()
         assert np.array_equal(encode("hello", config), encode("hello", config))
-
-
-class TestCosine:
-    def test_orthogonal_and_antipodal(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        assert cosine(e1, e2) == 0.0
-        assert cosine(e1, -e1) == -1.0
-        assert cosine(e1, e1) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine(np.ones(3), np.ones(4))
-
-    def test_exactly_symmetric(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = rng.normal(size=64)
-            b = rng.normal(size=64)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            assert cosine(a, b) == cosine(b, a)
-
-    def test_bounded_for_unit_vectors(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            a = rng.normal(size=32)
-            b = rng.normal(size=32)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            assert abs(cosine(a, b)) <= 1.0 + 1e-9
 
 
 class TestEncoderConfig:

@@ -222,7 +222,7 @@ class TestSweepContextQuality:
         curve = sweep_context_quality(records, index, [1, 3, 5])
         golds = [list(r.gold) for r in records]
         for n_kb, p in curve.points:
-            contexts = [set(retrieve_triplets(r.text, index, n_kb).triplets()) for r in records]
+            contexts = [set(retrieve_triplets(r.text, index, n_kb).ranked_triplets()) for r in records]
             assert p == context_hit_probability(contexts, golds)
 
     def test_nested_downscale_is_pointwise_ordered(self):

@@ -8,8 +8,6 @@ from kgte import (
     PromptBudgetError,
     RetrievedContext,
     Triplet,
-    catalog,
-    export_catalog,
     get_template,
     render,
 )
@@ -26,13 +24,13 @@ def triplet_context(n, n_kb=None):
 
 class TestCatalog:
     def test_every_kind_in_every_shot_mode(self):
-        templates = catalog()
+        templates = [get_template(k, m) for k in PROMPT_KINDS for m in MODES]
         assert len(templates) == len(PROMPT_KINDS) * len(MODES)
         combos = {(t.kind, t.mode) for t in templates}
         assert combos == {(k, s) for k in PROMPT_KINDS for s in MODES}
 
     def test_placeholder_invariants(self):
-        for template in catalog():
+        for template in (get_template(k, m) for k in PROMPT_KINDS for m in MODES):
             assert template.body.count("{text}") == 1
             assert template.body.count("{max_triplets}") == 1
             assert template.body.count("{context}") == (template.mode in CONTEXT_MODES)
@@ -81,13 +79,6 @@ class TestCatalog:
         with pytest.raises(ValueError, match="placeholders"):
             PromptTemplate(kind="base", mode=mode, body=body)
 
-    def test_export_catalog(self, tmp_path):
-        paths = export_catalog(tmp_path / "prompts")
-        assert len(paths) == len(catalog())
-        for path in paths:
-            assert path.exists()
-            assert "{text}" in path.read_text()
-
 
 class TestRender:
     def test_zero_shot_substitution(self):
@@ -99,7 +90,7 @@ class TestRender:
         assert not instance.truncated
 
     def test_no_residual_placeholders(self):
-        for template in catalog():
+        for template in (get_template(k, m) for k in PROMPT_KINDS for m in MODES):
             context = triplet_context(2) if template.mode == "triplets" else None
             instance = render(template, "a sentence", 3, context)
             for placeholder in ("{text}", "{max_triplets}", "{context}"):

@@ -81,7 +81,7 @@ class TestRetrieveTriplets:
         index = _planted_triplet_index(records)
         for record in records[:5]:
             context = retrieve_triplets(record.text, index, 1)
-            assert context.triplets() == [record.gold[0]]
+            assert context.ranked_triplets() == [record.gold[0]]
             assert context.items[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_context_growth(self):
@@ -90,7 +90,7 @@ class TestRetrieveTriplets:
         for record in records[:5]:
             previous: set = set()
             for n_kb in range(1, 21):
-                current = set(retrieve_triplets(record.text, index, n_kb).triplets())
+                current = set(retrieve_triplets(record.text, index, n_kb).ranked_triplets())
                 assert previous <= current
                 previous = current
 
@@ -206,7 +206,7 @@ class TestRetrieveExamples:
         kb = build_kb(records[:7], records[7:])
         index = build_index(kb, "example", config=EncoderConfig(dimension=128))
         context = retrieve_examples(records[3].text, index, 5)
-        assert context.examples()[0] == records[3]
+        assert context.items[0][0] == records[3]
         assert context.n_returned == 5
 
     def test_no_diversity_filter_applied(self):
@@ -239,7 +239,7 @@ class TestRetrievedContext:
     def test_empty_context_helpers(self):
         context = empty_context("triplets", 5)
         assert context.n_returned == 0
-        assert context.triplets() == []
+        assert context.ranked_triplets() == []
         assert context.triplet_set() == frozenset()
 
     def test_example_context_triplet_union(self):
