@@ -185,8 +185,8 @@ class ExperimentRunSpec:
     seed: int = 0
     split: str = "test"
     embed_mode: str = "sentence"
-    dimension: int = 384
-    ngram_range: tuple[int, int] = (3, 5)
+    dimension: int = EncoderConfig.dimension
+    ngram_range: tuple[int, int] = EncoderConfig.ngram_range
     char_budget: int | None = None
     generation: GenerationConfig = field(default_factory=GenerationConfig)
 
@@ -466,8 +466,8 @@ def run_ablation(
     extractor: str = "random",
     n_kb: int = 5,
     prompt_kind: str = "base",
-    dimension: int = 384,
-    ngram_range: tuple[int, int] = (3, 5),
+    dimension: int = EncoderConfig.dimension,
+    ngram_range: tuple[int, int] = EncoderConfig.ngram_range,
     embed_mode: str = "sentence",
     llm_client: RemoteLLMClient | None = None,
 ) -> AblationResult:

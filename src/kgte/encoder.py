@@ -6,6 +6,12 @@ top-k by dot product equals top-k by cosine. The default provider hashes
 character n-grams (``encode`` is its one-text reference): deterministic
 across machines and dependency-free. Transformer-grade encoders plug in
 through the external provider, which posts blocks of texts to an endpoint.
+
+numpy is imported inside the functions that build arrays (``encode``,
+``encode_texts``, ``ExternalEncoderClient.encode_batch``), not at module
+level: ``import kgte`` then loads no numpy, and a run that embeds nothing
+(zero-shot and static 2-shot extraction, ``ingest``, ``eval``, ``fit``) never
+pays its import time and memory.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ import hashlib
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._transport import APIError, HTTPClient, Transport
 from .corpus import Triplet, check_int, normalize_surface
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROVIDERS = ("hashed-ngram", "external")
 
@@ -81,6 +88,8 @@ def encode(text: str, config: EncoderConfig) -> np.ndarray:
     every character n-gram in the configured range with a constant-seeded
     blake2b, accumulates counts modulo the dimension, and L2-normalizes.
     """
+    import numpy as np
+
     if config.provider != "hashed-ngram":
         raise ValueError(f"encode is the hashed n-gram reference; embed with encode_texts for {config.provider!r}")
     if not normalize_surface(text):
@@ -103,6 +112,8 @@ def encode_texts(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
     is the unit embedding of ``texts[i]``: ``encode(texts[i], config)`` for
     hashed n-grams; for the external provider, once every text is checked,
     one POST per block of ``EXTERNAL_BLOCK`` texts. Errors name the position."""
+    import numpy as np
+
     matrix = np.empty((len(texts), config.dimension))
     if config.provider == "hashed-ngram":
         for position, text in enumerate(texts):
@@ -143,6 +154,8 @@ class ExternalEncoderClient:
     def encode_batch(self, texts: Sequence[str], start: int = 0) -> list[np.ndarray]:
         """Embed ``texts`` as they are (``encode_texts`` checks them first) in
         one POST; an error about ``texts[i]`` names it text ``start + i``."""
+        import numpy as np
+
         if not texts:
             return []
         doc = self._http.post(self.config.endpoint, {"model": self.config.model, "input": list(texts)})

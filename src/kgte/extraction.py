@@ -168,8 +168,7 @@ def random_extract(
 
     An empty context yields an empty prediction.
     """
-    if max_triplets < 1:
-        raise ValueError("max_triplets must be >= 1")
+    check_int("max_triplets", max_triplets, 1)
     pool = context.ranked_triplets()
     if not pool:
         return []
@@ -185,8 +184,8 @@ def random_f1_closed_form(p: float, n_kb: int, n: int) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    if n_kb < 1 or n < 1:
-        raise ValueError("n_kb and n must be >= 1")
+    check_int("n_kb", n_kb, 1)
+    check_int("n", n, 1)
     if p == 0.0:
         return 0.0
     return (p / n_kb) ** n
@@ -204,8 +203,7 @@ def exhaustive_random_f1(
     draw of k = min(n, c) triplets has F1 = 2*tp/(k + G), and tp is
     hypergeometric with mean k*h/c, so E[F1 | n] = 2*k*h/(c*(k + G)); n is
     uniform on [1, max_triplets]. Exact at every context size."""
-    if max_triplets < 1:
-        raise ValueError("max_triplets must be >= 1")
+    check_int("max_triplets", max_triplets, 1)
     pool = set(triplets)
     if len(pool) != len(triplets):
         raise ValueError("the random baseline draws from distinct triplets; the context repeats one")

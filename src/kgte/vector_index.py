@@ -9,6 +9,11 @@ then selects the top k exactly with a partial selection instead of a full
 sort: deterministic, and fast enough at the KB sizes this library targets
 (tens of thousands of rows). It returns row ids and scores; ties are broken
 by ascending row id, at the k-th position too.
+
+As in ``encoder``, numpy is imported inside the functions that touch the
+matrix (``VectorIndex.__post_init__``, ``top_k``, ``save_index``,
+``load_index``), so importing this module loads no numpy; building, loading
+or querying an index loads it at the first array operation.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ import functools
 import json
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, check_int, sentence_from_json, sentence_to_json, triplet_from_json
 from .encoder import EncoderConfig, encode_texts, triplet_to_string
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INDEX_FORMAT_VERSION = 2
 NODE_KINDS = ("triplet", "example")
@@ -71,6 +77,8 @@ class VectorIndex:
     _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, vectors) -> None:
+        import numpy as np
+
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown index kind {self.kind!r}")
         if not self.payloads:
@@ -158,6 +166,8 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, floa
     full stable sort would. ``k`` must be an ``int`` of at least 1; a
     ``bool``, a float or a numpy integer is rejected, as for N_KB.
     """
+    import numpy as np
+
     check_int("k", k, 1)
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.dimension,):
@@ -195,6 +205,8 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
     kind, every ``EncoderConfig`` field, the ``.npy`` file name and the
     payloads in row order. Missing parent directories are created.
     """
+    import numpy as np
+
     path = Path(path)
     matrix_path = index_matrix_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -220,6 +232,8 @@ def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorI
     matrix is read whole into one array that the index adopts. Anything
     malformed in either file raises ``IndexFormatError`` naming the file.
     """
+    import numpy as np
+
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))

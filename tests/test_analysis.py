@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
@@ -265,6 +266,13 @@ class TestRunExperiment:
     def test_spec_round_trips_through_json(self, pair_manifest):
         spec = spec_for(pair_manifest, extractor="random", seed=9, char_budget=4000)
         assert ExperimentRunSpec.from_json(spec.to_json()) == spec
+
+    def test_encoder_defaults_are_encoder_configs(self):
+        defaults = EncoderConfig()
+        spec = ExperimentRunSpec(manifest="m", mode="zero", extractor="random")
+        assert (spec.dimension, spec.ngram_range) == (defaults.dimension, defaults.ngram_range)
+        params = inspect.signature(run_ablation).parameters
+        assert (params["dimension"].default, params["ngram_range"].default) == (defaults.dimension, defaults.ngram_range)
 
     def test_spec_json_golden(self):
         spec = ExperimentRunSpec(

@@ -431,6 +431,28 @@ class TestClosedForm:
             random_f1_closed_form(0.5, 0, 2)
 
 
+_POOL = make_triplets(3)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: exhaustive_random_f1(_POOL, _POOL, 2.5), "max_triplets"),
+        (lambda: exhaustive_random_f1(_POOL, _POOL, True), "max_triplets"),
+        (lambda: random_f1_closed_form(0.5, 2.5, 1), "n_kb"),
+        (lambda: random_f1_closed_form(0.5, True, 1), "n_kb"),
+        (lambda: random_f1_closed_form(0.5, 5, 2.0), "n"),
+        (lambda: random_extract(triplet_context([]), 2.5, random.Random(0)), "max_triplets"),
+        (lambda: random_extract(triplet_context(_POOL), True, random.Random(0)), "max_triplets"),
+    ],
+    ids=["exhaustive-float", "exhaustive-bool", "closed-form-float-nkb", "closed-form-bool-nkb",
+         "closed-form-float-n", "extract-empty-float", "extract-bool"],
+)
+def test_random_baseline_sizes_must_be_ints(call, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        call()
+
+
 class TestOracleExtract:
     def test_oracle_gold_is_perfect(self):
         for record in planted_single_records(5):

@@ -1,0 +1,127 @@
+"""numpy stays behind the embedding layer.
+
+Only ``encoder`` and ``vector_index`` compute with arrays, and they import
+numpy inside the functions that do (or under ``if TYPE_CHECKING:`` for
+annotations), so a process that embeds nothing never loads it. The AST walk
+keeps a module-level import from coming back. The subprocess checks run in
+fresh interpreters, because this one has numpy loaded already.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kgte
+from conftest import DATA_DIR
+from test_unused_imports import MODULES
+
+NUMPY_MODULES = {"encoder.py", "vector_index.py"}
+
+
+def _numpy_imports(tree: ast.Module) -> list[tuple[int, bool]]:
+    """Each import of numpy with its line and whether it is deferred: inside
+    a function body or under ``if TYPE_CHECKING:``."""
+    found = []
+
+    def visit(node: ast.AST, deferred: bool) -> None:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append((node.lineno, deferred))
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            for child in node.body:
+                visit(child, True)
+            for child in node.orelse:
+                visit(child, deferred)
+            return
+        inner = deferred or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(kgte.__file__)], ids=lambda p: p.name)
+def test_numpy_is_imported_only_where_arrays_are_built(path):
+    imports = _numpy_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    if path.name not in NUMPY_MODULES:
+        assert not imports, f"{path.name} imports numpy (line {imports[0][0]}); only {sorted(NUMPY_MODULES)} may"
+    eager = [line for line, deferred in imports if not deferred]
+    assert not eager, f"{path.name} imports numpy at module level (line {eager[0]}); import it inside the function"
+
+
+def test_the_walk_tells_deferred_from_eager_imports():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy.typing\n"
+        "else:\n"
+        "    from numpy import ndarray\n"
+        "class C:\n"
+        "    import numpy\n"
+        "    def f(self):\n"
+        "        from numpy.linalg import norm\n"
+        "import numbers\n"
+    )
+    assert _numpy_imports(ast.parse(source)) == [(2, False), (4, True), (6, False), (8, False), (10, True)]
+
+
+MANIFEST = DATA_DIR / "mini" / "manifest.json"
+
+# one snippet per run; each is run in a fresh interpreter, which then reports
+# whether numpy was loaded
+LOADS_NO_NUMPY = {
+    "load-and-kb": "ds = kgte.load_dataset(M); kgte.build_kb(ds.train, ds.validation)",
+    "extract-static2": "assert main(['extract', '--manifest', M, '--mode', 'static2', '--extractor', 'oracle-gold', '--out', W + '/x']) == 0",
+    "extract-zero": "assert main(['extract', '--manifest', M, '--mode', 'zero', '--extractor', 'random', '--out', W + '/x']) == 0",
+    "ingest": "assert main(['ingest', '--manifest', M, '--out', W + '/stats.json']) == 0",
+    "eval": "assert main(['eval', '--pred', W + '/pred.jsonl', '--gold', D + '/test.jsonl', '--out', W + '/r.json']) == 0",
+    "fit": "assert main(['fit', '--input', W + '/points.csv', '--out', W + '/fit.json']) == 0",
+}
+LOADS_NUMPY = {
+    "index": "assert main(['index', '--manifest', M, '--out', W + '/kb.index.json']) == 0",
+    "retrieve": (
+        "ds = kgte.load_dataset(M); index = kgte.build_index(kgte.build_kb(ds.train, ds.validation), 'triplet'); "
+        "kgte.retrieve_triplets(ds.test[0].text, index, 5)"
+    ),
+}
+
+
+def _loads_numpy(snippet: str, work: Path) -> bool:
+    (work / "pred.jsonl").write_text('[["Colosseum", "located_in", "Rome"]]\n[]\n[]\n[]\n', encoding="utf-8")
+    (work / "points.csv").write_text("x,y\n0,1\n1,3\n2,5\n", encoding="utf-8")
+    program = (
+        "import sys\n"
+        "import kgte\n"
+        "from kgte.cli import main\n"
+        f"M, D, W = {str(MANIFEST)!r}, {str(MANIFEST.parent)!r}, {str(work)!r}\n"
+        f"{snippet}\n"
+        "print(repr('numpy' in sys.modules))\n"
+    )
+    source = str(Path(kgte.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("snippet", LOADS_NO_NUMPY.values(), ids=LOADS_NO_NUMPY.keys())
+def test_runs_that_embed_nothing_load_no_numpy(snippet, tmp_path):
+    assert not _loads_numpy(snippet, tmp_path)
+
+
+@pytest.mark.parametrize("snippet", LOADS_NUMPY.values(), ids=LOADS_NUMPY.keys())
+def test_runs_that_embed_load_numpy(snippet, tmp_path):
+    assert _loads_numpy(snippet, tmp_path)
