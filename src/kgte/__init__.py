@@ -48,9 +48,8 @@ from .evaluation import (
     sweep_context_quality,
 )
 from .extraction import (
-    MODEL_CATALOG,
+    CONTEXT_WINDOWS,
     GenerationConfig,
-    ModelMeta,
     RemoteLLMClient,
     char_budget_for,
     exhaustive_random_f1,

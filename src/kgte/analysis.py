@@ -137,8 +137,7 @@ def random_model_study(
     exact one. The closed form is an approximation; its deviation is
     reported, not asserted.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials, 1)
     if index.kind != "triplet":
         raise ValueError("the random model study runs on a triplet index")
     golds = [set(s.gold) for s in sentences]
@@ -464,11 +463,11 @@ def run_ablation(
     *,
     mode: str = "triplets",
     extractor: str = "random",
-    n_kb: int = 5,
-    prompt_kind: str = "base",
+    n_kb: int = ExperimentRunSpec.n_kb,
+    prompt_kind: str = ExperimentRunSpec.prompt_kind,
     dimension: int = EncoderConfig.dimension,
     ngram_range: tuple[int, int] = EncoderConfig.ngram_range,
-    embed_mode: str = "sentence",
+    embed_mode: str = ExperimentRunSpec.embed_mode,
     llm_client: RemoteLLMClient | None = None,
 ) -> AblationResult:
     """Run the extraction pipeline on the test split once per scale, with the
@@ -496,6 +495,8 @@ def run_ablation(
     )
     _check_llm_client(spec, llm_client)
     specs = [dataclasses.replace(spec, scale=scale) for scale in scales]  # every scale checked before the load
+    if not specs:
+        raise ValueError("no scales to run")
     dataset = load_dataset(spec.manifest)
     points = []
     for scaled in specs:

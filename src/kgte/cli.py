@@ -273,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and persist a vector index from a dataset's KB")
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=NODE_KINDS, default="triplet")
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
+    p.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
+    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
     p.add_argument("--out", required=True, help="JSON header path; the matrix goes beside it with the suffix .npy")
     _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_index, usage_error=p.error)
@@ -283,20 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="retrieve KB context for one sentence")
     p.add_argument("--index", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--nkb", type=int, default=5)
+    p.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("extract", help="run the full extraction pipeline over a split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", choices=MODES, default="zero")
-    p.add_argument("--prompt", choices=PROMPT_KINDS, default="base")
+    p.add_argument("--prompt", choices=PROMPT_KINDS, default=ExperimentRunSpec.prompt_kind)
     p.add_argument("--extractor", choices=EXTRACTORS, default="llm")
-    p.add_argument("--nkb", type=int, default=5)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
+    p.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
+    p.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
+    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
+    p.add_argument("--split", choices=SPLIT_NAMES, default=ExperimentRunSpec.split)
+    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
     p.add_argument("--model", default=GenerationConfig.model)
     p.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
     p.add_argument("--budget", type=int)
@@ -314,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-p", help="context-quality curve P(N_KB) as CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=NODE_KINDS, default="triplet")
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
+    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
     p.add_argument("--nkb-list", type=_comma_list(int, "an integer"), required=True, help="comma-separated N_KB values, increasing")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
+    p.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
+    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
+    p.add_argument("--split", choices=SPLIT_NAMES, default=ExperimentRunSpec.split)
     p.add_argument("--out")
     _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_sweep_p, usage_error=p.error)
@@ -326,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="KB-downscale ablation with a linear fit of F1 vs P_S")
     p.add_argument("--manifest", required=True)
     p.add_argument("--scales", type=_comma_list(float, "a number"), default="0,0.1,0.25,0.5,1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
     p.add_argument("--mode", choices=CONTEXT_MODES, default="triplets")
     p.add_argument("--extractor", choices=EXTRACTORS, default="random")
-    p.add_argument("--nkb", type=int, default=5)
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default="sentence")
+    p.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
+    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
     p.add_argument("--out")
     p.add_argument("--points-out", help="also write the (P_S, F1) pairs as x,y CSV for `kgte fit`")
     _add_encoder_flags(p, external=False)

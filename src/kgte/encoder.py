@@ -60,13 +60,6 @@ class EncoderConfig:
         if self.provider == "external" and not (self.endpoint and self.model):
             raise ValueError("external provider requires endpoint and model")
 
-    @property
-    def fingerprint(self) -> str:
-        if self.provider == "hashed-ngram":
-            lo, hi = self.ngram_range
-            return f"hashed-ngram:dim={self.dimension}:ngrams={lo}-{hi}"
-        return f"external:model={self.model}:dim={self.dimension}"
-
 
 def triplet_to_string(triplet: Triplet) -> str:
     """Render a triplet as the "(subject, predicate, object)" string used for

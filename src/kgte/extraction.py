@@ -1,6 +1,10 @@
 """Triplet generation drivers: the remote LLM client, deterministic oracle
 extractors for end-to-end testing, and the random baseline with its
-(P/N_KB)^n scaling relation and its exact expectation."""
+(P/N_KB)^n scaling relation and its exact expectation.
+
+Of each model, only its context window is kept (``CONTEXT_WINDOWS``), for the
+prompt budget. Model size enters only the ``kgte fit --log-x`` fit, whose
+parameter counts come from its own CSV."""
 
 from __future__ import annotations
 
@@ -21,29 +25,16 @@ from .retriever import RetrievedContext
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ModelMeta:
-    model_id: str
-    n_par_billion: float
-    context_window: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.n_par_billion) and self.n_par_billion > 0):
-            raise ValueError(f"parameter count must be a finite number > 0, got {self.n_par_billion}")
-
-
-MODEL_CATALOG: dict[str, ModelMeta] = {
-    meta.model_id: meta
-    for meta in (
-        ModelMeta("gpt2-base", 0.1, 1024),
-        ModelMeta("gpt2-xl", 1.5, 1024),
-        ModelMeta("falcon-7b", 7, 2048),
-        ModelMeta("falcon-40b", 40, 2048),
-        ModelMeta("llama-13b", 13, 2048),
-        ModelMeta("llama-65b", 65, 2048),
-        ModelMeta("gpt-3.5", 175, 4096),  # parameter count unofficial
-        ModelMeta("gpt-4", 1760, 8192),  # parameter count unofficial
-    )
+# context window in tokens, by model id
+CONTEXT_WINDOWS: dict[str, int] = {
+    "gpt2-base": 1024,
+    "gpt2-xl": 1024,
+    "falcon-7b": 2048,
+    "falcon-40b": 2048,
+    "llama-13b": 2048,
+    "llama-65b": 2048,
+    "gpt-3.5": 4096,
+    "gpt-4": 8192,
 }
 
 _DEFAULT_CONTEXT_WINDOW = 4096
@@ -53,9 +44,7 @@ _CHARS_PER_TOKEN = 4
 def char_budget_for(model_id: str | None) -> int:
     """Prompt character budget from the model's context window (4 chars/token
     heuristic); unknown models get a conservative default window."""
-    meta = MODEL_CATALOG.get(model_id or "")
-    window = meta.context_window if meta else _DEFAULT_CONTEXT_WINDOW
-    return window * _CHARS_PER_TOKEN
+    return CONTEXT_WINDOWS.get(model_id or "", _DEFAULT_CONTEXT_WINDOW) * _CHARS_PER_TOKEN
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import Triplet
+from .corpus import Triplet, check_int
 
 # leading enumeration markers models like to emit: "1. ", "- ", "* "
 _MARKER_RE = re.compile(r"^(?:\d+\.|[-*])\s*")
@@ -55,8 +55,7 @@ def parse_triplets(raw: str, max_triplets: int) -> ParseOutcome:
     ``max_triplets`` triplets are kept (first occurrences win). Blank lines
     are ignored; every other unusable line increments ``malformed_lines``.
     """
-    if max_triplets < 1:
-        raise ValueError("max_triplets must be >= 1")
+    check_int("max_triplets", max_triplets, 1)
     collected: dict[Triplet, None] = {}
     malformed = 0
     for line in raw.splitlines():

@@ -50,8 +50,6 @@ class PromptTemplate:
 @dataclass(frozen=True)
 class PromptInstance:
     rendered: str
-    kind: str
-    mode: str
     context_items_included: int
     truncated: bool
 
@@ -155,13 +153,7 @@ def render(
             section = "\n\n".join(format_example_block(ex) for ex in kept)
         rendered = template.body.format(text=sentence, max_triplets=max_triplets, context=section)
         if budget is None or len(rendered) <= budget:
-            return PromptInstance(
-                rendered=rendered,
-                kind=template.kind,
-                mode=template.mode,
-                context_items_included=included,
-                truncated=included < len(items),
-            )
+            return PromptInstance(rendered, context_items_included=included, truncated=included < len(items))
     raise PromptBudgetError(
         f"budget of {budget} characters cannot fit the zero-context prompt"
     )

@@ -224,13 +224,13 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
     return matrix_path
 
 
-def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorIndex:
+def load_index(path: str | Path) -> VectorIndex:
     """Read an index written by ``save_index``.
 
-    The encoder config is rebuilt from the header; a ``config`` passed in
-    must match its fingerprint and dimension, and is used instead. The
-    matrix is read whole into one array that the index adopts. Anything
-    malformed in either file raises ``IndexFormatError`` naming the file.
+    The encoder config always comes from the header, whose ``dimension`` must
+    equal the config's. The matrix is read whole into one array that the
+    index adopts. Anything malformed in either file raises
+    ``IndexFormatError`` naming the file.
     """
     import numpy as np
 
@@ -250,17 +250,13 @@ def load_index(path: str | Path, config: EncoderConfig | None = None) -> VectorI
         if key not in doc:
             raise IndexFormatError(f"{path}: index document missing field {key!r}")
     try:
-        stored = EncoderConfig(**doc["encoder"])
+        config = EncoderConfig(**doc["encoder"])
     except (TypeError, ValueError) as exc:
         raise IndexFormatError(f"{path}: invalid encoder config {doc['encoder']!r}: {exc}") from exc
-    if config is None:
-        config = stored
-    elif config.fingerprint != stored.fingerprint:
-        raise IndexFormatError(f"{path}: encoder fingerprint {stored.fingerprint!r} != configured {config.fingerprint!r}")
     if doc["metric"] != METRIC:
         raise IndexFormatError(f"{path}: unsupported metric {doc['metric']!r}")
     if config.dimension != doc["dimension"]:
-        raise IndexFormatError(f"{path}: dimension {doc['dimension']} != configured encoder's {config.dimension}")
+        raise IndexFormatError(f"{path}: dimension {doc['dimension']} != its encoder's {config.dimension}")
     if doc["kind"] not in NODE_KINDS:
         raise IndexFormatError(f"{path}: unknown index kind {doc['kind']!r}")
     if not isinstance(doc["payloads"], list):

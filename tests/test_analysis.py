@@ -274,6 +274,11 @@ class TestRunExperiment:
         params = inspect.signature(run_ablation).parameters
         assert (params["dimension"].default, params["ngram_range"].default) == (defaults.dimension, defaults.ngram_range)
 
+    @pytest.mark.parametrize("name", ["n_kb", "prompt_kind", "embed_mode"])
+    def test_ablation_defaults_are_the_spec_defaults(self, name):
+        spec = ExperimentRunSpec(manifest="m", mode="zero", extractor="random")
+        assert inspect.signature(run_ablation).parameters[name].default == getattr(spec, name)
+
     def test_spec_json_golden(self):
         spec = ExperimentRunSpec(
             manifest="data/manifest.json",
@@ -503,6 +508,13 @@ class TestRandomModelStudy:
             assert rows[0].exhaustive_f1 == pytest.approx(expected, abs=1e-12)
         assert largest > 12
 
+    @pytest.mark.parametrize("trials", [True, 2.5])
+    def test_trials_must_be_an_int(self, trials):
+        records = planted_single_records(6, seed=43)
+        index = build_index(build_kb(records[:4], records[4:]), "triplet", config=EncoderConfig(dimension=16))
+        with pytest.raises(ValueError, match=f"^trials must be an int, got {trials}$"):
+            random_model_study(records, index, [2], max_triplets=2, seed=0, trials=trials)
+
 
 class TestRunAblation:
     def test_oracle_prefix_ablation_end_to_end(self, pair_manifest):
@@ -594,6 +606,11 @@ class TestRunAblation:
         monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
         with pytest.raises(ValueError, match="scale must be in"):
             run_ablation(pair_manifest, scales=scales, seed=2, extractor="random", n_kb=2, dimension=128)
+
+    def test_no_scales_rejected_before_the_load(self, pair_manifest, monkeypatch):
+        monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
+        with pytest.raises(ValueError, match="^no scales to run$"):
+            run_ablation(pair_manifest, scales=[], seed=2, extractor="random", n_kb=2, dimension=128)
 
     def test_degenerate_single_p_has_no_fit(self, pair_manifest):
         result = run_ablation(

@@ -12,7 +12,7 @@ import kgte.analysis
 import kgte.cli
 import kgte.encoder
 from kgte import Triplet, build_kb, load_dataset, triplet_to_string
-from kgte.analysis import EXTRACTORS
+from kgte.analysis import EXTRACTORS, ExperimentRunSpec
 from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
 from kgte.corpus import normalize_surface
 from kgte.encoder import EncoderConfig
@@ -226,6 +226,23 @@ def test_extract_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["extract", "--manifest", "m", "--out", "o"])
     assert GenerationConfig(model=args.model, temperature=args.temperature) == GenerationConfig()
     assert EncoderConfig(dimension=args.dimension, ngram_range=(args.ngram_min, args.ngram_max)) == EncoderConfig()
+
+
+@pytest.mark.parametrize(
+    "command,dest,field",
+    [
+        *((command, "nkb", "n_kb") for command in ("retrieve", "extract", "ablate")),
+        ("extract", "prompt", "prompt_kind"),
+        *((command, "split", "split") for command in ("extract", "sweep-p")),
+        *((command, "embed_mode", "embed_mode") for command in ("index", "extract", "sweep-p", "ablate")),
+        *((command, "scale", "scale") for command in ("index", "extract", "sweep-p")),
+        *((command, "seed", "seed") for command in ("index", "extract", "sweep-p", "ablate")),
+    ],
+)
+def test_run_flag_defaults_are_the_spec_defaults(command, dest, field):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    spec = ExperimentRunSpec(manifest="m", mode="zero", extractor="random")
+    assert subparsers.choices[command].get_default(dest) == getattr(spec, field)
 
 
 class TestEval:

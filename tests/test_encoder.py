@@ -132,13 +132,6 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             EncoderConfig(provider="magic")
 
-    def test_fingerprints(self):
-        assert EncoderConfig().fingerprint == "hashed-ngram:dim=384:ngrams=3-5"
-        external = EncoderConfig(
-            provider="external", dimension=128, endpoint="http://e/v1/embeddings", model="mini"
-        )
-        assert external.fingerprint == "external:model=mini:dim=128"
-
 
 def _external_config():
     return EncoderConfig(

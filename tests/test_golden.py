@@ -1,9 +1,13 @@
 """Byte-for-byte checks of score-free files written for the mini fixture
 against the copies under ``tests/data/golden/``: the ``kgte index`` JSON
-header of each kind, the ``save_dataset`` files and the rendered prompt of
-every prompt kind in every mode. The header holds no vectors and the prompt
-contexts are built by hand from KB records, with no retrieval, so the checks
-do not depend on the host's floating-point rounding.
+header of each kind, the ``save_dataset`` files, the rendered prompt of
+every prompt kind in every mode, and the ``report.json``, ``sentences.jsonl``
+and ``spec.json`` of ``kgte extract`` in the two modes without retrieval. The
+header holds no vectors and the prompt contexts are built by hand from KB
+records, with no retrieval, so the checks do not depend on the host's
+floating-point rounding. The ``triplets`` and ``examples`` extract runs stay
+out: their contexts are top-k rankings, which can differ in the last bits of
+a score, and so in tie order, between hosts.
 """
 
 from __future__ import annotations
@@ -33,6 +37,20 @@ def test_save_dataset_files(mini_manifest, tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == expected
     for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "dataset" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("extractor", ["oracle-gold", "random"])
+@pytest.mark.parametrize("mode", ["zero", "static2"])
+def test_extract_outputs(monkeypatch, tmp_path, mode, extractor):
+    # run from the data directory, so spec.json records the same relative manifest path on every host
+    monkeypatch.chdir(DATA_DIR)
+    out = tmp_path / "run"
+    args = ["extract", "--manifest", "mini/manifest.json", "--mode", mode, "--extractor", extractor, "--out", str(out)]
+    assert main(args) == 0
+    golden = GOLDEN / "extract" / f"{mode}-{extractor}"
+    assert sorted(path.name for path in out.iterdir()) == ["report.json", "sentences.jsonl", "spec.json"]
+    for path in out.iterdir():
+        assert path.read_bytes() == (golden / path.name).read_bytes(), path.name
 
 
 def _prompt_inputs(manifest):

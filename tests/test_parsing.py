@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import pytest
@@ -78,6 +79,11 @@ class TestGrammar:
     def test_max_triplets_must_be_positive(self):
         with pytest.raises(ValueError):
             parse_triplets("(a, b, c)", max_triplets=0)
+
+    @pytest.mark.parametrize("max_triplets", [True, 2.5, "2"])
+    def test_max_triplets_must_be_an_int(self, max_triplets):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'max_triplets must be an int, got {max_triplets!r}')}$"):
+            parse_triplets("(a, b, c)\n(d, e, f)", max_triplets)
 
 
 def test_parsed_triplets_share_surface_objects():

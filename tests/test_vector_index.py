@@ -396,8 +396,6 @@ class TestPersistence:
         reloaded = load_index(path)
         assert reloaded.encoder_config == config
         assert np.array_equal(reloaded._matrix, index._matrix)
-        with pytest.raises(IndexFormatError):
-            load_index(path, config=dataclasses.replace(config, model="m-2"))
 
     def test_truncated_file_reports_offset(self, tmp_path):
         kb = small_kb()
@@ -433,14 +431,6 @@ class TestPersistence:
         path.write_text(doc)
         with pytest.raises(IndexFormatError):
             load_index(path)
-
-    def test_fingerprint_mismatch_rejected(self, tmp_path):
-        kb = small_kb()
-        index = build_index(kb, "triplet", config=EncoderConfig(dimension=16))
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        with pytest.raises(IndexFormatError):
-            load_index(path, config=EncoderConfig(dimension=16, ngram_range=(2, 4)))
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         kb = small_kb()
