@@ -58,18 +58,10 @@ def _requests_transport(url: str, payload: dict, headers: Mapping[str, str], tim
     return response.status_code, response.text
 
 
-def post_json(
-    url: str,
-    payload: dict,
-    *,
-    headers: Mapping[str, str],
-    timeout: float,
-    policy: RetryPolicy,
-    transport: Transport | None,
-    sleeper: Callable[[float], None],
-) -> dict:
-    """POST a JSON payload and return the JSON object the endpoint answers,
-    retrying transient failures with exponential backoff.
+def post_json(client: HTTPClient, url: str, payload: dict) -> dict:
+    """POST a JSON payload with ``client``'s headers, timeout, transport and
+    sleeper, and return the JSON object the endpoint answers, retrying
+    transient failures with exponential backoff under ``client.policy``.
 
     Network errors (``OSError``, which includes ``ConnectionError``,
     ``TimeoutError`` and every ``requests`` exception) and the statuses in
@@ -77,11 +69,12 @@ def post_json(
     Other non-2xx statuses, and a 2xx body that is not a JSON object, raise
     ``APIError`` at once; any other exception from the transport propagates.
     """
-    transport = transport or _requests_transport
+    policy = client.policy
+    transport = client.transport or _requests_transport
     last_failure: str = "no attempt made"
     for attempt in range(policy.max_retries + 1):
         try:
-            status, body = transport(url, payload, headers, timeout)
+            status, body = transport(url, payload, client.headers, client.timeout)
         except OSError as exc:
             last_failure = f"transport failure: {exc}"
         else:
@@ -108,7 +101,7 @@ def post_json(
                 )
             last_failure = f"status {status}"
         if attempt < policy.max_retries:
-            sleeper(policy.delay(attempt))
+            client.sleeper(policy.delay(attempt))
     raise TransportError(
         f"request to {url} failed after {policy.max_retries + 1} attempts ({last_failure})"
     )
@@ -146,12 +139,4 @@ class HTTPClient:
 
     def post(self, url: str, payload: dict) -> dict:
         with self._semaphore:
-            return post_json(
-                url,
-                payload,
-                headers=self.headers,
-                timeout=self.timeout,
-                policy=self.policy,
-                transport=self.transport,
-                sleeper=self.sleeper,
-            )
+            return post_json(self, url, payload)  # the module global, so a wrapper set on the module sees every POST

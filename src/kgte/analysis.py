@@ -138,6 +138,7 @@ def random_model_study(
     reported, not asserted.
     """
     check_int("trials", trials, 1)
+    check_int("seed", seed)
     if index.kind != "triplet":
         raise ValueError("the random model study runs on a triplet index")
     golds = [set(s.gold) for s in sentences]

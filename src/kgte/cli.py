@@ -9,6 +9,7 @@ exit nonzero. The LLM/embeddings credential is read from KGTE_API_KEY.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .analysis import (
     run_ablation,
     run_experiment,
 )
-from .corpus import SPLIT_NAMES, Triplet, dataset_stats, load_dataset, load_records, sentence_to_json, triplet_from_json
+from .corpus import SPLIT_NAMES, dataset_stats, load_dataset, load_predictions, load_records, parse_lines, sentence_to_json
 from .encoder import EncoderConfig
 from .evaluation import check_n_kb_values, micro_f1, sweep_context_quality
 from .extraction import GenerationConfig, RemoteLLMClient
@@ -165,28 +166,8 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _read_triplet_lines(path: str) -> list[list[Triplet]]:
-    """One triplet list per non-blank line: a JSON list of [s, p, o] lists,
-    or an object holding one under "triplets"."""
-    rows = []
-    with open(path, "rb") as fh:  # decoded per line, so invalid UTF-8 is located too
-        for lineno, raw_line in enumerate(fh, start=1):
-            try:
-                line = raw_line.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                raw = obj.get("triplets") if isinstance(obj, dict) else obj
-                if not isinstance(raw, list):
-                    raise ValueError("expected a list of triplets or an object with 'triplets'")
-                rows.append([triplet_from_json(item) for item in raw])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return rows
-
-
 def _cmd_eval(args) -> int:
-    predictions = _read_triplet_lines(args.pred)
+    predictions = load_predictions(args.pred)
     gold = [list(s.gold) for s in load_records(args.gold)]
     report = micro_f1(predictions, gold)
     _emit(report.to_json() + "\n", args.out)
@@ -226,29 +207,26 @@ def _cmd_ablate(args) -> int:
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
     """(x, y) pairs from the first two columns; only the first non-blank line
     may be a non-numeric header."""
-    points = []
-    seen_line = False
-    with open(path, "rb") as fh:  # decoded per line, so invalid UTF-8 is located too
-        for lineno, raw_line in enumerate(fh, start=1):
-            try:
-                line = raw_line.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two CSV columns, got {line!r}")
-            try:
-                point = (float(cells[0]), float(cells[1]))
-            except ValueError:
-                if seen_line:
-                    raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
-            else:
-                if not all(map(math.isfinite, point)):
-                    raise ValueError(f"{path}:{lineno}: non-finite value in row {line!r}")
-                points.append(point)
-            seen_line = True
+    lines_read = 0
+
+    def parse(line: str) -> tuple[float, float] | None:
+        nonlocal lines_read
+        lines_read += 1
+        line = line.strip()
+        cells = line.split(",")
+        if len(cells) < 2:
+            raise ValueError(f"expected two CSV columns, got {line!r}")
+        try:
+            point = (float(cells[0]), float(cells[1]))
+        except ValueError:
+            if lines_read > 1:
+                raise ValueError(f"non-numeric row {line!r}") from None
+            return None
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"non-finite value in row {line!r}")
+        return point
+
+    points = [point for point in parse_lines(path, parse) if point is not None]
     if not points:
         raise ValueError(f"no numeric rows in {path}")
     return points
@@ -327,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--scales", type=_comma_list(float, "a number"), default="0,0.1,0.25,0.5,1")
     p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
-    p.add_argument("--mode", choices=CONTEXT_MODES, default="triplets")
-    p.add_argument("--extractor", choices=EXTRACTORS, default="random")
+    ablation_defaults = inspect.signature(run_ablation).parameters
+    p.add_argument("--mode", choices=CONTEXT_MODES, default=ablation_defaults["mode"].default)
+    p.add_argument("--extractor", choices=EXTRACTORS, default=ablation_defaults["extractor"].default)
     p.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
     p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
     p.add_argument("--out")

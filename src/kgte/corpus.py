@@ -9,8 +9,10 @@ where each triplet is a list of exactly three strings. It is shared by every
 file that carries sentences or triplets: dataset lines, the example payloads
 (and, as bare triplets, the triplet payloads) of an index file, prediction
 lines and ``kgte retrieve`` output. ``triplet_from_json``,
-``sentence_from_json`` and ``sentence_to_json`` are its only reader and
-writer; each caller adds where the input came from to the error.
+``prediction_from_json`` (a prediction line), ``sentence_from_json`` and
+``sentence_to_json`` are its only reader and writer. Every line-oriented file
+(dataset splits, prediction files, ``kgte fit`` CSVs) is read by
+``parse_lines``, which adds the file and line to a line's error.
 
 Datasets are newline-delimited JSON files, one record per sentence, with one
 file per split and a manifest JSON mapping split names to files:
@@ -35,16 +37,18 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 SPLIT_NAMES = ("train", "validation", "test")
 SURFACE_MEMO_SIZE = 1 << 14
 _surfaces: dict[str, str] = {}  # raw -> canonical surface; no eviction: with few repeats each field would pay one
 _set_field = object.__setattr__  # sets a frozen field; Triplet.__init__'s parameter ``object`` shadows the builtin
+T = TypeVar("T")
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file or manifest violates the record grammar."""
+    """A dataset manifest or a line-oriented input (dataset split, prediction
+    file, ``kgte fit`` CSV) is malformed; ``path`` and ``line`` locate it."""
 
     def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
         detail = str(message)
@@ -247,6 +251,15 @@ def triplet_from_json(raw: object) -> Triplet:
         raise ValueError(f"triplet {raw!r}: {exc}") from None
 
 
+def prediction_from_json(obj: object) -> list[Triplet]:
+    """The triplets of a prediction line: a JSON list of ``[s, p, o]`` lists,
+    or an object holding one under ``"triplets"``; the list may be empty."""
+    raw = obj.get("triplets") if isinstance(obj, dict) else obj
+    if not isinstance(raw, list):
+        raise ValueError("expected a list of triplets or an object with 'triplets'")
+    return [triplet_from_json(item) for item in raw]
+
+
 def sentence_from_json(obj: object) -> AnnotatedSentence:
     """The ``AnnotatedSentence`` a JSON record ``{"text": ..., "triplets":
     [...]}`` spells; other keys are ignored and the triplet list may be empty.
@@ -271,26 +284,42 @@ def sentence_to_json(sentence: AnnotatedSentence) -> dict:
     return {"text": sentence.text, "triplets": [list(t.as_tuple()) for t in sentence.gold]}
 
 
+def parse_lines(path: str | Path, parse: Callable[[str], T]) -> list[T]:
+    """``parse`` of each non-blank line of ``path``, in order. Lines are
+    decoded one by one, so invalid UTF-8 is located too; a ``ValueError`` from
+    decoding or ``parse`` becomes a ``DatasetFormatError`` at ``path:line``."""
+    values = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    values.append(parse(line))
+            except ValueError as exc:
+                raise DatasetFormatError(str(exc), path=path, line=lineno) from exc
+    return values
+
+
+def _record_from_line(line: str) -> AnnotatedSentence:
+    record = sentence_from_json(json.loads(line))
+    if not record.gold:
+        raise ValueError("record field 'triplets' is empty")
+    return record
+
+
 def load_records(path: str | Path) -> list[AnnotatedSentence]:
     """Load one newline-delimited record file. Raises ``DatasetFormatError``
     carrying the offending line number on malformed input."""
     path = Path(path)
-    records: list[AnnotatedSentence] = []
-    with path.open("rb") as fh:  # decoded per line, so invalid UTF-8 is located too
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = sentence_from_json(json.loads(line))
-                if not record.gold:
-                    raise ValueError("record field 'triplets' is empty")
-            except ValueError as exc:
-                raise DatasetFormatError(str(exc), path=path, line=lineno) from exc
-            records.append(record)
+    records = parse_lines(path, _record_from_line)
     if not records:
         raise DatasetFormatError("split contains no records", path=path)
     return records
+
+
+def load_predictions(path: str | Path) -> list[list[Triplet]]:
+    """One ``prediction_from_json`` triplet list per non-blank line."""
+    return parse_lines(path, lambda line: prediction_from_json(json.loads(line)))
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:

@@ -515,6 +515,13 @@ class TestRandomModelStudy:
         with pytest.raises(ValueError, match=f"^trials must be an int, got {trials}$"):
             random_model_study(records, index, [2], max_triplets=2, seed=0, trials=trials)
 
+    @pytest.mark.parametrize("seed", [True, 2.5])
+    def test_seed_must_be_an_int(self, seed):
+        records = planted_single_records(6, seed=43)
+        index = build_index(build_kb(records[:4], records[4:]), "triplet", config=EncoderConfig(dimension=16))
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {seed}$"):
+            random_model_study(records, index, [2], max_triplets=2, seed=seed, trials=1)
+
 
 class TestRunAblation:
     def test_oracle_prefix_ablation_end_to_end(self, pair_manifest):

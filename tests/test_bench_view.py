@@ -1,12 +1,13 @@
 """The benchmark's view of the program: every name ``bench/workload.py``
 traces still exists, every workload's jobs still run against the program's
-signatures and pass the benchmark's own output checks, and its brute-force
-retrieval check agrees with ``retrieve_triplets``. ``bench/`` is imported,
-never changed."""
+signatures, untraced and traced, and pass the benchmark's own output checks,
+and its brute-force retrieval check agrees with ``retrieve_triplets``.
+``bench/`` is imported, never changed."""
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,15 +47,37 @@ def test_brute_force_check_equals_retrieve_triplets(workload, mini_manifest, n_k
         assert list(retrieve_triplets(sentence.text, index, n_kb).items) == want
 
 
-@pytest.mark.parametrize("name", ["webnlg-pipeline", "nyt-index", "webnlg-llm"])
-def test_every_workload_runs_its_jobs_on_the_mini_fixture(workload, mini_manifest, tmp_path, name):
-    dataset = load_dataset(mini_manifest)
-    ctx = workload.Context(kgte, dataset, build_kb(dataset.train, dataset.validation), mini_manifest, 0, tmp_path)
+def _context(workload, manifest, work, name):
+    dataset = load_dataset(manifest)
+    ctx = workload.Context(kgte, dataset, build_kb(dataset.train, dataset.validation), manifest, 0, work)
     if name == "webnlg-llm":
-        records = map(json.loads, (mini_manifest.parent / "test.jsonl").read_text(encoding="utf-8").splitlines())
+        records = map(json.loads, (manifest.parent / "test.jsonl").read_text(encoding="utf-8").splitlines())
         ctx.results["golds"] = {r["text"]: tuple(tuple(t) for t in r["triplets"]) for r in records}
+    return ctx
+
+
+WORKLOAD_NAMES = ["webnlg-pipeline", "nyt-index", "webnlg-llm"]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_every_workload_runs_its_jobs_on_the_mini_fixture(workload, mini_manifest, tmp_path, name):
+    ctx = _context(workload, mini_manifest, tmp_path, name)
     workload.run_pass(ctx, workload.WORKLOADS[name])
     if name == "webnlg-llm":
         assert workload.check_llm(ctx)[0] == []
     else:
-        assert workload.check_retrieval(ctx, list(range(len(dataset.test)))) == []
+        assert workload.check_retrieval(ctx, list(range(len(ctx.dataset.test)))) == []
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_every_workload_runs_its_traced_pass_on_the_mini_fixture(workload, mini_manifest, tmp_path, name):
+    """The traced pass runs the tracer's wrappers and the ``_trace_targets``
+    hooks, which read program attributes the untraced pass never touches. On
+    a fixture this small a job's own overhead can exceed the coverage floor,
+    so that is the one problem allowed."""
+    ctx = _context(workload, mini_manifest, tmp_path, name)
+    timings, _, problems = workload.traced_pass(ctx, workload.WORKLOADS[name])
+    assert [job for job, _ in timings] == [job for job, _ in workload.WORKLOADS[name]]
+    floor = re.escape(f"of its wall time, below {workload.MIN_COVERAGE}")
+    for problem in problems:
+        assert re.fullmatch(rf"job\.[\w-]+: traced layers cover [\d.]+ {floor}", problem), problem

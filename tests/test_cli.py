@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgte._transport
 import kgte.analysis
 import kgte.cli
 import kgte.encoder
-from kgte import Triplet, build_kb, load_dataset, triplet_to_string
-from kgte.analysis import EXTRACTORS, ExperimentRunSpec
-from kgte.cli import _read_triplet_lines, _read_xy_csv, build_parser, main
-from kgte.corpus import normalize_surface
+from kgte import DatasetFormatError, Triplet, build_kb, load_dataset, triplet_to_string
+from kgte.analysis import EXTRACTORS, ExperimentRunSpec, run_ablation
+from kgte.cli import _read_xy_csv, build_parser, main
+from kgte.corpus import load_predictions as _read_triplet_lines, normalize_surface
 from kgte.encoder import EncoderConfig
 from kgte.extraction import GenerationConfig
 from kgte.prompting import MODES, PROMPT_KINDS
@@ -122,6 +124,19 @@ class TestIndexAndRetrieve:
         assert doc["kind"] == "example"
 
 
+    def test_retrieve_from_an_example_index(self, planted_pair_manifest, tmp_path, capsys):
+        index_path = tmp_path / "ex.index.json"
+        assert run_cli(["index", "--manifest", str(planted_pair_manifest), "--kind", "example",
+                        "--embed-mode", "sentence", "--dimension", "128", "--out", str(index_path)]) == 0
+        capsys.readouterr()
+        first = json.loads((planted_pair_manifest.parent / "test.jsonl").read_text().splitlines()[0])
+        assert run_cli(["retrieve", "--index", str(index_path), "--text", first["text"], "--nkb", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["mode"], payload["n_kb"]) == ("examples", 1)
+        [item] = payload["items"]
+        assert {"text": item["text"], "triplets": item["triplets"]} == first
+        assert item["score"] == pytest.approx(1.0)
+
     def test_missing_output_directory_is_created(self, planted_pair_manifest, tmp_path):
         index_path = tmp_path / "missing" / "dir" / "kb.index.json"
         code = run_cli(["index", "--manifest", str(planted_pair_manifest), "--dimension", "64", "--out", str(index_path)])
@@ -181,6 +196,24 @@ class TestExtract:
         )
         assert code == 1
         assert "llm-url" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_llm_extractor_posts_the_model_and_temperature_flags(self, mini_manifest, tmp_path, capsys, monkeypatch):
+        posts = []
+
+        def transport(url, payload, headers, timeout):
+            posts.append((url, payload))
+            return 200, json.dumps({"choices": [{"message": {"content": "(a, r, b)"}}]})
+
+        monkeypatch.setattr(kgte._transport, "_requests_transport", transport)
+        code = run_cli(["extract", "--manifest", str(mini_manifest), "--mode", "zero", "--extractor", "llm",
+                        "--llm-url", "http://llm.test/v1/", "--model", "gpt-4", "--temperature", "0.7",
+                        "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["sentences"] == MINI_STATS["test"]
+        assert len(posts) == MINI_STATS["test"]
+        for url, payload in posts:
+            assert url == "http://llm.test/v1/chat/completions"
+            assert (payload["model"], payload["temperature"]) == ("gpt-4", 0.7)
 
     @pytest.mark.parametrize("extractor", ["random", "oracle-gold", "oracle-prefix"])
     def test_llm_url_with_pure_extractor_exits_1_before_any_load(self, mini_manifest, tmp_path, capsys, monkeypatch, extractor):
@@ -245,6 +278,12 @@ def test_run_flag_defaults_are_the_spec_defaults(command, dest, field):
     assert subparsers.choices[command].get_default(dest) == getattr(spec, field)
 
 
+@pytest.mark.parametrize("dest", ["mode", "extractor"])
+def test_ablate_defaults_are_run_ablation_defaults(dest):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert subparsers.choices["ablate"].get_default(dest) == inspect.signature(run_ablation).parameters[dest].default
+
+
 class TestEval:
     def test_eval_predictions_against_gold(self, mini_manifest, tmp_path, capsys):
         gold_path = mini_manifest.parent / "test.jsonl"
@@ -275,7 +314,7 @@ class TestEval:
         gold_path = mini_manifest.parent / "test.jsonl"
         assert run_cli(["eval", "--pred", str(pred_path), "--gold", str(gold_path)]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ValueError"
+        assert error["type"] == "DatasetFormatError"
         assert error["message"].startswith(f"{pred_path}:3: ")
 
     def test_invalid_utf8_prediction_line_fails_naming_line(self, mini_manifest, tmp_path, capsys):
@@ -284,9 +323,19 @@ class TestEval:
         gold_path = mini_manifest.parent / "test.jsonl"
         assert run_cli(["eval", "--pred", str(pred_path), "--gold", str(gold_path)]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ValueError"
+        assert error["type"] == "DatasetFormatError"
         assert error["message"].startswith(f"{pred_path}:2: ")
 
+
+    @pytest.mark.parametrize(
+        "text,line", [('[]\n\n{"triplets": 5}\n', 3), ('[["a", "r"]]\n', 1)], ids=["not-a-list", "short-triplet"]
+    )
+    def test_malformed_prediction_line_carries_path_and_line(self, tmp_path, text, line):
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_text(text)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            _read_triplet_lines(str(pred_path))
+        assert (excinfo.value.path, excinfo.value.line) == (str(pred_path), line)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(lines=st.lists(st.tuples(st.lists(_triplet_fields, max_size=4), st.booleans()), min_size=1, max_size=6))
@@ -670,7 +719,7 @@ class TestFit:
         csv.write_text(f"{header}0,1\n{row}\n2,3\n")
         assert run_cli(["fit", "--input", str(csv)]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ValueError"
+        assert error["type"] == "DatasetFormatError"
         assert error["message"].startswith(f"{csv}:{3 if header else 2}: ")
         assert row in error["message"]
 
@@ -690,12 +739,32 @@ class TestFit:
         csv.write_text("\n".join(lines) + "\n")
         assert _read_xy_csv(str(csv)) == points
 
+    @pytest.mark.parametrize(
+        "content,line,message",
+        [
+            ("x,y\n0,1\n2,oops\n", 3, "non-numeric row '2,oops'"),
+            ("0,1\n\nx,y\n", 3, "non-numeric row 'x,y'"),
+            ("x,y\n\n7\n", 3, "expected two CSV columns, got '7'"),
+            ("5\n", 1, "expected two CSV columns, got '5'"),
+            ("0,nan\n", 1, "non-finite value in row '0,nan'"),
+            (b"\xff,1\n", 1, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["non-numeric", "late-header", "one-column", "one-column-first", "non-finite", "invalid-utf8"],
+    )
+    def test_malformed_row_carries_path_and_line(self, tmp_path, content, line, message):
+        csv = tmp_path / "points.csv"
+        csv.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with pytest.raises(DatasetFormatError) as excinfo:
+            _read_xy_csv(str(csv))
+        assert (excinfo.value.path, excinfo.value.line) == (str(csv), line)
+        assert str(excinfo.value) == f"{csv}:{line}: {message}"
+
     def test_invalid_utf8_row_fails_naming_line(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"
         csv.write_bytes(b"x,y\n0,1\n1,\xff\n")
         assert run_cli(["fit", "--input", str(csv)]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ValueError"
+        assert error["type"] == "DatasetFormatError"
         assert error["message"].startswith(f"{csv}:3: ")
 
     def test_empty_csv_fails(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pickle
 import random
 import string
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from kgte import (
     save_dataset,
 )
 from kgte import corpus
-from kgte.corpus import SURFACE_MEMO_SIZE
+from kgte.corpus import SURFACE_MEMO_SIZE, parse_lines
 from conftest import MINI_STATS
 
 
@@ -254,6 +255,27 @@ class TestDatasetRoundTrip:
         assert _surface_objects_shared([t for s in reloaded_sentences for t in s.gold])
 
 
+class TestParseLines:
+    def test_parses_the_non_blank_lines_in_order(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a\n \t\n\nb\r\nc")
+        assert parse_lines(path, str.strip) == ["a", "b", "c"]
+
+    def test_error_names_the_path_as_given_and_the_line(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("lines.txt").write_text("1\n\nx\n")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            parse_lines("./lines.txt", int)
+        assert (excinfo.value.path, excinfo.value.line) == ("./lines.txt", 3)
+        assert str(excinfo.value) == "./lines.txt:3: invalid literal for int() with base 10: 'x\\n'"
+
+    def test_other_errors_propagate(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_text("a\n")
+        with pytest.raises(KeyError):
+            parse_lines(path, {}.__getitem__)
+
+
 class TestLoadDataset:
     def test_mini_fixture_statistics(self, mini_manifest):
         stats = dataset_stats(load_dataset(mini_manifest))
@@ -316,6 +338,22 @@ class TestLoadDataset:
             load_dataset(manifest)
         assert excinfo.value.path == str(manifest)
         assert "not valid UTF-8 at byte 13" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param('{"train": ', "manifest is not valid JSON: ", id="invalid-json"),
+            pytest.param('["train.jsonl"]', "manifest must be a JSON object", id="not-an-object"),
+            pytest.param('{"train": "t.jsonl"}', "manifest missing splits: ['validation', 'test']", id="missing-splits"),
+        ],
+    )
+    def test_malformed_manifest_names_the_manifest(self, tmp_path, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(manifest)
+        assert (excinfo.value.path, excinfo.value.line) == (str(manifest), None)
+        assert str(excinfo.value).startswith(f"{manifest}: {message}")
 
     @pytest.mark.parametrize("value", [5, None, ["train.jsonl"]])
     def test_non_string_split_path_names_the_manifest(self, mini_manifest, tmp_path, value):

@@ -210,6 +210,12 @@ class TestExternalEncoderClient:
             client.encode_batch(["hello"])
         assert field in str(excinfo.value)
 
+    def test_wrong_item_count_is_api_error(self):
+        body = '{"data": [{"embedding": [1, 0, 0, 0]}, {"embedding": [0, 1, 0, 0]}]}'
+        client = ExternalEncoderClient(_external_config(), api_key="k", transport=lambda *a: (200, body))
+        with pytest.raises(APIError, match=r"^embeddings endpoint returned 2 items for 1 inputs$"):
+            client.encode_batch(["hello"])
+
     def test_dimension_mismatch_rejected(self):
         def transport(url, payload, headers, timeout):
             return 200, '{"data": [{"embedding": [1, 0]}]}'

@@ -22,7 +22,7 @@ from kgte import (
     load_records,
     save_index,
 )
-from kgte.cli import _read_triplet_lines
+from kgte.corpus import load_predictions as _read_triplet_lines
 from kgte.corpus import normalize_surface, sentence_from_json, sentence_to_json, triplet_from_json
 
 # non-ASCII letters, underscores and whitespace runs, which normalization folds

@@ -592,6 +592,22 @@ class TestMalformedIndexFile:
         doc["payloads"][1]["text"] = text
         self._assert_rejected(path, doc, "sentence text is empty" if isinstance(text, str) else "field 'text'")
 
+    @pytest.mark.parametrize(
+        "damage,needle",
+        [
+            pytest.param(lambda doc: [doc], "index document must be a JSON object", id="not-an-object"),
+            pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "metric"}, "missing field 'metric'", id="missing-field"),
+            pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "provider": "bogus"}}, "invalid encoder config", id="bad-encoder"),
+            pytest.param(lambda doc: {**doc, "metric": "l2"}, "unsupported metric 'l2'", id="unknown-metric"),
+            pytest.param(lambda doc: {**doc, "kind": "entity"}, "unknown index kind 'entity'", id="unknown-kind"),
+            pytest.param(lambda doc: {**doc, "payloads": {"0": ["a", "r", "b"]}}, "payloads are not a list", id="payloads-not-a-list"),
+        ],
+    )
+    def test_malformed_header(self, tmp_path, damage, needle):
+        path, doc = self._saved_doc(tmp_path, "triplet")
+        path.write_text(json.dumps(damage(doc)))
+        self._rejected(path, needle)
+
     def test_node_not_an_object(self, tmp_path):
         path, doc = self._saved_doc(tmp_path, "example")
         doc["payloads"][1] = [1, 2]
