@@ -457,6 +457,14 @@ class AblationResult:
         return "\n".join(lines) + "\n"
 
 
+def _ablation_point(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClient | None) -> AblationPoint:
+    """One scale's point. Its run, index and contexts die when this returns,
+    before the next scale builds its own."""
+    result = _run_on(spec, dataset, llm_client)
+    p = context_hit_probability([run.context for run in result.runs], [run.sentence.gold for run in result.runs])
+    return AblationPoint(scale=spec.scale, p=p, f1=result.report.f1)
+
+
 def run_ablation(
     manifest: str | Path,
     scales: Sequence[float],
@@ -499,13 +507,7 @@ def run_ablation(
     if not specs:
         raise ValueError("no scales to run")
     dataset = load_dataset(spec.manifest)
-    points = []
-    for scaled in specs:
-        result = _run_on(scaled, dataset, llm_client)
-        p = context_hit_probability(
-            [run.context for run in result.runs], [run.sentence.gold for run in result.runs]
-        )
-        points.append(AblationPoint(scale=scaled.scale, p=p, f1=result.report.f1))
+    points = [_ablation_point(scaled, dataset, llm_client) for scaled in specs]
     xs = {point.p for point in points}
     fit = linear_fit([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None
     return AblationResult(points=tuple(points), fit=fit)

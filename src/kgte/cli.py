@@ -24,7 +24,16 @@ from .analysis import (
     run_ablation,
     run_experiment,
 )
-from .corpus import SPLIT_NAMES, dataset_stats, load_dataset, load_predictions, load_records, parse_lines, sentence_to_json
+from .corpus import (
+    SPLIT_NAMES,
+    DatasetFormatError,
+    dataset_stats,
+    load_dataset,
+    load_predictions,
+    load_records,
+    parse_lines,
+    sentence_to_json,
+)
 from .encoder import EncoderConfig
 from .evaluation import check_n_kb_values, micro_f1, sweep_context_quality
 from .extraction import GenerationConfig, RemoteLLMClient
@@ -169,6 +178,9 @@ def _cmd_extract(args) -> int:
 def _cmd_eval(args) -> int:
     predictions = load_predictions(args.pred)
     gold = [list(s.gold) for s in load_records(args.gold)]
+    if len(predictions) != len(gold):
+        message = f"{len(predictions)} prediction records, but {args.gold} holds {len(gold)} gold records"
+        raise DatasetFormatError(message, path=args.pred)
     report = micro_f1(predictions, gold)
     _emit(report.to_json() + "\n", args.out)
     return 0
@@ -228,7 +240,7 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
 
     points = [point for point in parse_lines(path, parse) if point is not None]
     if not points:
-        raise ValueError(f"no numeric rows in {path}")
+        raise DatasetFormatError("no numeric rows", path=path)
     return points
 
 

@@ -165,6 +165,16 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, floa
     ordered by (-score, id). Returns min(k, len(index)) pairs, the same as a
     full stable sort would. ``k`` must be an ``int`` of at least 1; a
     ``bool``, a float or a numpy integer is rejected, as for N_KB.
+
+    The scan stays one product over the whole matrix because its float64
+    scores depend on how BLAS splits it. With 2-thread OpenBLAS, on the
+    webnlg-0 bench KB (12,323 rows) and 150 test queries, products over
+    aligned row blocks of 4 to 256 rows agree with each other but differ
+    from the full product in 365 of 1,848,450 scores, all at rows 16, 17, 32
+    or 33 mod 64, where OpenBLAS splits the full product between its
+    threads; products over gathered rows differ too. So screening, pruning
+    or splitting the scan would reorder rows whose scores differ only in
+    the last bits, and today's rankings would change.
     """
     import numpy as np
 

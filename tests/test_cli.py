@@ -298,6 +298,17 @@ class TestEval:
         assert report["precision"] == 1.0
         assert report["recall"] < 1.0
 
+    @pytest.mark.parametrize("predicted", [1, 0])
+    def test_record_counts_that_differ_fail_naming_both_files(self, tmp_path, capsys, predicted):
+        gold_path = tmp_path / "gold.jsonl"
+        gold_path.write_text("".join(f'{{"text": "s{i}", "triplets": [["a", "r", "b{i}"]]}}\n' for i in range(3)))
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_text('[["a", "r", "b0"]]\n' * predicted)
+        assert run_cli(["eval", "--pred", str(pred_path), "--gold", str(gold_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "DatasetFormatError"
+        assert error["message"] == f"{pred_path}: {predicted} prediction records, but {gold_path} holds 3 gold records"
+
     @pytest.mark.parametrize(
         "bad_line",
         [
@@ -766,6 +777,15 @@ class TestFit:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "DatasetFormatError"
         assert error["message"].startswith(f"{csv}:3: ")
+
+    @pytest.mark.parametrize("content", ["", "\n \t\n\n", "x,y\n"], ids=["empty", "blank-lines", "header-only"])
+    def test_no_numeric_rows_carries_the_path(self, tmp_path, content):
+        csv = tmp_path / "points.csv"
+        csv.write_text(content)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            _read_xy_csv(str(csv))
+        assert (excinfo.value.path, excinfo.value.line) == (str(csv), None)
+        assert str(excinfo.value) == f"{csv}: no numeric rows"
 
     def test_empty_csv_fails(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"
