@@ -110,14 +110,7 @@ class StudyRow:
         return self.closed_form_f1 - self.exhaustive_f1
 
     def to_dict(self) -> dict:
-        return {
-            "n_kb": self.n_kb,
-            "p": self.p,
-            "monte_carlo_f1": self.monte_carlo_f1,
-            "closed_form_f1": self.closed_form_f1,
-            "exhaustive_f1": self.exhaustive_f1,
-            "closed_form_deviation": self.closed_form_deviation,
-        }
+        return {**dataclasses.asdict(self), "closed_form_deviation": self.closed_form_deviation}
 
 
 def random_model_study(
@@ -205,8 +198,8 @@ class ExperimentRunSpec:
         check_int("seed", self.seed)
         if self.char_budget is not None:
             check_int("char_budget", self.char_budget, 1)
-        object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
-        self.encoder_config()  # rejects a bad dimension or n-gram range
+        # rejects a bad dimension or n-gram range, and stores the range as a tuple
+        object.__setattr__(self, "ngram_range", self.encoder_config().ngram_range)
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(

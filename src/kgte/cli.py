@@ -74,9 +74,9 @@ def _encoder_config(args) -> EncoderConfig:
     if (args.embed_url is None) != (args.embed_model is None):
         raise ValueError("--embed-url and --embed-model must be given together")
     if args.embed_url is not None:
-        # the external provider has no n-grams: a given n-gram flag (on ``args`` only then) exits 2
-        for flag in ("--ngram-min", "--ngram-max"):
-            if hasattr(args, flag[2:].replace("-", "_")):
+        # the external provider has no n-grams: a given n-gram flag exits 2
+        for flag, value in (("--ngram-min", args.ngram_min), ("--ngram-max", args.ngram_max)):
+            if value is not None:
                 args.usage_error(f"argument {flag}: not allowed with --embed-url")
         return EncoderConfig(
             provider="external",
@@ -85,23 +85,8 @@ def _encoder_config(args) -> EncoderConfig:
             model=args.embed_model,
         )
     lo, hi = EncoderConfig.ngram_range
-    return EncoderConfig(
-        provider="hashed-ngram",
-        dimension=args.dimension,
-        ngram_range=(getattr(args, "ngram_min", lo), getattr(args, "ngram_max", hi)),
-    )
-
-
-def _add_encoder_flags(parser: argparse.ArgumentParser, *, external: bool) -> None:
-    """``external`` adds the external-provider flags, for the commands that
-    build an index themselves; experiment runs always use hashed n-grams."""
-    parser.add_argument("--dimension", type=int, default=EncoderConfig.dimension)
-    lo, hi = (argparse.SUPPRESS, argparse.SUPPRESS) if external else EncoderConfig.ngram_range
-    parser.add_argument("--ngram-min", type=int, default=lo)
-    parser.add_argument("--ngram-max", type=int, default=hi)
-    if external:
-        parser.add_argument("--embed-url", help="external embeddings endpoint (default: built-in hashed n-grams)")
-        parser.add_argument("--embed-model", help="model id for the external embeddings endpoint")
+    ngram_range = (lo if args.ngram_min is None else args.ngram_min, hi if args.ngram_max is None else args.ngram_max)
+    return EncoderConfig(dimension=args.dimension, ngram_range=ngram_range)
 
 
 def _cmd_ingest(args) -> int:
@@ -255,19 +240,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgte", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a dataset and report its statistics")
-    p.add_argument("--manifest", required=True)
+    # shared flags, each declared once in a parent parser
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--manifest", required=True)
+    run = argparse.ArgumentParser(add_help=False, parents=[dataset])
+    run.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
+    run.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
+    run.add_argument("--dimension", type=int, default=EncoderConfig.dimension)
+    # commands that build a KB index themselves; a given n-gram flag is not None
+    kb_index = argparse.ArgumentParser(add_help=False, parents=[run])
+    kb_index.add_argument("--kind", choices=NODE_KINDS, default="triplet")
+    kb_index.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
+    kb_index.add_argument("--ngram-min", type=int)
+    kb_index.add_argument("--ngram-max", type=int)
+    kb_index.add_argument("--embed-url", help="external embeddings endpoint (default: built-in hashed n-grams)")
+    kb_index.add_argument("--embed-model", help="model id for the external embeddings endpoint")
+    # experiment runs, which always use hashed n-grams
+    experiment = argparse.ArgumentParser(add_help=False, parents=[run])
+    experiment.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
+    lo, hi = EncoderConfig.ngram_range
+    experiment.add_argument("--ngram-min", type=int, default=lo)
+    experiment.add_argument("--ngram-max", type=int, default=hi)
+
+    p = sub.add_parser("ingest", parents=[dataset], help="validate a dataset and report its statistics")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("index", help="build and persist a vector index from a dataset's KB")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", choices=NODE_KINDS, default="triplet")
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
-    p.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
-    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
+    p = sub.add_parser("index", parents=[kb_index], help="build and persist a vector index from a dataset's KB")
     p.add_argument("--out", required=True, help="JSON header path; the matrix goes beside it with the suffix .npy")
-    _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_index, usage_error=p.error)
 
     p = sub.add_parser("retrieve", help="retrieve KB context for one sentence")
@@ -277,22 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_retrieve)
 
-    p = sub.add_parser("extract", help="run the full extraction pipeline over a split")
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("extract", parents=[experiment], help="run the full extraction pipeline over a split")
     p.add_argument("--mode", choices=MODES, default="zero")
     p.add_argument("--prompt", choices=PROMPT_KINDS, default=ExperimentRunSpec.prompt_kind)
     p.add_argument("--extractor", choices=EXTRACTORS, default="llm")
-    p.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
     p.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
-    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
     p.add_argument("--split", choices=SPLIT_NAMES, default=ExperimentRunSpec.split)
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
     p.add_argument("--model", default=GenerationConfig.model)
     p.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
     p.add_argument("--budget", type=int)
     p.add_argument("--llm-url", help="chat-completions base URL (required for --extractor llm)")
     p.add_argument("--out", required=True, help="directory for report.json, sentences.jsonl, spec.json")
-    _add_encoder_flags(p, external=False)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("eval", help="score a predictions file against gold records")
@@ -301,30 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep-p", help="context-quality curve P(N_KB) as CSV")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", choices=NODE_KINDS, default="triplet")
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
+    p = sub.add_parser("sweep-p", parents=[kb_index], help="context-quality curve P(N_KB) as CSV")
     p.add_argument("--nkb-list", type=_comma_list(int, "an integer"), required=True, help="comma-separated N_KB values, increasing")
-    p.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
-    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
     p.add_argument("--split", choices=SPLIT_NAMES, default=ExperimentRunSpec.split)
     p.add_argument("--out")
-    _add_encoder_flags(p, external=True)
     p.set_defaults(func=_cmd_sweep_p, usage_error=p.error)
 
-    p = sub.add_parser("ablate", help="KB-downscale ablation with a linear fit of F1 vs P_S")
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("ablate", parents=[experiment], help="KB-downscale ablation with a linear fit of F1 vs P_S")
     p.add_argument("--scales", type=_comma_list(float, "a number"), default="0,0.1,0.25,0.5,1")
-    p.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
     ablation_defaults = inspect.signature(run_ablation).parameters
     p.add_argument("--mode", choices=CONTEXT_MODES, default=ablation_defaults["mode"].default)
     p.add_argument("--extractor", choices=EXTRACTORS, default=ablation_defaults["extractor"].default)
-    p.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
-    p.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
     p.add_argument("--out")
     p.add_argument("--points-out", help="also write the (P_S, F1) pairs as x,y CSV for `kgte fit`")
-    _add_encoder_flags(p, external=False)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("fit", help="OLS fit of a two-column CSV, optionally in log-x")

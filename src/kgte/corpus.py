@@ -35,7 +35,7 @@ import math
 import numbers
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -156,14 +156,7 @@ class DatasetStats:
     avg_triplets: float
 
     def to_dict(self) -> dict:
-        return {
-            "train": self.train,
-            "validation": self.validation,
-            "test": self.test,
-            "relations": self.relations,
-            "max_triplets": self.max_triplets,
-            "avg_triplets": self.avg_triplets,
-        }
+        return asdict(self)
 
 
 def dataset_stats(dataset: Dataset) -> DatasetStats:
@@ -185,18 +178,19 @@ class KnowledgeBase:
     examples: tuple[AnnotatedSentence, ...]
 
 
+def _kb_from_examples(examples: tuple[AnnotatedSentence, ...]) -> KnowledgeBase:
+    """The KB of ``examples``: their gold triplets, deduplicated in
+    first-occurrence order."""
+    return KnowledgeBase(triplets=tuple(dict.fromkeys(t for ex in examples for t in ex.gold)), examples=examples)
+
+
 def build_kb(
     train: Sequence[AnnotatedSentence], validation: Sequence[AnnotatedSentence]
 ) -> KnowledgeBase:
-    """Pool train and validation examples, in that order, into a KB.
-
-    Triplets are deduplicated preserving first-occurrence order.
-    """
+    """Pool train and validation examples, in that order, into a KB."""
     if not train or not validation:
         raise ValueError("build_kb requires non-empty train and validation splits")
-    examples = tuple(train) + tuple(validation)
-    triplets = dict.fromkeys(t for ex in examples for t in ex.gold)
-    return KnowledgeBase(triplets=tuple(triplets), examples=examples)
+    return _kb_from_examples(tuple(train) + tuple(validation))
 
 
 def check_int(name: str, value: object, minimum: int | None = None) -> None:
@@ -231,10 +225,7 @@ def downscale_kb(kb: KnowledgeBase, scale: float, seed: int) -> KnowledgeBase:
     keep = math.floor(scale * n + 1e-9)
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    retained = sorted(order[:keep])
-    examples = tuple(kb.examples[i] for i in retained)
-    triplets = dict.fromkeys(t for ex in examples for t in ex.gold)
-    return KnowledgeBase(triplets=tuple(triplets), examples=examples)
+    return _kb_from_examples(tuple(kb.examples[i] for i in sorted(order[:keep])))
 
 
 def triplet_from_json(raw: object) -> Triplet:

@@ -62,10 +62,13 @@ class EncoderConfig:
         if self.provider not in PROVIDERS:
             raise ValueError(f"unknown provider {self.provider!r}")
         check_int("dimension", self.dimension, 1)
-        object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
+        try:
+            lo, hi = self.ngram_range
+        except (TypeError, ValueError):
+            raise ValueError(f"ngram_range must be a pair of ints, got {self.ngram_range!r}") from None
+        object.__setattr__(self, "ngram_range", (lo, hi))
         for n in self.ngram_range:
             check_int("ngram_range item", n)
-        lo, hi = self.ngram_range
         if not (1 <= lo <= hi):
             raise ValueError(f"invalid ngram_range {self.ngram_range}")
         if self.provider == "external" and not (self.endpoint and self.model):

@@ -8,7 +8,7 @@ scored over sets, with subject/object order significant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .corpus import AnnotatedSentence, Triplet
@@ -16,13 +16,15 @@ from .retriever import RetrievedContext, check_n_kb, retrieve_contexts
 from .vector_index import VectorIndex, top_k  # noqa: F401  kept importable from here for call tracers
 
 
+def _f1(tp: int, n_pred: int, n_gold: int) -> float:
+    """2*tp/(n_pred+n_gold) is the harmonic mean of precision and recall and
+    is exact in floating point for small counts; 0.0 when both are empty."""
+    return 2 * tp / (n_pred + n_gold) if n_pred + n_gold else 0.0
+
+
 def sentence_f1(pred: set, gold: set) -> float:
-    """Per-sentence F1; 2*tp/(|pred|+|gold|) is the harmonic mean of
-    precision and recall and is exact in floating point for small counts."""
-    denominator = len(pred) + len(gold)
-    if denominator == 0:
-        return 0.0
-    return 2 * len(pred & gold) / denominator
+    """Per-sentence F1 of a predicted and a gold triplet set."""
+    return _f1(len(pred & gold), len(pred), len(gold))
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,7 @@ class CountBucket:
 
     @property
     def f1(self) -> float:
-        denominator = self.n_pred + self.n_gold
-        return 2 * self.tp / denominator if denominator else 0.0
+        return _f1(self.tp, self.n_pred, self.n_gold)
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,7 @@ class EvalReport:
             "recall": self.recall,
             "f1": self.f1,
             "per_count": {
-                str(count): {
-                    "tp": bucket.tp,
-                    "n_pred": bucket.n_pred,
-                    "n_gold": bucket.n_gold,
-                    "f1": bucket.f1,
-                }
-                for count, bucket in sorted(self.per_count.items())
+                str(count): {**asdict(bucket), "f1": bucket.f1} for count, bucket in sorted(self.per_count.items())
             },
             "per_sentence": [
                 {
@@ -129,15 +124,13 @@ def micro_f1(
         )
     precision = tp_total / n_pred_total if n_pred_total else 0.0
     recall = tp_total / n_gold_total if n_gold_total else 0.0
-    denominator = n_pred_total + n_gold_total
-    f1 = 2 * tp_total / denominator if denominator else 0.0
     return EvalReport(
         tp=tp_total,
         n_pred=n_pred_total,
         n_gold=n_gold_total,
         precision=precision,
         recall=recall,
-        f1=f1,
+        f1=_f1(tp_total, n_pred_total, n_gold_total),
         per_count={count: CountBucket(*vals) for count, vals in buckets.items()},
         per_sentence=tuple(records),
     )

@@ -53,7 +53,7 @@ class GenerationConfig:
     temperature: float = 0.1
     max_output_tokens: int = 512
     timeout: float = 60.0
-    max_retries: int = 2
+    max_retries: int = RetryPolicy.max_retries
     in_flight: int = 4
 
     def __post_init__(self) -> None:
@@ -84,7 +84,7 @@ class RemoteLLMClient:
         api_key: str | None = None,
         transport: Transport | None = None,
         sleeper: Callable[[float], None] = time.sleep,
-        backoff_base: float = 0.25,
+        backoff_base: float = RetryPolicy.backoff_base,
     ):
         self.base_url = base_url.rstrip("/")
         self.config = config

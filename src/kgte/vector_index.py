@@ -238,7 +238,8 @@ def load_index(path: str | Path) -> VectorIndex:
     """Read an index written by ``save_index``.
 
     The encoder config always comes from the header, whose ``dimension`` must
-    equal the config's. The matrix is read whole into one array that the
+    equal the config's. The header's ``matrix`` must be a bare file name:
+    only the file beside the header is read, whole, into one array that the
     index adopts. Anything malformed in either file raises
     ``IndexFormatError`` naming the file.
     """
@@ -278,11 +279,14 @@ def load_index(path: str | Path) -> VectorIndex:
             payloads.append(payload_from_json(raw))
         except ValueError as exc:
             raise IndexFormatError(f"{path}: node {position}: {exc}") from exc
+    name = doc["matrix"]
+    if not isinstance(name, str) or Path(name).name != name:
+        raise IndexFormatError(f"{path}: matrix {name!r} is not a bare file name beside the header")
+    matrix_path = path.parent / name
     try:
-        matrix_path = path.parent / doc["matrix"]
         matrix = np.load(matrix_path, allow_pickle=False)
     except (OSError, ValueError, EOFError, TypeError) as exc:
-        raise IndexFormatError(f"{path}: cannot read matrix file {doc['matrix']!r}: {exc}") from exc
+        raise IndexFormatError(f"{path}: cannot read matrix file {name!r}: {exc}") from exc
     if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
         raise IndexFormatError(f"{path}: matrix file {matrix_path} does not hold a float64 array")
     try:

@@ -15,6 +15,7 @@ from kgte import (
     GenerationConfig,
     PromptBudgetError,
     RemoteLLMClient,
+    StudyRow,
     build_index,
     build_kb,
     downscale_kb,
@@ -330,6 +331,9 @@ class TestRunExperiment:
             ("dimension", -4, "dimension"),
             ("ngram_range", (5, 3), "ngram_range"),
             ("ngram_range", (0, 2), "ngram_range"),
+            ("ngram_range", [3], "ngram_range must be a pair"),
+            ("ngram_range", [3, 4, 5], "ngram_range must be a pair"),
+            ("ngram_range", 5, "ngram_range must be a pair"),
         ],
     )
     def test_every_field_checked_at_construction(self, pair_manifest, field, value, needle):
@@ -414,6 +418,9 @@ class TestRunExperiment:
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "embed_mode": "x"}', "embed mode", id="bad-embed-mode"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "dimension": 0}', "dimension", id="bad-dimension"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": [5, 3]}', "ngram_range", id="bad-ngram-range"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": [3]}', "ngram_range must be a pair", id="ngram-range-one"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": [3, 4, 5]}', "ngram_range must be a pair", id="ngram-range-three"),
+            pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": 5}', "ngram_range must be a pair", id="ngram-range-int"),
             pytest.param(
                 '{"manifest": "m.json", "mode": "zero", "extractor": "random", "generation": {"temperature": NaN}}',
                 "temperature",
@@ -521,6 +528,18 @@ class TestRandomModelStudy:
         index = build_index(build_kb(records[:4], records[4:]), "triplet", config=EncoderConfig(dimension=16))
         with pytest.raises(ValueError, match=f"^seed must be an int, got {seed}$"):
             random_model_study(records, index, [2], max_triplets=2, seed=seed, trials=1)
+
+
+def test_study_row_dict_is_every_field_and_the_deviation():
+    row = StudyRow(n_kb=2, p=0.5, monte_carlo_f1=0.25, closed_form_f1=0.125, exhaustive_f1=0.375)
+    assert row.to_dict() == {
+        "n_kb": 2,
+        "p": 0.5,
+        "monte_carlo_f1": 0.25,
+        "closed_form_f1": 0.125,
+        "exhaustive_f1": 0.375,
+        "closed_form_deviation": -0.25,
+    }
 
 
 class TestRunAblation:

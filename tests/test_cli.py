@@ -284,6 +284,110 @@ def test_ablate_defaults_are_run_ablation_defaults(dest):
     assert subparsers.choices["ablate"].get_default(dest) == inspect.signature(run_ablation).parameters[dest].default
 
 
+# every subcommand's flags as (dest, default, choices, required); index and
+# sweep-p default their n-gram flags to None, so a given one is told apart
+FLAG_INVENTORY = {
+    "ingest": {
+        "--manifest": ("manifest", None, None, True),
+        "--out": ("out", None, None, False),
+    },
+    "index": {
+        "--manifest": ("manifest", None, None, True),
+        "--kind": ("kind", "triplet", ("triplet", "example"), False),
+        "--embed-mode": ("embed_mode", "sentence", ("sentence", "sentence+triplets"), False),
+        "--scale": ("scale", 1.0, None, False),
+        "--seed": ("seed", 0, None, False),
+        "--out": ("out", None, None, True),
+        "--dimension": ("dimension", 384, None, False),
+        "--ngram-min": ("ngram_min", None, None, False),
+        "--ngram-max": ("ngram_max", None, None, False),
+        "--embed-url": ("embed_url", None, None, False),
+        "--embed-model": ("embed_model", None, None, False),
+    },
+    "retrieve": {
+        "--index": ("index", None, None, True),
+        "--text": ("text", None, None, True),
+        "--nkb": ("nkb", 5, None, False),
+        "--out": ("out", None, None, False),
+    },
+    "extract": {
+        "--manifest": ("manifest", None, None, True),
+        "--mode": ("mode", "zero", ("zero", "static2", "triplets", "examples"), False),
+        "--prompt": ("prompt", "base", ("base", "chain_of_thought", "documented"), False),
+        "--extractor": ("extractor", "llm", ("llm", "oracle-gold", "oracle-prefix", "random"), False),
+        "--nkb": ("nkb", 5, None, False),
+        "--scale": ("scale", 1.0, None, False),
+        "--seed": ("seed", 0, None, False),
+        "--split": ("split", "test", ("train", "validation", "test"), False),
+        "--embed-mode": ("embed_mode", "sentence", ("sentence", "sentence+triplets"), False),
+        "--model": ("model", "llama-65b", None, False),
+        "--temperature": ("temperature", 0.1, None, False),
+        "--budget": ("budget", None, None, False),
+        "--llm-url": ("llm_url", None, None, False),
+        "--out": ("out", None, None, True),
+        "--dimension": ("dimension", 384, None, False),
+        "--ngram-min": ("ngram_min", 3, None, False),
+        "--ngram-max": ("ngram_max", 5, None, False),
+    },
+    "eval": {
+        "--pred": ("pred", None, None, True),
+        "--gold": ("gold", None, None, True),
+        "--out": ("out", None, None, False),
+    },
+    "sweep-p": {
+        "--manifest": ("manifest", None, None, True),
+        "--kind": ("kind", "triplet", ("triplet", "example"), False),
+        "--embed-mode": ("embed_mode", "sentence", ("sentence", "sentence+triplets"), False),
+        "--nkb-list": ("nkb_list", None, None, True),
+        "--scale": ("scale", 1.0, None, False),
+        "--seed": ("seed", 0, None, False),
+        "--split": ("split", "test", ("train", "validation", "test"), False),
+        "--out": ("out", None, None, False),
+        "--dimension": ("dimension", 384, None, False),
+        "--ngram-min": ("ngram_min", None, None, False),
+        "--ngram-max": ("ngram_max", None, None, False),
+        "--embed-url": ("embed_url", None, None, False),
+        "--embed-model": ("embed_model", None, None, False),
+    },
+    "ablate": {
+        "--manifest": ("manifest", None, None, True),
+        "--scales": ("scales", "0,0.1,0.25,0.5,1", None, False),
+        "--seed": ("seed", 0, None, False),
+        "--mode": ("mode", "triplets", ("triplets", "examples"), False),
+        "--extractor": ("extractor", "random", ("llm", "oracle-gold", "oracle-prefix", "random"), False),
+        "--nkb": ("nkb", 5, None, False),
+        "--embed-mode": ("embed_mode", "sentence", ("sentence", "sentence+triplets"), False),
+        "--out": ("out", None, None, False),
+        "--points-out": ("points_out", None, None, False),
+        "--dimension": ("dimension", 384, None, False),
+        "--ngram-min": ("ngram_min", 3, None, False),
+        "--ngram-max": ("ngram_max", 5, None, False),
+    },
+    "fit": {
+        "--input": ("input", None, None, True),
+        "--log-x": ("log_x", False, None, False),
+        "--out": ("out", None, None, False),
+    },
+}
+
+
+@pytest.mark.parametrize("command", FLAG_INVENTORY)
+def test_flag_inventory(command):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+    assert all(len(a.option_strings) == 1 for a in actions)
+    inventory = {
+        a.option_strings[0]: (a.dest, a.default, None if a.choices is None else tuple(a.choices), a.required)
+        for a in actions
+    }
+    assert inventory == FLAG_INVENTORY[command]
+
+
+def test_flag_inventory_covers_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(FLAG_INVENTORY)
+
+
 class TestEval:
     def test_eval_predictions_against_gold(self, mini_manifest, tmp_path, capsys):
         gold_path = mini_manifest.parent / "test.jsonl"

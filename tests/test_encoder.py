@@ -139,6 +139,12 @@ class TestEncoderConfig:
             EncoderConfig(provider="magic")
 
 
+@pytest.mark.parametrize("ngram_range", [[3], [3, 4, 5], 5], ids=["one", "three", "int"])
+def test_ngram_range_not_a_pair_is_named(ngram_range):
+    with pytest.raises(ValueError, match="ngram_range must be a pair of ints"):
+        EncoderConfig(ngram_range=ngram_range)
+
+
 def _external_config():
     return EncoderConfig(
         provider="external", dimension=4, endpoint="http://host/v1/embeddings", model="m"

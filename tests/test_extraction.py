@@ -101,6 +101,10 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="backoff_base"):
             RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k", backoff_base=-1.0)
 
+    def test_client_defaults_are_the_policy_defaults(self):
+        client = RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k")
+        assert client._http.policy == RetryPolicy()
+
 
 class TestRemoteLLMClient:
     def test_mock_transport_returns_content_verbatim(self):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,6 +599,11 @@ class TestMalformedIndexFile:
             pytest.param(lambda doc: [doc], "index document must be a JSON object", id="not-an-object"),
             pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "metric"}, "missing field 'metric'", id="missing-field"),
             pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "provider": "bogus"}}, "invalid encoder config", id="bad-encoder"),
+            pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": [3]}}, "ngram_range must be a pair", id="ngram-range-one"),
+            pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": [3, 4, 5]}}, "ngram_range must be a pair", id="ngram-range-three"),
+            pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": 5}}, "ngram_range must be a pair", id="ngram-range-int"),
+            pytest.param(lambda doc: {**doc, "matrix": 5}, "matrix 5 is not a bare file name", id="matrix-not-a-string"),
+            pytest.param(lambda doc: {**doc, "matrix": None}, "matrix None is not a bare file name", id="matrix-null"),
             pytest.param(lambda doc: {**doc, "metric": "l2"}, "unsupported metric 'l2'", id="unknown-metric"),
             pytest.param(lambda doc: {**doc, "kind": "entity"}, "unknown index kind 'entity'", id="unknown-kind"),
             pytest.param(lambda doc: {**doc, "payloads": {"0": ["a", "r", "b"]}}, "payloads are not a list", id="payloads-not-a-list"),
@@ -612,3 +618,29 @@ class TestMalformedIndexFile:
         path, doc = self._saved_doc(tmp_path, "example")
         doc["payloads"][1] = [1, 2]
         self._assert_rejected(path, doc, "not an object")
+
+
+class TestMatrixFileName:
+    """The header's ``matrix`` names a file beside the header and nothing else."""
+
+    @pytest.mark.parametrize("where", ["absolute", "../x.npy", "sub/x.npy"])
+    def test_matrix_elsewhere_rejected_though_the_file_exists(self, tmp_path, where):
+        path = tmp_path / "kb" / "index.json"
+        path.parent.mkdir()
+        save_index(build_index(small_kb(), "triplet", config=EncoderConfig(dimension=16)), path)
+        elsewhere = (tmp_path / "elsewhere.npy") if where == "absolute" else (path.parent / where)
+        elsewhere.parent.mkdir(parents=True, exist_ok=True)
+        elsewhere.write_bytes(path.with_suffix(".npy").read_bytes())
+        doc = json.loads(path.read_text())
+        doc["matrix"] = str(elsewhere) if where == "absolute" else where
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IndexFormatError) as excinfo:
+            load_index(path)
+        assert str(path) in str(excinfo.value)
+        assert "not a bare file name" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", ["triplet", "example", "example-sentence+triplets"])
+    def test_golden_headers_load(self, name):
+        header = Path(__file__).parent / "data" / "golden" / "external" / f"{name}.index.json"
+        assert len(load_index(header)) == len(json.loads(header.read_text())["payloads"])
+
