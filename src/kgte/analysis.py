@@ -53,9 +53,6 @@ class FitResult:
     r2: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
     """Ordinary least squares line through (x, y) points.
@@ -206,23 +203,17 @@ class ExperimentRunSpec:
             provider="hashed-ngram", dimension=self.dimension, ngram_range=self.ngram_range
         )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentRunSpec":
-        data = dict(raw)
+    def from_json(cls, text: str) -> "ExperimentRunSpec":
+        """The spec ``to_json`` wrote; a missing or null ``generation`` is the default config."""
+        data = dict(json.loads(text))
         generation = data.pop("generation", None)
         if generation is not None:
             data["generation"] = GenerationConfig(**generation)
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentRunSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -307,7 +298,7 @@ def _generate_all(
         ]
     results: list[tuple[str, str | None]] = [("", None)] * len(sentences)
     with ThreadPoolExecutor(max_workers=spec.generation.in_flight) as pool:
-        futures = {pool.submit(llm_client.generate, p): i for i, p in enumerate(prompts)}
+        futures = {pool.submit(llm_client.generate, p.rendered): i for i, p in enumerate(prompts)}
         for future, i in futures.items():
             try:
                 results[i] = (future.result(), None)
@@ -353,7 +344,7 @@ def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClie
     sentences = dataset.split(spec.split)
     max_triplets = dataset.max_triplets
     template = get_template(spec.prompt_kind, spec.mode)
-    budget = char_budget_for(spec.generation.model) if spec.char_budget is None else spec.char_budget
+    budget = char_budget_for(spec.generation) if spec.char_budget is None else spec.char_budget
     contexts = _build_contexts(spec, dataset, sentences)
 
     prompts = []
@@ -368,7 +359,7 @@ def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClie
     for index, (sentence, context, prompt, (raw, error)) in enumerate(
         zip(sentences, contexts, prompts, outputs)
     ):
-        outcome = parse_triplets(raw, max_triplets) if raw else None
+        outcome = parse_triplets(raw, max_triplets)
         runs.append(
             SentenceRun(
                 index=index,
@@ -376,8 +367,8 @@ def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClie
                 context=context,
                 prompt=prompt,
                 raw_output=raw,
-                predictions=outcome.triplets if outcome else (),
-                malformed_lines=outcome.malformed_lines if outcome else 0,
+                predictions=outcome.triplets,
+                malformed_lines=outcome.malformed_lines,
                 error=error,
             )
         )
@@ -428,9 +419,6 @@ class AblationPoint:
     p: float
     f1: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class AblationResult:
@@ -438,10 +426,7 @@ class AblationResult:
     fit: FitResult | None
 
     def to_dict(self) -> dict:
-        return {
-            "points": [point.to_dict() for point in self.points],
-            "fit": self.fit.to_dict() if self.fit else None,
-        }
+        return dataclasses.asdict(self)
 
     def to_points_csv(self) -> str:
         """(P_S, F1) pairs in the generic x,y shape the fit command reads."""

@@ -9,6 +9,7 @@ exit nonzero. The LLM/embeddings credential is read from KGTE_API_KEY.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -232,7 +233,7 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
 def _cmd_fit(args) -> int:
     points = _read_xy_csv(args.input)
     result = log_param_fit(points) if args.log_x else linear_fit(points)
-    _emit_json(result.to_dict(), args.out)
+    _emit_json(dataclasses.asdict(result), args.out)
     return 0
 
 

@@ -36,6 +36,7 @@ import numbers
 import random
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -112,33 +113,34 @@ class AnnotatedSentence:
 
 @dataclass(frozen=True)
 class Dataset:
+    """The three splits, each stored as a tuple. The statistics are derived
+    from the sentences of train, validation and test, in that order."""
+
     train: tuple[AnnotatedSentence, ...]
     validation: tuple[AnnotatedSentence, ...]
     test: tuple[AnnotatedSentence, ...]
-    relation_vocab: frozenset[str]
-    max_triplets: int
-    avg_triplets: float
 
-    @classmethod
-    def from_splits(
-        cls,
-        train: Sequence[AnnotatedSentence],
-        validation: Sequence[AnnotatedSentence],
-        test: Sequence[AnnotatedSentence],
-    ) -> "Dataset":
-        sentences = list(train) + list(validation) + list(test)
-        if not sentences:
+    def __post_init__(self) -> None:
+        for name in SPLIT_NAMES:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not (self.train or self.validation or self.test):
             raise ValueError("dataset has no sentences")
-        sizes = [len(s.gold) for s in sentences]
-        vocab = frozenset(t.predicate for s in sentences for t in s.gold)
-        return cls(
-            train=tuple(train),
-            validation=tuple(validation),
-            test=tuple(test),
-            relation_vocab=vocab,
-            max_triplets=max(sizes),
-            avg_triplets=sum(sizes) / len(sizes),
-        )
+
+    def _gold_sets(self) -> list[tuple[Triplet, ...]]:
+        return [s.gold for s in self.train + self.validation + self.test]
+
+    @cached_property
+    def relation_vocab(self) -> frozenset[str]:
+        return frozenset(t.predicate for gold in self._gold_sets() for t in gold)
+
+    @cached_property
+    def max_triplets(self) -> int:
+        return max(map(len, self._gold_sets()))
+
+    @cached_property
+    def avg_triplets(self) -> float:
+        sizes = list(map(len, self._gold_sets()))
+        return sum(sizes) / len(sizes)
 
     def split(self, name: str) -> tuple[AnnotatedSentence, ...]:
         if name not in SPLIT_NAMES:
@@ -335,7 +337,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         if not split_path.is_absolute():
             split_path = manifest_path.parent / split_path
         splits[name] = load_records(split_path)
-    return Dataset.from_splits(splits["train"], splits["validation"], splits["test"])
+    return Dataset(**splits)
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> Path:

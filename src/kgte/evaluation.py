@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .corpus import AnnotatedSentence, Triplet
@@ -29,11 +30,19 @@ def sentence_f1(pred: set, gold: set) -> float:
 
 @dataclass(frozen=True)
 class CountBucket:
-    """Counters restricted to sentences with a given gold-triplet count."""
+    """Counters summed over a group of sentences: all, or one gold-set size."""
 
     tp: int
     n_pred: int
     n_gold: int
+
+    @property
+    def precision(self) -> float:
+        return self.tp / self.n_pred if self.n_pred else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.tp / self.n_gold if self.n_gold else 0.0
 
     @property
     def f1(self) -> float:
@@ -48,16 +57,35 @@ class SentenceScore:
     tp: int
 
 
+def _sum_scores(scores: Sequence[SentenceScore]) -> CountBucket:
+    return CountBucket(sum(s.tp for s in scores), sum(len(s.pred) for s in scores), sum(len(s.gold) for s in scores))
+
+
 @dataclass(frozen=True)
 class EvalReport:
-    tp: int
-    n_pred: int
-    n_gold: int
-    precision: float
-    recall: float
-    f1: float
-    per_count: dict[int, CountBucket]
+    """Micro scores of aligned sentences. Only the per-sentence scores are
+    stored; the totals and the per-gold-count buckets are their sums."""
+
     per_sentence: tuple[SentenceScore, ...]
+
+    @cached_property
+    def totals(self) -> CountBucket:
+        return _sum_scores(self.per_sentence)
+
+    tp = property(lambda self: self.totals.tp)
+    n_pred = property(lambda self: self.totals.n_pred)
+    n_gold = property(lambda self: self.totals.n_gold)
+    precision = property(lambda self: self.totals.precision)
+    recall = property(lambda self: self.totals.recall)
+    f1 = property(lambda self: self.totals.f1)
+
+    @cached_property
+    def per_count(self) -> dict[int, CountBucket]:
+        """Buckets keyed by gold-set size; they sum to ``totals`` exactly."""
+        groups: dict[int, list[SentenceScore]] = {}
+        for score in self.per_sentence:
+            groups.setdefault(len(score.gold), []).append(score)
+        return {count: _sum_scores(group) for count, group in groups.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -90,50 +118,25 @@ def micro_f1(
 ) -> EvalReport:
     """Corpus-level micro scores from aligned per-sentence triplet sets.
 
-    Each gold triplet can match at most once (set semantics); per-count
-    buckets are keyed by the sentence's gold set size and sum to the global
-    counters exactly.
+    Each gold triplet can match at most once (set semantics).
     """
     if len(predictions) != len(gold):
         raise ValueError(
             f"misaligned inputs: {len(predictions)} predictions vs {len(gold)} gold sets"
         )
-    tp_total = 0
-    n_pred_total = 0
-    n_gold_total = 0
-    buckets: dict[int, list[int]] = {}
     records = []
     for index, (pred_raw, gold_raw) in enumerate(zip(predictions, gold)):
         pred_set = set(pred_raw)
         gold_set = set(gold_raw)
-        tp = len(pred_set & gold_set)
-        tp_total += tp
-        n_pred_total += len(pred_set)
-        n_gold_total += len(gold_set)
-        bucket = buckets.setdefault(len(gold_set), [0, 0, 0])
-        bucket[0] += tp
-        bucket[1] += len(pred_set)
-        bucket[2] += len(gold_set)
         records.append(
             SentenceScore(
                 index=index,
                 pred=tuple(sorted(pred_set)),
                 gold=tuple(sorted(gold_set)),
-                tp=tp,
+                tp=len(pred_set & gold_set),
             )
         )
-    precision = tp_total / n_pred_total if n_pred_total else 0.0
-    recall = tp_total / n_gold_total if n_gold_total else 0.0
-    return EvalReport(
-        tp=tp_total,
-        n_pred=n_pred_total,
-        n_gold=n_gold_total,
-        precision=precision,
-        recall=recall,
-        f1=_f1(tp_total, n_pred_total, n_gold_total),
-        per_count={count: CountBucket(*vals) for count, vals in buckets.items()},
-        per_sentence=tuple(records),
-    )
+    return EvalReport(per_sentence=tuple(records))
 
 
 def _as_triplet_set(context) -> frozenset[Triplet]:

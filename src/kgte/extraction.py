@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Sequence
 
 from ._transport import APIError, HTTPClient, RetryPolicy, Transport
 from .corpus import AnnotatedSentence, Triplet, check_int
-from .prompting import PromptInstance
 from .retriever import RetrievedContext
 
 logger = logging.getLogger(__name__)
@@ -41,10 +40,9 @@ _DEFAULT_CONTEXT_WINDOW = 4096
 _CHARS_PER_TOKEN = 4
 
 
-def char_budget_for(model_id: str | None) -> int:
-    """Prompt character budget from the model's context window (4 chars/token
-    heuristic); unknown models get a conservative default window."""
-    return CONTEXT_WINDOWS.get(model_id or "", _DEFAULT_CONTEXT_WINDOW) * _CHARS_PER_TOKEN
+def _context_window(model_id: str) -> int:
+    """The model's context window in tokens; unknown models get a conservative default."""
+    return CONTEXT_WINDOWS.get(model_id, _DEFAULT_CONTEXT_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,19 @@ class GenerationConfig:
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
         check_int("max_output_tokens", self.max_output_tokens, 1)
+        window = _context_window(self.model)
+        if self.max_output_tokens >= window:
+            raise ValueError(f"max_output_tokens {self.max_output_tokens} leaves no prompt room in the {window}-token context window of model {self.model!r}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
         check_int("max_retries", self.max_retries, 0)
         check_int("in_flight", self.in_flight, 1)
+
+
+def char_budget_for(config: GenerationConfig) -> int:
+    """Prompt character budget: the model's context window less the
+    completion's ``max_output_tokens``, at 4 chars/token."""
+    return (_context_window(config.model) - config.max_output_tokens) * _CHARS_PER_TOKEN
 
 
 class RemoteLLMClient:
@@ -104,20 +111,19 @@ class RemoteLLMClient:
             self.request_log.append(entry)
         logger.debug("llm request %s: %s", entry.get("run_id"), entry.get("outcome"))
 
-    def generate(self, prompt: PromptInstance | str) -> str:
-        rendered = prompt.rendered if isinstance(prompt, PromptInstance) else prompt
+    def generate(self, prompt: str) -> str:
         url = f"{self.base_url}/chat/completions"
         entry = {
             "run_id": uuid.uuid4().hex,
             "url": url,
             "model": self.config.model,
-            "prompt_chars": len(rendered),
+            "prompt_chars": len(prompt),
         }
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_output_tokens,
-            "messages": [{"role": "user", "content": rendered}],
+            "messages": [{"role": "user", "content": prompt}],
         }
         try:
             content = _completion_content(self._http.post(url, payload))

@@ -93,7 +93,7 @@ def planted_single_records(count: int = 30, seed: int = 99) -> list[AnnotatedSen
 
 def planted_dataset(records: list[AnnotatedSentence], holdout: int = 5) -> Dataset:
     """Dataset whose test split is fully covered by the train+validation KB."""
-    return Dataset.from_splits(records[:-holdout], records[-holdout:], records)
+    return Dataset(records[:-holdout], records[-holdout:], records)
 
 
 @pytest.fixture

@@ -268,6 +268,11 @@ class TestRunExperiment:
         spec = spec_for(pair_manifest, extractor="random", seed=9, char_budget=4000)
         assert ExperimentRunSpec.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize("generation", ["", ', "generation": null'], ids=["missing", "null"])
+    def test_missing_or_null_generation_is_the_default_config(self, generation):
+        spec = ExperimentRunSpec.from_json(f'{{"manifest": "m", "mode": "zero", "extractor": "random"{generation}}}')
+        assert spec.generation == GenerationConfig()
+
     def test_encoder_defaults_are_encoder_configs(self):
         defaults = EncoderConfig()
         spec = ExperimentRunSpec(manifest="m", mode="zero", extractor="random")
@@ -395,6 +400,13 @@ class TestRunExperiment:
         assert len(render(template, second.text, dataset.max_triplets).rendered) > budget
         spec = ExperimentRunSpec(manifest=str(mini_manifest), mode="zero", extractor="random", char_budget=budget)
         with pytest.raises(PromptBudgetError, match=f"^test sentence 1: budget of {budget} characters"):
+            run_experiment(spec)
+
+    def test_default_budget_leaves_room_for_the_answer(self, mini_manifest):
+        # gpt2-base's 1024-token window less 1000 output tokens leaves 24 tokens, 96 characters
+        generation = GenerationConfig(model="gpt2-base", max_output_tokens=1000)
+        spec = ExperimentRunSpec(manifest=str(mini_manifest), mode="zero", extractor="random", generation=generation)
+        with pytest.raises(PromptBudgetError, match="^test sentence 0: budget of 96 characters"):
             run_experiment(spec)
 
     def test_char_budget_takes_effect(self, pair_manifest):

@@ -244,7 +244,7 @@ class TestDatasetRoundTrip:
     @given(records=_raw_records())
     def test_save_load_round_trip_normalizes_once(self, tmp_path_factory, records):
         sentences = [AnnotatedSentence(text, tuple(Triplet(*raw) for raw in raws)) for text, raws in records]
-        dataset = Dataset.from_splits(sentences[:1], sentences[1:2], sentences[2:])
+        dataset = Dataset(sentences[:1], sentences[1:2], sentences[2:])
         reloaded = load_dataset(save_dataset(dataset, tmp_path_factory.mktemp("dataset")))
         assert reloaded == dataset
         reloaded_sentences = reloaded.train + reloaded.validation + reloaded.test
@@ -285,6 +285,17 @@ class TestLoadDataset:
         assert stats.relations == MINI_STATS["relations"]
         assert stats.max_triplets == MINI_STATS["max_triplets"]
         assert abs(stats.avg_triplets - MINI_STATS["avg_triplets"]) < 0.005
+
+    def test_dataset_stores_only_its_splits(self, mini_manifest):
+        dataset = load_dataset(mini_manifest)
+        assert [f.name for f in dataclasses.fields(Dataset)] == ["train", "validation", "test"]
+        rebuilt = Dataset(list(dataset.train), list(dataset.validation), list(dataset.test))
+        assert rebuilt == dataset and isinstance(rebuilt.train, tuple)
+        assert dataset_stats(rebuilt) == dataset_stats(dataset)
+
+    def test_dataset_without_sentences_rejected(self):
+        with pytest.raises(ValueError, match="dataset has no sentences"):
+            Dataset((), [], ())
 
     def test_single_record_fixture(self, tmp_path):
         (tmp_path / "one.jsonl").write_text('{"text":"a","triplets":[["x","r","y"]]}\n')

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 
 from kgte import (
     EncoderConfig,
+    EvalReport,
     Triplet,
     build_index,
     build_kb,
@@ -125,6 +127,23 @@ class TestMicroF1:
         tp = sum(b.tp for b in report.per_count.values())
         denom = sum(b.n_pred + b.n_gold for b in report.per_count.values())
         assert 2 * tp / denom == report.f1
+
+    def test_report_stores_only_its_sentence_scores(self):
+        predictions, gold = random_fixture(random.Random(21))
+        report = micro_f1(predictions, gold)
+        assert [f.name for f in dataclasses.fields(EvalReport)] == ["per_sentence"]
+        rebuilt = EvalReport(per_sentence=report.per_sentence)
+        assert rebuilt == report and rebuilt.to_json() == report.to_json()
+
+    def test_bucket_precision_and_recall(self):
+        predictions = [[t("a", "r", "b"), t("x", "r", "y")], [t("c", "r", "d")], []]
+        gold = [[t("a", "r", "b")], [t("c", "r", "d"), t("e", "r", "f")], [t("g", "r", "h"), t("i", "r", "j")]]
+        report = micro_f1(predictions, gold)
+        assert (report.per_count[1].precision, report.per_count[1].recall) == (0.5, 1.0)
+        assert (report.per_count[2].precision, report.per_count[2].recall) == (1.0, 0.25)
+        assert (report.totals.precision, report.totals.recall) == (report.precision, report.recall) == (2 / 3, 2 / 5)
+        empty = micro_f1([[]], [[]])
+        assert (empty.precision, empty.recall, empty.f1) == (0.0, 0.0, 0.0)
 
     def test_per_count_keyed_by_gold_size(self):
         predictions = [[t("a", "r", "b")], []]

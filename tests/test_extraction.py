@@ -51,9 +51,19 @@ class TestModelCatalog:
         }
 
     def test_char_budget(self):
-        assert char_budget_for("llama-65b") == 2048 * 4
-        assert char_budget_for("gpt-4") == 8192 * 4
-        assert char_budget_for("unknown-model") == 4096 * 4
+        # the window less the default 512 output tokens, at 4 chars per token
+        assert char_budget_for(GenerationConfig(model="llama-65b")) == (2048 - 512) * 4
+        assert char_budget_for(GenerationConfig(model="gpt-4")) == (8192 - 512) * 4
+        assert char_budget_for(GenerationConfig(model="unknown-model")) == (4096 - 512) * 4
+
+    def test_char_budget_leaves_room_for_the_answer(self):
+        assert char_budget_for(GenerationConfig(model="gpt2-base", max_output_tokens=512)) == 2048
+        assert char_budget_for(GenerationConfig(model="gpt2-base", max_output_tokens=1023)) == 4
+
+    @pytest.mark.parametrize("model,tokens", [("gpt2-base", 1024), ("gpt2-base", 5000), ("unknown-model", 4096)])
+    def test_output_tokens_filling_the_window_rejected(self, model, tokens):
+        with pytest.raises(ValueError, match=rf"max_output_tokens {tokens} .*context window of model '{model}'"):
+            GenerationConfig(model=model, max_output_tokens=tokens)
 
     def test_default_temperature(self):
         assert GenerationConfig().temperature == 0.1

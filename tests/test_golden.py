@@ -8,6 +8,15 @@ records, with no retrieval, so the checks do not depend on the host's
 floating-point rounding. The ``triplets`` and ``examples`` extract runs stay
 out: their contexts are top-k rankings, which can differ in the last bits of
 a score, and so in tie order, between hosts.
+
+The ``kgte`` commands whose JSON or CSV re-serializes result records are
+pinned too, under ``cli/``: ``ingest``, ``eval`` of a checked-in prediction
+file (a hit, a miss, an extra triplet, gold sets of one and two triplets),
+``sweep-p``, ``ablate`` with its points CSV and ``fit`` of that CSV. The
+sweep and the ablation do rank, but on the mini fixture every pair of
+neighbouring scores in each test sentence's top six differs by more than
+0.002, far above any rounding difference, so their order is the same on
+every host.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from kgte.vector_index import EXAMPLE_EMBED_MODES
 from conftest import DATA_DIR
 
 GOLDEN = DATA_DIR / "golden"
+CLI_GOLDEN = GOLDEN / "cli"
+MINI = DATA_DIR / "mini" / "manifest.json"
 
 
 @pytest.mark.parametrize("kind,embed_mode", [("triplet", "sentence"), *(("example", mode) for mode in EXAMPLE_EMBED_MODES)])
@@ -85,3 +96,34 @@ def test_truncated_prompt(mini_manifest, mode, budget, kept):
     prompt = render(get_template("base", mode), sentence, max_triplets, contexts[mode], budget)
     assert prompt.truncated and prompt.context_items_included == kept
     assert prompt.rendered.encode("utf-8") == (GOLDEN / "prompts" / f"base__{mode}__budget{budget}.txt").read_bytes()
+
+
+# golden file name -> the command that writes it with --out
+CLI_RUNS = {
+    "ingest.json": ["ingest", "--manifest", MINI],
+    "eval.json": ["eval", "--pred", CLI_GOLDEN / "pred.jsonl", "--gold", MINI.parent / "test.jsonl"],
+    "sweep-p.csv": ["sweep-p", "--manifest", MINI, "--nkb-list", "1,2,5"],
+    "fit.json": ["fit", "--input", CLI_GOLDEN / "ablate-points.csv"],
+    "fit-params-log-x.json": ["fit", "--input", CLI_GOLDEN / "params.csv", "--log-x"],
+}
+
+
+@pytest.mark.parametrize("name", CLI_RUNS)
+def test_cli_output(tmp_path, name):
+    out = tmp_path / name
+    assert main([*map(str, CLI_RUNS[name]), "--out", str(out)]) == 0
+    assert out.read_bytes() == (CLI_GOLDEN / name).read_bytes()
+
+
+def test_ablate_outputs(tmp_path):
+    out, points = tmp_path / "ablate.json", tmp_path / "ablate-points.csv"
+    args = ["ablate", "--manifest", str(MINI), "--scales", "0,0.5,1", "--out", str(out), "--points-out", str(points)]
+    assert main(args) == 0
+    for path in (out, points):
+        assert path.read_bytes() == (CLI_GOLDEN / path.name).read_bytes(), path.name
+
+
+def test_log_x_fit_of_the_ablation_points_names_the_zero_p(capsys):
+    # the scale-0 point has P_S = 0, which has no logarithm
+    assert main(["fit", "--input", str(CLI_GOLDEN / "ablate-points.csv"), "--log-x"]) == 1
+    assert capsys.readouterr().err.encode("utf-8") == (CLI_GOLDEN / "fit-log-x.stderr").read_bytes()

@@ -1,10 +1,12 @@
-"""numpy stays behind the embedding layer.
+"""numpy stays behind the embedding layer, and generation behind prompt text.
 
 Only ``encoder`` and ``vector_index`` compute with arrays, and they import
 numpy inside the functions that do (or under ``if TYPE_CHECKING:`` for
 annotations), so a process that embeds nothing never loads it. The AST walk
 keeps a module-level import from coming back. The subprocess checks run in
-fresh interpreters, because this one has numpy loaded already.
+fresh interpreters, because this one has numpy loaded already. The same walk
+keeps ``extraction`` from importing ``prompting``: the LLM client sends the
+rendered prompt text and knows no template.
 """
 
 from __future__ import annotations
@@ -24,19 +26,21 @@ from test_unused_imports import MODULES
 NUMPY_MODULES = {"encoder.py", "vector_index.py"}
 
 
-def _numpy_imports(tree: ast.Module) -> list[tuple[int, bool]]:
-    """Each import of numpy with its line and whether it is deferred: inside
-    a function body or under ``if TYPE_CHECKING:``."""
+def _imports(tree: ast.Module, module: str) -> list[tuple[int, bool]]:
+    """Each import of ``module`` with its line and whether it is deferred:
+    inside a function body or under ``if TYPE_CHECKING:``. A ``kgte``
+    module counts when it is named relatively (``from .m``, ``from . import
+    m``) or through ``kgte`` (``import kgte.m``, ``from kgte import m``)."""
     found = []
 
     def visit(node: ast.AST, deferred: bool) -> None:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
+            names = [f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names]
         else:
             names = []
-        if any(name.split(".")[0] == "numpy" for name in names):
+        if any(name.removeprefix("kgte.").split(".")[0] == module for name in names):
             found.append((node.lineno, deferred))
         if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
             for child in node.body:
@@ -54,7 +58,7 @@ def _numpy_imports(tree: ast.Module) -> list[tuple[int, bool]]:
 
 @pytest.mark.parametrize("path", [*MODULES, Path(kgte.__file__)], ids=lambda p: p.name)
 def test_numpy_is_imported_only_where_arrays_are_built(path):
-    imports = _numpy_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    imports = _imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "numpy")
     if path.name not in NUMPY_MODULES:
         assert not imports, f"{path.name} imports numpy (line {imports[0][0]}); only {sorted(NUMPY_MODULES)} may"
     eager = [line for line, deferred in imports if not deferred]
@@ -75,7 +79,27 @@ def test_the_walk_tells_deferred_from_eager_imports():
         "        from numpy.linalg import norm\n"
         "import numbers\n"
     )
-    assert _numpy_imports(ast.parse(source)) == [(2, False), (4, True), (6, False), (8, False), (10, True)]
+    assert _imports(ast.parse(source), "numpy") == [(2, False), (4, True), (6, False), (8, False), (10, True)]
+
+
+def test_the_walk_finds_sibling_imports_however_spelled():
+    source = (
+        "from .prompting import render\n"
+        "from . import prompting\n"
+        "import kgte.prompting\n"
+        "from kgte.prompting import MODES\n"
+        "from kgte import prompting as p\n"
+        "from .retriever import RetrievedContext\n"
+        "from kgte import MODES\n"
+        "def f():\n"
+        "    from .prompting import PromptInstance\n"
+    )
+    assert _imports(ast.parse(source), "prompting") == [(1, False), (2, False), (3, False), (4, False), (5, False), (9, True)]
+
+
+def test_extraction_does_not_import_prompting():
+    path = Path(kgte.__file__).parent / "extraction.py"
+    assert _imports(ast.parse(path.read_text(encoding="utf-8")), "prompting") == []
 
 
 MANIFEST = DATA_DIR / "mini" / "manifest.json"
