@@ -37,7 +37,6 @@ from .encoder import (
     ExternalEncoderClient,
     encode,
     encode_texts,
-    triplet_to_string,
 )
 from .evaluation import (
     ContextQualityCurve,
@@ -58,7 +57,7 @@ from .extraction import (
     random_f1_closed_form,
     sentence_rng,
 )
-from .parsing import ParseOutcome, parse_triplets
+from .parsing import ParseOutcome, parse_triplets, triplet_to_string
 from .prompting import (
     PromptBudgetError,
     PromptInstance,
@@ -69,7 +68,6 @@ from .prompting import (
 from .retriever import (
     RetrievedContext,
     diversity_filter,
-    empty_context,
     retrieve_contexts,
     retrieve_examples,
     retrieve_triplets,

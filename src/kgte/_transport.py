@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .corpus import check_int
+from .corpus import check_int, check_real
 
 Transport = Callable[[str, dict, Mapping[str, str], float], tuple[int, str]]
 
@@ -31,6 +31,7 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         check_int("max_retries", self.max_retries, 0)
+        check_real("backoff_base", self.backoff_base)
         if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
             raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
 

@@ -20,8 +20,9 @@ from .corpus import (
     check_scale,
     downscale_kb,
     load_dataset,
+    triplet_to_json,
 )
-from .encoder import EncoderConfig, triplet_to_string
+from .encoder import EncoderConfig
 from .evaluation import (
     EvalReport,
     context_hit_probability,
@@ -38,9 +39,9 @@ from .extraction import (
     random_f1_closed_form,
     sentence_rng,
 )
-from .parsing import parse_triplets
+from .parsing import parse_triplets, triplet_to_string
 from .prompting import MODES, PROMPT_KINDS, PromptBudgetError, PromptInstance, get_template, render
-from .retriever import CONTEXT_INDEX_KINDS, CONTEXT_MODES, RetrievedContext, check_n_kb, empty_context, retrieve_contexts
+from .retriever import CONTEXT_INDEX_KINDS, CONTEXT_MODES, RetrievedContext, check_n_kb, retrieve_contexts
 from .vector_index import VectorIndex, build_index, check_embed_mode
 
 EXTRACTORS = ("llm", "oracle-gold", "oracle-prefix", "random")
@@ -181,6 +182,8 @@ class ExperimentRunSpec:
     generation: GenerationConfig = field(default_factory=GenerationConfig)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.manifest, str) or not self.manifest:
+            raise ValueError(f"manifest must be a non-empty string, got {self.manifest!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extractor not in EXTRACTORS:
@@ -255,11 +258,11 @@ def _build_contexts(
 ) -> list[RetrievedContext]:
     kind = CONTEXT_INDEX_KINDS.get(spec.mode)
     if kind is None:
-        return [empty_context("triplets") for _ in sentences]
+        return [RetrievedContext("triplets", (), 0)] * len(sentences)
     index = index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder_config())
     if index is None:
         # a fully downscaled KB degenerates to the no-context setting
-        return [empty_context(spec.mode, spec.n_kb) for _ in sentences]
+        return [RetrievedContext(spec.mode, (), spec.n_kb)] * len(sentences)
     return retrieve_contexts([s.text for s in sentences], index, [spec.n_kb])[0]
 
 
@@ -381,12 +384,12 @@ def _sentence_log_line(run: SentenceRun) -> str:
         {
             "id": run.index,
             "sentence": run.sentence.text,
-            "gold": [list(t.as_tuple()) for t in run.sentence.gold],
+            "gold": list(map(triplet_to_json, run.sentence.gold)),
             "context_items": run.context.n_returned,
             "prompt_chars": len(run.prompt.rendered),
             "prompt_truncated": run.prompt.truncated,
             "raw_output": run.raw_output,
-            "pred": [list(t.as_tuple()) for t in run.predictions],
+            "pred": list(map(triplet_to_json, run.predictions)),
             "malformed_lines": run.malformed_lines,
             "error": run.error,
         },

@@ -34,6 +34,7 @@ from .corpus import (
     load_records,
     parse_lines,
     sentence_to_json,
+    triplet_to_json,
 )
 from .encoder import EncoderConfig
 from .evaluation import check_n_kb_values, micro_f1, sweep_context_quality
@@ -118,7 +119,7 @@ def _cmd_retrieve(args) -> int:
     check_n_kb(args.nkb)  # before the index is read
     context = retrieve_contexts([args.text], load_index(args.index), [args.nkb])[0][0]
     if context.mode == "triplets":
-        items = [{"triplet": list(t.as_tuple()), "score": score} for t, score in context.items]
+        items = [{"triplet": triplet_to_json(t), "score": score} for t, score in context.items]
     else:
         items = [{**sentence_to_json(ex), "score": score} for ex, score in context.items]
     _emit_json({"mode": context.mode, "n_kb": args.nkb, "items": items}, args.out)

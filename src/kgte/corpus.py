@@ -9,10 +9,11 @@ where each triplet is a list of exactly three strings. It is shared by every
 file that carries sentences or triplets: dataset lines, the example payloads
 (and, as bare triplets, the triplet payloads) of an index file, prediction
 lines and ``kgte retrieve`` output. ``triplet_from_json``,
-``prediction_from_json`` (a prediction line), ``sentence_from_json`` and
-``sentence_to_json`` are its only reader and writer. Every line-oriented file
-(dataset splits, prediction files, ``kgte fit`` CSVs) is read by
-``parse_lines``, which adds the file and line to a line's error.
+``prediction_from_json`` (a prediction line) and ``sentence_from_json`` are
+its only readers, ``triplet_to_json`` and ``sentence_to_json`` its only
+writers. Every line-oriented file (dataset splits, prediction files,
+``kgte fit`` CSVs) is read by ``parse_lines``, which adds the file and line
+to a line's error.
 
 Datasets are newline-delimited JSON files, one record per sentence, with one
 file per split and a manifest JSON mapping split names to files:
@@ -24,8 +25,8 @@ underscores to spaces, whitespace runs collapsed), so that string equality is
 meaningful between dataset labels, index payloads and generator output, and
 interns them: each distinct normalized surface is one ``str`` object shared by
 every triplet that carries it, whichever path built the triplet. Sentence text
-is kept raw. ``canonical_surface`` memoizes the first ``SURFACE_MEMO_SIZE`` raw surfaces
-(full: a 0.4 MB dict plus its raw keys).
+is kept raw. ``Triplet`` memoizes the normal form of the first
+``SURFACE_MEMO_SIZE`` raw surfaces (full: a 0.4 MB dict plus its raw keys).
 """
 
 from __future__ import annotations
@@ -66,20 +67,10 @@ def normalize_surface(raw: str) -> str:
     return " ".join(raw.lower().replace("_", " ").split())
 
 
-def canonical_surface(raw: str) -> str:
-    """``sys.intern(normalize_surface(raw))``; the first ``SURFACE_MEMO_SIZE`` raws are memoized."""
-    surface = _surfaces.get(raw)
-    if surface is None:
-        surface = sys.intern(normalize_surface(raw))
-        if len(_surfaces) < SURFACE_MEMO_SIZE:
-            _surfaces[raw] = surface
-    return surface
-
-
 @dataclass(init=False, frozen=True, order=True, slots=True)
 class Triplet:
-    """A (subject, predicate, object) fact. Fields are canonical surfaces
-    (``canonical_surface``); instances are slotted (no ``__dict__``)."""
+    """A (subject, predicate, object) fact. Each field is the interned
+    ``normalize_surface`` of its raw string; instances are slotted (no ``__dict__``)."""
 
     subject: str
     predicate: str
@@ -87,7 +78,11 @@ class Triplet:
 
     def __init__(self, subject: str, predicate: str, object: str) -> None:
         for name, raw in (("subject", subject), ("predicate", predicate), ("object", object)):
-            surface = _surfaces.get(raw) or canonical_surface(raw)  # a hit makes no call
+            surface = _surfaces.get(raw)
+            if surface is None:  # memoized for the first SURFACE_MEMO_SIZE raws
+                surface = sys.intern(normalize_surface(raw))
+                if len(_surfaces) < SURFACE_MEMO_SIZE:
+                    _surfaces[raw] = surface
             if not surface:
                 raise ValueError(f"triplet {name} is empty after normalization")
             _set_field(self, name, surface)
@@ -180,10 +175,13 @@ class KnowledgeBase:
     examples: tuple[AnnotatedSentence, ...]
 
 
+def gold_triplets(examples: Iterable[AnnotatedSentence]) -> tuple[Triplet, ...]:
+    """The gold triplets of ``examples``, deduplicated in first-occurrence order."""
+    return tuple(dict.fromkeys(t for ex in examples for t in ex.gold))
+
+
 def _kb_from_examples(examples: tuple[AnnotatedSentence, ...]) -> KnowledgeBase:
-    """The KB of ``examples``: their gold triplets, deduplicated in
-    first-occurrence order."""
-    return KnowledgeBase(triplets=tuple(dict.fromkeys(t for ex in examples for t in ex.gold)), examples=examples)
+    return KnowledgeBase(triplets=gold_triplets(examples), examples=examples)
 
 
 def build_kb(
@@ -204,11 +202,17 @@ def check_int(name: str, value: object, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_real(name: str, value: object) -> None:
+    """Reject a ``value`` of field ``name`` that is not a real number (a
+    ``bool`` is not one)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_scale(scale: float) -> None:
     """Reject a KB scale that is not a real number or lies outside [0, 1];
     NaN is outside too."""
-    if not isinstance(scale, numbers.Real) or isinstance(scale, bool):
-        raise ValueError(f"scale must be a real number, got {scale!r}")
+    check_real("scale", scale)
     if not 0.0 <= scale <= 1.0:
         raise ValueError(f"scale must be in [0, 1], got {scale}")
 
@@ -244,6 +248,11 @@ def triplet_from_json(raw: object) -> Triplet:
         raise ValueError(f"triplet {raw!r}: {exc}") from None
 
 
+def triplet_to_json(triplet: Triplet) -> list[str]:
+    """The JSON value ``[subject, predicate, object]`` that ``triplet_from_json`` reads back."""
+    return [triplet.subject, triplet.predicate, triplet.object]
+
+
 def prediction_from_json(obj: object) -> list[Triplet]:
     """The triplets of a prediction line: a JSON list of ``[s, p, o]`` lists,
     or an object holding one under ``"triplets"``; the list may be empty."""
@@ -274,7 +283,7 @@ def sentence_from_json(obj: object) -> AnnotatedSentence:
 def sentence_to_json(sentence: AnnotatedSentence) -> dict:
     """The JSON record of a sentence, read back by ``sentence_from_json``:
     ``{"text": ..., "triplets": [[s, p, o], ...]}`` in gold order."""
-    return {"text": sentence.text, "triplets": [list(t.as_tuple()) for t in sentence.gold]}
+    return {"text": sentence.text, "triplets": list(map(triplet_to_json, sentence.gold))}
 
 
 def parse_lines(path: str | Path, parse: Callable[[str], T]) -> list[T]:

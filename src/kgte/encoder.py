@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._transport import APIError, HTTPClient, Transport
-from .corpus import Triplet, check_int, normalize_surface
+from .corpus import check_int, normalize_surface
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,14 +71,14 @@ class EncoderConfig:
             check_int("ngram_range item", n)
         if not (1 <= lo <= hi):
             raise ValueError(f"invalid ngram_range {self.ngram_range}")
-        if self.provider == "external" and not (self.endpoint and self.model):
-            raise ValueError("external provider requires endpoint and model")
-
-
-def triplet_to_string(triplet: Triplet) -> str:
-    """Render a triplet as the "(subject, predicate, object)" string used for
-    embedding, prompting, and generator output."""
-    return f"({triplet.subject}, {triplet.predicate}, {triplet.object})"
+        # each provider rejects the fields it would ignore
+        if self.provider == "external":
+            if not (self.endpoint and self.model):
+                raise ValueError("external provider requires endpoint and model")
+            if self.ngram_range != EncoderConfig.ngram_range:
+                raise ValueError(f"the external provider has no n-grams: ngram_range must be the default {EncoderConfig.ngram_range}, got {self.ngram_range}")
+        elif (self.endpoint, self.model) != (None, None):
+            raise ValueError(f"the hashed-ngram provider takes no endpoint or model, got {self.endpoint!r}, {self.model!r}")
 
 
 @lru_cache(maxsize=1 << 20)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .corpus import AnnotatedSentence, Triplet
+from .corpus import AnnotatedSentence, Triplet, triplet_to_json
 from .retriever import RetrievedContext, check_n_kb, retrieve_contexts
 from .vector_index import VectorIndex, top_k  # noqa: F401  kept importable from here for call tracers
 
@@ -101,8 +101,8 @@ class EvalReport:
             "per_sentence": [
                 {
                     "id": record.index,
-                    "pred": [list(t.as_tuple()) for t in record.pred],
-                    "gold": [list(t.as_tuple()) for t in record.gold],
+                    "pred": list(map(triplet_to_json, record.pred)),
+                    "gold": list(map(triplet_to_json, record.gold)),
                     "tp": record.tp,
                 }
                 for record in self.per_sentence
@@ -139,29 +139,21 @@ def micro_f1(
     return EvalReport(per_sentence=tuple(records))
 
 
-def _as_triplet_set(context) -> frozenset[Triplet]:
-    if isinstance(context, RetrievedContext):
-        return context.triplet_set()
-    return frozenset(context)
-
-
 def context_hit_probability(
-    contexts: Sequence, gold: Sequence[Iterable[Triplet]]
+    contexts: Sequence[RetrievedContext], gold: Sequence[Iterable[Triplet]]
 ) -> float:
-    """Fraction of gold triplets present in their sentence's retrieved context.
-
-    Contexts may be triplet collections or ``RetrievedContext`` values; an
-    examples-mode context contributes the union of its examples' gold sets.
+    """Fraction of gold triplets present in their sentence's retrieved context,
+    among its ``ranked_triplets``: an examples-mode context contributes the
+    union of its examples' gold sets.
     """
     if len(contexts) != len(gold):
         raise ValueError(f"misaligned inputs: {len(contexts)} contexts vs {len(gold)} gold sets")
     hits = 0
     total = 0
     for context, gold_raw in zip(contexts, gold):
-        context_set = _as_triplet_set(context)
         gold_set = set(gold_raw)
         total += len(gold_set)
-        hits += len(gold_set & context_set)
+        hits += len(gold_set.intersection(context.ranked_triplets()))
     if total == 0:
         raise ValueError("no gold triplets to score against")
     return hits / total

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ._transport import APIError, HTTPClient, RetryPolicy, Transport
-from .corpus import AnnotatedSentence, Triplet, check_int
+from .corpus import AnnotatedSentence, Triplet, check_int, check_real
 from .retriever import RetrievedContext
 
 logger = logging.getLogger(__name__)
@@ -55,12 +55,16 @@ class GenerationConfig:
     in_flight: int = 4
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, str) or not self.model:
+            raise ValueError(f"model must be a non-empty string, got {self.model!r}")
+        check_real("temperature", self.temperature)
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
         check_int("max_output_tokens", self.max_output_tokens, 1)
         window = _context_window(self.model)
         if self.max_output_tokens >= window:
             raise ValueError(f"max_output_tokens {self.max_output_tokens} leaves no prompt room in the {window}-token context window of model {self.model!r}")
+        check_real("timeout", self.timeout)
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
         check_int("max_retries", self.max_retries, 0)
@@ -216,7 +220,7 @@ def exhaustive_random_f1(
 def oracle_extract(
     kind: str,
     sentence: AnnotatedSentence,
-    context: RetrievedContext | None,
+    context: RetrievedContext,
     max_triplets: int,
 ) -> list[Triplet]:
     """Deterministic extractors for pipeline checks, named as in
@@ -229,6 +233,5 @@ def oracle_extract(
     if kind == "oracle-gold":
         return list(sentence.gold)
     if kind == "oracle-prefix":
-        pool = context.ranked_triplets() if context is not None else []
-        return pool[: min(max_triplets, len(pool))]
+        return context.ranked_triplets()[:max_triplets]
     raise ValueError(f"unknown oracle kind {kind!r}")

@@ -1,7 +1,7 @@
-"""Parse raw generator output into triplets.
-
-The parser is total: anything that is not a bare "(subject, predicate,
-object)" tuple on its own line is counted as malformed, never raised.
+"""The "(subject, predicate, object)" line format in both directions:
+``triplet_to_string`` writes a triplet's line, ``parse_triplets`` reads raw
+generator output. The parser is total: anything that is not a bare tuple on
+its own line is counted as malformed, never raised.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ class ParseOutcome:
     triplets: tuple[Triplet, ...]
     malformed_lines: int
     truncated_to_max: bool
+
+
+def triplet_to_string(triplet: Triplet) -> str:
+    """The line of a triplet, for embedding, prompts and pure extractors; a
+    field with a top-level comma or an unbalanced parenthesis does not survive parsing."""
+    return f"({triplet.subject}, {triplet.predicate}, {triplet.object})"
 
 
 def _split_tuple_line(line: str) -> tuple[str, str, str] | None:

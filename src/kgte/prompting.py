@@ -18,7 +18,7 @@ import string
 from dataclasses import dataclass
 
 from .corpus import AnnotatedSentence, Triplet
-from .encoder import triplet_to_string
+from .parsing import triplet_to_string
 from .retriever import CONTEXT_MODES, RetrievedContext
 
 PROMPT_KINDS = ("base", "chain_of_thought", "documented")
@@ -99,14 +99,10 @@ def format_example_block(example: AnnotatedSentence) -> str:
     return "\n".join(lines)
 
 
-def _static_examples_section() -> str:
-    return "\n\n".join(format_example_block(ex) for ex in STATIC_EXAMPLES)
-
-
 def _build_body(kind: str, mode: str) -> str:
     parts = [_TASK_TEXT[kind]]
     if mode == "static2":
-        parts.append("\n" + _static_examples_section() + "\n")
+        parts.append("\n" + "\n\n".join(map(format_example_block, STATIC_EXAMPLES)) + "\n")
     elif mode == "triplets":
         parts.append("\nContext Triplets:\n{context}\n")
     elif mode == "examples":

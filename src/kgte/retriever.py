@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import AnnotatedSentence, Triplet, check_int
+from .corpus import AnnotatedSentence, Triplet, check_int, gold_triplets
 from .encoder import encode_texts
 from .vector_index import VectorIndex, top_k
 
@@ -53,15 +53,7 @@ class RetrievedContext:
         concatenated in example rank order, deduplicated."""
         if self.mode == "triplets":
             return [t for t, _ in self.items]
-        return list(dict.fromkeys(t for ex, _ in self.items for t in ex.gold))
-
-    def triplet_set(self) -> frozenset[Triplet]:
-        return frozenset(self.ranked_triplets())
-
-
-def empty_context(mode: str, n_kb: int = 0) -> RetrievedContext:
-    """Context for the no-KB settings (scale 0, or prompts without retrieval)."""
-    return RetrievedContext(mode=mode, items=(), n_kb_requested=n_kb)
+        return list(gold_triplets(ex for ex, _ in self.items))
 
 
 def diversity_filter(

@@ -25,8 +25,9 @@ from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, check_int, sentence_from_json, sentence_to_json, triplet_from_json
-from .encoder import EncoderConfig, encode_texts, triplet_to_string
+from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, check_int, sentence_from_json, sentence_to_json, triplet_from_json, triplet_to_json
+from .encoder import EncoderConfig, encode_texts
+from .parsing import triplet_to_string
 
 if TYPE_CHECKING:
     import numpy as np
@@ -190,12 +191,6 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, floa
     return list(zip(order.tolist(), scores[order].tolist()))
 
 
-def _payload_to_json(kind: str, payload: Triplet | AnnotatedSentence):
-    if kind == "triplet":
-        return list(payload.as_tuple())
-    return sentence_to_json(payload)
-
-
 def index_matrix_path(path: str | Path) -> Path:
     """The matrix file of the index whose JSON header is at ``path``: ``path``
     with the suffix ``.npy``. A header path that itself ends in ``.npy`` is
@@ -221,6 +216,7 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
     matrix_path = index_matrix_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.save(matrix_path, index._matrix, allow_pickle=False)
+    payload_to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
     doc = {
         "version": INDEX_FORMAT_VERSION,
         "dimension": index.dimension,
@@ -228,7 +224,7 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
         "kind": index.kind,
         "encoder": dataclasses.asdict(index.encoder_config),
         "matrix": matrix_path.name,
-        "payloads": [_payload_to_json(index.kind, payload) for payload in index.payloads],
+        "payloads": list(map(payload_to_json, index.payloads)),
     }
     path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
     return matrix_path

@@ -383,14 +383,32 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=field):
             spec_for(pair_manifest, **{field: value})
 
-    @pytest.mark.parametrize("field,value", [("n_kb", 2.5), ("dimension", 1.5), ("seed", True)])
+    @pytest.mark.parametrize("manifest", [None, "", 3])
+    def test_manifest_must_be_a_non_empty_string(self, manifest):
+        with pytest.raises(ValueError, match=f"^manifest must be a non-empty string, got {manifest!r}$"):
+            ExperimentRunSpec(manifest=manifest, mode="zero", extractor="random")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_kb", 2.5),
+            ("dimension", 1.5),
+            ("seed", True),
+            ("manifest", None),
+            ("generation", {"temperature": True}),
+            ("generation", {"timeout": "60"}),
+            ("generation", {"model": 3}),
+        ],
+    )
     def test_replay_of_a_wrong_typed_spec_file_names_the_file(self, tmp_path, field, value):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"manifest": "m.json", "mode": "triplets", "extractor": "random", field: value}))
         with pytest.raises(ValueError) as excinfo:
             replay_experiment(spec_path)
         assert str(excinfo.value).startswith(f"{spec_path}: ")
-        assert field in str(excinfo.value)
+        # a bad generation setting is named by its own field
+        needle = next(iter(value)) if isinstance(value, dict) else field
+        assert needle in str(excinfo.value)
 
     def test_budget_error_names_the_sentence(self, mini_manifest):
         dataset = load_dataset(mini_manifest)

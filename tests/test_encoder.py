@@ -138,6 +138,23 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             EncoderConfig(provider="magic")
 
+    @pytest.mark.parametrize(
+        "fields,needle",
+        [
+            pytest.param({"endpoint": "http://host/v1/embeddings", "model": "m"}, "hashed-ngram provider takes no endpoint or model", id="hashed-endpoint-model"),
+            pytest.param({"endpoint": "http://host/v1/embeddings"}, "hashed-ngram provider takes no endpoint or model", id="hashed-endpoint"),
+            pytest.param({"model": "m"}, "hashed-ngram provider takes no endpoint or model", id="hashed-model"),
+            pytest.param(
+                {"provider": "external", "endpoint": "http://host/v1/embeddings", "model": "m", "ngram_range": (2, 2)},
+                r"external provider has no n-grams: ngram_range must be the default \(3, 5\), got \(2, 2\)",
+                id="external-ngram-range",
+            ),
+        ],
+    )
+    def test_field_the_provider_ignores_rejected(self, fields, needle):
+        with pytest.raises(ValueError, match=needle):
+            EncoderConfig(**fields)
+
 
 @pytest.mark.parametrize("ngram_range", [[3], [3, 4, 5], 5], ids=["one", "three", "int"])
 def test_ngram_range_not_a_pair_is_named(ngram_range):

@@ -9,6 +9,7 @@ import pytest
 from kgte import (
     EncoderConfig,
     EvalReport,
+    RetrievedContext,
     Triplet,
     build_index,
     build_kb,
@@ -181,34 +182,42 @@ class TestSentenceF1:
         assert sentence_f1(set(), set()) == 0.0
 
 
+def triplets_context(triplets) -> RetrievedContext:
+    """A triplets-mode context holding ``triplets``, all at score 1."""
+    items = tuple((triplet, 1.0) for triplet in triplets)
+    return RetrievedContext(mode="triplets", items=items, n_kb_requested=len(items))
+
+
 class TestContextHitProbability:
     def test_full_containment(self):
         gold = [[t("a", "r", "b")], [t("c", "r", "d")]]
-        contexts = [set(g) | {t("x", "r", "y")} for g in gold]
+        contexts = [triplets_context(set(g) | {t("x", "r", "y")}) for g in gold]
         assert context_hit_probability(contexts, gold) == 1.0
 
     def test_partial(self):
         gold = [[t("a", "r", "b"), t("c", "r", "d"), t("e", "r", "f")]]
-        contexts = [{t("a", "r", "b"), t("c", "r", "d")}]
+        contexts = [triplets_context({t("a", "r", "b"), t("c", "r", "d")})]
         assert context_hit_probability(contexts, gold) == pytest.approx(2 / 3)
 
     def test_disjoint(self):
         gold = [[t("a", "r", "b")]]
-        contexts = [{t("x", "r", "y")}]
+        contexts = [triplets_context({t("x", "r", "y")})]
         assert context_hit_probability(contexts, gold) == 0.0
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
-            context_hit_probability([set()], [[t("a", "r", "b")], [t("c", "r", "d")]])
+            context_hit_probability([triplets_context(())], [[t("a", "r", "b")], [t("c", "r", "d")]])
 
     def test_monotone_in_context_inclusion(self):
         rng = random.Random(23)
-        pool = [t(f"s{i}", "r", f"o{i}") for i in range(20)]
+        # distinct predicates: a triplets context holds at most two per predicate
+        pool = [t(f"s{i}", f"r{i}", f"o{i}") for i in range(20)]
         for _ in range(100):
             gold = [rng.sample(pool, rng.randint(1, 4)) for _ in range(5)]
             small = [set(rng.sample(pool, rng.randint(0, 8))) for _ in range(5)]
             large = [s | set(rng.sample(pool, rng.randint(0, 8))) for s in small]
-            assert context_hit_probability(small, gold) <= context_hit_probability(large, gold)
+            p_small = context_hit_probability(list(map(triplets_context, small)), gold)
+            assert p_small <= context_hit_probability(list(map(triplets_context, large)), gold)
 
 
 class TestSweepContextQuality:
@@ -241,7 +250,7 @@ class TestSweepContextQuality:
         curve = sweep_context_quality(records, index, [1, 3, 5])
         golds = [list(r.gold) for r in records]
         for n_kb, p in curve.points:
-            contexts = [set(retrieve_triplets(r.text, index, n_kb).ranked_triplets()) for r in records]
+            contexts = [retrieve_triplets(r.text, index, n_kb) for r in records]
             assert p == context_hit_probability(contexts, golds)
 
     def test_nested_downscale_is_pointwise_ordered(self):

@@ -80,6 +80,12 @@ class TestModelCatalog:
             ("timeout", -1.0),
             ("max_output_tokens", 0),
             ("max_output_tokens", -3),
+            ("temperature", True),
+            ("temperature", "0.5"),
+            ("timeout", True),
+            ("timeout", None),
+            ("model", 3),
+            ("model", ""),
         ],
     )
     def test_out_of_range_setting_rejected(self, field, value):
@@ -106,6 +112,11 @@ class TestRetryPolicy:
     def test_backoff_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
             RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.25", None])
+    def test_non_real_backoff_rejected(self, value):
+        with pytest.raises(ValueError, match="backoff_base must be a real number"):
+            RetryPolicy(backoff_base=value)
 
     def test_client_with_negative_backoff_fails_when_built(self):
         with pytest.raises(ValueError, match="backoff_base"):

@@ -23,7 +23,7 @@ from kgte import (
     save_index,
 )
 from kgte.corpus import load_predictions as _read_triplet_lines
-from kgte.corpus import normalize_surface, sentence_from_json, sentence_to_json, triplet_from_json
+from kgte.corpus import normalize_surface, sentence_from_json, sentence_to_json, triplet_from_json, triplet_to_json
 
 # non-ASCII letters, underscores and whitespace runs, which normalization folds
 _surface = st.text(st.sampled_from("aZé中ß_ \t\n"), min_size=1, max_size=10).filter(normalize_surface)
@@ -38,7 +38,8 @@ class TestRoundTrip:
     def test_triplet(self, fields):
         t = Triplet(*fields)
         assert triplet_from_json(fields) == t
-        assert triplet_from_json(list(t.as_tuple())) == t
+        assert triplet_from_json(triplet_to_json(t)) == t
+        assert triplet_from_json(json.loads(json.dumps(triplet_to_json(t)))) == t
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(sentence=_sentences)

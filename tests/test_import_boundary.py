@@ -6,7 +6,9 @@ annotations), so a process that embeds nothing never loads it. The AST walk
 keeps a module-level import from coming back. The subprocess checks run in
 fresh interpreters, because this one has numpy loaded already. The same walk
 keeps ``extraction`` from importing ``prompting``: the LLM client sends the
-rendered prompt text and knows no template.
+rendered prompt text and knows no template. And ``encoder`` imports neither
+``parsing`` nor ``Triplet``: it turns text into vectors, and the triplet line
+it embeds is written by ``parsing``.
 """
 
 from __future__ import annotations
@@ -100,6 +102,14 @@ def test_the_walk_finds_sibling_imports_however_spelled():
 def test_extraction_does_not_import_prompting():
     path = Path(kgte.__file__).parent / "extraction.py"
     assert _imports(ast.parse(path.read_text(encoding="utf-8")), "prompting") == []
+
+
+def test_encoder_imports_neither_parsing_nor_triplet():
+    path = Path(kgte.__file__).parent / "encoder.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _imports(tree, "parsing") == []
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert "Triplet" not in names
 
 
 MANIFEST = DATA_DIR / "mini" / "manifest.json"

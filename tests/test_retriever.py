@@ -17,7 +17,6 @@ from kgte import (
     build_index,
     build_kb,
     diversity_filter,
-    empty_context,
     encode,
     retrieve_contexts,
     retrieve_examples,
@@ -237,10 +236,9 @@ class TestRetrievedContext:
             RetrievedContext(mode="triplets", items=items, n_kb_requested=5)
 
     def test_empty_context_helpers(self):
-        context = empty_context("triplets", 5)
+        context = RetrievedContext(mode="triplets", items=(), n_kb_requested=5)
         assert context.n_returned == 0
         assert context.ranked_triplets() == []
-        assert context.triplet_set() == frozenset()
 
     def test_example_context_triplet_union(self):
         records = planted_pair_records(4)
@@ -248,4 +246,3 @@ class TestRetrievedContext:
         context = RetrievedContext(mode="examples", items=items, n_kb_requested=4)
         expected = [t for record in records for t in record.gold]
         assert context.ranked_triplets() == expected
-        assert context.triplet_set() == frozenset(expected)

@@ -602,6 +602,12 @@ class TestMalformedIndexFile:
             pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": [3]}}, "ngram_range must be a pair", id="ngram-range-one"),
             pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": [3, 4, 5]}}, "ngram_range must be a pair", id="ngram-range-three"),
             pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": 5}}, "ngram_range must be a pair", id="ngram-range-int"),
+            pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "endpoint": "http://e", "model": "m"}}, "takes no endpoint or model", id="hashed-with-endpoint"),
+            pytest.param(
+                lambda doc: {**doc, "encoder": {**doc["encoder"], "provider": "external", "endpoint": "http://e", "model": "m", "ngram_range": [2, 2]}},
+                "has no n-grams",
+                id="external-with-ngram-range",
+            ),
             pytest.param(lambda doc: {**doc, "matrix": 5}, "matrix 5 is not a bare file name", id="matrix-not-a-string"),
             pytest.param(lambda doc: {**doc, "matrix": None}, "matrix None is not a bare file name", id="matrix-null"),
             pytest.param(lambda doc: {**doc, "metric": "l2"}, "unsupported metric 'l2'", id="unknown-metric"),
