@@ -52,7 +52,7 @@ from .extraction import (
     RemoteLLMClient,
     char_budget_for,
     exhaustive_random_f1,
-    oracle_extract,
+    pure_extract,
     random_extract,
     random_f1_closed_form,
     sentence_rng,
@@ -62,7 +62,6 @@ from .prompting import (
     PromptBudgetError,
     PromptInstance,
     PromptTemplate,
-    get_template,
     render,
 )
 from .retriever import (

@@ -30,21 +30,20 @@ from .evaluation import (
     sentence_f1,
 )
 from .extraction import (
+    EXTRACTORS,
     GenerationConfig,
     RemoteLLMClient,
     char_budget_for,
     exhaustive_random_f1,
-    oracle_extract,
+    pure_extract,
     random_extract,
     random_f1_closed_form,
     sentence_rng,
 )
 from .parsing import parse_triplets, triplet_to_string
-from .prompting import MODES, PROMPT_KINDS, PromptBudgetError, PromptInstance, get_template, render
+from .prompting import PromptBudgetError, PromptInstance, PromptTemplate, render
 from .retriever import CONTEXT_INDEX_KINDS, CONTEXT_MODES, RetrievedContext, check_n_kb, retrieve_contexts
 from .vector_index import VectorIndex, build_index, check_embed_mode
-
-EXTRACTORS = ("llm", "oracle-gold", "oracle-prefix", "random")
 
 
 @dataclass(frozen=True)
@@ -184,12 +183,9 @@ class ExperimentRunSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.manifest, str) or not self.manifest:
             raise ValueError(f"manifest must be a non-empty string, got {self.manifest!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        PromptTemplate(self.prompt_kind, self.mode)  # rejects an unknown prompt kind or mode
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"unknown extractor {self.extractor!r}")
-        if self.prompt_kind not in PROMPT_KINDS:
-            raise ValueError(f"unknown prompt kind {self.prompt_kind!r}")
         if self.split not in SPLIT_NAMES:
             raise ValueError(f"unknown split {self.split!r}")
         check_embed_mode(CONTEXT_INDEX_KINDS.get(self.mode), self.embed_mode)
@@ -266,20 +262,6 @@ def _build_contexts(
     return retrieve_contexts([s.text for s in sentences], index, [spec.n_kb])[0]
 
 
-def _pure_extract_raw(
-    spec: ExperimentRunSpec,
-    index: int,
-    sentence: AnnotatedSentence,
-    context: RetrievedContext,
-    max_triplets: int,
-) -> str:
-    if spec.extractor == "random":
-        triplets = random_extract(context, max_triplets, sentence_rng(spec.seed, index))
-    else:
-        triplets = oracle_extract(spec.extractor, sentence, context, max_triplets)
-    return "\n".join(triplet_to_string(t) for t in triplets)
-
-
 def _generate_all(
     spec: ExperimentRunSpec,
     sentences: Sequence[AnnotatedSentence],
@@ -295,10 +277,11 @@ def _generate_all(
     serially; their per-sentence seeds make scheduling irrelevant anyway.
     """
     if spec.extractor != "llm":
-        return [
-            (_pure_extract_raw(spec, i, s, c, max_triplets), None)
+        picks = (
+            pure_extract(spec.extractor, s, c, max_triplets, sentence_rng(spec.seed, i))
             for i, (s, c) in enumerate(zip(sentences, contexts))
-        ]
+        )
+        return [("\n".join(map(triplet_to_string, triplets)), None) for triplets in picks]
     results: list[tuple[str, str | None]] = [("", None)] * len(sentences)
     with ThreadPoolExecutor(max_workers=spec.generation.in_flight) as pool:
         futures = {pool.submit(llm_client.generate, p.rendered): i for i, p in enumerate(prompts)}
@@ -346,7 +329,7 @@ def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClie
     """``run_experiment`` on an already loaded dataset, writing nothing."""
     sentences = dataset.split(spec.split)
     max_triplets = dataset.max_triplets
-    template = get_template(spec.prompt_kind, spec.mode)
+    template = PromptTemplate(spec.prompt_kind, spec.mode)
     budget = char_budget_for(spec.generation) if spec.char_budget is None else spec.char_budget
     contexts = _build_contexts(spec, dataset, sentences)
 

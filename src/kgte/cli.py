@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    EXTRACTORS,
     ExperimentRunSpec,
     index_dataset,
     linear_fit,
@@ -38,7 +37,7 @@ from .corpus import (
 )
 from .encoder import EncoderConfig
 from .evaluation import check_n_kb_values, micro_f1, sweep_context_quality
-from .extraction import GenerationConfig, RemoteLLMClient
+from .extraction import EXTRACTORS, GenerationConfig, RemoteLLMClient
 from .prompting import MODES, PROMPT_KINDS
 from .retriever import CONTEXT_MODES, check_n_kb, retrieve_contexts
 from .vector_index import EXAMPLE_EMBED_MODES, NODE_KINDS, check_embed_mode, index_matrix_path, load_index, save_index

@@ -73,8 +73,9 @@ class EncoderConfig:
             raise ValueError(f"invalid ngram_range {self.ngram_range}")
         # each provider rejects the fields it would ignore
         if self.provider == "external":
-            if not (self.endpoint and self.model):
-                raise ValueError("external provider requires endpoint and model")
+            for name, value in (("endpoint", self.endpoint), ("model", self.model)):
+                if not isinstance(value, str) or not value:
+                    raise ValueError(f"{name} must be a non-empty string, got {value!r}")
             if self.ngram_range != EncoderConfig.ngram_range:
                 raise ValueError(f"the external provider has no n-grams: ngram_range must be the default {EncoderConfig.ngram_range}, got {self.ngram_range}")
         elif (self.endpoint, self.model) != (None, None):

@@ -1,6 +1,8 @@
 """Triplet generation drivers: the remote LLM client, deterministic oracle
 extractors for end-to-end testing, and the random baseline with its
-(P/N_KB)^n scaling relation and its exact expectation.
+(P/N_KB)^n scaling relation and its exact expectation. ``EXTRACTORS`` is the
+one list of extractor names: experiment specs, ``spec.json`` and the CLI use
+the same names.
 
 Of each model, only its context window is kept (``CONTEXT_WINDOWS``), for the
 prompt budget. Model size enters only the ``kgte fit --log-x`` fit, whose
@@ -217,21 +219,30 @@ def exhaustive_random_f1(
     return total / max_triplets
 
 
-def oracle_extract(
-    kind: str,
+_PURE_EXTRACTORS: dict[str, Callable[[AnnotatedSentence, RetrievedContext, int, random.Random], list[Triplet]]] = {
+    "oracle-gold": lambda sentence, context, max_triplets, rng: list(sentence.gold),
+    "oracle-prefix": lambda sentence, context, max_triplets, rng: context.ranked_triplets()[:max_triplets],
+    "random": lambda sentence, context, max_triplets, rng: random_extract(context, max_triplets, rng),
+}
+# every extractor name: the remote generator, then the pure extractors
+EXTRACTORS = ("llm", *_PURE_EXTRACTORS)
+
+
+def pure_extract(
+    name: str,
     sentence: AnnotatedSentence,
     context: RetrievedContext,
     max_triplets: int,
+    rng: random.Random,
 ) -> list[Triplet]:
-    """Deterministic extractors for pipeline checks, named as in
-    ``analysis.EXTRACTORS``.
+    """The triplets the pure extractor ``name`` picks for ``sentence``.
 
-    ``"oracle-gold"`` returns the gold set (upper bound); ``"oracle-prefix"``
+    ``oracle-gold`` returns the gold set (upper bound); ``oracle-prefix``
     returns the first min(max_triplets, |context|) context triplets, which has
-    a directly computable score.
+    a directly computable score; ``random`` is ``random_extract`` drawing from
+    ``rng``. ``max_triplets`` must be an int of at least 1.
     """
-    if kind == "oracle-gold":
-        return list(sentence.gold)
-    if kind == "oracle-prefix":
-        return context.ranked_triplets()[:max_triplets]
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    if name not in _PURE_EXTRACTORS:
+        raise ValueError(f"unknown extractor {name!r}")
+    check_int("max_triplets", max_triplets, 1)
+    return _PURE_EXTRACTORS[name](sentence, context, max_triplets, rng)

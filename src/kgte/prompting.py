@@ -4,17 +4,18 @@ Three prompt kinds (base, chain-of-thought, documented) crossed with four
 modes: ``zero`` (no context), ``static2`` (two fixed examples), ``triplets``
 (context triplets retrieved from the KB) and ``examples`` ((sentence,
 triplets) examples retrieved from the KB). ``MODES`` is the one list of them:
-experiment specs, ``spec.json`` and the CLI use the same names. Templates
-carry ``{text}`` and ``{max_triplets}`` placeholders, plus one ``{context}``
-placeholder in the two retrieval modes. The wording here is canonical for
-this artifact; the structural elements are the contract: a task explanation,
-the "(subject, predicate, object)" line format, the maximum-triplet
-instruction, and the section headers below.
+experiment specs, ``spec.json`` and the CLI use the same names.
+``PromptTemplate(kind, mode)`` derives its body from the pair: ``{text}`` and
+``{max_triplets}`` placeholders, plus one ``{context}`` placeholder in the two
+retrieval modes. The wording here is canonical for this artifact; the
+structural elements are the contract: a task explanation, the "(subject,
+predicate, object)" line format, the maximum-triplet instruction, and the
+section headers below.
 """
 
 from __future__ import annotations
 
-import string
+import functools
 from dataclasses import dataclass
 
 from .corpus import AnnotatedSentence, Triplet
@@ -33,18 +34,25 @@ class PromptBudgetError(ValueError):
 class PromptTemplate:
     kind: str
     mode: str
-    body: str
 
     def __post_init__(self) -> None:
         if self.kind not in PROMPT_KINDS:
             raise ValueError(f"unknown prompt kind {self.kind!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        # each placeholder once, {context} only in a retrieval mode, and nothing else
-        wanted = sorted(["text", "max_triplets", *(["context"] if self.mode in CONTEXT_MODES else [])])
-        fields = sorted(name for _, name, _, _ in string.Formatter().parse(self.body) if name is not None)
-        if fields != wanted:
-            raise ValueError(f"a {self.mode} template body must hold the placeholders {wanted} once each, got {fields}")
+
+    @functools.cached_property
+    def body(self) -> str:
+        """The task text, the mode's context section, then the sentence section."""
+        parts = [_TASK_TEXT[self.kind]]
+        if self.mode == "static2":
+            parts.append("\n" + "\n\n".join(map(format_example_block, STATIC_EXAMPLES)) + "\n")
+        elif self.mode == "triplets":
+            parts.append("\nContext Triplets:\n{context}\n")
+        elif self.mode == "examples":
+            parts.append("\n{context}\n")
+        parts.append("\nSentence: {text}\nTriplets:\n")
+        return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -97,24 +105,6 @@ def format_example_block(example: AnnotatedSentence) -> str:
     lines = [f"Sentence: {example.text}", "Triplets:"]
     lines.extend(triplet_to_string(t) for t in example.gold)
     return "\n".join(lines)
-
-
-def _build_body(kind: str, mode: str) -> str:
-    parts = [_TASK_TEXT[kind]]
-    if mode == "static2":
-        parts.append("\n" + "\n\n".join(map(format_example_block, STATIC_EXAMPLES)) + "\n")
-    elif mode == "triplets":
-        parts.append("\nContext Triplets:\n{context}\n")
-    elif mode == "examples":
-        parts.append("\n{context}\n")
-    parts.append("\nSentence: {text}\nTriplets:\n")
-    return "".join(parts)
-
-
-def get_template(kind: str, mode: str) -> PromptTemplate:
-    if kind not in PROMPT_KINDS:  # before the body is built; the template checks the mode
-        raise ValueError(f"unknown prompt kind {kind!r}")
-    return PromptTemplate(kind=kind, mode=mode, body=_build_body(kind, mode))
 
 
 def _context_payloads(template: PromptTemplate, context: RetrievedContext | None) -> list:

@@ -31,8 +31,7 @@ class RetrievedContext:
     def __post_init__(self) -> None:
         if self.mode not in CONTEXT_MODES:
             raise ValueError(f"unknown context mode {self.mode!r}")
-        if self.n_kb_requested < 0:
-            raise ValueError("n_kb_requested must be >= 0")
+        check_int("n_kb_requested", self.n_kb_requested, 0)  # 0 for a run without retrieval
         object.__setattr__(self, "items", tuple(self.items))
         if len(self.items) > self.n_kb_requested:
             raise ValueError("more items than requested")

@@ -66,10 +66,11 @@ class VectorIndex:
     """``payloads[i]`` under unit row ``i`` of one read-only ``(len(payloads),
     encoder_config.dimension)`` float64 matrix, ``_matrix``: a C-contiguous
     float64 ``vectors`` array is adopted without a copy, anything else is
-    copied. ``payloads`` is stored as a tuple. ``nodes``, one ``IndexNode``
-    per row in id order whose ``vector`` is a read-only row view of the
-    matrix, is built on first access; nothing in ``kgte`` reads it. Indexes
-    compare by identity."""
+    copied. ``payloads`` is stored as a tuple, each a ``Triplet`` in a
+    ``triplet`` index and an ``AnnotatedSentence`` in an ``example`` one.
+    ``nodes``, one ``IndexNode`` per row in id order whose ``vector`` is a
+    read-only row view of the matrix, is built on first access; nothing in
+    ``kgte`` reads it. Indexes compare by identity."""
 
     kind: str
     payloads: tuple[Triplet | AnnotatedSentence, ...] = field(repr=False)
@@ -85,6 +86,10 @@ class VectorIndex:
         if not self.payloads:
             raise ValueError("index has no nodes")
         payloads = tuple(self.payloads)
+        payload_type = Triplet if self.kind == "triplet" else AnnotatedSentence
+        for row, payload in enumerate(payloads):
+            if not isinstance(payload, payload_type):
+                raise ValueError(f"row {row}: a {self.kind} index holds {payload_type.__name__} payloads, not {type(payload).__name__}")
         matrix = np.ascontiguousarray(vectors, dtype=np.float64)
         if matrix.shape != (len(payloads), self.dimension):
             raise ValueError(f"vectors have shape {matrix.shape}, not (payloads, dim) {len(payloads), self.dimension}")

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from kgte import (
     ExperimentRunSpec,
     GenerationConfig,
     PromptBudgetError,
+    PromptTemplate,
     RemoteLLMClient,
     StudyRow,
     build_index,
     build_kb,
     downscale_kb,
-    get_template,
     index_dataset,
     linear_fit,
     load_dataset,
@@ -326,6 +327,23 @@ class TestRunExperiment:
             spec_for(pair_manifest, extractor="psychic")
 
     @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("mode", "three-shot", "unknown mode 'three-shot'"),
+            ("prompt_kind", "terse", "unknown prompt kind 'terse'"),
+            ("extractor", "psychic", "unknown extractor 'psychic'"),
+        ],
+    )
+    def test_unknown_choice_rejected_before_the_dataset_is_read(self, tmp_path, field, value, message):
+        fields = {"manifest": str(tmp_path / "no-such-manifest.json"), "mode": "zero", "extractor": "random", field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentRunSpec(**fields)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(spec_path))}: not a valid run spec: {message}$"):
+            replay_experiment(spec_path)
+
+    @pytest.mark.parametrize(
         "field,value,needle",
         [
             ("prompt_kind", "bogus", "prompt kind"),
@@ -413,7 +431,7 @@ class TestRunExperiment:
     def test_budget_error_names_the_sentence(self, mini_manifest):
         dataset = load_dataset(mini_manifest)
         first, second = dataset.test[:2]
-        template = get_template("base", "zero")
+        template = PromptTemplate("base", "zero")
         budget = len(render(template, first.text, dataset.max_triplets).rendered)
         assert len(render(template, second.text, dataset.max_triplets).rendered) > budget
         spec = ExperimentRunSpec(manifest=str(mini_manifest), mode="zero", extractor="random", char_budget=budget)

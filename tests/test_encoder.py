@@ -155,6 +155,20 @@ class TestEncoderConfig:
         with pytest.raises(ValueError, match=needle):
             EncoderConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "endpoint,model,field,value",
+        [
+            (5, "m", "endpoint", "5"),
+            ("", "m", "endpoint", "''"),
+            (None, "m", "endpoint", "None"),
+            ("http://host/v1/embeddings", True, "model", "True"),
+            ("http://host/v1/embeddings", "", "model", "''"),
+        ],
+    )
+    def test_external_endpoint_and_model_must_be_non_empty_strings(self, endpoint, model, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a non-empty string, got {value}$"):
+            EncoderConfig(provider="external", endpoint=endpoint, model=model)
+
 
 @pytest.mark.parametrize("ngram_range", [[3], [3, 4, 5], 5], ids=["one", "three", "int"])
 def test_ngram_range_not_a_pair_is_named(ngram_range):

@@ -11,6 +11,7 @@ import pytest
 from kgte import (
     APIError,
     CONTEXT_WINDOWS,
+    AnnotatedSentence,
     GenerationConfig,
     RemoteLLMClient,
     RetryPolicy,
@@ -19,12 +20,13 @@ from kgte import (
     Triplet,
     char_budget_for,
     exhaustive_random_f1,
-    oracle_extract,
+    pure_extract,
     random_extract,
     random_f1_closed_form,
     sentence_f1,
     sentence_rng,
 )
+from kgte.extraction import EXTRACTORS
 from conftest import planted_single_records
 
 
@@ -473,26 +475,43 @@ def test_random_baseline_sizes_must_be_ints(call, field):
         call()
 
 
-class TestOracleExtract:
+class TestPureExtract:
     def test_oracle_gold_is_perfect(self):
         for record in planted_single_records(5):
-            picked = oracle_extract("oracle-gold", record, None, 3)
+            picked = pure_extract("oracle-gold", record, triplet_context([]), 3, random.Random(0))
             assert sentence_f1(set(picked), set(record.gold)) == 1.0
 
     def test_context_prefix_returns_leading_triplets(self):
         pool = make_triplets(6)
         context = triplet_context(pool)
         record = planted_single_records(1)[0]
-        assert oracle_extract("oracle-prefix", record, context, 4) == pool[:4]
-        assert oracle_extract("oracle-prefix", record, context, 10) == pool
+        assert pure_extract("oracle-prefix", record, context, 4, random.Random(0)) == pool[:4]
+        assert pure_extract("oracle-prefix", record, context, 10, random.Random(0)) == pool
 
     def test_context_prefix_equal_to_gold_is_perfect(self):
         record = planted_single_records(1)[0]
         context = triplet_context(list(record.gold))
-        picked = oracle_extract("oracle-prefix", record, context, 1)
+        picked = pure_extract("oracle-prefix", record, context, 1, random.Random(0))
         assert sentence_f1(set(picked), set(record.gold)) == 1.0
 
-    def test_unknown_kind_rejected(self):
+    def test_random_is_random_extract(self):
         record = planted_single_records(1)[0]
-        with pytest.raises(ValueError):
-            oracle_extract("oracle_magic", record, None, 1)
+        context = triplet_context(make_triplets(8))
+        picked = [pure_extract("random", record, context, 3, sentence_rng(5, i)) for i in range(10)]
+        assert picked == [random_extract(context, 3, sentence_rng(5, i)) for i in range(10)]
+
+    def test_names_are_the_extractor_names(self):
+        assert EXTRACTORS == ("llm", "oracle-gold", "oracle-prefix", "random")
+
+    @pytest.mark.parametrize("name", ["oracle_magic", "llm"])
+    def test_unknown_name_rejected(self, name):
+        record = planted_single_records(1)[0]
+        with pytest.raises(ValueError, match=f"^unknown extractor {name!r}$"):
+            pure_extract(name, record, triplet_context([]), 1, random.Random(0))
+
+    @pytest.mark.parametrize("name", EXTRACTORS[1:])
+    @pytest.mark.parametrize("max_triplets", [-1, 0, True], ids=["negative", "zero", "bool"])
+    def test_max_triplets_below_one_rejected(self, name, max_triplets):
+        sentence = AnnotatedSentence("s0 r0 o0 s1 r1 o1", tuple(make_triplets(2)))
+        with pytest.raises(ValueError, match="^max_triplets must be"):
+            pure_extract(name, sentence, triplet_context(make_triplets(2)), max_triplets, random.Random(0))

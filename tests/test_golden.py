@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from kgte import RetrievedContext, build_kb, get_template, load_dataset, render, save_dataset
+from kgte import PromptTemplate, RetrievedContext, build_kb, load_dataset, render, save_dataset
 from kgte.cli import main
 from kgte.prompting import MODES, PROMPT_KINDS
 from kgte.vector_index import EXAMPLE_EMBED_MODES
@@ -85,7 +85,7 @@ def _prompt_inputs(manifest):
 @pytest.mark.parametrize("kind", PROMPT_KINDS)
 def test_prompt(mini_manifest, kind, mode):
     sentence, max_triplets, contexts = _prompt_inputs(mini_manifest)
-    prompt = render(get_template(kind, mode), sentence, max_triplets, contexts[mode])
+    prompt = render(PromptTemplate(kind, mode), sentence, max_triplets, contexts[mode])
     assert not prompt.truncated
     assert prompt.rendered.encode("utf-8") == (GOLDEN / "prompts" / f"{kind}__{mode}.txt").read_bytes()
 
@@ -93,7 +93,7 @@ def test_prompt(mini_manifest, kind, mode):
 @pytest.mark.parametrize(("mode", "budget", "kept"), [("triplets", 388, 2), ("examples", 515, 1)])
 def test_truncated_prompt(mini_manifest, mode, budget, kept):
     sentence, max_triplets, contexts = _prompt_inputs(mini_manifest)
-    prompt = render(get_template("base", mode), sentence, max_triplets, contexts[mode], budget)
+    prompt = render(PromptTemplate("base", mode), sentence, max_triplets, contexts[mode], budget)
     assert prompt.truncated and prompt.context_items_included == kept
     assert prompt.rendered.encode("utf-8") == (GOLDEN / "prompts" / f"base__{mode}__budget{budget}.txt").read_bytes()
 

@@ -235,6 +235,14 @@ class TestRetrievedContext:
         with pytest.raises(ValueError):
             RetrievedContext(mode="triplets", items=items, n_kb_requested=5)
 
+    @pytest.mark.parametrize("n_kb_requested", [True, 2.5, -1, None], ids=["bool", "float", "negative", "none"])
+    def test_n_kb_requested_must_be_a_non_negative_int(self, n_kb_requested):
+        with pytest.raises(ValueError, match="^n_kb_requested must be"):
+            RetrievedContext(mode="triplets", items=(), n_kb_requested=n_kb_requested)
+
+    def test_a_run_without_retrieval_requests_zero(self):
+        assert RetrievedContext(mode="triplets", items=(), n_kb_requested=0).n_returned == 0
+
     def test_empty_context_helpers(self):
         context = RetrievedContext(mode="triplets", items=(), n_kb_requested=5)
         assert context.n_returned == 0

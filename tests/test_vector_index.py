@@ -242,6 +242,15 @@ class TestConstructor:
         with pytest.raises(ValueError, match="no nodes"):
             VectorIndex("triplet", [], np.empty((0, 4)), config)
 
+    @pytest.mark.parametrize("kind", ["triplet", "example"])
+    def test_payload_of_the_other_kind_rejected(self, kind):
+        triplet = Triplet("a", "r", "b")
+        sentence = AnnotatedSentence("a r b", (triplet,))
+        right, wrong = (triplet, sentence) if kind == "triplet" else (sentence, triplet)
+        message = f"^row 1: a {kind} index holds {type(right).__name__} payloads, not {type(wrong).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            VectorIndex(kind, [right, wrong], EXACT_ROWS[:2], EncoderConfig(dimension=4))
+
     def test_rejected_vectors_stay_writable(self):
         matrix = np.array([[1.0, 1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="not unit"):
@@ -607,6 +616,16 @@ class TestMalformedIndexFile:
                 lambda doc: {**doc, "encoder": {**doc["encoder"], "provider": "external", "endpoint": "http://e", "model": "m", "ngram_range": [2, 2]}},
                 "has no n-grams",
                 id="external-with-ngram-range",
+            ),
+            pytest.param(
+                lambda doc: {**doc, "encoder": {**doc["encoder"], "provider": "external", "endpoint": 5, "model": True}},
+                "endpoint must be a non-empty string, got 5",
+                id="external-endpoint-not-a-string",
+            ),
+            pytest.param(
+                lambda doc: {**doc, "encoder": {**doc["encoder"], "provider": "external", "endpoint": "http://e", "model": True}},
+                "model must be a non-empty string, got True",
+                id="external-model-not-a-string",
             ),
             pytest.param(lambda doc: {**doc, "matrix": 5}, "matrix 5 is not a bare file name", id="matrix-not-a-string"),
             pytest.param(lambda doc: {**doc, "matrix": None}, "matrix None is not a bare file name", id="matrix-null"),
