@@ -25,6 +25,7 @@ from .corpus import (
 from .encoder import EncoderConfig
 from .evaluation import (
     EvalReport,
+    check_n_kb_values,
     context_hit_probability,
     micro_f1,
     sentence_f1,
@@ -125,8 +126,10 @@ def random_model_study(
     All F1 numbers here are per-sentence F1 averaged over sentences (and
     trials), so the Monte Carlo column is an unbiased estimator of the
     exact one. The closed form is an approximation; its deviation is
-    reported, not asserted.
+    reported, not asserted. ``n_kb_values`` must be a non-empty, strictly
+    increasing list of N_KB values, as for ``sweep_context_quality``.
     """
+    n_kb_values = check_n_kb_values(n_kb_values)
     check_int("trials", trials, 1)
     check_int("seed", seed)
     if index.kind != "triplet":
@@ -422,8 +425,9 @@ class AblationResult:
 
 
 def _ablation_point(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClient | None) -> AblationPoint:
-    """One scale's point. Its run, index and contexts die when this returns,
-    before the next scale builds its own."""
+    """One scale's point. Its run, contexts and index die when this returns,
+    before the next scale builds its own; only an index that a caller also
+    holds outlives it."""
     result = _run_on(spec, dataset, llm_client)
     p = context_hit_probability([run.context for run in result.runs], [run.sentence.gold for run in result.runs])
     return AblationPoint(scale=spec.scale, p=p, f1=result.report.f1)
@@ -448,8 +452,11 @@ def run_ablation(
     against P_S(N_KB).
 
     P_S is ``context_hit_probability`` over the contexts the run itself
-    retrieved, so the dataset is loaded once and each scale builds its KB and
-    index once. A scale whose KB is empty gives empty contexts and P_S = 0.
+    retrieved. The dataset is loaded once, and each scale builds its KB once
+    and takes its index from ``build_index``: one the caller still holds for
+    an equal KB (say, the full-KB index at scale 1.0) is reused without
+    encoding, any other is built and dies with its scale's run. A scale
+    whose KB is empty gives empty contexts and P_S = 0.
     The runs' generation config is ``llm_client``'s, when one is given.
     """
     if mode not in CONTEXT_MODES:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .corpus import AnnotatedSentence, Triplet
+from .corpus import AnnotatedSentence, Triplet, check_int
 from .parsing import triplet_to_string
 from .retriever import CONTEXT_MODES, RetrievedContext
 
@@ -129,7 +129,11 @@ def render(
     Context items are included highest-ranked first; if the render exceeds
     the budget, the lowest-ranked items are dropped until it fits. A budget
     too small for the zero-context render raises ``PromptBudgetError``.
+    ``max_triplets`` and a non-``None`` ``budget`` must be ints of at least 1.
     """
+    check_int("max_triplets", max_triplets, 1)
+    if budget is not None:
+        check_int("budget", budget, 1)
     items = _context_payloads(template, context)
     for included in range(len(items), -1, -1):
         kept = items[:included]

@@ -10,6 +10,11 @@ sort: deterministic, and fast enough at the KB sizes this library targets
 (tens of thousands of rows). It returns row ids and scores; ties are broken
 by ascending row id, at the k-th position too.
 
+``build_index`` interns its result: while an index built from equal inputs
+(kind, example embed mode, encoder config and payloads) is alive, it returns
+that same object and encodes nothing. The table holds each index weakly, so
+an index lives exactly as long as its callers hold it.
+
 As in ``encoder``, numpy is imported inside the functions that touch the
 matrix (``VectorIndex.__post_init__``, ``top_k``, ``save_index``,
 ``load_index``), so importing this module loads no numpy; building, loading
@@ -21,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import weakref
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -39,6 +45,9 @@ EXAMPLE_EMBED_MODES = ("sentence", "sentence+triplets")
 METRIC = "cosine"
 
 _NORM_TOLERANCE = 1e-6
+
+# (kind, example embed mode, encoder config, payloads) -> the live index built from them
+_live_indexes: weakref.WeakValueDictionary[tuple, VectorIndex] = weakref.WeakValueDictionary()
 
 
 class IndexFormatError(ValueError):
@@ -146,18 +155,26 @@ def build_index(
     example, embedded from the sentence alone or from the sentence plus its
     gold triplet strings (newline-joined), per ``example_embed_mode``. The
     index adopts the matrix ``encode_texts`` returns, one row per node.
+
+    While an index built from equal inputs (kind, embed mode, config and
+    payloads, compared by value) is alive, that same object is returned and
+    nothing is encoded or posted. The table of built indexes holds them
+    weakly: it keeps no index alive.
     """
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown index kind {kind!r}")
     check_embed_mode(kind, example_embed_mode)
     config = config or EncoderConfig()
-    if kind == "triplet":
-        payloads: Sequence = kb.triplets
-        texts = [triplet_to_string(t) for t in kb.triplets]
-    else:
-        payloads = kb.examples
-        texts = [_example_embed_text(ex, example_embed_mode) for ex in kb.examples]
-    return VectorIndex(kind, payloads, encode_texts(texts, config), config)
+    payloads = tuple(kb.triplets if kind == "triplet" else kb.examples)
+    key = (kind, example_embed_mode, config, payloads)
+    index = _live_indexes.get(key)
+    if index is None:
+        if kind == "triplet":
+            texts = [triplet_to_string(t) for t in payloads]
+        else:
+            texts = [_example_embed_text(ex, example_embed_mode) for ex in payloads]
+        index = _live_indexes[key] = VectorIndex(kind, payloads, encode_texts(texts, config), config)
+    return index
 
 
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, float]]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kgte.analysis
+import kgte.vector_index
 from kgte import (
     EncoderConfig,
     ExperimentRunSpec,
@@ -490,9 +491,11 @@ class TestIndexDataset:
         dataset = load_dataset(pair_manifest)
         config = EncoderConfig(dimension=64)
         got = index_dataset(dataset, "example", 1.0, 3, "sentence+triplets", config)
+        payloads, matrix = got.payloads, got._matrix.copy()
+        del got  # so that build_index encodes again rather than return it
         want = build_index(build_kb(dataset.train, dataset.validation), "example", "sentence+triplets", config)
-        assert np.array_equal(got._matrix, want._matrix)
-        assert got.payloads == want.payloads
+        assert np.array_equal(matrix, want._matrix)
+        assert payloads == want.payloads
 
     def test_downscaled_index_matches_downscale_kb(self, pair_manifest):
         dataset = load_dataset(pair_manifest)
@@ -500,7 +503,9 @@ class TestIndexDataset:
         kb = downscale_kb(build_kb(dataset.train, dataset.validation), 0.4, 5)
         got = index_dataset(dataset, "triplet", 0.4, 5, "sentence", config)
         assert got.payloads == kb.triplets
-        assert np.array_equal(got._matrix, build_index(kb, "triplet", config=config)._matrix)
+        matrix = got._matrix.copy()
+        del got  # so that build_index encodes again rather than return it
+        assert np.array_equal(matrix, build_index(kb, "triplet", config=config)._matrix)
 
     def test_empty_retained_kb_gives_none(self, pair_manifest):
         assert index_dataset(load_dataset(pair_manifest), "triplet", 0.0, 0, "sentence", None) is None
@@ -562,6 +567,24 @@ class TestRandomModelStudy:
             assert isinstance(rows[0].exhaustive_f1, float)
             assert rows[0].exhaustive_f1 == pytest.approx(expected, abs=1e-12)
         assert largest > 12
+
+    @pytest.mark.parametrize(
+        "n_kb_values,needle",
+        [
+            ([], "^no n_kb values to sweep$"),
+            ([2, 2], "^n_kb values must be strictly increasing$"),
+            ([5, 2], "^n_kb values must be strictly increasing$"),
+            ([0], "^n_kb must be >= 1, got 0$"),
+            ([True], "^n_kb must be an int, got True$"),
+        ],
+    )
+    def test_n_kb_values_checked_as_for_the_sweep(self, n_kb_values, needle):
+        records = planted_single_records(6, seed=43)
+        index = build_index(build_kb(records[:4], records[4:]), "triplet", config=EncoderConfig(dimension=16))
+        with pytest.raises(ValueError, match=needle):
+            random_model_study(records, index, n_kb_values, max_triplets=2, seed=0, trials=1)
+        with pytest.raises(ValueError, match=needle):
+            sweep_context_quality(records, index, n_kb_values)
 
     @pytest.mark.parametrize("trials", [True, 2.5])
     def test_trials_must_be_an_int(self, trials):
@@ -685,6 +708,26 @@ class TestRunAblation:
         monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
         with pytest.raises(ValueError, match="^no scales to run$"):
             run_ablation(pair_manifest, scales=[], seed=2, extractor="random", n_kb=2, dimension=128)
+
+    def test_a_live_full_index_is_reused_with_identical_results(self, mini_manifest, monkeypatch):
+        args = dict(scales=[0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
+        alone = json.dumps(run_ablation(mini_manifest, **args).to_dict(), sort_keys=True)
+        dataset = load_dataset(mini_manifest)
+        kb = build_kb(dataset.train, dataset.validation)
+        full = build_index(kb, "triplet", config=EncoderConfig(dimension=128))
+        encoded = []
+        real_encode_texts = kgte.vector_index.encode_texts
+
+        def counting_encode_texts(texts, config):
+            encoded.append(len(texts))
+            return real_encode_texts(texts, config)
+
+        monkeypatch.setattr(kgte.vector_index, "encode_texts", counting_encode_texts)
+        beside = json.dumps(run_ablation(mini_manifest, **args).to_dict(), sort_keys=True)
+        assert beside == alone
+        # only scale 0.5 encodes its KB; scale 1.0 takes the live full index
+        assert encoded == [len(downscale_kb(kb, 0.5, 2).triplets)]
+        assert 0 < encoded[0] < len(full)
 
     def test_degenerate_single_p_has_no_fit(self, pair_manifest):
         result = run_ablation(

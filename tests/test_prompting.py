@@ -126,6 +126,23 @@ class TestRender:
         with pytest.raises(PromptBudgetError):
             render(PromptTemplate("base", "zero"), "sentence", 5, budget=10)
 
+    @pytest.mark.parametrize(
+        "max_triplets,budget,needle",
+        [
+            (-1, None, "^max_triplets must be >= 1, got -1$"),
+            (0, None, "^max_triplets must be >= 1, got 0$"),
+            (True, None, "^max_triplets must be an int, got True$"),
+            (2.5, None, "^max_triplets must be an int, got 2.5$"),
+            (5, True, "^budget must be an int, got True$"),
+            (5, 0, "^budget must be >= 1, got 0$"),
+            (5, 400.0, "^budget must be an int, got 400.0$"),
+        ],
+    )
+    def test_max_triplets_and_budget_must_be_positive_ints(self, max_triplets, budget, needle):
+        for mode in ("zero", "triplets"):
+            with pytest.raises(ValueError, match=needle):
+                render(PromptTemplate("base", mode), "x y z", max_triplets, triplet_context(2), budget)
+
     def test_five_examples_squeezed_to_three(self):
         template = PromptTemplate("base", "examples")
         examples = tuple(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from kgte import (
     save_index,
     top_k,
 )
+import kgte.encoder
+from conftest import FAKE_EMBED_DIM
 from kgte.corpus import normalize_surface
 
 
@@ -121,6 +125,77 @@ class TestBuildIndex:
         empty = dataclasses.replace(kb, triplets=(), examples=())
         with pytest.raises(ValueError):
             build_index(empty, "triplet", config=EncoderConfig(dimension=64))
+
+
+@pytest.fixture
+def encode_calls(monkeypatch) -> list[str]:
+    """Counts the hashed n-gram encoder's calls; returns the encoded texts."""
+    texts = []
+    real_encode = kgte.encoder.encode
+
+    def counting_encode(text, config):
+        texts.append(text)
+        return real_encode(text, config)
+
+    monkeypatch.setattr(kgte.encoder, "encode", counting_encode)
+    return texts
+
+
+class TestOneLiveCopy:
+    """``build_index`` returns the live index built from equal inputs, and
+    holds no index alive itself."""
+
+    # a dimension no other test builds with, so no index of theirs is equal
+    CONFIG = EncoderConfig(dimension=24)
+
+    def test_equal_inputs_give_the_live_index_and_encode_nothing(self, encode_calls):
+        index = build_index(small_kb(), "triplet", config=self.CONFIG)
+        assert len(encode_calls) == len(index)
+        encode_calls.clear()
+        # an equal KB and config built from fresh objects
+        again = build_index(small_kb(), "triplet", config=EncoderConfig(dimension=24))
+        assert again is index
+        assert encode_calls == []
+
+    def test_a_dropped_index_is_freed_and_built_again(self, encode_calls):
+        index = build_index(small_kb(), "example", "sentence+triplets", self.CONFIG)
+        matrix = index._matrix.copy()
+        ref = weakref.ref(index)
+        del index
+        gc.collect()
+        assert ref() is None
+        encode_calls.clear()
+        rebuilt = build_index(small_kb(), "example", "sentence+triplets", self.CONFIG)
+        assert len(encode_calls) == len(rebuilt) == 3
+        assert np.array_equal(rebuilt._matrix, matrix)
+
+    def test_any_different_input_gives_a_distinct_index(self):
+        kb = small_kb()
+        base = build_index(kb, "example", "sentence", self.CONFIG)
+        others = [
+            build_index(kb, "triplet", config=self.CONFIG),
+            build_index(kb, "example", "sentence+triplets", self.CONFIG),
+            build_index(kb, "example", "sentence", EncoderConfig(dimension=25)),
+            build_index(kb, "example", "sentence", EncoderConfig(dimension=24, ngram_range=(2, 4))),
+            build_index(dataclasses.replace(kb, triplets=kb.triplets[::-1]), "triplet", config=self.CONFIG),
+            build_index(dataclasses.replace(kb, examples=kb.examples[::-1]), "example", "sentence", self.CONFIG),
+        ]
+        built = [base, *others]
+        assert len({id(index) for index in built}) == len(built)
+        assert others[-2].payloads == kb.triplets[::-1]
+        assert others[-1].payloads == kb.examples[::-1]
+        assert np.array_equal(others[-1]._matrix, base._matrix[::-1])
+
+    def test_a_live_external_index_sends_no_request(self, embed_posts):
+        config = EncoderConfig(provider="external", dimension=FAKE_EMBED_DIM, endpoint="http://embed.invalid/v1", model="m-1")
+        index = build_index(small_kb(), "triplet", config=config)
+        assert len(embed_posts) == 1
+        assert build_index(small_kb(), "triplet", config=config) is index
+        assert len(embed_posts) == 1
+        del index
+        gc.collect()
+        build_index(small_kb(), "triplet", config=config)
+        assert len(embed_posts) == 2
 
 
 class TestTopK:
