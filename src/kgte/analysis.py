@@ -452,11 +452,12 @@ def run_ablation(
     against P_S(N_KB).
 
     P_S is ``context_hit_probability`` over the contexts the run itself
-    retrieved. The dataset is loaded once, and each scale builds its KB once
-    and takes its index from ``build_index``: one the caller still holds for
-    an equal KB (say, the full-KB index at scale 1.0) is reused without
-    encoding, any other is built and dies with its scale's run. A scale
-    whose KB is empty gives empty contexts and P_S = 0.
+    retrieved. The dataset comes from one ``load_dataset`` call, which
+    returns a dataset the caller still holds without parsing it. Each scale
+    builds its KB once and takes its index from ``build_index``: one the
+    caller still holds for an equal KB (say, the full-KB index at scale 1.0)
+    is reused without encoding, any other is built and dies with its scale's
+    run. A scale whose KB is empty gives empty contexts and P_S = 0.
     The runs' generation config is ``llm_client``'s, when one is given.
     """
     if mode not in CONTEXT_MODES:

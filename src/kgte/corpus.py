@@ -27,15 +27,23 @@ interns them: each distinct normalized surface is one ``str`` object shared by
 every triplet that carries it, whichever path built the triplet. Sentence text
 is kept raw. ``Triplet`` memoizes the normal form of the first
 ``SURFACE_MEMO_SIZE`` raw surfaces (full: a 0.4 MB dict plus its raw keys).
+
+``load_dataset`` interns its result: while a dataset parsed from split files
+of identical bytes is alive, it returns that same object and parses no
+record. Its table is keyed by the SHA-256 of each split's bytes, read in
+``HASH_CHUNK_BYTES`` chunks, and holds each dataset weakly, so a dataset
+lives exactly as long as its callers hold it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
 import random
 import sys
+import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -45,7 +53,11 @@ SPLIT_NAMES = ("train", "validation", "test")
 SURFACE_MEMO_SIZE = 1 << 14
 _surfaces: dict[str, str] = {}  # raw -> canonical surface; no eviction: with few repeats each field would pay one
 _set_field = object.__setattr__  # sets a frozen field; Triplet.__init__'s parameter ``object`` shadows the builtin
+# below glibc's initial mmap threshold (128 KiB): a freed read buffer must not raise it
+HASH_CHUNK_BYTES = 1 << 16
 T = TypeVar("T")
+# (SHA-256 of the train, validation and test bytes) -> the dataset parsed from them
+_live_datasets: weakref.WeakValueDictionary[tuple[bytes, ...], Dataset] = weakref.WeakValueDictionary()
 
 
 class DatasetFormatError(ValueError):
@@ -286,13 +298,17 @@ def sentence_to_json(sentence: AnnotatedSentence) -> dict:
     return {"text": sentence.text, "triplets": list(map(triplet_to_json, sentence.gold))}
 
 
-def parse_lines(path: str | Path, parse: Callable[[str], T]) -> list[T]:
+def parse_lines(path: str | Path, parse: Callable[[str], T], digest: hashlib._Hash | None = None) -> list[T]:
     """``parse`` of each non-blank line of ``path``, in order. Lines are
     decoded one by one, so invalid UTF-8 is located too; a ``ValueError`` from
-    decoding or ``parse`` becomes a ``DatasetFormatError`` at ``path:line``."""
+    decoding or ``parse`` becomes a ``DatasetFormatError`` at ``path:line``.
+    Every line read, blank ones too, is fed to ``digest`` when one is given,
+    so it ends as the hash of the bytes the values were parsed from."""
     values = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
@@ -309,11 +325,12 @@ def _record_from_line(line: str) -> AnnotatedSentence:
     return record
 
 
-def load_records(path: str | Path) -> list[AnnotatedSentence]:
-    """Load one newline-delimited record file. Raises ``DatasetFormatError``
-    carrying the offending line number on malformed input."""
+def load_records(path: str | Path, digest: hashlib._Hash | None = None) -> list[AnnotatedSentence]:
+    """Load one newline-delimited record file; ``digest`` is fed its bytes as
+    ``parse_lines`` reads them. Raises ``DatasetFormatError`` carrying the
+    offending line number on malformed input."""
     path = Path(path)
-    records = parse_lines(path, _record_from_line)
+    records = parse_lines(path, _record_from_line, digest)
     if not records:
         raise DatasetFormatError("split contains no records", path=path)
     return records
@@ -324,8 +341,27 @@ def load_predictions(path: str | Path) -> list[list[Triplet]]:
     return parse_lines(path, lambda line: prediction_from_json(json.loads(line)))
 
 
+def _file_digest(path: Path) -> bytes:
+    """SHA-256 of the bytes of ``path``, read in ``HASH_CHUNK_BYTES`` chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.digest()
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a dataset from a manifest file; split paths resolve relative to it."""
+    """Load a dataset from a manifest file; split paths resolve relative to it.
+
+    Every split is hashed before any is parsed. While a dataset parsed from
+    splits of identical bytes (train, validation, test, in that order) is
+    alive, wherever its files were, that same object is returned and no
+    record is parsed. Otherwise the splits are parsed, and the dataset is
+    registered under the hash of the bytes the parse read, so a file
+    rewritten between the two passes is never registered under its old
+    bytes. A malformed split is never registered. The table holds each
+    dataset weakly: it keeps no dataset alive.
+    """
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -338,15 +374,21 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     missing = [name for name in SPLIT_NAMES if name not in manifest]
     if missing:
         raise DatasetFormatError(f"manifest missing splits: {missing}", path=manifest_path)
-    splits = {}
+    paths, key = [], []
     for name in SPLIT_NAMES:
         if not isinstance(manifest[name], str):
             raise DatasetFormatError(f"split {name!r} path {manifest[name]!r} is not a string", path=manifest_path)
         split_path = Path(manifest[name])
         if not split_path.is_absolute():
             split_path = manifest_path.parent / split_path
-        splits[name] = load_records(split_path)
-    return Dataset(**splits)
+        paths.append(split_path)
+        key.append(_file_digest(split_path))
+    dataset = _live_datasets.get(tuple(key))
+    if dataset is None:
+        digests = [hashlib.sha256() for _ in paths]
+        dataset = Dataset(*map(load_records, paths, digests))
+        _live_datasets[tuple(digest.digest() for digest in digests)] = dataset
+    return dataset
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> Path:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kgte._transport
+import kgte.corpus
 from kgte import AnnotatedSentence, Dataset, Triplet, save_dataset, triplet_to_string
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -58,6 +60,26 @@ def embed_posts(monkeypatch) -> list[list[str]]:
 @pytest.fixture
 def mini_manifest() -> Path:
     return DATA_DIR / "mini" / "manifest.json"
+
+
+# records in the mini fixture's three splits
+MINI_RECORDS = MINI_STATS["train"] + MINI_STATS["validation"] + MINI_STATS["test"]
+
+
+@pytest.fixture
+def parsed_records(monkeypatch) -> list[str]:
+    """The record lines ``load_dataset`` parses, in order. Garbage is
+    collected first, so no dataset an earlier test dropped is still live."""
+    gc.collect()
+    lines = []
+    real = kgte.corpus._record_from_line
+
+    def counting(line):
+        lines.append(line)
+        return real(line)
+
+    monkeypatch.setattr(kgte.corpus, "_record_from_line", counting)
+    return lines
 
 
 def _token(rng: random.Random, length: int = 8) -> str:

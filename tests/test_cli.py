@@ -14,14 +14,14 @@ import kgte.analysis
 import kgte.cli
 import kgte.encoder
 from kgte import DatasetFormatError, Triplet, build_kb, load_dataset, triplet_to_string
-from kgte.analysis import EXTRACTORS, ExperimentRunSpec, run_ablation
+from kgte.analysis import EXTRACTORS, ExperimentRunSpec, run_ablation, run_experiment
 from kgte.cli import _read_xy_csv, build_parser, main
 from kgte.corpus import load_predictions as _read_triplet_lines, normalize_surface
 from kgte.encoder import EncoderConfig
 from kgte.extraction import GenerationConfig
 from kgte.prompting import MODES, PROMPT_KINDS
 from kgte.retriever import CONTEXT_MODES
-from conftest import DATA_DIR, MINI_STATS
+from conftest import DATA_DIR, MINI_RECORDS, MINI_STATS
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 # any printable text, non-ASCII included, that survives normalization
@@ -896,3 +896,29 @@ class TestFit:
         csv.write_text("x,y\n")
         assert run_cli(["fit", "--input", str(csv)]) == 1
         assert "error" in json.loads(capsys.readouterr().err)
+
+
+def _cli_succeeds(*args) -> None:
+    assert run_cli(list(args)) == 0
+
+
+# Each driver that loads a dataset, called on a manifest and an output directory.
+DATASET_DRIVERS = {
+    "run_experiment-triplets": lambda m, out: run_experiment(ExperimentRunSpec(manifest=str(m), mode="triplets", extractor="random")),
+    "run_experiment-examples": lambda m, out: run_experiment(ExperimentRunSpec(manifest=str(m), mode="examples", extractor="random")),
+    "run_ablation": lambda m, out: run_ablation(m, (0.5, 1.0), seed=0),
+    "ingest": lambda m, out: _cli_succeeds("ingest", "--manifest", str(m)),
+    "index": lambda m, out: _cli_succeeds("index", "--manifest", str(m), "--out", str(out / "kb.index.json")),
+    "sweep-p": lambda m, out: _cli_succeeds("sweep-p", "--manifest", str(m), "--nkb-list", "1,2", "--out", str(out / "curve.csv")),
+    "extract": lambda m, out: _cli_succeeds("extract", "--manifest", str(m), "--mode", "triplets", "--extractor", "random", "--out", str(out / "run")),
+}
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "not-held"])
+@pytest.mark.parametrize("driver", DATASET_DRIVERS)
+def test_drivers_share_a_held_dataset(mini_manifest, tmp_path, parsed_records, driver, held):
+    dataset = load_dataset(mini_manifest) if held else None
+    del parsed_records[:]
+    DATASET_DRIVERS[driver](mini_manifest, tmp_path)
+    assert len(parsed_records) == (0 if held else MINI_RECORDS)
+    assert dataset is None or load_dataset(mini_manifest) is dataset

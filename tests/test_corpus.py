@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import pickle
 import random
+import shutil
 import string
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,12 +25,13 @@ from kgte import (
     dataset_stats,
     downscale_kb,
     load_dataset,
+    load_records,
     normalize_surface,
     save_dataset,
 )
 from kgte import corpus
 from kgte.corpus import SURFACE_MEMO_SIZE, parse_lines
-from conftest import MINI_STATS
+from conftest import MINI_RECORDS, MINI_STATS
 
 
 class TestNormalizeSurface:
@@ -391,6 +395,94 @@ class TestLoadDataset:
         # and a second round trip is stable too
         manifest2 = save_dataset(reloaded, tmp_path / "copy2")
         assert load_dataset(manifest2) == dataset
+
+
+def _copy_mini(mini_manifest, directory) -> Path:
+    """A copy of the mini fixture's manifest and splits in ``directory``."""
+    shutil.copytree(mini_manifest.parent, directory)
+    return directory / mini_manifest.name
+
+
+class TestOneLiveCopy:
+    def test_identical_bytes_elsewhere_give_the_same_object(self, mini_manifest, tmp_path, parsed_records):
+        held = load_dataset(mini_manifest)
+        assert len(parsed_records) == MINI_RECORDS
+        assert load_dataset(_copy_mini(mini_manifest, tmp_path / "copy")) is held
+        assert load_dataset(mini_manifest) is held
+        assert len(parsed_records) == MINI_RECORDS
+
+    @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl", "test.jsonl"])
+    def test_one_changed_byte_in_any_split_parses_again(self, mini_manifest, tmp_path, parsed_records, split):
+        held = load_dataset(mini_manifest)
+        manifest = _copy_mini(mini_manifest, tmp_path / "copy")
+        data = bytearray((manifest.parent / split).read_bytes())
+        data[-1:] = b" "  # the last newline: the records stay equal, the bytes do not
+        (manifest.parent / split).write_bytes(data)
+        del parsed_records[:]
+        changed = load_dataset(manifest)
+        assert changed is not held and changed == held
+        assert len(parsed_records) == MINI_RECORDS
+        assert load_dataset(manifest) is changed
+
+    def test_a_dropped_dataset_is_parsed_again(self, mini_manifest, parsed_records):
+        held = load_dataset(mini_manifest)
+        alive = weakref.ref(held)
+        del held
+        gc.collect()
+        assert alive() is None
+        assert len(parsed_records) == MINI_RECORDS
+        load_dataset(mini_manifest)
+        assert len(parsed_records) == 2 * MINI_RECORDS
+
+    def test_a_malformed_split_raises_the_same_error_every_time(self, mini_manifest, tmp_path, parsed_records):
+        held = load_dataset(mini_manifest)  # the other splits' bytes are those of a live dataset
+        live = set(corpus._live_datasets.keys())
+        manifest = _copy_mini(mini_manifest, tmp_path / "copy")
+        with open(manifest.parent / "test.jsonl", "a") as fh:
+            fh.write("not json at all\n")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DatasetFormatError) as excinfo:
+                load_dataset(manifest)
+            errors.append((type(excinfo.value), str(excinfo.value), excinfo.value.path, excinfo.value.line))
+        assert errors[0] == errors[1]
+        assert errors[0][2:] == (str(manifest.parent / "test.jsonl"), MINI_STATS["test"] + 1)
+        assert set(corpus._live_datasets.keys()) == live
+        assert load_dataset(mini_manifest) is held
+
+    def test_a_file_rewritten_between_the_passes_is_keyed_by_what_was_parsed(
+        self, mini_manifest, tmp_path, monkeypatch, parsed_records
+    ):
+        manifest = _copy_mini(mini_manifest, tmp_path / "copy")
+        test_split = manifest.parent / "test.jsonl"
+        hashed = test_split.read_bytes()
+        rewritten = hashed[: hashed.rindex(b"\n", 0, -1) + 1]  # without the last record
+        real_digest = corpus._file_digest
+
+        def digest_then_rewrite(path):
+            digest = real_digest(path)
+            if path == test_split:
+                path.write_bytes(rewritten)
+            return digest
+
+        monkeypatch.setattr(corpus, "_file_digest", digest_then_rewrite)
+        parsed = load_dataset(manifest)
+        monkeypatch.setattr(corpus, "_file_digest", real_digest)
+        assert len(parsed.test) == MINI_STATS["test"] - 1
+        fresh = load_dataset(mini_manifest)  # the bytes the hash pass read
+        assert fresh is not parsed and len(fresh.test) == MINI_STATS["test"]
+        assert len(parsed_records) == 2 * MINI_RECORDS - 1
+        assert load_dataset(manifest) is parsed  # the bytes the parse read
+
+    def test_every_split_is_opened_before_any_is_parsed(self, tmp_path, parsed_records):
+        (tmp_path / "train.jsonl").write_text("not json at all\n")
+        (tmp_path / "valid.jsonl").write_text('{"text":"ok","triplets":[["a","r","b"]]}\n')
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"train": "train.jsonl", "validation": "valid.jsonl", "test": "test.jsonl"}))
+        with pytest.raises(FileNotFoundError) as excinfo:
+            load_dataset(manifest)
+        assert excinfo.value.filename == str(tmp_path / "test.jsonl")
+        assert parsed_records == []
 
 
 class TestBuildKb:
