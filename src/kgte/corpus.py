@@ -30,9 +30,9 @@ is kept raw. ``Triplet`` memoizes the normal form of the first
 
 ``load_dataset`` interns its result: while a dataset parsed from split files
 of identical bytes is alive, it returns that same object and parses no
-record. Its table is keyed by the SHA-256 of each split's bytes, read in
-``HASH_CHUNK_BYTES`` chunks, and holds each dataset weakly, so a dataset
-lives exactly as long as its callers hold it.
+record. Its table is keyed by the SHA-256 of each split's bytes and holds
+each dataset weakly, so a dataset lives exactly as long as its callers hold
+it. A split must be a regular file.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import random
+import stat
 import sys
 import weakref
 from dataclasses import asdict, dataclass
@@ -54,7 +56,7 @@ SURFACE_MEMO_SIZE = 1 << 14
 _surfaces: dict[str, str] = {}  # raw -> canonical surface; no eviction: with few repeats each field would pay one
 _set_field = object.__setattr__  # sets a frozen field; Triplet.__init__'s parameter ``object`` shadows the builtin
 # below glibc's initial mmap threshold (128 KiB): a freed read buffer must not raise it
-HASH_CHUNK_BYTES = 1 << 16
+_HASH_CHUNK_BYTES = 1 << 16
 T = TypeVar("T")
 # (SHA-256 of the train, validation and test bytes) -> the dataset parsed from them
 _live_datasets: weakref.WeakValueDictionary[tuple[bytes, ...], Dataset] = weakref.WeakValueDictionary()
@@ -298,17 +300,13 @@ def sentence_to_json(sentence: AnnotatedSentence) -> dict:
     return {"text": sentence.text, "triplets": list(map(triplet_to_json, sentence.gold))}
 
 
-def parse_lines(path: str | Path, parse: Callable[[str], T], digest: hashlib._Hash | None = None) -> list[T]:
+def parse_lines(path: str | Path, parse: Callable[[str], T]) -> list[T]:
     """``parse`` of each non-blank line of ``path``, in order. Lines are
     decoded one by one, so invalid UTF-8 is located too; a ``ValueError`` from
-    decoding or ``parse`` becomes a ``DatasetFormatError`` at ``path:line``.
-    Every line read, blank ones too, is fed to ``digest`` when one is given,
-    so it ends as the hash of the bytes the values were parsed from."""
+    decoding or ``parse`` becomes a ``DatasetFormatError`` at ``path:line``."""
     values = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if digest is not None:
-                digest.update(raw)
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
@@ -325,12 +323,11 @@ def _record_from_line(line: str) -> AnnotatedSentence:
     return record
 
 
-def load_records(path: str | Path, digest: hashlib._Hash | None = None) -> list[AnnotatedSentence]:
-    """Load one newline-delimited record file; ``digest`` is fed its bytes as
-    ``parse_lines`` reads them. Raises ``DatasetFormatError`` carrying the
-    offending line number on malformed input."""
+def load_records(path: str | Path) -> list[AnnotatedSentence]:
+    """Load one newline-delimited record file. Raises ``DatasetFormatError``
+    carrying the offending line number on malformed input."""
     path = Path(path)
-    records = parse_lines(path, _record_from_line, digest)
+    records = parse_lines(path, _record_from_line)
     if not records:
         raise DatasetFormatError("split contains no records", path=path)
     return records
@@ -341,11 +338,15 @@ def load_predictions(path: str | Path) -> list[list[Triplet]]:
     return parse_lines(path, lambda line: prediction_from_json(json.loads(line)))
 
 
-def _file_digest(path: Path) -> bytes:
-    """SHA-256 of the bytes of ``path``, read in ``HASH_CHUNK_BYTES`` chunks."""
+def _split_digest(path: Path) -> bytes:
+    """SHA-256 of the bytes of the split file ``path``. Anything but a regular
+    file (a pipe, a directory) is rejected before it is opened, as reading it
+    to hash it would consume or block on it."""
+    if not stat.S_ISREG(os.stat(str(path)).st_mode):
+        raise DatasetFormatError("split is not a regular file", path=path)
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(HASH_CHUNK_BYTES):
+        while chunk := fh.read(_HASH_CHUNK_BYTES):
             digest.update(chunk)
     return digest.digest()
 
@@ -353,14 +354,15 @@ def _file_digest(path: Path) -> bytes:
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset from a manifest file; split paths resolve relative to it.
 
-    Every split is hashed before any is parsed. While a dataset parsed from
-    splits of identical bytes (train, validation, test, in that order) is
-    alive, wherever its files were, that same object is returned and no
-    record is parsed. Otherwise the splits are parsed, and the dataset is
-    registered under the hash of the bytes the parse read, so a file
-    rewritten between the two passes is never registered under its old
-    bytes. A malformed split is never registered. The table holds each
-    dataset weakly: it keeps no dataset alive.
+    Every split must be a regular file, and every split is hashed before any
+    is parsed. While a dataset parsed from splits of identical bytes (train,
+    validation, test, in that order) is alive, wherever its files were, that
+    same object is returned and no record is parsed. Otherwise the splits
+    are parsed and hashed again, and the dataset is registered only if every
+    split still has the bytes it was hashed with, so a split rewritten
+    between the hash and the parse is not registered under its old bytes. A
+    malformed split is never registered. The table holds each dataset
+    weakly: it keeps no dataset alive.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -382,12 +384,17 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         if not split_path.is_absolute():
             split_path = manifest_path.parent / split_path
         paths.append(split_path)
-        key.append(_file_digest(split_path))
-    dataset = _live_datasets.get(tuple(key))
+        key.append(_split_digest(split_path))
+    key = tuple(key)
+    dataset = _live_datasets.get(key)
     if dataset is None:
-        digests = [hashlib.sha256() for _ in paths]
-        dataset = Dataset(*map(load_records, paths, digests))
-        _live_datasets[tuple(digest.digest() for digest in digests)] = dataset
+        dataset = Dataset(*map(load_records, paths))
+        try:
+            unchanged = tuple(map(_split_digest, paths)) == key
+        except (OSError, DatasetFormatError):  # a split moved away after its parse: the load still stands
+            unchanged = False
+        if unchanged:
+            _live_datasets[key] = dataset
     return dataset
 
 

@@ -210,7 +210,13 @@ class TestSurfaceMemo:
         calls = []
         monkeypatch.setattr(corpus, "_surfaces", {})
         monkeypatch.setattr(corpus, "normalize_surface", lambda raw: calls.append(raw) or normalize_surface(raw))
-        assert load_dataset(mini_manifest) == load_dataset(mini_manifest)
+        first = load_dataset(mini_manifest)
+        splits, alive = (first.train, first.validation, first.test), weakref.ref(first)
+        del first
+        gc.collect()
+        assert alive() is None  # so the reload parses every record again
+        second = load_dataset(mini_manifest)
+        assert (second.train, second.validation, second.test) == splits
         assert sorted(calls) == sorted(raw_surfaces)
 
     def test_memo_stops_admitting_at_its_bound(self, monkeypatch):
@@ -450,29 +456,69 @@ class TestOneLiveCopy:
         assert set(corpus._live_datasets.keys()) == live
         assert load_dataset(mini_manifest) is held
 
-    def test_a_file_rewritten_between_the_passes_is_keyed_by_what_was_parsed(
+    def test_a_split_rewritten_between_hash_and_parse_is_not_registered(
         self, mini_manifest, tmp_path, monkeypatch, parsed_records
     ):
         manifest = _copy_mini(mini_manifest, tmp_path / "copy")
         test_split = manifest.parent / "test.jsonl"
         hashed = test_split.read_bytes()
         rewritten = hashed[: hashed.rindex(b"\n", 0, -1) + 1]  # without the last record
-        real_digest = corpus._file_digest
+        real_digest = corpus._split_digest
 
         def digest_then_rewrite(path):
             digest = real_digest(path)
-            if path == test_split:
+            if path == test_split and test_split.read_bytes() == hashed:
                 path.write_bytes(rewritten)
             return digest
 
-        monkeypatch.setattr(corpus, "_file_digest", digest_then_rewrite)
+        monkeypatch.setattr(corpus, "_split_digest", digest_then_rewrite)
+        live = set(corpus._live_datasets.keys())
         parsed = load_dataset(manifest)
-        monkeypatch.setattr(corpus, "_file_digest", real_digest)
+        monkeypatch.setattr(corpus, "_split_digest", real_digest)
         assert len(parsed.test) == MINI_STATS["test"] - 1
+        assert set(corpus._live_datasets.keys()) == live
         fresh = load_dataset(mini_manifest)  # the bytes the hash pass read
         assert fresh is not parsed and len(fresh.test) == MINI_STATS["test"]
-        assert len(parsed_records) == 2 * MINI_RECORDS - 1
-        assert load_dataset(manifest) is parsed  # the bytes the parse read
+        again = load_dataset(manifest)  # the bytes the parse read
+        assert again is not parsed and again == parsed
+        assert load_dataset(manifest) is again
+        assert len(parsed_records) == 3 * MINI_RECORDS - 2
+
+    def test_a_split_removed_after_its_parse_still_loads_unregistered(
+        self, mini_manifest, tmp_path, monkeypatch, parsed_records
+    ):
+        manifest = _copy_mini(mini_manifest, tmp_path / "copy")
+        test_split = manifest.parent / "test.jsonl"
+        kept = test_split.read_bytes()
+        real_load = corpus.load_records
+
+        def load_then_remove(path):
+            records = real_load(path)
+            if path == test_split:
+                path.unlink()
+            return records
+
+        monkeypatch.setattr(corpus, "load_records", load_then_remove)
+        loaded = load_dataset(manifest)
+        monkeypatch.setattr(corpus, "load_records", real_load)
+        assert len(loaded.test) == MINI_STATS["test"]
+        test_split.write_bytes(kept)
+        assert load_dataset(manifest) is not loaded
+        assert len(parsed_records) == 2 * MINI_RECORDS
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_a_split_that_is_not_a_regular_file_is_rejected_unread(self, mini_manifest, tmp_path, parsed_records, kind):
+        manifest = _copy_mini(mini_manifest, tmp_path / "copy")
+        test_split = manifest.parent / "test.jsonl"
+        test_split.unlink()
+        if kind == "fifo":
+            os.mkfifo(test_split)  # opening it to read would block: no writer
+        else:
+            test_split.mkdir()
+        with pytest.raises(DatasetFormatError, match="split is not a regular file$") as excinfo:
+            load_dataset(manifest)
+        assert excinfo.value.path == str(test_split) and excinfo.value.line is None
+        assert parsed_records == []
 
     def test_every_split_is_opened_before_any_is_parsed(self, tmp_path, parsed_records):
         (tmp_path / "train.jsonl").write_text("not json at all\n")
