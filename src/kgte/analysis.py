@@ -276,8 +276,9 @@ def _generate_all(
     """Raw output and error per sentence, ordered by sentence index.
 
     Remote generation runs concurrently up to the generation config's
-    in-flight bound; failures are captured per sentence. Pure extractors run
-    serially; their per-sentence seeds make scheduling irrelevant anyway.
+    in-flight bound; each worker turns its request's failure into the
+    sentence's error, so no traceback holds this frame and its futures. Pure
+    extractors run serially; their per-sentence seeds make scheduling moot.
     """
     if spec.extractor != "llm":
         picks = (
@@ -285,15 +286,15 @@ def _generate_all(
             for i, (s, c) in enumerate(zip(sentences, contexts))
         )
         return [("\n".join(map(triplet_to_string, triplets)), None) for triplets in picks]
-    results: list[tuple[str, str | None]] = [("", None)] * len(sentences)
+
+    def attempt(prompt: PromptInstance) -> tuple[str, str | None]:
+        try:
+            return llm_client.generate(prompt.rendered), None
+        except Exception as exc:
+            return "", str(exc)
+
     with ThreadPoolExecutor(max_workers=spec.generation.in_flight) as pool:
-        futures = {pool.submit(llm_client.generate, p.rendered): i for i, p in enumerate(prompts)}
-        for future, i in futures.items():
-            try:
-                results[i] = (future.result(), None)
-            except Exception as exc:
-                results[i] = ("", str(exc))
-    return results
+        return list(pool.map(attempt, prompts))
 
 
 def run_experiment(
@@ -453,12 +454,13 @@ def run_ablation(
 
     P_S is ``context_hit_probability`` over the contexts the run itself
     retrieved. The dataset comes from one ``load_dataset`` call, which
-    returns a dataset the caller still holds without parsing it. Each scale
-    builds its KB once and takes its index from ``build_index``: one the
-    caller still holds for an equal KB (say, the full-KB index at scale 1.0)
-    is reused without encoding, any other is built and dies with its scale's
-    run. A scale whose KB is empty gives empty contexts and P_S = 0.
-    The runs' generation config is ``llm_client``'s, when one is given.
+    returns a dataset the caller still holds if its splits equal the ones
+    parsed. Each scale builds its KB once and takes its index from
+    ``build_index``: one the caller still holds for an equal KB (say, the
+    full-KB index at scale 1.0) is reused without encoding, any other is
+    built and dies with its scale's run. A scale whose KB is empty gives
+    empty contexts and P_S = 0. The runs' generation config is
+    ``llm_client``'s, when one is given.
     """
     if mode not in CONTEXT_MODES:
         raise ValueError("ablation runs in a KB-augmented mode")

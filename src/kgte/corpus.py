@@ -28,22 +28,18 @@ every triplet that carries it, whichever path built the triplet. Sentence text
 is kept raw. ``Triplet`` memoizes the normal form of the first
 ``SURFACE_MEMO_SIZE`` raw surfaces (full: a 0.4 MB dict plus its raw keys).
 
-``load_dataset`` interns its result: while a dataset parsed from split files
-of identical bytes is alive, it returns that same object and parses no
-record. Its table is keyed by the SHA-256 of each split's bytes and holds
-each dataset weakly, so a dataset lives exactly as long as its callers hold
-it. A split must be a regular file.
+``load_dataset`` interns its result by value, as ``build_index`` does:
+while a dataset with equal splits is alive, it returns that same object and
+drops its fresh parse. Its table holds each dataset weakly, so a dataset
+lives exactly as long as its callers hold it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
-import os
 import random
-import stat
 import sys
 import weakref
 from dataclasses import asdict, dataclass
@@ -55,11 +51,9 @@ SPLIT_NAMES = ("train", "validation", "test")
 SURFACE_MEMO_SIZE = 1 << 14
 _surfaces: dict[str, str] = {}  # raw -> canonical surface; no eviction: with few repeats each field would pay one
 _set_field = object.__setattr__  # sets a frozen field; Triplet.__init__'s parameter ``object`` shadows the builtin
-# below glibc's initial mmap threshold (128 KiB): a freed read buffer must not raise it
-_HASH_CHUNK_BYTES = 1 << 16
 T = TypeVar("T")
-# (SHA-256 of the train, validation and test bytes) -> the dataset parsed from them
-_live_datasets: weakref.WeakValueDictionary[tuple[bytes, ...], Dataset] = weakref.WeakValueDictionary()
+# (train, validation, test) -> the live dataset with those splits
+_live_datasets: weakref.WeakValueDictionary[tuple, Dataset] = weakref.WeakValueDictionary()
 
 
 class DatasetFormatError(ValueError):
@@ -338,31 +332,13 @@ def load_predictions(path: str | Path) -> list[list[Triplet]]:
     return parse_lines(path, lambda line: prediction_from_json(json.loads(line)))
 
 
-def _split_digest(path: Path) -> bytes:
-    """SHA-256 of the bytes of the split file ``path``. Anything but a regular
-    file (a pipe, a directory) is rejected before it is opened, as reading it
-    to hash it would consume or block on it."""
-    if not stat.S_ISREG(os.stat(str(path)).st_mode):
-        raise DatasetFormatError("split is not a regular file", path=path)
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK_BYTES):
-            digest.update(chunk)
-    return digest.digest()
-
-
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset from a manifest file; split paths resolve relative to it.
 
-    Every split must be a regular file, and every split is hashed before any
-    is parsed. While a dataset parsed from splits of identical bytes (train,
-    validation, test, in that order) is alive, wherever its files were, that
-    same object is returned and no record is parsed. Otherwise the splits
-    are parsed and hashed again, and the dataset is registered only if every
-    split still has the bytes it was hashed with, so a split rewritten
-    between the hash and the parse is not registered under its old bytes. A
-    malformed split is never registered. The table holds each dataset
-    weakly: it keeps no dataset alive.
+    While a dataset with equal splits (train, validation, test) is alive,
+    whatever files it was read from, that same object is returned and the
+    fresh parse is dropped. A malformed split is never registered. The table
+    holds each dataset weakly: it keeps no dataset alive.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -376,26 +352,12 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     missing = [name for name in SPLIT_NAMES if name not in manifest]
     if missing:
         raise DatasetFormatError(f"manifest missing splits: {missing}", path=manifest_path)
-    paths, key = [], []
     for name in SPLIT_NAMES:
         if not isinstance(manifest[name], str):
             raise DatasetFormatError(f"split {name!r} path {manifest[name]!r} is not a string", path=manifest_path)
-        split_path = Path(manifest[name])
-        if not split_path.is_absolute():
-            split_path = manifest_path.parent / split_path
-        paths.append(split_path)
-        key.append(_split_digest(split_path))
-    key = tuple(key)
-    dataset = _live_datasets.get(key)
-    if dataset is None:
-        dataset = Dataset(*map(load_records, paths))
-        try:
-            unchanged = tuple(map(_split_digest, paths)) == key
-        except (OSError, DatasetFormatError):  # a split moved away after its parse: the load still stands
-            unchanged = False
-        if unchanged:
-            _live_datasets[key] = dataset
-    return dataset
+    # joining keeps an absolute split path as it is
+    dataset = Dataset(*(load_records(manifest_path.parent / manifest[name]) for name in SPLIT_NAMES))
+    return _live_datasets.setdefault((dataset.train, dataset.validation, dataset.test), dataset)
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> Path:

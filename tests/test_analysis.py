@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import math
 import random
 import re
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -216,6 +218,24 @@ class TestRunExperiment:
         assert result.failures > 0
         failed = [run for run in result.runs if run.error is not None]
         assert all(run.predictions == () for run in failed)
+
+    def test_a_failed_request_leaves_no_future_in_a_cycle(self, mini_manifest):
+        # a failure re-raised by future.result() would hold the caller's frame and every future
+        def transport(url, payload, headers, timeout):
+            if "Colosseum" in payload["messages"][0]["content"]:
+                return 400, "no"
+            return 200, json.dumps({"choices": [{"message": {"content": "(a, r, b)"}}]})
+
+        client = RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k", transport=transport)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_experiment(spec_for(mini_manifest, mode="zero", extractor="llm"), llm_client=client)
+            futures = [obj for obj in gc.get_objects() if isinstance(obj, Future)]
+        finally:
+            gc.enable()
+        assert result.failures == 1 and len(result.runs) == 4
+        assert futures == []
 
     def test_llm_extractor_requires_client(self, single_manifest, monkeypatch):
         monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))

@@ -916,9 +916,17 @@ DATASET_DRIVERS = {
 
 @pytest.mark.parametrize("held", [True, False], ids=["held", "not-held"])
 @pytest.mark.parametrize("driver", DATASET_DRIVERS)
-def test_drivers_share_a_held_dataset(mini_manifest, tmp_path, parsed_records, driver, held):
+def test_drivers_share_a_held_dataset(mini_manifest, tmp_path, monkeypatch, parsed_records, driver, held):
     dataset = load_dataset(mini_manifest) if held else None
+    loaded = []
+
+    def recording_load(manifest):
+        loaded.append(load_dataset(manifest))
+        return loaded[-1]
+
+    for module in (kgte.analysis, kgte.cli):
+        monkeypatch.setattr(module, "load_dataset", recording_load)
     del parsed_records[:]
     DATASET_DRIVERS[driver](mini_manifest, tmp_path)
-    assert len(parsed_records) == (0 if held else MINI_RECORDS)
-    assert dataset is None or load_dataset(mini_manifest) is dataset
+    assert len(parsed_records) == MINI_RECORDS  # one load per driver; a hit parses too
+    assert len(loaded) == 1 and (dataset is None or loaded[0] is dataset)
