@@ -2,15 +2,14 @@
 
 The actual wire call is a pluggable ``transport`` callable
 ``(url, payload, headers, timeout) -> (status_code, body_text)`` so tests can
-run fully offline.
+run fully offline. ``post_json`` sends; it and ``HTTPClient`` hold no per-request
+state, so the caller alone bounds concurrency.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -31,9 +30,7 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         check_int("max_retries", self.max_retries, 0)
-        check_real("backoff_base", self.backoff_base)
-        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
-            raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
+        check_real("backoff_base", self.backoff_base, 0)
 
     def delay(self, attempt: int) -> float:
         return self.backoff_base * 2**attempt
@@ -64,11 +61,13 @@ def post_json(client: HTTPClient, url: str, payload: dict) -> dict:
     sleeper, and return the JSON object the endpoint answers, retrying
     transient failures with exponential backoff under ``client.policy``.
 
-    Network errors (``OSError``, which includes ``ConnectionError``,
-    ``TimeoutError`` and every ``requests`` exception) and the statuses in
-    ``TRANSIENT_STATUSES`` are retried up to ``policy.max_retries`` times.
-    Other non-2xx statuses, and a 2xx body that is not a JSON object, raise
-    ``APIError`` at once; any other exception from the transport propagates.
+    Network errors (``OSError``: ``ConnectionError``, ``TimeoutError``, the
+    ``requests`` ones) and the statuses in ``TRANSIENT_STATUSES`` are retried
+    up to ``policy.max_retries`` times, except an ``OSError`` that is also a
+    ``ValueError``: a malformed URL (``requests``' ``MissingSchema``,
+    ``InvalidSchema``, ``InvalidURL``) propagates at once, as does any other
+    exception from the transport. Other non-2xx statuses, and a 2xx body that
+    is not a JSON object, raise ``APIError`` at once.
     """
     policy = client.policy
     transport = client.transport or _requests_transport
@@ -77,6 +76,8 @@ def post_json(client: HTTPClient, url: str, payload: dict) -> dict:
         try:
             status, body = transport(url, payload, client.headers, client.timeout)
         except OSError as exc:
+            if isinstance(exc, ValueError):
+                raise
             last_failure = f"transport failure: {exc}"
         else:
             if 200 <= status < 300:
@@ -110,11 +111,12 @@ def post_json(client: HTTPClient, url: str, payload: dict) -> dict:
 
 class HTTPClient:
     """What the generation and embedding clients share: the bearer credential,
-    the request headers, the bound on requests in flight and the retry wiring.
+    the request headers, the timeout, the retry policy, the transport and the
+    sleeper. It holds settings only; ``post_json`` sends with them.
 
     ``api_key=None`` reads ``KGTE_API_KEY`` from the environment; an empty
-    string sends no ``Authorization`` header. The defaults (30 s, the default
-    ``RetryPolicy``, one request in flight) are the embedding client's.
+    string sends no ``Authorization`` header. The defaults (30 s and the
+    default ``RetryPolicy``) are the embedding client's.
     """
 
     def __init__(
@@ -123,7 +125,6 @@ class HTTPClient:
         api_key: str | None,
         timeout: float = 30.0,
         policy: RetryPolicy = RetryPolicy(),
-        in_flight: int = 1,
         transport: Transport | None,
         sleeper: Callable[[float], None],
     ):
@@ -136,8 +137,3 @@ class HTTPClient:
         self.policy = policy
         self.transport = transport
         self.sleeper = sleeper
-        self._semaphore = threading.BoundedSemaphore(in_flight)
-
-    def post(self, url: str, payload: dict) -> dict:
-        with self._semaphore:
-            return post_json(self, url, payload)  # the module global, so a wrapper set on the module sees every POST

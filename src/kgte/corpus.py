@@ -210,11 +210,14 @@ def check_int(name: str, value: object, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_real(name: str, value: object) -> None:
+def check_real(name: str, value: object, minimum: float | None = None, *, strict: bool = False) -> None:
     """Reject a ``value`` of field ``name`` that is not a real number (a
-    ``bool`` is not one)."""
+    ``bool`` is not one); with a ``minimum``, also one that is not finite or
+    is below it (or, if ``strict``, not above it)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if minimum is not None and not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {minimum}, got {value}")
 
 
 def check_scale(scale: float) -> None:

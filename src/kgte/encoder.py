@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import _transport  # post_json looked up per call, so a wrapper set on the module sees every POST
 from ._transport import APIError, HTTPClient, Transport
 from .corpus import check_int, normalize_surface
 
@@ -168,7 +169,7 @@ class ExternalEncoderClient:
     Wire shape: POST ``endpoint`` with {"model": ..., "input": [text, ...]},
     expecting {"data": [{"embedding": [...]}, ...]} in input order. The
     credential, headers and retries come from the shared ``HTTPClient`` core,
-    at its defaults: requests go one at a time.
+    at its defaults. ``encode_texts`` sends its blocks one at a time.
     """
 
     config: EncoderConfig
@@ -188,7 +189,7 @@ class ExternalEncoderClient:
 
         if not texts:
             return []
-        doc = self._http.post(self.config.endpoint, {"model": self.config.model, "input": list(texts)})
+        doc = _transport.post_json(self._http, self.config.endpoint, {"model": self.config.model, "input": list(texts)})
         data = doc.get("data")
         if not isinstance(data, list):
             raise APIError(f"embeddings body field 'data' is not a list: {data!r}")

@@ -1,8 +1,8 @@
-"""Triplet generation drivers: the remote LLM client, deterministic oracle
-extractors for end-to-end testing, and the random baseline with its
-(P/N_KB)^n scaling relation and its exact expectation. ``EXTRACTORS`` is the
-one list of extractor names: experiment specs, ``spec.json`` and the CLI use
-the same names.
+"""Triplet generation: the remote LLM client (settings only; each request
+is one DEBUG log record), deterministic oracle extractors for end-to-end
+testing, and the random baseline with its (P/N_KB)^n scaling relation and
+its exact expectation. ``EXTRACTORS`` is the one list of extractor names:
+experiment specs, ``spec.json`` and the CLI use the same names.
 
 Of each model, only its context window is kept (``CONTEXT_WINDOWS``), for the
 prompt budget. Model size enters only the ``kgte fit --log-x`` fit, whose
@@ -11,14 +11,12 @@ parameter counts come from its own CSV."""
 from __future__ import annotations
 
 import logging
-import math
 import random
-import threading
 import time
-import uuid
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import _transport  # post_json looked up per call, so a wrapper set on the module sees every POST
 from ._transport import APIError, HTTPClient, RetryPolicy, Transport
 from .corpus import AnnotatedSentence, Triplet, check_int, check_real
 from .retriever import RetrievedContext
@@ -59,16 +57,12 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.model, str) or not self.model:
             raise ValueError(f"model must be a non-empty string, got {self.model!r}")
-        check_real("temperature", self.temperature)
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
+        check_real("temperature", self.temperature, 0)
         check_int("max_output_tokens", self.max_output_tokens, 1)
         window = _context_window(self.model)
         if self.max_output_tokens >= window:
             raise ValueError(f"max_output_tokens {self.max_output_tokens} leaves no prompt room in the {window}-token context window of model {self.model!r}")
-        check_real("timeout", self.timeout)
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
+        check_real("timeout", self.timeout, 0, strict=True)
         check_int("max_retries", self.max_retries, 0)
         check_int("in_flight", self.in_flight, 1)
 
@@ -83,11 +77,13 @@ class RemoteLLMClient:
     """Chat-completions client.
 
     POSTs ``{base_url}/chat/completions`` with a single user message and
-    reads the first choice's message content. The credential, headers,
-    in-flight bound (``config.in_flight``) and retries with exponential
-    backoff come from the shared ``HTTPClient`` core: ``api_key=None`` reads
-    ``KGTE_API_KEY``, ``""`` sends no credential. Every call appends one entry
-    to ``request_log``, with ``outcome`` "ok" or "error".
+    reads the first choice's message content. The credential, headers and
+    retries with exponential backoff come from the shared ``HTTPClient`` core:
+    ``api_key=None`` reads ``KGTE_API_KEY``, ``""`` sends no credential. The
+    run's pool bounds requests in flight. Every call emits one DEBUG record on
+    ``kgte.extraction`` whose ``request`` holds ``url``, ``model``,
+    ``prompt_chars`` and ``outcome``: "ok" with ``completion_chars``, or
+    "error" with ``detail``.
     """
 
     def __init__(
@@ -105,26 +101,13 @@ class RemoteLLMClient:
             api_key=api_key,
             timeout=config.timeout,
             policy=RetryPolicy(max_retries=config.max_retries, backoff_base=backoff_base),
-            in_flight=config.in_flight,
             transport=transport,
             sleeper=sleeper,
         )
-        self.request_log: list[dict] = []
-        self._log_lock = threading.Lock()
-
-    def _log(self, entry: dict) -> None:
-        with self._log_lock:
-            self.request_log.append(entry)
-        logger.debug("llm request %s: %s", entry.get("run_id"), entry.get("outcome"))
 
     def generate(self, prompt: str) -> str:
         url = f"{self.base_url}/chat/completions"
-        entry = {
-            "run_id": uuid.uuid4().hex,
-            "url": url,
-            "model": self.config.model,
-            "prompt_chars": len(prompt),
-        }
+        entry = {"url": url, "model": self.config.model, "prompt_chars": len(prompt)}
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
@@ -132,11 +115,11 @@ class RemoteLLMClient:
             "messages": [{"role": "user", "content": prompt}],
         }
         try:
-            content = _completion_content(self._http.post(url, payload))
+            content = _completion_content(_transport.post_json(self._http, url, payload))
         except Exception as exc:
-            self._log({**entry, "outcome": "error", "detail": str(exc)})
+            logger.debug("llm request failed: %s", exc, extra={"request": {**entry, "outcome": "error", "detail": str(exc)}})
             raise
-        self._log({**entry, "completion_chars": len(content), "outcome": "ok"})
+        logger.debug("llm request ok", extra={"request": {**entry, "completion_chars": len(content), "outcome": "ok"}})
         return content
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import logging
 import random
 from pathlib import Path
 
@@ -55,6 +56,14 @@ def embed_posts(monkeypatch) -> list[list[str]]:
 
     monkeypatch.setattr(kgte._transport, "_requests_transport", transport)
     return posts
+
+
+@pytest.fixture
+def llm_requests(caplog):
+    """Reads the ``request`` entry of each record the LLM client has logged
+    on ``kgte.extraction`` so far, in order."""
+    caplog.set_level(logging.DEBUG, logger="kgte.extraction")
+    return lambda: [record.request for record in caplog.records if record.name == "kgte.extraction"]
 
 
 @pytest.fixture

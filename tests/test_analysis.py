@@ -193,7 +193,7 @@ class TestRunExperiment:
         result = run_experiment(spec_for(pair_manifest, mode="examples", n_kb=1))
         assert result.report.f1 == 1.0
 
-    def test_llm_extractor_with_mock_transport(self, single_manifest):
+    def test_llm_extractor_with_mock_transport(self, single_manifest, llm_requests):
         def transport(url, payload, headers, timeout):
             # echo aware: always answer with a fixed triplet
             return 200, json.dumps({"choices": [{"message": {"content": "(a, r, b)"}}]})
@@ -202,7 +202,7 @@ class TestRunExperiment:
         spec = spec_for(single_manifest, mode="zero", extractor="llm")
         result = run_experiment(spec, llm_client=client)
         assert result.report.n_pred == len(result.runs)
-        assert len(client.request_log) == len(result.runs)
+        assert [entry["outcome"] for entry in llm_requests()] == ["ok"] * len(result.runs)
 
     def test_llm_failures_flagged_and_scored_empty(self, single_manifest):
         calls = []
@@ -705,7 +705,7 @@ class TestRunAblation:
         with pytest.raises(ValueError, match=needle):
             run_ablation(pair_manifest, scales=[1.0], seed=2, extractor=extractor, n_kb=2, dimension=128, llm_client=client)
 
-    def test_llm_runs_use_the_client_generation_config(self, pair_manifest):
+    def test_llm_runs_use_the_client_generation_config(self, pair_manifest, llm_requests):
         models = []
 
         def transport(url, payload, headers, timeout):
@@ -716,7 +716,7 @@ class TestRunAblation:
         result = run_ablation(pair_manifest, scales=[0.5, 1.0], seed=2, extractor="llm", n_kb=2, dimension=128, llm_client=client)
         assert len(result.points) == 2
         assert models == ["gpt2-base"] * (2 * len(load_dataset(pair_manifest).test))
-        assert {entry["outcome"] for entry in client.request_log} == {"ok"}
+        assert {(entry["model"], entry["outcome"]) for entry in llm_requests()} == {("gpt2-base", "ok")}
 
     @pytest.mark.parametrize("scales", [[0.5, 1.5], [float("nan")], [-0.25, 1.0]])
     def test_scale_outside_unit_interval_rejected_before_any_run(self, pair_manifest, monkeypatch, scales):

@@ -3,11 +3,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import threading
-import time
 
 import pytest
+import requests
 
+import kgte._transport
 from kgte import (
     APIError,
     CONTEXT_WINDOWS,
@@ -130,7 +130,7 @@ class TestRetryPolicy:
 
 
 class TestRemoteLLMClient:
-    def test_mock_transport_returns_content_verbatim(self):
+    def test_mock_transport_returns_content_verbatim(self, llm_requests):
         completion = "(a, r, b)\n(c, r2, d)"
 
         def transport(url, payload, headers, timeout):
@@ -144,9 +144,9 @@ class TestRemoteLLMClient:
             "http://llm.local/v1/", GenerationConfig(), api_key="k", transport=transport
         )
         assert client.generate("PROMPT") == completion
-        assert client.request_log[-1]["outcome"] == "ok"
+        assert [entry["outcome"] for entry in llm_requests()] == ["ok"]
 
-    def test_timeout_retried_per_policy_then_error(self):
+    def test_timeout_retried_per_policy_then_error(self, llm_requests):
         calls = []
         sleeps = []
 
@@ -162,7 +162,7 @@ class TestRemoteLLMClient:
             client.generate("PROMPT")
         assert len(calls) == 2  # one retry per policy
         assert sleeps == [0.25]
-        assert client.request_log[-1]["outcome"] == "error"
+        assert [entry["outcome"] for entry in llm_requests()] == ["error"]
 
     def test_backoff_is_exponential(self):
         sleeps = []
@@ -195,7 +195,7 @@ class TestRemoteLLMClient:
         assert "bad request" in excinfo.value.body_excerpt
         assert len(calls) == 1
 
-    def test_programming_error_in_transport_not_retried(self):
+    def test_programming_error_in_transport_not_retried(self, llm_requests):
         calls = []
 
         def transport(url, payload, headers, timeout):
@@ -209,7 +209,7 @@ class TestRemoteLLMClient:
         with pytest.raises(TypeError):
             client.generate("PROMPT")
         assert len(calls) == 1
-        assert client.request_log[-1]["outcome"] == "error"
+        assert [entry["outcome"] for entry in llm_requests()] == ["error"]
 
     def test_non_object_body_is_api_error(self):
         client = RemoteLLMClient(
@@ -227,14 +227,14 @@ class TestRemoteLLMClient:
             ({"choices": [{"message": {"content": 5}}]}, "'choices[0].message.content'"),
         ],
     )
-    def test_wrong_shaped_body_is_api_error_naming_the_field(self, body, field):
+    def test_wrong_shaped_body_is_api_error_naming_the_field(self, body, field, llm_requests):
         client = RemoteLLMClient(
             "http://llm.local", GenerationConfig(), api_key="k", transport=lambda *a: (200, json.dumps(body))
         )
         with pytest.raises(APIError) as excinfo:
             client.generate("PROMPT")
         assert field in str(excinfo.value)
-        assert client.request_log[-1]["outcome"] == "error"
+        assert [entry["outcome"] for entry in llm_requests()] == ["error"]
 
     @pytest.mark.parametrize(
         "api_key,env,want",
@@ -270,40 +270,59 @@ class TestRemoteLLMClient:
         assert client.generate("PROMPT") == "ok"
         assert len(calls) == 3
 
-    def test_request_log_is_append_only_record(self):
+    @pytest.mark.parametrize("base_url", ["localhost:8000/v1", "llm.local/v1", "http://"])
+    def test_malformed_url_fails_at_once(self, monkeypatch, base_url):
+        # requests rejects the URL before it opens any connection
+        attempts, sleeps = [], []
+        real = kgte._transport._requests_transport
+        monkeypatch.setattr(kgte._transport, "_requests_transport", lambda *a: attempts.append(1) or real(*a))
+        client = RemoteLLMClient(base_url, GenerationConfig(), api_key="k", sleeper=sleeps.append)
+        with pytest.raises(requests.RequestException) as excinfo:
+            client.generate("PROMPT")
+        assert isinstance(excinfo.value, ValueError)
+        assert (len(attempts), sleeps) == (1, [])
+
+    def test_requests_connection_error_is_retried(self):
+        calls = []
+
+        def transport(url, payload, headers, timeout):
+            calls.append(1)
+            raise requests.ConnectionError("refused")
+
+        client = RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k", transport=transport, sleeper=lambda _: None)
+        with pytest.raises(TransportError, match="failed after 3 attempts"):
+            client.generate("PROMPT")
+        assert len(calls) == 3
+
+    def test_each_call_logs_one_request_record(self, llm_requests):
+        def transport(url, payload, headers, timeout):
+            if payload["messages"][0]["content"] == "BAD":
+                return 400, "no"
+            return 200, json.dumps({"choices": [{"message": {"content": "(a, r, b)"}}]})
+
+        client = RemoteLLMClient("http://llm.local/v1", GenerationConfig(model="gpt-4"), api_key="k", transport=transport)
+        client.generate("PROMPT")
+        with pytest.raises(APIError):
+            client.generate("BAD")
+        url = "http://llm.local/v1/chat/completions"
+        assert llm_requests() == [
+            {"url": url, "model": "gpt-4", "prompt_chars": 6, "completion_chars": 9, "outcome": "ok"},
+            {"url": url, "model": "gpt-4", "prompt_chars": 3, "outcome": "error",
+             "detail": "request to http://llm.local/v1/chat/completions failed with status 400"},
+        ]
+
+    def test_client_state_is_unchanged_by_calls(self):
         def transport(url, payload, headers, timeout):
             return 200, json.dumps({"choices": [{"message": {"content": "x"}}]})
+
+        def state(client):
+            return {(type(obj).__name__, name): repr(value) for obj in (client, client._http) for name, value in vars(obj).items()}
 
         client = RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k", transport=transport)
-        for _ in range(3):
+        before = state(client)
+        for _ in range(20):
             client.generate("PROMPT")
-        assert len(client.request_log) == 3
-        run_ids = [entry["run_id"] for entry in client.request_log]
-        assert len(set(run_ids)) == 3
-
-    def test_in_flight_bound_respected(self):
-        active = []
-        peak = []
-        lock = threading.Lock()
-
-        def transport(url, payload, headers, timeout):
-            with lock:
-                active.append(1)
-                peak.append(len(active))
-            time.sleep(0.01)
-            with lock:
-                active.pop()
-            return 200, json.dumps({"choices": [{"message": {"content": "x"}}]})
-
-        client = RemoteLLMClient(
-            "http://llm.local", GenerationConfig(in_flight=2), api_key="k", transport=transport
-        )
-        threads = [threading.Thread(target=client.generate, args=("P",)) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert max(peak) <= 2
+        assert state(client) == before
 
 
 class TestRandomExtract:

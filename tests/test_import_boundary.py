@@ -8,7 +8,9 @@ fresh interpreters, because this one has numpy loaded already. The same walk
 keeps ``extraction`` from importing ``prompting``: the LLM client sends the
 rendered prompt text and knows no template. And ``encoder`` imports neither
 ``parsing`` nor ``Triplet``: it turns text into vectors, and the triplet line
-it embeds is written by ``parsing``.
+it embeds is written by ``parsing``. The run's pool is the one concurrency
+owner: only ``analysis`` imports ``threading`` or ``concurrent.futures``, so
+no client holds a lock or a semaphore, and no module draws a ``uuid``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ def test_numpy_is_imported_only_where_arrays_are_built(path):
         assert not imports, f"{path.name} imports numpy (line {imports[0][0]}); only {sorted(NUMPY_MODULES)} may"
     eager = [line for line, deferred in imports if not deferred]
     assert not eager, f"{path.name} imports numpy at module level (line {eager[0]}); import it inside the function"
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(kgte.__file__)], ids=lambda p: p.name)
+def test_only_analysis_owns_concurrency(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {"threading", "concurrent"} if path.name == "analysis.py" else set()
+    for module in ("threading", "concurrent", "uuid"):
+        imports = _imports(tree, module)
+        assert module in allowed or not imports, f"{path.name} imports {module} (line {imports[0][0]}); only analysis.py may import threading or concurrent.futures, and no module uuid"
 
 
 def test_the_walk_tells_deferred_from_eager_imports():
