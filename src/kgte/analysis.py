@@ -199,6 +199,10 @@ class ExperimentRunSpec:
             check_int("char_budget", self.char_budget, 1)
         # rejects a bad dimension or n-gram range, and stores the range as a tuple
         object.__setattr__(self, "ngram_range", self.encoder_config().ngram_range)
+        if self.mode not in CONTEXT_INDEX_KINDS:  # builds no index, so these would have no effect
+            for name in ("n_kb", "scale", "dimension", "ngram_range"):
+                if getattr(self, name) != getattr(ExperimentRunSpec, name):
+                    raise ValueError(f"{name} {getattr(self, name)!r} needs a retrieval mode, not {self.mode!r}")
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(

@@ -211,9 +211,9 @@ class ExternalEncoderClient:
             if not np.isfinite(values).all():
                 raise APIError(f"{where} holds a non-finite coordinate")
             if values.shape != (self.config.dimension,):
-                raise ValueError(f"{where} has dimension {values.shape}, not the configured {self.config.dimension}")
+                raise APIError(f"{where} has dimension {values.shape}, not the configured {self.config.dimension}")
             norm = float(np.linalg.norm(values))
             if norm == 0.0:
-                raise EncodeError(f"{where} has norm zero and cannot be normalized")
+                raise APIError(f"{where} has norm zero and cannot be normalized")
             vectors.append(values / norm)
         return vectors

@@ -1,8 +1,9 @@
 """Immutable vector store with exact top-k retrieval and persistence.
 
-``VectorIndex(kind, payloads, vectors, encoder_config)`` is the only way to
-make an index. Its vectors live once, as the rows of one dense float64 matrix,
-from ``build_index`` to disk (a raw ``.npy`` file beside a JSON header) and back.
+``VectorIndex(kind, payloads, vectors, encoder_config, example_embed_mode)``
+is the only way to make an index. Its vectors live once, as the rows of one
+dense float64 matrix, from ``build_index`` to disk (a raw ``.npy`` file beside
+a JSON header that states each other fact of the index once) and back.
 An index is its payloads and that matrix, row ``i`` under payload ``i``, with
 no object per row. Retrieval scans every row (one matrix-vector product) and
 then selects the top k exactly with a partial selection instead of a full
@@ -38,11 +39,9 @@ from .parsing import triplet_to_string
 if TYPE_CHECKING:
     import numpy as np
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 NODE_KINDS = ("triplet", "example")
 EXAMPLE_EMBED_MODES = ("sentence", "sentence+triplets")
-# the one scoring metric; index headers record it
-METRIC = "cosine"
 
 _NORM_TOLERANCE = 1e-6
 
@@ -76,15 +75,18 @@ class VectorIndex:
     encoder_config.dimension)`` float64 matrix, ``_matrix``: a C-contiguous
     float64 ``vectors`` array is adopted without a copy, anything else is
     copied. ``payloads`` is stored as a tuple, each a ``Triplet`` in a
-    ``triplet`` index and an ``AnnotatedSentence`` in an ``example`` one.
-    ``nodes``, one ``IndexNode`` per row in id order whose ``vector`` is a
-    read-only row view of the matrix, is built on first access; nothing in
-    ``kgte`` reads it. Indexes compare by identity."""
+    ``triplet`` index and an ``AnnotatedSentence`` in an ``example`` one,
+    whose rows embed what ``example_embed_mode`` names (``sentence``, the
+    only mode a ``triplet`` index takes). ``nodes``, one ``IndexNode`` per
+    row in id order whose ``vector`` is a read-only row view of the matrix,
+    is built on first access; nothing in ``kgte`` reads it. Indexes compare
+    by identity."""
 
     kind: str
     payloads: tuple[Triplet | AnnotatedSentence, ...] = field(repr=False)
     vectors: InitVar[np.ndarray | Sequence[np.ndarray]]
     encoder_config: EncoderConfig
+    example_embed_mode: str = "sentence"
     _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, vectors) -> None:
@@ -92,6 +94,7 @@ class VectorIndex:
 
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown index kind {self.kind!r}")
+        check_embed_mode(self.kind, self.example_embed_mode)
         if not self.payloads:
             raise ValueError("index has no nodes")
         payloads = tuple(self.payloads)
@@ -173,7 +176,7 @@ def build_index(
             texts = [triplet_to_string(t) for t in payloads]
         else:
             texts = [_example_embed_text(ex, example_embed_mode) for ex in payloads]
-        index = _live_indexes[key] = VectorIndex(kind, payloads, encode_texts(texts, config), config)
+        index = _live_indexes[key] = VectorIndex(kind, payloads, encode_texts(texts, config), config, example_embed_mode)
     return index
 
 
@@ -225,12 +228,13 @@ def index_matrix_path(path: str | Path) -> Path:
 
 
 def save_index(index: VectorIndex, path: str | Path) -> Path:
-    """Write the index as format v2; returns the path of its matrix file.
+    """Write the index as format v3; returns the path of its matrix file.
 
     The matrix goes, bit-exact, to ``index_matrix_path(path)`` (written
-    first), and a JSON header to ``path``: format version, dimension, metric,
-    kind, every ``EncoderConfig`` field, the ``.npy`` file name and the
-    payloads in row order. Missing parent directories are created.
+    first), and a JSON header to ``path`` with the rest of what ``load_index``
+    needs, once: format version, kind, the example embed mode (example
+    index only), every ``EncoderConfig`` field and the payloads in row
+    order. Missing parent directories are created.
     """
     import numpy as np
 
@@ -241,11 +245,9 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
     payload_to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
     doc = {
         "version": INDEX_FORMAT_VERSION,
-        "dimension": index.dimension,
-        "metric": METRIC,
         "kind": index.kind,
+        **({"example_embed_mode": index.example_embed_mode} if index.kind == "example" else {}),
         "encoder": dataclasses.asdict(index.encoder_config),
-        "matrix": matrix_path.name,
         "payloads": list(map(payload_to_json, index.payloads)),
     }
     path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
@@ -255,15 +257,16 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
 def load_index(path: str | Path) -> VectorIndex:
     """Read an index written by ``save_index``.
 
-    The encoder config always comes from the header, whose ``dimension`` must
-    equal the config's. The header's ``matrix`` must be a bare file name:
-    only the file beside the header is read, whole, into one array that the
-    index adopts. Anything malformed in either file raises
-    ``IndexFormatError`` naming the file.
+    The header must hold exactly the v3 fields of its kind; an older version
+    asks for a rebuild. The matrix is always ``index_matrix_path(path)``,
+    read whole into one array that the index adopts. Anything malformed in
+    either file (a matrix not of shape (payloads, encoder dimension)
+    included) raises ``IndexFormatError`` naming the header.
     """
     import numpy as np
 
     path = Path(path)
+    matrix_path = index_matrix_path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -275,39 +278,35 @@ def load_index(path: str | Path) -> VectorIndex:
     version = doc.get("version")
     if version != INDEX_FORMAT_VERSION:
         raise IndexFormatError(f"{path}: unsupported index format version {version!r}; rebuild it with `kgte index`")
-    for key in ("dimension", "metric", "kind", "encoder", "matrix", "payloads"):
-        if key not in doc:
-            raise IndexFormatError(f"{path}: index document missing field {key!r}")
+    kind = doc.get("kind")
+    if kind not in NODE_KINDS:
+        raise IndexFormatError(f"{path}: unknown index kind {kind!r}")
+    fields = {"version", "kind", "encoder", "payloads", *(["example_embed_mode"] if kind == "example" else [])}
+    if doc.keys() != fields:
+        raise IndexFormatError(f"{path}: an index of kind {kind!r} has the header fields {sorted(fields)}, not {sorted(doc)}")
     try:
         config = EncoderConfig(**doc["encoder"])
     except (TypeError, ValueError) as exc:
         raise IndexFormatError(f"{path}: invalid encoder config {doc['encoder']!r}: {exc}") from exc
-    if doc["metric"] != METRIC:
-        raise IndexFormatError(f"{path}: unsupported metric {doc['metric']!r}")
-    if config.dimension != doc["dimension"]:
-        raise IndexFormatError(f"{path}: dimension {doc['dimension']} != its encoder's {config.dimension}")
-    if doc["kind"] not in NODE_KINDS:
-        raise IndexFormatError(f"{path}: unknown index kind {doc['kind']!r}")
+    embed_mode = doc.get("example_embed_mode", "sentence")
+    if embed_mode not in EXAMPLE_EMBED_MODES:
+        raise IndexFormatError(f"{path}: unknown example embed mode {embed_mode!r}")
     if not isinstance(doc["payloads"], list):
         raise IndexFormatError(f"{path}: payloads are not a list")
-    payload_from_json = triplet_from_json if doc["kind"] == "triplet" else sentence_from_json
+    payload_from_json = triplet_from_json if kind == "triplet" else sentence_from_json
     payloads = []
     for position, raw in enumerate(doc["payloads"]):
         try:
             payloads.append(payload_from_json(raw))
         except ValueError as exc:
             raise IndexFormatError(f"{path}: node {position}: {exc}") from exc
-    name = doc["matrix"]
-    if not isinstance(name, str) or Path(name).name != name:
-        raise IndexFormatError(f"{path}: matrix {name!r} is not a bare file name beside the header")
-    matrix_path = path.parent / name
     try:
         matrix = np.load(matrix_path, allow_pickle=False)
     except (OSError, ValueError, EOFError, TypeError) as exc:
-        raise IndexFormatError(f"{path}: cannot read matrix file {name!r}: {exc}") from exc
+        raise IndexFormatError(f"{path}: cannot read matrix file {matrix_path}: {exc}") from exc
     if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
         raise IndexFormatError(f"{path}: matrix file {matrix_path} does not hold a float64 array")
     try:
-        return VectorIndex(doc["kind"], payloads, matrix, config)
+        return VectorIndex(kind, payloads, matrix, config, embed_mode)
     except ValueError as exc:
         raise IndexFormatError(f"{path}: matrix file {matrix_path}: {exc}") from exc

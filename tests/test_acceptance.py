@@ -279,7 +279,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         scale=0.0, seed=7, dimension=128,
     )
     zero = ExperimentRunSpec(
-        manifest=str(manifest), mode="zero", extractor="random", seed=7, dimension=128
+        manifest=str(manifest), mode="zero", extractor="random", seed=7
     )
     assert run_experiment(kb_less).report.to_json() == run_experiment(zero).report.to_json()
     report(6, "prefix oracle f1=1.0 on 50 sentences; reruns byte-identical; S=0 report equals zero-shot")

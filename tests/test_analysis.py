@@ -36,6 +36,7 @@ from kgte import (
     sweep_context_quality,
 )
 from kgte.analysis import EXTRACTORS
+from kgte.retriever import CONTEXT_MODES
 from conftest import planted_dataset, planted_pair_records, planted_single_records
 from kgte import save_dataset
 
@@ -142,15 +143,10 @@ def single_manifest(tmp_path):
 
 
 def spec_for(manifest, **overrides):
-    defaults = dict(
-        manifest=str(manifest),
-        mode="triplets",
-        extractor="oracle-prefix",
-        n_kb=2,
-        dimension=128,
-    )
-    defaults.update(overrides)
-    return ExperimentRunSpec(**defaults)
+    fields = {"manifest": str(manifest), "mode": "triplets", "extractor": "oracle-prefix", **overrides}
+    if fields["mode"] in CONTEXT_MODES:  # zero and static2 take no retrieval fields
+        fields = {"n_kb": 2, "dimension": 128, **fields}
+    return ExperimentRunSpec(**fields)
 
 
 class TestRunExperiment:
@@ -504,6 +500,24 @@ class TestRunExperiment:
             replay_experiment(spec_path)
         assert str(excinfo.value).startswith(f"{spec_path}: ")
         assert needle in str(excinfo.value)
+
+    @pytest.mark.parametrize("mode", ["zero", "static2"])
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [("n_kb", 7, "7"), ("scale", 0.5, "0.5"), ("dimension", 64, "64"), ("ngram_range", [2, 5], "(2, 5)")],
+    )
+    def test_a_retrieval_field_without_retrieval_is_rejected(self, tmp_path, mode, field, value, shown):
+        fields = {"manifest": str(tmp_path / "no-such-manifest.json"), "mode": mode, "extractor": "random"}
+        message = f"{field} {shown} needs a retrieval mode, not '{mode}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentRunSpec(**fields, **{field: value})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**fields, field: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{spec_path}: not a valid run spec: {message}')}$"):
+            replay_experiment(spec_path)
+        # the defaults, spelled out, are accepted
+        default = getattr(ExperimentRunSpec, field)
+        assert ExperimentRunSpec(**fields, **{field: default}) == ExperimentRunSpec(**fields)
 
 
 class TestIndexDataset:

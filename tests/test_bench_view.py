@@ -11,7 +11,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import kgte
@@ -41,9 +40,8 @@ def test_every_traced_target_resolves_to_a_callable(workload):
 def test_brute_force_check_equals_retrieve_triplets(workload, mini_manifest, n_kb):
     dataset = load_dataset(mini_manifest)
     index = build_index(build_kb(dataset.train, dataset.validation), "triplet", config=EncoderConfig(dimension=64))
-    matrix = np.stack([node.vector for node in index.nodes])
     for sentence in dataset.test + dataset.train:
-        want = workload.brute_force_triplets(kgte, index, matrix, sentence.text, n_kb)
+        want = workload.brute_force_triplets(kgte, index, index._matrix, sentence.text, n_kb)
         assert list(retrieve_triplets(sentence.text, index, n_kb).items) == want
 
 

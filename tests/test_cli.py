@@ -629,6 +629,25 @@ def test_extract_out_of_range_temperature_exits_1(mini_manifest, tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("mode", ["zero", "static2"])
+@pytest.mark.parametrize(
+    "flags,field",
+    [(["--nkb", "7"], "n_kb"), (["--scale", "0.5"], "scale"), (["--dimension", "64"], "dimension"), (["--ngram-min", "2"], "ngram_range")],
+    ids=lambda value: value[0] if isinstance(value, list) else value,
+)
+def test_extract_retrieval_flag_without_retrieval_exits_1_before_any_load(mini_manifest, tmp_path, capsys, monkeypatch, mode, flags, field):
+    # zero and static2 build no index, so these flags would change spec.json alone
+    loads = []
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
+    out = tmp_path / "run"
+    code = run_cli(["extract", "--manifest", str(mini_manifest), "--mode", mode, "--extractor", "random", *flags, "--out", str(out)])
+    assert code == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith(f"{field} ") and message.endswith(f"needs a retrieval mode, not '{mode}'")
+    assert loads == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_extract_nonpositive_budget_exits_1(planted_pair_manifest, tmp_path, capsys, budget):
     code = run_cli(["extract", "--manifest", str(planted_pair_manifest), "--extractor", "oracle-prefix",

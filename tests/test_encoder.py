@@ -264,7 +264,7 @@ class TestExternalEncoderClient:
             return 200, '{"data": [{"embedding": [1, 0]}]}'
 
         client = ExternalEncoderClient(_external_config(), api_key="k", transport=transport)
-        with pytest.raises(ValueError):
+        with pytest.raises(APIError, match=r"^text 0: embeddings body field 'data\[0\]\.embedding' has dimension"):
             client.encode_batch(["hello"])
 
 
@@ -340,14 +340,14 @@ class TestEncodeTexts:
         assert embed_posts == []
 
     def test_external_dimension_mismatch_rejected(self, embed_posts):
-        with pytest.raises(ValueError, match="not the configured 4"):
+        with pytest.raises(APIError, match="not the configured 4"):
             encode_texts(["hello"], _fake_config(dimension=4))
 
     @pytest.mark.parametrize(
         "embedding,error,needle",
         [
-            ([0] * FAKE_EMBED_DIM, EncodeError, "has norm zero"),
-            ([1, 0], ValueError, r"has dimension \(2,\), not the configured 8"),
+            ([0] * FAKE_EMBED_DIM, APIError, "has norm zero"),
+            ([1, 0], APIError, r"has dimension \(2,\), not the configured 8"),
             (7, APIError, "is not a list"),
         ],
         ids=["zero", "wrong-dimension", "not-a-list"],

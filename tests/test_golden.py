@@ -1,6 +1,6 @@
 """Byte-for-byte checks of score-free files written for the mini fixture
 against the copies under ``tests/data/golden/``: the ``kgte index`` JSON
-header of each kind, the ``save_dataset`` files, the rendered prompt of
+header of each kind and example embed mode, the ``save_dataset`` files, the rendered prompt of
 every prompt kind in every mode, and the ``report.json``, ``sentences.jsonl``
 and ``spec.json`` of ``kgte extract`` in the two modes without retrieval. The
 header holds no vectors and the prompt contexts are built by hand from KB
@@ -36,7 +36,9 @@ MINI = DATA_DIR / "mini" / "manifest.json"
 
 @pytest.mark.parametrize("kind,embed_mode", [("triplet", "sentence"), *(("example", mode) for mode in EXAMPLE_EMBED_MODES)])
 def test_index_header(mini_manifest, tmp_path, kind, embed_mode):
-    header = tmp_path / f"{kind}.index.json"
+    # one golden per (kind, embed mode): the header records an example index's mode
+    name = kind if embed_mode == "sentence" else f"{kind}-{embed_mode}"
+    header = tmp_path / f"{name}.index.json"
     args = ["index", "--manifest", str(mini_manifest), "--kind", kind, "--embed-mode", embed_mode, "--out", str(header)]
     assert main(args) == 0
     assert header.read_bytes() == (GOLDEN / header.name).read_bytes()

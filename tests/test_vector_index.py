@@ -30,6 +30,7 @@ from kgte import (
 import kgte.encoder
 from conftest import FAKE_EMBED_DIM
 from kgte.corpus import normalize_surface
+from kgte.vector_index import EXAMPLE_EMBED_MODES
 
 
 def brute_force_top_k(index, query, k):
@@ -332,6 +333,16 @@ class TestConstructor:
             VectorIndex("triplet", [Triplet("a", "r", "b")], matrix, EncoderConfig(dimension=4))
         assert matrix.flags.writeable
 
+    def test_example_embed_mode_is_checked(self):
+        config = EncoderConfig(dimension=4)
+        example = [AnnotatedSentence("a r b", (Triplet("a", "r", "b"),))]
+        assert VectorIndex("example", example, EXACT_ROWS[:1], config).example_embed_mode == "sentence"
+        assert VectorIndex("example", example, EXACT_ROWS[:1], config, "sentence+triplets").example_embed_mode == "sentence+triplets"
+        with pytest.raises(ValueError, match="unknown example embed mode 'triplets'"):
+            VectorIndex("example", example, EXACT_ROWS[:1], config, "triplets")
+        with pytest.raises(ValueError, match="needs an example index, not triplet"):
+            VectorIndex("triplet", [Triplet("a", "r", "b")], EXACT_ROWS[:1], config, "sentence+triplets")
+
     def test_indexes_compare_by_identity(self):
         payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(EXACT_ROWS))]
         config = EncoderConfig(dimension=4)
@@ -436,7 +447,39 @@ def saved_index_inputs(draw):
     return kind, payloads, matrix
 
 
+@st.composite
+def saved_indexes(draw):
+    """An index of either kind under either encoder provider, an example
+    index in either embed mode; its vectors are given, so nothing is encoded."""
+    kind, payloads, matrix = draw(saved_index_inputs())
+    dimension = matrix.shape[1]
+    low = draw(st.integers(1, 4))
+    config = draw(
+        st.sampled_from(
+            [
+                EncoderConfig(dimension=dimension, ngram_range=(low, draw(st.integers(low, 6)))),
+                EncoderConfig(provider="external", dimension=dimension, endpoint="http://embed.invalid/v1", model="m-1"),
+            ]
+        )
+    )
+    embed_mode = draw(st.sampled_from(EXAMPLE_EMBED_MODES)) if kind == "example" else "sentence"
+    return VectorIndex(kind, payloads, matrix, config, embed_mode)
+
+
 class TestPersistence:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(index=saved_indexes())
+    def test_round_trip_keeps_every_index_fact(self, tmp_path_factory, index):
+        path = tmp_path_factory.mktemp("index") / "index.json"
+        save_index(index, path)
+        reloaded = load_index(path)
+        assert (reloaded.kind, reloaded.example_embed_mode) == (index.kind, index.example_embed_mode)
+        assert reloaded.encoder_config == index.encoder_config
+        assert reloaded.payloads == index.payloads
+        assert reloaded._matrix.dtype == np.float64 and reloaded._matrix.tobytes() == index._matrix.tobytes()
+        header = json.loads(path.read_text())
+        assert set(header) == {"version", "kind", "encoder", "payloads", *(["example_embed_mode"] if index.kind == "example" else [])}
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(inputs=saved_index_inputs(), query_seed=st.integers(0, 2**32 - 1))
     def test_round_trip_small_index(self, tmp_path_factory, inputs, query_seed):
@@ -467,7 +510,8 @@ class TestPersistence:
         index = build_index(small_kb(), "triplet", config=EncoderConfig(dimension=16))
         matrix_path = save_index(index, tmp_path / "kb.index.json")
         assert matrix_path == tmp_path / "kb.index.npy"
-        assert json.loads((tmp_path / "kb.index.json").read_text())["matrix"] == "kb.index.npy"
+        # the header names no matrix file: the matrix is always the one beside it
+        assert list(json.loads((tmp_path / "kb.index.json").read_text())) == ["version", "kind", "encoder", "payloads"]
         assert np.array_equal(np.load(matrix_path), index._matrix)
         with pytest.raises(ValueError):
             save_index(index, tmp_path / "kb.npy")
@@ -512,21 +556,37 @@ class TestPersistence:
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=16))
         path = tmp_path / "index.json"
         save_index(index, path)
-        doc = path.read_text().replace('"version":2', '"version":99', 1)
+        doc = path.read_text().replace('"version":3', '"version":99', 1)
         path.write_text(doc)
         with pytest.raises(IndexFormatError):
             load_index(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
+        # the encoder config states the dimension once; a matrix of another
+        # width fails the index's shape check
         kb = small_kb()
         index = build_index(kb, "triplet", config=EncoderConfig(dimension=16))
         path = tmp_path / "index.json"
         save_index(index, path)
         doc = path.read_text()
-        assert doc.startswith('{"version":2,"dimension":16,')
+        assert doc.count('"dimension":16') == 1
         path.write_text(doc.replace('"dimension":16', '"dimension":17', 1))
-        with pytest.raises(IndexFormatError):
+        with pytest.raises(IndexFormatError, match=r"shape \(3, 16\), not \(payloads, dim\) \(3, 17\)") as excinfo:
             load_index(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_example_embed_mode_is_recorded(self, tmp_path):
+        headers = {}
+        for mode in EXAMPLE_EMBED_MODES:
+            index = build_index(small_kb(), "example", mode, EncoderConfig(dimension=16))
+            path = tmp_path / f"{mode}.index.json"
+            save_index(index, path)
+            headers[mode] = json.loads(path.read_text())
+            assert list(headers[mode]) == ["version", "kind", "example_embed_mode", "encoder", "payloads"]
+            assert load_index(path).example_embed_mode == mode
+        sentence, with_triplets = (headers[mode] for mode in EXAMPLE_EMBED_MODES)
+        assert (sentence["example_embed_mode"], with_triplets["example_embed_mode"]) == EXAMPLE_EMBED_MODES
+        assert {**sentence, "example_embed_mode": None} == {**with_triplets, "example_embed_mode": None}
 
     def test_round_trip_at_kb_scale(self, tmp_path):
         # ~13k nodes, the size of a full-scale benchmark triplet index
@@ -681,7 +741,8 @@ class TestMalformedIndexFile:
         "damage,needle",
         [
             pytest.param(lambda doc: [doc], "index document must be a JSON object", id="not-an-object"),
-            pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "metric"}, "missing field 'metric'", id="missing-field"),
+            pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "payloads"}, "not ['encoder', 'kind', 'version']", id="missing-field"),
+            pytest.param(lambda doc: {**doc, "dimension": 16}, "not ['dimension', 'encoder', 'kind', 'payloads', 'version']", id="v2-field"),
             pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "provider": "bogus"}}, "invalid encoder config", id="bad-encoder"),
             pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": [3]}}, "ngram_range must be a pair", id="ngram-range-one"),
             pytest.param(lambda doc: {**doc, "encoder": {**doc["encoder"], "ngram_range": [3, 4, 5]}}, "ngram_range must be a pair", id="ngram-range-three"),
@@ -702,9 +763,6 @@ class TestMalformedIndexFile:
                 "model must be a non-empty string, got True",
                 id="external-model-not-a-string",
             ),
-            pytest.param(lambda doc: {**doc, "matrix": 5}, "matrix 5 is not a bare file name", id="matrix-not-a-string"),
-            pytest.param(lambda doc: {**doc, "matrix": None}, "matrix None is not a bare file name", id="matrix-null"),
-            pytest.param(lambda doc: {**doc, "metric": "l2"}, "unsupported metric 'l2'", id="unknown-metric"),
             pytest.param(lambda doc: {**doc, "kind": "entity"}, "unknown index kind 'entity'", id="unknown-kind"),
             pytest.param(lambda doc: {**doc, "payloads": {"0": ["a", "r", "b"]}}, "payloads are not a list", id="payloads-not-a-list"),
         ],
@@ -714,6 +772,37 @@ class TestMalformedIndexFile:
         path.write_text(json.dumps(damage(doc)))
         self._rejected(path, needle)
 
+    @pytest.mark.parametrize(
+        "kind,damage,needle",
+        [
+            pytest.param(
+                "example",
+                lambda doc: {k: v for k, v in doc.items() if k != "example_embed_mode"},
+                "an index of kind 'example' has the header fields ['encoder', 'example_embed_mode', 'kind', 'payloads', 'version']",
+                id="example-without-mode",
+            ),
+            pytest.param(
+                "triplet",
+                lambda doc: {**doc, "example_embed_mode": "sentence"},
+                "not ['encoder', 'example_embed_mode', 'kind', 'payloads', 'version']",
+                id="triplet-with-mode",
+            ),
+            pytest.param("example", lambda doc: {**doc, "example_embed_mode": "triplets"}, "unknown example embed mode 'triplets'", id="unknown-mode"),
+            pytest.param("example", lambda doc: {**doc, "example_embed_mode": ["sentence"]}, "unknown example embed mode ['sentence']", id="mode-not-a-string"),
+        ],
+    )
+    def test_example_embed_mode_field(self, tmp_path, kind, damage, needle):
+        path, doc = self._saved_doc(tmp_path, kind)
+        path.write_text(json.dumps(damage(doc)))
+        self._rejected(path, needle)
+
+    def test_version_2_file_asks_for_a_rebuild(self, tmp_path):
+        # the v2 layout: dimension and metric beside the encoder, and the matrix file's name
+        path, doc = self._saved_doc(tmp_path, "triplet")
+        v2 = {"version": 2, "dimension": 16, "metric": "cosine", "kind": "triplet", "encoder": doc["encoder"], "matrix": "index.npy", "payloads": doc["payloads"]}
+        path.write_text(json.dumps(v2, separators=(",", ":")))
+        self._rejected(path, "unsupported index format version 2; rebuild it with `kgte index`")
+
     def test_node_not_an_object(self, tmp_path):
         path, doc = self._saved_doc(tmp_path, "example")
         doc["payloads"][1] = [1, 2]
@@ -721,7 +810,8 @@ class TestMalformedIndexFile:
 
 
 class TestMatrixFileName:
-    """The header's ``matrix`` names a file beside the header and nothing else."""
+    """The matrix is always the file beside the header with its stem; a
+    header cannot name another."""
 
     @pytest.mark.parametrize("where", ["absolute", "../x.npy", "sub/x.npy"])
     def test_matrix_elsewhere_rejected_though_the_file_exists(self, tmp_path, where):
@@ -737,7 +827,18 @@ class TestMatrixFileName:
         with pytest.raises(IndexFormatError) as excinfo:
             load_index(path)
         assert str(path) in str(excinfo.value)
-        assert "not a bare file name" in str(excinfo.value)
+        assert "not ['encoder', 'kind', 'matrix', 'payloads', 'version']" in str(excinfo.value)
+
+    def test_a_renamed_pair_loads_from_its_own_stem(self, tmp_path):
+        index = build_index(small_kb(), "triplet", config=EncoderConfig(dimension=16))
+        save_index(index, tmp_path / "a.index.json")
+        for suffix in (".json", ".npy"):
+            (tmp_path / f"b.index{suffix}").write_bytes((tmp_path / f"a.index{suffix}").read_bytes())
+        (tmp_path / "a.index.npy").unlink()
+        reloaded = load_index(tmp_path / "b.index.json")
+        assert np.array_equal(reloaded._matrix, index._matrix)
+        with pytest.raises(IndexFormatError, match="cannot read matrix file"):
+            load_index(tmp_path / "a.index.json")
 
     @pytest.mark.parametrize("name", ["triplet", "example", "example-sentence+triplets"])
     def test_golden_headers_load(self, name):
