@@ -34,7 +34,6 @@ from .corpus import (
 from .encoder import (
     EncodeError,
     EncoderConfig,
-    ExternalEncoderClient,
     encode,
     encode_texts,
 )

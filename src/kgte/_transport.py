@@ -1,4 +1,4 @@
-"""HTTP plumbing shared by the embedding and generation clients.
+"""HTTP plumbing shared by the LLM client and the external embedding provider.
 
 The actual wire call is a pluggable ``transport`` callable
 ``(url, payload, headers, timeout) -> (status_code, body_text)`` so tests can
@@ -110,13 +110,14 @@ def post_json(client: HTTPClient, url: str, payload: dict) -> dict:
 
 
 class HTTPClient:
-    """What the generation and embedding clients share: the bearer credential,
-    the request headers, the timeout, the retry policy, the transport and the
-    sleeper. It holds settings only; ``post_json`` sends with them.
+    """What the LLM client and the external embedding provider share: the
+    bearer credential, the request headers, the timeout, the retry policy,
+    the transport and the sleeper. It holds settings only; ``post_json`` sends
+    with them.
 
     ``api_key=None`` reads ``KGTE_API_KEY`` from the environment; an empty
     string sends no ``Authorization`` header. The defaults (30 s and the
-    default ``RetryPolicy``) are the embedding client's.
+    default ``RetryPolicy``) are the ones ``encode_texts`` embeds with.
     """
 
     def __init__(

@@ -60,6 +60,7 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
 
     r2 = 1 - SS_res / SS_tot, clamped at 0 for worse-than-mean fits; a
     constant-y input has SS_tot = 0 and reports r2 = 0 under that clamping.
+    Finite points whose sums overflow a float raise ``ValueError``.
     """
     pts = [(float(x), float(y)) for x, y in points]
     for position, point in enumerate(pts):
@@ -72,14 +73,19 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
     if max(xs) == min(xs):
         raise ValueError("all x values are equal; slope is undefined")
     n = len(pts)
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in pts)
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in pts)
-    ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
+    try:
+        x_mean = math.fsum(xs) / n
+        y_mean = math.fsum(ys) / n
+        sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+        sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in pts)
+        slope = sxy / sxx
+        intercept = y_mean - slope * x_mean
+        ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in pts)
+        ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
+        if not all(map(math.isfinite, (slope, intercept, ss_res, ss_tot))):
+            raise OverflowError  # a deviation overflowed to inf without raising
+    except (OverflowError, ValueError):  # ValueError: fsum adding inf to -inf
+        raise ValueError("the points are too large to fit: their least-squares sums overflow a float") from None
     r2 = 0.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     return FitResult(slope=slope, intercept=intercept, r2=r2, n_points=n)
 

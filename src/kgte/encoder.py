@@ -8,10 +8,10 @@ across machines and dependency-free. Transformer-grade encoders plug in
 through the external provider, which posts blocks of texts to an endpoint.
 
 numpy is imported inside the functions that build arrays (``encode``,
-``_empty_matrix``, ``ExternalEncoderClient.encode_batch``), not at module
-level, and so is ``mmap``: ``import kgte`` then loads no numpy, and a run
-that embeds nothing (zero-shot and static 2-shot extraction, ``ingest``,
-``eval``, ``fit``) never pays its import time and memory.
+``_empty_matrix``, ``_embed_block``), not at module level, and so is
+``mmap``: ``import kgte`` then loads no numpy, and a run that embeds nothing
+(zero-shot and static 2-shot extraction, ``ingest``, ``eval``, ``fit``)
+never pays its import time and memory.
 
 On Linux a matrix of at least ``MAPPED_MATRIX_BYTES`` lives in its own
 anonymous memory mapping, which the kernel takes back as soon as the last
@@ -27,10 +27,10 @@ import hashlib
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import _transport  # post_json looked up per call, so a wrapper set on the module sees every POST
-from ._transport import APIError, HTTPClient, Transport
+from ._transport import APIError, HTTPClient
 from .corpus import check_int, normalize_surface
 
 if TYPE_CHECKING:
@@ -156,64 +156,45 @@ def encode_texts(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
     for position, text in enumerate(texts):
         if not normalize_surface(text):
             raise EncodeError(f"text {position}: cannot encode text that is empty after normalization")
-    client = ExternalEncoderClient(config)
+    http = HTTPClient(api_key=None, transport=None, sleeper=time.sleep)
     for start in range(0, len(texts), EXTERNAL_BLOCK):
-        matrix[start : start + EXTERNAL_BLOCK] = client.encode_batch(texts[start : start + EXTERNAL_BLOCK], start)
+        _embed_block(http, config, texts[start : start + EXTERNAL_BLOCK], matrix, start)
     return matrix
 
 
-@dataclass
-class ExternalEncoderClient:
-    """Client for an HTTP embeddings endpoint.
+def _embed_block(http: HTTPClient, config: EncoderConfig, texts: Sequence[str], matrix: np.ndarray, start: int) -> None:
+    """POST ``texts`` (``encode_texts`` checks them first) to ``config.endpoint``
+    as {"model": ..., "input": [text, ...]}, expecting {"data": [{"embedding":
+    [...]}, ...]} in input order, and write the unit embedding of ``texts[i]``
+    into ``matrix[start + i]``; an error about it names text ``start + i``."""
+    import numpy as np
 
-    Wire shape: POST ``endpoint`` with {"model": ..., "input": [text, ...]},
-    expecting {"data": [{"embedding": [...]}, ...]} in input order. The
-    credential, headers and retries come from the shared ``HTTPClient`` core,
-    at its defaults. ``encode_texts`` sends its blocks one at a time.
-    """
-
-    config: EncoderConfig
-    api_key: str | None = None
-    transport: Transport | None = None
-    sleeper: Callable[[float], None] = time.sleep
-
-    def __post_init__(self) -> None:
-        if self.config.provider != "external":
-            raise ValueError("ExternalEncoderClient requires an external-provider config")
-        self._http = HTTPClient(api_key=self.api_key, transport=self.transport, sleeper=self.sleeper)
-
-    def encode_batch(self, texts: Sequence[str], start: int = 0) -> list[np.ndarray]:
-        """Embed ``texts`` as they are (``encode_texts`` checks them first) in
-        one POST; an error about ``texts[i]`` names it text ``start + i``."""
-        import numpy as np
-
-        if not texts:
-            return []
-        doc = _transport.post_json(self._http, self.config.endpoint, {"model": self.config.model, "input": list(texts)})
-        data = doc.get("data")
-        if not isinstance(data, list):
-            raise APIError(f"embeddings body field 'data' is not a list: {data!r}")
-        if len(data) != len(texts):
-            raise APIError(f"embeddings endpoint returned {len(data)} items for {len(texts)} inputs")
-        vectors = []
-        for i, entry in enumerate(data):
-            where = f"text {start + i}: embeddings body field 'data[{i}].embedding'"
-            if not isinstance(entry, dict) or not isinstance(entry.get("embedding"), list):
-                raise APIError(f"{where} is not a list: {entry!r}")
-            # bool is an int subclass but not a coordinate; "1" is not a number
-            bad = [x for x in entry["embedding"] if type(x) not in (int, float)]
-            if bad:
-                raise APIError(f"{where} holds a non-number: {bad[0]!r}")
-            try:
-                values = np.asarray(entry["embedding"], dtype=np.float64)
-            except OverflowError as exc:  # an int beyond float range
-                raise APIError(f"{where} holds a coordinate out of range") from exc
-            if not np.isfinite(values).all():
-                raise APIError(f"{where} holds a non-finite coordinate")
-            if values.shape != (self.config.dimension,):
-                raise APIError(f"{where} has dimension {values.shape}, not the configured {self.config.dimension}")
+    doc = _transport.post_json(http, config.endpoint, {"model": config.model, "input": list(texts)})
+    data = doc.get("data")
+    if not isinstance(data, list):
+        raise APIError(f"embeddings body field 'data' is not a list: {data!r}")
+    if len(data) != len(texts):
+        raise APIError(f"embeddings endpoint returned {len(data)} items for {len(texts)} inputs")
+    for i, entry in enumerate(data):
+        where = f"text {start + i}: embeddings body field 'data[{i}].embedding'"
+        if not isinstance(entry, dict) or not isinstance(entry.get("embedding"), list):
+            raise APIError(f"{where} is not a list: {entry!r}")
+        # bool is an int subclass but not a coordinate; "1" is not a number
+        bad = [x for x in entry["embedding"] if type(x) not in (int, float)]
+        if bad:
+            raise APIError(f"{where} holds a non-number: {bad[0]!r}")
+        try:
+            values = np.asarray(entry["embedding"], dtype=np.float64)
+        except OverflowError as exc:  # an int beyond float range
+            raise APIError(f"{where} holds a coordinate out of range") from exc
+        if not np.isfinite(values).all():
+            raise APIError(f"{where} holds a non-finite coordinate")
+        if values.shape != (config.dimension,):
+            raise APIError(f"{where} has dimension {values.shape}, not the configured {config.dimension}")
+        with np.errstate(over="ignore"):  # finite coordinates whose squares overflow: checked below
             norm = float(np.linalg.norm(values))
-            if norm == 0.0:
-                raise APIError(f"{where} has norm zero and cannot be normalized")
-            vectors.append(values / norm)
-        return vectors
+        if norm == 0.0:
+            raise APIError(f"{where} has norm zero and cannot be normalized")
+        if not np.isfinite(norm):
+            raise APIError(f"{where} has a norm beyond float range and cannot be normalized")
+        matrix[start + i] = values / norm

@@ -166,6 +166,7 @@ def random_f1_closed_form(p: float, n_kb: int, n: int) -> float:
     This is a scaling relation, not an exact expectation; compare against
     ``exhaustive_random_f1`` to measure its error.
     """
+    check_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     check_int("n_kb", n_kb, 1)

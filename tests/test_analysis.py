@@ -67,6 +67,21 @@ class TestLinearFit:
         with pytest.raises(ValueError, match="point 2 .* is not finite"):
             linear_fit([(0, 1), (1, 3), bad, (3, 7)])
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1e200, 0), (-1e200, 1)],
+            [(0, 1e200), (1, -1e200)],
+            [(1.7e308, 0), (-1.7e308, 1), (-1.7e308, 2)],
+            [(0, 1.7e308), (1, -1.7e308), (2, 1.7e308), (1, -1.7e308), (1, -1.7e308)],
+            [(0, 1.7e308), (2, 1.7e308), (1, -1.7e308), (1, -1.7e308), (1, -1.7e308), (1, -1.7e308)],
+        ],
+        ids=["square-overflows", "y-square-overflows", "deviation-overflows", "inf-plus-minus-inf", "mean-overflows"],
+    )
+    def test_finite_points_too_large_rejected(self, points):
+        with pytest.raises(ValueError, match="^the points are too large to fit"):
+            linear_fit(points)
+
     def test_point_order_invariant(self):
         rng = random.Random(3)
         points = [(rng.random(), rng.random()) for _ in range(20)]

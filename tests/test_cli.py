@@ -687,6 +687,16 @@ class TestExternalEmbeddings:
         assert len(embed_posts) == math.ceil(15 / block)
         assert (tmp_path / "kb.npy").read_bytes() == (EXTERNAL_GOLDEN / "triplet.index.npy").read_bytes()
 
+    def test_index_posts_in_blocks_and_records_the_provider(self, mini_manifest, tmp_path, embed_posts, monkeypatch):
+        monkeypatch.setattr(kgte.encoder, "EXTERNAL_BLOCK", 4)
+        header = tmp_path / "kb.index.json"
+        assert run_cli(["index", "--manifest", str(mini_manifest), "--out", str(header), *EMBED_FLAGS]) == 0
+        assert [len(texts) for texts in embed_posts] == [4, 4, 4, 3]
+        assert json.loads(header.read_text())["encoder"] == {
+            "provider": "external", "dimension": 8, "ngram_range": [3, 5],
+            "endpoint": "http://embed.test/v1/embeddings", "model": "fake",
+        }
+
     def test_retrieve_posts_once(self, tmp_path, embed_posts, capsys):
         code = run_cli(["retrieve", "--index", str(EXTERNAL_GOLDEN / "triplet.index.json"), "--text",
                         "alan bean was born in wheeler texas", "--nkb", "3"])
@@ -909,6 +919,14 @@ class TestFit:
             _read_xy_csv(str(csv))
         assert (excinfo.value.path, excinfo.value.line) == (str(csv), None)
         assert str(excinfo.value) == f"{csv}: no numeric rows"
+
+    def test_points_too_large_to_fit_exit_1(self, tmp_path, capsys):
+        csv = tmp_path / "points.csv"
+        csv.write_text("1e200,0\n-1e200,1\n")
+        assert run_cli(["fit", "--input", str(csv)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("the points are too large to fit")
 
     def test_empty_csv_fails(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"

@@ -8,6 +8,7 @@ import random
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +22,21 @@ from kgte import (
     APIError,
     EncodeError,
     EncoderConfig,
-    ExternalEncoderClient,
     TransportError,
     Triplet,
+    build_index,
+    build_kb,
     encode,
     encode_texts,
+    load_dataset,
+    load_index,
     normalize_surface,
     parse_triplets,
+    retrieve_triplets,
     triplet_to_string,
 )
 from kgte.encoder import _ngram_slot
-from conftest import FAKE_EMBED_DIM, fake_embedding
+from conftest import DATA_DIR, FAKE_EMBED_DIM, fake_embedding
 
 
 def _random_text(rng, min_len=4, max_len=40):
@@ -182,25 +187,52 @@ def _external_config():
     )
 
 
-class TestExternalEncoderClient:
-    def test_success_returns_normalized_vectors(self):
+def _answer(monkeypatch, transport):
+    """Send every POST of the external provider to ``transport``."""
+    monkeypatch.setattr(kgte._transport, "_requests_transport", transport)
+
+
+def _sleeps(monkeypatch) -> list[float]:
+    """The backoff delays the external provider waits, in order, none slept."""
+    delays = []
+    monkeypatch.setattr(time, "sleep", delays.append)
+    return delays
+
+
+class TestExternalProvider:
+    """``encode_texts`` with an external config, against an in-process endpoint."""
+
+    def test_success_returns_normalized_rows(self, monkeypatch):
+        monkeypatch.setenv("KGTE_API_KEY", "sekrit")
+
         def transport(url, payload, headers, timeout):
             assert url == "http://host/v1/embeddings"
             assert payload == {"model": "m", "input": ["hello", "world"]}
             assert headers["Authorization"] == "Bearer sekrit"
+            assert timeout == 30.0
             return 200, '{"data": [{"embedding": [2, 0, 0, 0]}, {"embedding": [0, 3, 0, 0]}]}'
 
-        client = ExternalEncoderClient(_external_config(), api_key="sekrit", transport=transport)
-        vectors = client.encode_batch(["hello", "world"])
-        assert np.allclose(vectors[0], [1, 0, 0, 0])
-        assert np.allclose(vectors[1], [0, 1, 0, 0])
+        _answer(monkeypatch, transport)
+        assert encode_texts(["hello", "world"], _external_config()).tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
-    @pytest.mark.parametrize("knob", ["timeout", "policy", "in_flight"])
-    def test_request_knobs_are_not_fields(self, knob):
-        with pytest.raises(TypeError):
-            ExternalEncoderClient(_external_config(), **{knob: 1})
+    @pytest.mark.parametrize("key", [None, ""], ids=["unset", "empty"])
+    def test_no_credential_sends_no_authorization_header(self, monkeypatch, key):
+        if key is None:
+            monkeypatch.delenv("KGTE_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("KGTE_API_KEY", key)
+        seen = []
 
-    def test_transient_failure_then_success(self):
+        def transport(url, payload, headers, timeout):
+            seen.append(dict(headers))
+            return 200, '{"data": [{"embedding": [1, 0, 0, 0]}]}'
+
+        _answer(monkeypatch, transport)
+        encode_texts(["hello"], _external_config())
+        assert seen == [{"Content-Type": "application/json"}]
+
+    def test_transient_failure_then_success(self, monkeypatch):
+        sleeps = _sleeps(monkeypatch)
         calls = []
 
         def transport(url, payload, headers, timeout):
@@ -209,63 +241,84 @@ class TestExternalEncoderClient:
                 raise ConnectionError("boom")
             return 200, '{"data": [{"embedding": [1, 0, 0, 0]}]}'
 
-        client = ExternalEncoderClient(
-            _external_config(), api_key="k", transport=transport, sleeper=lambda _: None
-        )
-        assert len(client.encode_batch(["hello"])) == 1
+        _answer(monkeypatch, transport)
+        assert encode_texts(["hello"], _external_config()).tolist() == [[1, 0, 0, 0]]
         assert len(calls) == 2
+        assert sleeps == [0.25]
 
-    def test_exhausted_retries_raise_transport_error(self):
+    def test_exhausted_retries_raise_transport_error(self, monkeypatch):
+        sleeps = _sleeps(monkeypatch)
+
         def transport(url, payload, headers, timeout):
             raise ConnectionError("down")
 
-        client = ExternalEncoderClient(
-            _external_config(), api_key="k", transport=transport, sleeper=lambda _: None
-        )
-        with pytest.raises(TransportError):
-            client.encode_batch(["hello"])
+        _answer(monkeypatch, transport)
+        with pytest.raises(TransportError, match=r"^request to http://host/v1/embeddings failed after 3 attempts \(transport failure: down\)$"):
+            encode_texts(["hello"], _external_config())
+        assert sleeps == [0.25, 0.5]
 
-    def test_non_object_body_is_api_error(self):
-        client = ExternalEncoderClient(_external_config(), api_key="k", transport=lambda *a: (200, "[]"))
-        with pytest.raises(APIError):
-            client.encode_batch(["hello"])
+    def test_non_object_body_is_api_error(self, monkeypatch):
+        _answer(monkeypatch, lambda *a: (200, "[]"))
+        with pytest.raises(APIError, match=r"^endpoint returned a JSON list, not an object$"):
+            encode_texts(["hello"], _external_config())
 
     @pytest.mark.parametrize(
-        "body,field",
+        "body,message",
         [
-            ('{"data": [5]}', "'data[0].embedding'"),
-            ('{"data": [{}]}', "'data[0].embedding'"),
-            ('{"data": [{"embedding": 7}]}', "'data[0].embedding'"),
-            ('{"vectors": []}', "'data'"),
-            ('{"data": [{"embedding": [null, 1, 0, 0]}]}', "'data[0].embedding'"),
-            ('{"data": [{"embedding": ["1", 0, 0, 0]}]}', "'data[0].embedding'"),
-            ('{"data": [{"embedding": [true, 0, 0, 0]}]}', "'data[0].embedding'"),
-            ('{"data": [{"embedding": [NaN, 1, 0, 0]}]}', "'data[0].embedding'"),
-            ('{"data": [{"embedding": [1e400, 1, 0, 0]}]}', "'data[0].embedding'"),
+            ('{"data": [5]}', "text 0: embeddings body field 'data[0].embedding' is not a list: 5"),
+            ('{"data": [{}]}', "text 0: embeddings body field 'data[0].embedding' is not a list: {}"),
+            ('{"data": [{"embedding": 7}]}', "text 0: embeddings body field 'data[0].embedding' is not a list: {'embedding': 7}"),
+            ('{"vectors": []}', "embeddings body field 'data' is not a list: None"),
+            ('{"data": [{"embedding": [null, 1, 0, 0]}]}', "text 0: embeddings body field 'data[0].embedding' holds a non-number: None"),
+            ('{"data": [{"embedding": ["1", 0, 0, 0]}]}', "text 0: embeddings body field 'data[0].embedding' holds a non-number: '1'"),
+            ('{"data": [{"embedding": [true, 0, 0, 0]}]}', "text 0: embeddings body field 'data[0].embedding' holds a non-number: True"),
+            ('{"data": [{"embedding": [NaN, 1, 0, 0]}]}', "text 0: embeddings body field 'data[0].embedding' holds a non-finite coordinate"),
+            ('{"data": [{"embedding": [1e400, 1, 0, 0]}]}', "text 0: embeddings body field 'data[0].embedding' holds a non-finite coordinate"),
             pytest.param(
-                '{"data": [{"embedding": [1%s, 1, 0, 0]}]}' % ("0" * 400), "'data[0].embedding'", id="int-beyond-float"
+                '{"data": [{"embedding": [1%s, 1, 0, 0]}]}' % ("0" * 400),
+                "text 0: embeddings body field 'data[0].embedding' holds a coordinate out of range",
+                id="int-beyond-float",
             ),
+            ('{"data": [{"embedding": [1, 0]}]}', "text 0: embeddings body field 'data[0].embedding' has dimension (2,), not the configured 4"),
+            ('{"data": [{"embedding": [0, 0, 0, 0]}]}', "text 0: embeddings body field 'data[0].embedding' has norm zero and cannot be normalized"),
+            pytest.param(
+                '{"data": [{"embedding": [1e308, 1e308, 0, 0]}]}',
+                "text 0: embeddings body field 'data[0].embedding' has a norm beyond float range and cannot be normalized",
+                id="norm-overflows",
+            ),
+            ('{"data": [{"embedding": [1, 0, 0, 0]}, {"embedding": [0, 1, 0, 0]}]}', "embeddings endpoint returned 2 items for 1 inputs"),
         ],
     )
-    def test_wrong_shaped_body_is_api_error_naming_the_field(self, body, field):
-        client = ExternalEncoderClient(_external_config(), api_key="k", transport=lambda *a: (200, body))
+    def test_malformed_body_is_api_error_naming_the_field(self, monkeypatch, body, message):
+        _answer(monkeypatch, lambda *a: (200, body))
         with pytest.raises(APIError) as excinfo:
-            client.encode_batch(["hello"])
-        assert field in str(excinfo.value)
+            encode_texts(["hello"], _external_config())
+        assert str(excinfo.value) == message
 
-    def test_wrong_item_count_is_api_error(self):
-        body = '{"data": [{"embedding": [1, 0, 0, 0]}, {"embedding": [0, 1, 0, 0]}]}'
-        client = ExternalEncoderClient(_external_config(), api_key="k", transport=lambda *a: (200, body))
-        with pytest.raises(APIError, match=r"^embeddings endpoint returned 2 items for 1 inputs$"):
-            client.encode_batch(["hello"])
+    def test_an_overflowing_norm_fails_the_index_build_naming_its_text(self, monkeypatch, mini_manifest):
+        # coordinates that pass every body check, but whose norm is inf:
+        # normalizing would store an all-zero row
+        dataset = load_dataset(mini_manifest)
+        kb = build_kb(dataset.train, dataset.validation)
+        texts = [triplet_to_string(t) for t in kb.triplets]
 
-    def test_dimension_mismatch_rejected(self):
         def transport(url, payload, headers, timeout):
-            return 200, '{"data": [{"embedding": [1, 0]}]}'
+            data = [{"embedding": _OVERFLOWING if text == texts[5] else fake_embedding(text)} for text in payload["input"]]
+            return 200, json.dumps({"data": data})
 
-        client = ExternalEncoderClient(_external_config(), api_key="k", transport=transport)
-        with pytest.raises(APIError, match=r"^text 0: embeddings body field 'data\[0\]\.embedding' has dimension"):
-            client.encode_batch(["hello"])
+        _answer(monkeypatch, transport)
+        config = EncoderConfig(provider="external", dimension=FAKE_EMBED_DIM, endpoint="http://embed.test/v1/embeddings", model="overflow")
+        with pytest.raises(APIError, match=r"^text 5: embeddings body field 'data\[5\]\.embedding' has a norm beyond float range"):
+            build_index(kb, "triplet", config=config)
+
+    def test_an_overflowing_norm_fails_a_query_on_an_external_index(self, monkeypatch):
+        index = load_index(DATA_DIR / "golden" / "external" / "triplet.index.json")
+        _answer(monkeypatch, lambda *a: (200, json.dumps({"data": [{"embedding": _OVERFLOWING}]})))
+        with pytest.raises(APIError, match=r"^text 0: embeddings body field 'data\[0\]\.embedding' has a norm beyond float range"):
+            retrieve_triplets("alan bean was born in wheeler texas", index, n_kb=3)
+
+
+_OVERFLOWING = [1e308, 1e308] + [0] * (FAKE_EMBED_DIM - 2)
 
 
 def _fake_config(dimension=FAKE_EMBED_DIM):

@@ -470,6 +470,10 @@ class TestClosedForm:
             random_f1_closed_form(1.5, 5, 2)
         with pytest.raises(ValueError):
             random_f1_closed_form(0.5, 0, 2)
+        with pytest.raises(ValueError, match=r"^p must be a real number, got True$"):
+            random_f1_closed_form(True, 5, 2)
+        with pytest.raises(ValueError, match=r"^p must be a real number, got '0\.5'$"):
+            random_f1_closed_form("0.5", 5, 2)
 
 
 _POOL = make_triplets(3)
