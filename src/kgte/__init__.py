@@ -77,6 +77,7 @@ from .vector_index import (
     build_index,
     load_index,
     save_index,
+    select_rows,
     top_k,
 )
 

@@ -44,7 +44,7 @@ from .extraction import (
 from .parsing import parse_triplets, triplet_to_string
 from .prompting import PromptBudgetError, PromptInstance, PromptTemplate, render
 from .retriever import CONTEXT_INDEX_KINDS, CONTEXT_MODES, RetrievedContext, check_n_kb, retrieve_contexts
-from .vector_index import VectorIndex, build_index, check_embed_mode
+from .vector_index import VectorIndex, build_index, check_embed_mode, select_rows
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
 
     r2 = 1 - SS_res / SS_tot, clamped at 0 for worse-than-mean fits; a
     constant-y input has SS_tot = 0 and reports r2 = 0 under that clamping.
-    Finite points whose sums overflow a float raise ``ValueError``.
+    Finite points whose sums overflow a float raise ``ValueError``, and so do
+    distinct x values whose squared deviations all underflow to 0.
     """
     pts = [(float(x), float(y)) for x, y in points]
     for position, point in enumerate(pts):
@@ -86,6 +87,8 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
             raise OverflowError  # a deviation overflowed to inf without raising
     except (OverflowError, ValueError):  # ValueError: fsum adding inf to -inf
         raise ValueError("the points are too large to fit: their least-squares sums overflow a float") from None
+    except ZeroDivisionError:  # sxx: every squared x deviation underflowed
+        raise ValueError("the x values are too close to fit a slope: their squared deviations underflow to 0") from None
     r2 = 0.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     return FitResult(slope=slope, intercept=intercept, r2=r2, n_points=n)
 
@@ -255,11 +258,25 @@ def index_dataset(
     dataset: Dataset, kind: str, scale: float, seed: int, example_embed_mode: str, config: EncoderConfig | None
 ) -> VectorIndex | None:
     """Index the dataset's KB downscaled to ``scale`` (in [0, 1], NaN rejected)
-    under ``seed``; ``None`` when the retained KB is empty."""
-    kb = downscale_kb(build_kb(dataset.train, dataset.validation), scale, seed)
+    under ``seed``; ``None`` when the retained KB is empty, before anything
+    is built.
+
+    Every other index comes from ``build_index`` of the full KB: when every
+    example is retained, it is that index itself; otherwise it is a
+    ``select_rows`` selection of it, the rows of the retained KB's payloads
+    in downscaled order. So a downscaled index encodes the whole KB unless a
+    caller holds the full index, and then it encodes nothing.
+    """
+    full_kb = build_kb(dataset.train, dataset.validation)
+    kb = downscale_kb(full_kb, scale, seed)
     if not kb.examples:
         return None
-    return build_index(kb, kind, example_embed_mode, config)
+    if len(kb.examples) == len(full_kb.examples):
+        del kb  # no second copy of the KB's tuples stays alive through the build
+        return build_index(full_kb, kind, example_embed_mode, config)
+    index = build_index(full_kb, kind, example_embed_mode, config)
+    row_of = {payload: row for row, payload in enumerate(index.payloads)}
+    return select_rows(index, [row_of[payload] for payload in (kb.triplets if kind == "triplet" else kb.examples)])
 
 
 def _build_contexts(
@@ -436,9 +453,9 @@ class AblationResult:
 
 
 def _ablation_point(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClient | None) -> AblationPoint:
-    """One scale's point. Its run, contexts and index die when this returns,
-    before the next scale builds its own; only an index that a caller also
-    holds outlives it."""
+    """One scale's point. Its index is the full index ``run_ablation`` holds
+    or a selection of it, which allocates no matrix; the run, its contexts
+    and the selection die when this returns."""
     result = _run_on(spec, dataset, llm_client)
     p = context_hit_probability([run.context for run in result.runs], [run.sentence.gold for run in result.runs])
     return AblationPoint(scale=spec.scale, p=p, f1=result.report.f1)
@@ -465,12 +482,13 @@ def run_ablation(
     P_S is ``context_hit_probability`` over the contexts the run itself
     retrieved. The dataset comes from one ``load_dataset`` call, which
     returns a dataset the caller still holds if its splits equal the ones
-    parsed. Each scale builds its KB once and takes its index from
-    ``build_index``: one the caller still holds for an equal KB (say, the
-    full-KB index at scale 1.0) is reused without encoding, any other is
-    built and dies with its scale's run. A scale whose KB is empty gives
-    empty contexts and P_S = 0. The runs' generation config is
-    ``llm_client``'s, when one is given.
+    parsed. The full KB's index is taken from ``build_index`` once, before
+    the first scale, and held until the last: every scale's index is that
+    index (scale 1.0) or a selection of its rows (``index_dataset``). So the
+    KB is encoded at most once, and not at all when the caller holds an
+    equal full index. A scale whose KB is empty gives empty contexts and
+    P_S = 0. The runs' generation config is ``llm_client``'s, when one is
+    given.
     """
     if mode not in CONTEXT_MODES:
         raise ValueError("ablation runs in a KB-augmented mode")
@@ -491,7 +509,11 @@ def run_ablation(
     if not specs:
         raise ValueError("no scales to run")
     dataset = load_dataset(spec.manifest)
+    # held through the loop, so each scale's build_index returns it and encodes nothing
+    full_kb = build_kb(dataset.train, dataset.validation)
+    full_index = build_index(full_kb, CONTEXT_INDEX_KINDS[mode], embed_mode, spec.encoder_config())
     points = [_ablation_point(scaled, dataset, llm_client) for scaled in specs]
+    del full_index
     xs = {point.p for point in points}
     fit = linear_fit([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None
     return AblationResult(points=tuple(points), fit=fit)

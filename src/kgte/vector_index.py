@@ -1,9 +1,10 @@
 """Immutable vector store with exact top-k retrieval and persistence.
 
 ``VectorIndex(kind, payloads, vectors, encoder_config, example_embed_mode)``
-is the only way to make an index. Its vectors live once, as the rows of one
-dense float64 matrix, from ``build_index`` to disk (a raw ``.npy`` file beside
-a JSON header that states each other fact of the index once) and back.
+makes every index but a selection (below). Its vectors live once, as the
+rows of one dense float64 matrix, from ``build_index`` to disk (a raw
+``.npy`` file beside a JSON header that states each other fact of the index
+once) and back.
 An index is its payloads and that matrix, row ``i`` under payload ``i``, with
 no object per row. Retrieval scans every row (one matrix-vector product) and
 then selects the top k exactly with a partial selection instead of a full
@@ -11,15 +12,23 @@ sort: deterministic, and fast enough at the KB sizes this library targets
 (tens of thousands of rows). It returns row ids and scores; ties are broken
 by ascending row id, at the k-th position too.
 
+``select_rows`` makes a selection: an index over some rows of another, in an
+order of its own, that shares that index's matrix and keeps the selected row
+ids. It encodes nothing and copies no row. It scores with the full matrix's
+own product and reads the selected rows' scores from it, so they equal the
+full index's scores bit for bit; its ids are positions in the selection.
+A downscaled KB's index is a selection of the full KB's (``analysis``).
+
 ``build_index`` interns its result: while an index built from equal inputs
 (kind, example embed mode, encoder config and payloads) is alive, it returns
 that same object and encodes nothing. The table holds each index weakly, so
 an index lives exactly as long as its callers hold it.
 
 As in ``encoder``, numpy is imported inside the functions that touch the
-matrix (``VectorIndex.__post_init__``, ``top_k``, ``save_index``,
-``load_index``), so importing this module loads no numpy; building, loading
-or querying an index loads it at the first array operation.
+matrix (``VectorIndex.__post_init__``, ``select_rows``, ``top_k``,
+``save_index``, ``load_index``), so importing this module loads no numpy;
+building, loading or querying an index loads it at the first array
+operation.
 """
 
 from __future__ import annotations
@@ -80,7 +89,12 @@ class VectorIndex:
     only mode a ``triplet`` index takes). ``nodes``, one ``IndexNode`` per
     row in id order whose ``vector`` is a read-only row view of the matrix,
     is built on first access; nothing in ``kgte`` reads it. Indexes compare
-    by identity."""
+    by identity.
+
+    A selection (``select_rows``) shares the matrix of the index it selects
+    from, which has more rows than it has payloads: ``payloads[i]`` lies
+    under matrix row ``_rows[i]``, and ``_rows`` is a read-only int array.
+    For any other index ``_rows`` is ``None``."""
 
     kind: str
     payloads: tuple[Triplet | AnnotatedSentence, ...] = field(repr=False)
@@ -88,6 +102,7 @@ class VectorIndex:
     encoder_config: EncoderConfig
     example_embed_mode: str = "sentence"
     _matrix: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self, vectors) -> None:
         import numpy as np
@@ -117,9 +132,11 @@ class VectorIndex:
     @functools.cached_property
     def nodes(self) -> tuple[IndexNode, ...]:
         """One ``IndexNode`` per row, in id order, built on first access and
-        then kept; ``kgte`` never reads it, the benchmark's output checks do."""
-        rows = zip(self.payloads, self._matrix)
-        return tuple(IndexNode(i, self.kind, payload, row) for i, (payload, row) in enumerate(rows))
+        then kept (a selection's own rows, as views of the shared matrix);
+        ``kgte`` never reads it, the benchmark's output checks do."""
+        rows = range(len(self)) if self._rows is None else self._rows.tolist()
+        pairs = zip(self.payloads, rows)
+        return tuple(IndexNode(i, self.kind, payload, self._matrix[row]) for i, (payload, row) in enumerate(pairs))
 
     @property
     def dimension(self) -> int:
@@ -180,6 +197,43 @@ def build_index(
     return index
 
 
+def select_rows(index: VectorIndex, rows: Sequence[int]) -> VectorIndex:
+    """``index`` restricted to ``rows``, in that order: row ``i`` of the
+    selection is row ``rows[i]`` of ``index``, under that row's payload.
+
+    The selection shares the matrix of ``index`` and keeps the selected ids
+    as a read-only int array (composed with those of ``index`` when it is a
+    selection itself). So it encodes nothing, copies no row and does not
+    check the shared rows' norms again. ``rows`` must be a non-empty
+    sequence of ints, each a row of ``index``; a row may repeat.
+    """
+    import numpy as np
+
+    ids = np.array(rows)
+    if ids.ndim != 1 or not len(ids):
+        raise ValueError("a selection needs a non-empty sequence of row ids")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"row ids must be ints, got an array of {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= len(index):
+        raise ValueError(f"row ids must lie in [0, {len(index)}), got {ids.min()} to {ids.max()}")
+    payloads = tuple(index.payloads[row] for row in ids.tolist())
+    ids = ids.astype(np.intp, copy=False)
+    if index._rows is not None:
+        ids = index._rows[ids]
+    ids.setflags(write=False)
+    selection = object.__new__(VectorIndex)  # skips __post_init__: the shared rows were checked when built
+    for name, value in (
+        ("kind", index.kind),
+        ("payloads", payloads),
+        ("encoder_config", index.encoder_config),
+        ("example_embed_mode", index.example_embed_mode),
+        ("_matrix", index._matrix),
+        ("_rows", ids),
+    ):
+        object.__setattr__(selection, name, value)
+    return selection
+
+
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Exact top-k ``(row id, cosine score)`` pairs, by score descending; ties
     broken by ascending id.
@@ -201,6 +255,12 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, floa
     threads; products over gathered rows differ too. So screening, pruning
     or splitting the scan would reorder rows whose scores differ only in
     the last bits, and today's rankings would change.
+
+    A selection takes the same product over the whole shared matrix and
+    reads its rows' scores from it, in selection order; ids are positions
+    in the selection, so ties break by that order. Its scores are the full
+    index's own, bit for bit. An index that is not a selection reads its
+    product as it is, with nothing gathered.
     """
     import numpy as np
 
@@ -209,6 +269,8 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, floa
     if query.shape != (index.dimension,):
         raise ValueError(f"query dimension {query.shape} does not match index dimension {index.dimension}")
     scores = index._matrix @ query
+    if index._rows is not None:
+        scores = scores[index._rows]
     n = len(scores)
     k = min(k, n)
     candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
@@ -234,14 +296,18 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
     first), and a JSON header to ``path`` with the rest of what ``load_index``
     needs, once: format version, kind, the example embed mode (example
     index only), every ``EncoderConfig`` field and the payloads in row
-    order. Missing parent directories are created.
+    order. Missing parent directories are created. A selection writes its
+    own rows, gathered from the shared matrix: each is the encoding of its
+    payload, so the files equal those of an index built from the selected
+    payloads alone, and load back as an index that is not a selection.
     """
     import numpy as np
 
     path = Path(path)
     matrix_path = index_matrix_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.save(matrix_path, index._matrix, allow_pickle=False)
+    matrix = index._matrix if index._rows is None else index._matrix[index._rows]
+    np.save(matrix_path, matrix, allow_pickle=False)
     payload_to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
     doc = {
         "version": INDEX_FORMAT_VERSION,

@@ -35,6 +35,7 @@ from kgte import (
     retrieve_triplets,
     run_experiment,
     save_dataset,
+    select_rows,
     sentence_f1,
     sweep_context_quality,
     top_k,
@@ -74,42 +75,53 @@ def test_criterion_1_retrieval_oracle_equivalence():
     tied_index = VectorIndex(
         "triplet", payloads, list(distinct[rng.integers(0, 250, size=1000)]), config
     )
+    # A selection: 400 of the tied rows, shuffled out of row order. Its ids
+    # are positions in the selection, so its ties break by selection order.
+    subset = rng.permutation(1000)[:400].tolist()
+    assert subset != sorted(subset)
+    selection = select_rows(tied_index, subset)
 
     queries = rng.normal(size=(25, dimension))
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     tie_queries = rng.integers(-3, 4, size=(25, dimension)).astype(np.float64)
 
-    def oracle(index, query, k):
+    def oracle(matrix, rows, query, k):
+        """Rows ``rows`` of ``matrix`` ranked by python-float dot, ties by position in ``rows``."""
         scored = []
-        for row_id, row in enumerate(index._matrix):
+        for position, row_id in enumerate(rows):
             acc = 0.0
             for i in range(dimension):
-                acc += float(row[i]) * float(query[i])
-            scored.append((row_id, acc))
+                acc += float(matrix[row_id, i]) * float(query[i])
+            scored.append((position, acc))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]
 
+    cases = (
+        (index, vectors, range(1000), queries),
+        (tied_index, tied_index._matrix, range(1000), tie_queries),
+        (selection, tied_index._matrix, subset, tie_queries),
+    )
     elapsed = 0.0
-    straddled = 0
-    for searched, searched_queries in ((index, queries), (tied_index, tie_queries)):
+    straddled = Counter()
+    for searched, matrix, rows, searched_queries in cases:
         for query in searched_queries:
             for k in (1, 5, 10):
                 start = time.perf_counter()
                 got = top_k(searched, query, k)
                 elapsed += time.perf_counter() - start
-                expected = oracle(searched, query, k + 1)
+                expected = oracle(matrix, rows, query, k + 1)
                 if expected[k - 1][1] == expected[k][1]:
-                    straddled += 1
+                    straddled[searched is selection] += 1
                 expected = expected[:k]
                 assert [i for i, _ in got] == [i for i, _ in expected]
                 for (_, a), (_, b) in zip(got, expected):
                     assert a == pytest.approx(b, abs=1e-12)
-    assert straddled >= 25
+    assert straddled[False] >= 25 and straddled[True] >= 25
     assert elapsed < 1.0
     report(
         1,
-        f"top_k matches brute force on 1000x{dimension} for k in 1/5/10, "
-        f"ties at the k-th position in {straddled} of 150 cases ({elapsed:.3f}s)",
+        f"top_k matches brute force on 1000x{dimension} and on a shuffled 400-row selection for k in 1/5/10, "
+        f"ties at the k-th position in {sum(straddled.values())} of 225 cases ({elapsed:.3f}s)",
     )
 
 

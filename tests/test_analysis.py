@@ -41,6 +41,19 @@ from conftest import planted_dataset, planted_pair_records, planted_single_recor
 from kgte import save_dataset
 
 
+def count_encoded_rows(monkeypatch) -> list[int]:
+    """The row count of each ``encode_texts`` call ``build_index`` makes from now on."""
+    encoded = []
+    real_encode_texts = kgte.vector_index.encode_texts
+
+    def counting_encode_texts(texts, config):
+        encoded.append(len(texts))
+        return real_encode_texts(texts, config)
+
+    monkeypatch.setattr(kgte.vector_index, "encode_texts", counting_encode_texts)
+    return encoded
+
+
 class TestLinearFit:
     def test_exact_line(self):
         fit = linear_fit([(0, 1), (1, 3), (2, 5)])
@@ -80,6 +93,11 @@ class TestLinearFit:
     )
     def test_finite_points_too_large_rejected(self, points):
         with pytest.raises(ValueError, match="^the points are too large to fit"):
+            linear_fit(points)
+
+    @pytest.mark.parametrize("points", [[(0, 0), (1e-300, 1e300)], [(0, 0), (5e-324, 1)]], ids=["tiny-deviations", "subnormal-x"])
+    def test_x_values_too_close_rejected(self, points):
+        with pytest.raises(ValueError, match="^the x values are too close to fit a slope"):
             linear_fit(points)
 
     def test_point_order_invariant(self):
@@ -536,25 +554,24 @@ class TestRunExperiment:
 
 
 class TestIndexDataset:
-    def test_full_scale_equals_the_kb_index(self, pair_manifest):
+    def test_full_scale_is_the_full_kb_index_itself(self, pair_manifest):
         dataset = load_dataset(pair_manifest)
         config = EncoderConfig(dimension=64)
-        got = index_dataset(dataset, "example", 1.0, 3, "sentence+triplets", config)
-        payloads, matrix = got.payloads, got._matrix.copy()
-        del got  # so that build_index encodes again rather than return it
-        want = build_index(build_kb(dataset.train, dataset.validation), "example", "sentence+triplets", config)
-        assert np.array_equal(matrix, want._matrix)
-        assert payloads == want.payloads
+        full = build_index(build_kb(dataset.train, dataset.validation), "example", "sentence+triplets", config)
+        assert index_dataset(dataset, "example", 1.0, 3, "sentence+triplets", config) is full
 
     def test_downscaled_index_matches_downscale_kb(self, pair_manifest):
         dataset = load_dataset(pair_manifest)
         config = EncoderConfig(dimension=64)
-        kb = downscale_kb(build_kb(dataset.train, dataset.validation), 0.4, 5)
+        full_kb = build_kb(dataset.train, dataset.validation)
+        kb = downscale_kb(full_kb, 0.4, 5)
+        full = build_index(full_kb, "triplet", config=config)
         got = index_dataset(dataset, "triplet", 0.4, 5, "sentence", config)
         assert got.payloads == kb.triplets
-        matrix = got._matrix.copy()
-        del got  # so that build_index encodes again rather than return it
-        assert np.array_equal(matrix, build_index(kb, "triplet", config=config)._matrix)
+        # a selection of the full index: its matrix shared, its own rows those a build of the downscaled KB encodes
+        assert got._matrix is full._matrix
+        own_rows = np.stack([node.vector for node in got.nodes])
+        assert np.array_equal(own_rows, build_index(kb, "triplet", config=config)._matrix)
 
     def test_empty_retained_kb_gives_none(self, pair_manifest):
         assert index_dataset(load_dataset(pair_manifest), "triplet", 0.0, 0, "sentence", None) is None
@@ -684,18 +701,20 @@ class TestRunAblation:
         assert result.fit is not None
         assert result.fit.n_points == 3
 
-    def test_each_scale_builds_one_index(self, pair_manifest, monkeypatch):
-        calls = []
+    def test_only_the_full_kb_is_indexed(self, pair_manifest, monkeypatch):
+        kbs = []
         real_build_index = kgte.analysis.build_index
 
-        def counting_build_index(*args, **kwargs):
-            calls.append(1)
-            return real_build_index(*args, **kwargs)
+        def recording_build_index(kb, *args, **kwargs):
+            kbs.append(kb)
+            return real_build_index(kb, *args, **kwargs)
 
-        monkeypatch.setattr(kgte.analysis, "build_index", counting_build_index)
+        monkeypatch.setattr(kgte.analysis, "build_index", recording_build_index)
         run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
-        # scale 0 leaves the KB empty, so no index is built for it
-        assert len(calls) == 2
+        dataset = load_dataset(pair_manifest)
+        # once before the scales, then once per scale that retains an example
+        # (scale 0 leaves the KB empty); scale 0.5 selects rows of the full index
+        assert kbs == [build_kb(dataset.train, dataset.validation)] * 3
 
     @pytest.mark.parametrize("mode,kind", [("triplets", "triplet"), ("examples", "example")])
     def test_p_equals_sweep_on_the_downscaled_kb(self, pair_manifest, mode, kind):
@@ -758,25 +777,26 @@ class TestRunAblation:
         with pytest.raises(ValueError, match="^no scales to run$"):
             run_ablation(pair_manifest, scales=[], seed=2, extractor="random", n_kb=2, dimension=128)
 
+    ENCODE_ARGS = dict(scales=[0.0, 0.25, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
+
     def test_a_live_full_index_is_reused_with_identical_results(self, mini_manifest, monkeypatch):
-        args = dict(scales=[0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
-        alone = json.dumps(run_ablation(mini_manifest, **args).to_dict(), sort_keys=True)
+        alone = json.dumps(run_ablation(mini_manifest, **self.ENCODE_ARGS).to_dict(), sort_keys=True)
         dataset = load_dataset(mini_manifest)
-        kb = build_kb(dataset.train, dataset.validation)
-        full = build_index(kb, "triplet", config=EncoderConfig(dimension=128))
-        encoded = []
-        real_encode_texts = kgte.vector_index.encode_texts
-
-        def counting_encode_texts(texts, config):
-            encoded.append(len(texts))
-            return real_encode_texts(texts, config)
-
-        monkeypatch.setattr(kgte.vector_index, "encode_texts", counting_encode_texts)
-        beside = json.dumps(run_ablation(mini_manifest, **args).to_dict(), sort_keys=True)
+        # held through the second run, which takes it from build_index and selects its rows
+        full = build_index(build_kb(dataset.train, dataset.validation), "triplet", config=EncoderConfig(dimension=128))
+        encoded = count_encoded_rows(monkeypatch)
+        beside = json.dumps(run_ablation(mini_manifest, **self.ENCODE_ARGS).to_dict(), sort_keys=True)
         assert beside == alone
-        # only scale 0.5 encodes its KB; scale 1.0 takes the live full index
-        assert encoded == [len(downscale_kb(kb, 0.5, 2).triplets)]
-        assert 0 < encoded[0] < len(full)
+        assert encoded == []
+        del full
+
+    def test_with_no_index_held_the_kb_is_encoded_once(self, mini_manifest, monkeypatch):
+        dataset = load_dataset(mini_manifest)
+        n_triplets = len(build_kb(dataset.train, dataset.validation).triplets)
+        gc.collect()  # no full index is left alive to be reused
+        encoded = count_encoded_rows(monkeypatch)
+        run_ablation(mini_manifest, **self.ENCODE_ARGS)
+        assert encoded == [n_triplets]
 
     def test_degenerate_single_p_has_no_fit(self, pair_manifest):
         result = run_ablation(

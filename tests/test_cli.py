@@ -928,6 +928,14 @@ class TestFit:
         assert error["type"] == "ValueError"
         assert error["message"].startswith("the points are too large to fit")
 
+    def test_x_values_too_close_to_fit_exit_1(self, tmp_path, capsys):
+        csv = tmp_path / "points.csv"
+        csv.write_text("0,0\n5e-324,1\n")
+        assert run_cli(["fit", "--input", str(csv)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("the x values are too close to fit a slope")
+
     def test_empty_csv_fails(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"
         csv.write_text("x,y\n")

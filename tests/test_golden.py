@@ -9,6 +9,12 @@ floating-point rounding. The ``triplets`` and ``examples`` extract runs stay
 out: their contexts are top-k rankings, which can differ in the last bits of
 a score, and so in tie order, between hosts.
 
+The files of ``kgte index --scale 0.5 --seed 2`` are pinned by SHA-256, the
+``.npy`` matrix included: a downscaled index is a selection of the full
+KB's rows, and it must save exactly as the index built from the retained KB
+alone does. Each row is the unit vector of integer n-gram counts, so its
+bytes do not depend on BLAS.
+
 The ``kgte`` commands whose JSON or CSV re-serializes result records are
 pinned too, under ``cli/``: ``ingest``, ``eval`` of a checked-in prediction
 file (a hit, a miss, an extra triplet, gold sets of one and two triplets),
@@ -20,6 +26,8 @@ every host.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -42,6 +50,30 @@ def test_index_header(mini_manifest, tmp_path, kind, embed_mode):
     args = ["index", "--manifest", str(mini_manifest), "--kind", kind, "--embed-mode", embed_mode, "--out", str(header)]
     assert main(args) == 0
     assert header.read_bytes() == (GOLDEN / header.name).read_bytes()
+
+
+# (kind, embed mode) -> SHA-256 of the header and of the matrix file of
+# `kgte index --scale 0.5 --seed 2` on the mini fixture
+SCALED_INDEX_SHA256 = {
+    ("triplet", "sentence"): (
+        "86bd5450ca526de33274942153ce469e412256e3d49ffd78e2be86a20805c702",
+        "3e9efef577b3a86c67574966db7a720da7a4428e21e85bd8c3c62ac116619627",
+    ),
+    ("example", "sentence+triplets"): (
+        "3e7ffb842c78b4015c5fd7bf7a24977ce893cd1f38ad149934dddab3fb80dd26",
+        "e5f6c6867788f1991d0366d7a6f7445d082c636f02807b385ff29b64405b25b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,embed_mode", SCALED_INDEX_SHA256)
+def test_scaled_index_files(mini_manifest, tmp_path, kind, embed_mode):
+    header = tmp_path / "scaled.index.json"
+    args = ["index", "--manifest", str(mini_manifest), "--kind", kind, "--embed-mode", embed_mode,
+            "--scale", "0.5", "--seed", "2", "--out", str(header)]
+    assert main(args) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (header, header.with_suffix(".npy")))
+    assert digests == SCALED_INDEX_SHA256[kind, embed_mode]
 
 
 def test_save_dataset_files(mini_manifest, tmp_path):

@@ -25,6 +25,7 @@ from kgte import (
     load_index,
     retrieve_contexts,
     save_index,
+    select_rows,
     top_k,
 )
 import kgte.encoder
@@ -385,6 +386,77 @@ class TestImmutability:
             VectorIndex(
                 "triplet", [Triplet("a", "r", "b")], [np.array([1.0, 1.0, 0.0, 0.0])], config
             )
+
+
+class TestSelectRows:
+    """A selection is some rows of an index, in an order of its own, over
+    the same shared matrix."""
+
+    ROWS = [7, 2, 11, 3, 2]  # out of row order, row 2 twice
+
+    def test_shares_the_matrix_and_keeps_read_only_row_ids(self, encode_calls):
+        index, _ = random_unit_index(12, 8)
+        selection = select_rows(index, self.ROWS)
+        assert selection._matrix is index._matrix
+        assert selection._rows.tolist() == self.ROWS and not selection._rows.flags.writeable
+        assert selection.payloads == tuple(index.payloads[r] for r in self.ROWS)
+        assert len(selection) == len(self.ROWS)
+        assert (selection.kind, selection.encoder_config, selection.example_embed_mode) == (
+            index.kind, index.encoder_config, index.example_embed_mode)
+        assert encode_calls == []
+
+    def test_nodes_are_the_selections_own_rows(self):
+        index, _ = random_unit_index(12, 8)
+        selection = select_rows(index, self.ROWS)
+        nodes = selection.nodes
+        assert [n.id for n in nodes] == list(range(len(self.ROWS)))
+        for node, row in zip(nodes, self.ROWS, strict=True):
+            assert node.payload is index.payloads[row]
+            assert node.vector.base is index._matrix
+            assert np.array_equal(node.vector, index._matrix[row])
+            assert not node.vector.flags.writeable
+
+    def test_scores_are_the_full_products_read_at_the_rows(self):
+        index, rng = random_unit_index(300, 16)
+        selection = select_rows(index, rng.permutation(300)[:120].tolist())
+        for query in rng.normal(size=(5, 16)):
+            scores = (index._matrix @ query)[selection._rows].tolist()
+            ranked = top_k(selection, query, len(selection))
+            assert ranked == sorted(enumerate(scores), key=lambda pair: (-pair[1], pair[0]))
+
+    def test_a_selection_of_a_selection_composes(self):
+        index, _ = random_unit_index(12, 8)
+        inner = select_rows(select_rows(index, self.ROWS), [4, 0, 2])
+        assert inner._matrix is index._matrix
+        assert inner._rows.tolist() == [2, 7, 11]
+        assert inner.payloads == tuple(index.payloads[r] for r in (2, 7, 11))
+
+    @pytest.mark.parametrize(
+        "rows,needle",
+        [([], "non-empty"), ([[0, 1]], "non-empty"), ([0, 12], r"\[0, 12\)"), ([-1], r"\[0, 12\)"),
+         ([0.0, 1.0], "must be ints"), ([True], "must be ints")],
+        ids=["empty", "nested", "past-the-end", "negative", "floats", "bools"],
+    )
+    def test_bad_rows_rejected(self, rows, needle):
+        index, _ = random_unit_index(12, 8)
+        with pytest.raises(ValueError, match=needle):
+            select_rows(index, rows)
+
+    @pytest.mark.parametrize("kind", ["triplet", "example"])
+    def test_saves_as_the_index_of_its_payloads_and_loads_as_a_plain_index(self, tmp_path, kind):
+        kb = small_kb()
+        config = EncoderConfig(dimension=16)
+        index = build_index(kb, kind, config=config)
+        rows = [2, 0] if kind == "triplet" else [1, 2]
+        selection = select_rows(index, rows)
+        save_index(selection, tmp_path / "selection.json")
+        payloads = [index.payloads[r] for r in rows]
+        save_index(VectorIndex(kind, payloads, index._matrix[rows], config), tmp_path / "built.json")
+        for suffix in (".json", ".npy"):
+            assert (tmp_path / f"selection{suffix}").read_bytes() == (tmp_path / f"built{suffix}").read_bytes()
+        loaded = load_index(tmp_path / "selection.json")
+        assert loaded._rows is None and loaded.payloads == selection.payloads
+        assert np.array_equal(loaded._matrix, index._matrix[rows])
 
 
 class TestNoPerRowObjects:
