@@ -486,9 +486,9 @@ def run_ablation(
     the first scale, and held until the last: every scale's index is that
     index (scale 1.0) or a selection of its rows (``index_dataset``). So the
     KB is encoded at most once, and not at all when the caller holds an
-    equal full index. A scale whose KB is empty gives empty contexts and
-    P_S = 0. The runs' generation config is ``llm_client``'s, when one is
-    given.
+    equal full index or no scale retains an example. A scale whose KB is
+    empty gives empty contexts and P_S = 0. The runs' generation config is
+    ``llm_client``'s, when one is given.
     """
     if mode not in CONTEXT_MODES:
         raise ValueError("ablation runs in a KB-augmented mode")
@@ -509,9 +509,12 @@ def run_ablation(
     if not specs:
         raise ValueError("no scales to run")
     dataset = load_dataset(spec.manifest)
-    # held through the loop, so each scale's build_index returns it and encodes nothing
     full_kb = build_kb(dataset.train, dataset.validation)
-    full_index = build_index(full_kb, CONTEXT_INDEX_KINDS[mode], embed_mode, spec.encoder_config())
+    # held through the loop, so each scale's build_index returns it and encodes nothing;
+    # samples nest, so no scale reads it when the largest keeps no example
+    full_index = None
+    if downscale_kb(full_kb, max(scales), seed).examples:
+        full_index = build_index(full_kb, CONTEXT_INDEX_KINDS[mode], embed_mode, spec.encoder_config())
     points = [_ablation_point(scaled, dataset, llm_client) for scaled in specs]
     del full_index
     xs = {point.p for point in points}

@@ -356,8 +356,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if missing:
         raise DatasetFormatError(f"manifest missing splits: {missing}", path=manifest_path)
     for name in SPLIT_NAMES:
-        if not isinstance(manifest[name], str):
-            raise DatasetFormatError(f"split {name!r} path {manifest[name]!r} is not a string", path=manifest_path)
+        if not isinstance(manifest[name], str) or not manifest[name]:
+            raise DatasetFormatError(f"split {name!r} path {manifest[name]!r} is not a non-empty string", path=manifest_path)
     # joining keeps an absolute split path as it is
     dataset = Dataset(*(load_records(manifest_path.parent / manifest[name]) for name in SPLIT_NAMES))
     return _live_datasets.setdefault((dataset.train, dataset.validation, dataset.test), dataset)

@@ -8,17 +8,10 @@ across machines and dependency-free. Transformer-grade encoders plug in
 through the external provider, which posts blocks of texts to an endpoint.
 
 numpy is imported inside the functions that build arrays (``encode``,
-``_empty_matrix``, ``_embed_block``), not at module level, and so is
-``mmap``: ``import kgte`` then loads no numpy, and a run that embeds nothing
-(zero-shot and static 2-shot extraction, ``ingest``, ``eval``, ``fit``)
-never pays its import time and memory.
-
-On Linux a matrix of at least ``MAPPED_MATRIX_BYTES`` lives in its own
-anonymous memory mapping, which the kernel takes back as soon as the last
-array over it dies. glibc raises its mmap threshold each time it frees a
-mapped block under 32 MiB (``mallopt(3)``, dynamic mmap threshold), so after
-one large matrix is freed, the next one smaller than it would come from the
-heap and could stay resident after it is dropped.
+``encode_texts``, ``_embed_block``), not at module level: ``import kgte``
+then loads no numpy, and a run that embeds nothing (zero-shot and static
+2-shot extraction, ``ingest``, ``eval``, ``fit``) never pays its import time
+and memory.
 """
 
 from __future__ import annotations
@@ -41,10 +34,6 @@ PROVIDERS = ("hashed-ngram", "external")
 _HASH_PERSON = b"kgte.ngram.v1"
 # texts per embeddings POST: text-embeddings-inference's default input cap
 EXTERNAL_BLOCK = 32
-# glibc's initial mmap threshold: a smaller block comes from the heap whatever
-# the threshold has become, and mapping a one-row query matrix would cost
-# about 17 us against 1.5 us for np.empty (2-vCPU Xeon VM)
-MAPPED_MATRIX_BYTES = 128 * 1024
 
 
 class EncodeError(ValueError):
@@ -116,36 +105,14 @@ def encode(text: str, config: EncoderConfig) -> np.ndarray:
     return counts / float(np.linalg.norm(counts))
 
 
-def _empty_matrix(rows: int, dimension: int) -> np.ndarray:
-    """An uninitialized ``(rows, dimension)`` float64 matrix. Where the
-    platform has ``MADV_HUGEPAGE`` (Linux), one of at least
-    ``MAPPED_MATRIX_BYTES`` is a view of its own private anonymous mapping,
-    unmapped when the last array over it is freed.
-
-    The mapping is private and advised for huge pages, as numpy advises its
-    own large arrays: a shared mapping gets no transparent huge pages under
-    the kernel's default shmem policy, and scanning it was slower."""
-    import mmap
-
-    import numpy as np
-
-    nbytes = rows * dimension * np.dtype(np.float64).itemsize
-    if nbytes < MAPPED_MATRIX_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.empty((rows, dimension))
-    block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    try:
-        block.madvise(mmap.MADV_HUGEPAGE)
-    except OSError:  # a kernel built without transparent huge pages
-        pass
-    return np.frombuffer(block, dtype=np.float64).reshape(rows, dimension)
-
-
 def encode_texts(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
     """The ``(len(texts), config.dimension)`` float64 matrix whose row ``i``
     is the unit embedding of ``texts[i]``: ``encode(texts[i], config)`` for
     hashed n-grams; for the external provider, once every text is checked,
     one POST per block of ``EXTERNAL_BLOCK`` texts. Errors name the position."""
-    matrix = _empty_matrix(len(texts), config.dimension)
+    import numpy as np
+
+    matrix = np.empty((len(texts), config.dimension))
     if config.provider == "hashed-ngram":
         for position, text in enumerate(texts):
             try:

@@ -91,9 +91,9 @@ class VectorIndex:
     is built on first access; nothing in ``kgte`` reads it. Indexes compare
     by identity.
 
-    A selection (``select_rows``) shares the matrix of the index it selects
-    from, which has more rows than it has payloads: ``payloads[i]`` lies
-    under matrix row ``_rows[i]``, and ``_rows`` is a read-only int array.
+    A selection (``select_rows``) shares the matrix of the built or loaded
+    index it selects from: ``payloads[i]`` lies under matrix row
+    ``_rows[i]``, and ``_rows`` is a read-only int array.
     For any other index ``_rows`` is ``None``."""
 
     kind: str
@@ -202,13 +202,15 @@ def select_rows(index: VectorIndex, rows: Sequence[int]) -> VectorIndex:
     selection is row ``rows[i]`` of ``index``, under that row's payload.
 
     The selection shares the matrix of ``index`` and keeps the selected ids
-    as a read-only int array (composed with those of ``index`` when it is a
-    selection itself). So it encodes nothing, copies no row and does not
-    check the shared rows' norms again. ``rows`` must be a non-empty
-    sequence of ints, each a row of ``index``; a row may repeat.
+    as a read-only int array. So it encodes nothing, copies no row and does
+    not check the shared rows' norms again. ``index`` must not be a
+    selection itself, and ``rows`` must be a non-empty sequence of ints,
+    each a row of ``index``; a row may repeat.
     """
     import numpy as np
 
+    if index._rows is not None:
+        raise ValueError("select_rows takes a built or loaded index, not a selection")
     ids = np.array(rows)
     if ids.ndim != 1 or not len(ids):
         raise ValueError("a selection needs a non-empty sequence of row ids")
@@ -218,8 +220,6 @@ def select_rows(index: VectorIndex, rows: Sequence[int]) -> VectorIndex:
         raise ValueError(f"row ids must lie in [0, {len(index)}), got {ids.min()} to {ids.max()}")
     payloads = tuple(index.payloads[row] for row in ids.tolist())
     ids = ids.astype(np.intp, copy=False)
-    if index._rows is not None:
-        ids = index._rows[ids]
     ids.setflags(write=False)
     selection = object.__new__(VectorIndex)  # skips __post_init__: the shared rows were checked when built
     for name, value in (

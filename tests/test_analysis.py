@@ -798,6 +798,14 @@ class TestRunAblation:
         run_ablation(mini_manifest, **self.ENCODE_ARGS)
         assert encoded == [n_triplets]
 
+    @pytest.mark.parametrize("scales", [[0.0], [0.0, 0.01]])
+    def test_scales_that_keep_no_example_encode_nothing(self, mini_manifest, monkeypatch, scales):
+        gc.collect()  # no full index is left alive to be reused
+        encoded = count_encoded_rows(monkeypatch)
+        result = run_ablation(mini_manifest, **dict(self.ENCODE_ARGS, scales=scales))
+        assert encoded == []
+        assert [point.p for point in result.points] == [0.0] * len(scales)
+
     def test_degenerate_single_p_has_no_fit(self, pair_manifest):
         result = run_ablation(
             pair_manifest, scales=[1.0], seed=0, extractor="oracle-prefix", n_kb=2, dimension=128

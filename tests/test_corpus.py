@@ -367,6 +367,11 @@ class TestLoadDataset:
             pytest.param('{"train": ', "manifest is not valid JSON: ", id="invalid-json"),
             pytest.param('["train.jsonl"]', "manifest must be a JSON object", id="not-an-object"),
             pytest.param('{"train": "t.jsonl"}', "manifest missing splits: ['validation', 'test']", id="missing-splits"),
+            pytest.param(
+                '{"train": "", "validation": "v.jsonl", "test": "t.jsonl"}',
+                "split 'train' path '' is not a non-empty string",
+                id="empty-split-path",
+            ),
         ],
     )
     def test_malformed_manifest_names_the_manifest(self, tmp_path, text, message):

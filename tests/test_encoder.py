@@ -1,15 +1,9 @@
 from __future__ import annotations
 
 import json
-import mmap
-import os
-import platform
 import random
 import string
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,14 +319,6 @@ def _fake_config(dimension=FAKE_EMBED_DIM):
     return EncoderConfig(provider="external", dimension=dimension, endpoint="http://embed.test/v1/embeddings", model="fake")
 
 
-def _mapping(array: np.ndarray):
-    """The buffer at the end of ``array``'s base chain (a memory mapping for
-    a mapped matrix), or ``None`` for an array that owns its memory."""
-    while isinstance(array, np.ndarray):
-        array = array.base
-    return array.obj if isinstance(array, memoryview) else array
-
-
 # texts the hashed provider can embed at n-gram sizes 3 to 5: non-ASCII
 # included, and "İ", whose lower() is two code points
 _encodable = st.text(st.sampled_from("ab zİé.ß"), min_size=3, max_size=24).filter(normalize_surface)
@@ -347,22 +333,6 @@ class TestEncodeTexts:
         assert matrix.shape == (len(texts), dimension) and matrix.dtype == np.float64
         for row, text in zip(matrix, texts):
             assert row.tobytes() == encode(text, config).tobytes()
-
-    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="matrices are mapped only on Linux")
-    def test_a_mapped_matrix_holds_the_same_rows(self):
-        # 256 rows of 64 float64s: exactly MAPPED_MATRIX_BYTES
-        config = EncoderConfig(dimension=64)
-        texts = [f"sentence number {i} about rome" for i in range(kgte.encoder.MAPPED_MATRIX_BYTES // (64 * 8))]
-        matrix = encode_texts(texts, config)
-        assert isinstance(_mapping(matrix), mmap.mmap)
-        assert matrix.shape == (len(texts), 64) and matrix.dtype == np.float64 and matrix.flags.c_contiguous
-        for row, text in zip(matrix, texts):
-            assert row.tobytes() == encode(text, config).tobytes()
-
-    def test_a_small_matrix_is_not_mapped(self):
-        assert _mapping(encode_texts(["rome italy"], EncoderConfig())) is None
-        texts = [f"sentence number {i}" for i in range(kgte.encoder.MAPPED_MATRIX_BYTES // (64 * 8) - 1)]
-        assert _mapping(encode_texts(texts, EncoderConfig(dimension=64))) is None
 
     @pytest.mark.parametrize("bad,needle", [("ab", "shorter than the minimum n-gram size 3"), ("__", "empty")])
     def test_hashed_error_names_the_position(self, bad, needle):
@@ -421,39 +391,3 @@ class TestEncodeTexts:
         with pytest.raises(ValueError, match="encode_texts"):
             encode("hello", _fake_config())
         assert embed_posts == []
-
-
-# Run in a fresh interpreter, whose heap and mmap threshold no test has moved.
-# Freeing the 24 MiB block raises glibc's mmap threshold to 24 MiB, so malloc
-# would carve the 8.8 MiB matrix from the heap, where it stays resident after
-# it is freed.
-_RSS_PROBE = """
-import os
-import numpy as np
-from kgte import EncoderConfig, encode_texts
-
-def resident():
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
-freed = np.ones((24 << 20) // 8)
-del freed
-matrix = encode_texts([f"sentence number {i} about rome" for i in range(3000)], EncoderConfig())
-nbytes, before = matrix.nbytes, resident()
-del matrix
-print(nbytes, before - resident())
-"""
-
-
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-    reason="needs glibc's dynamic mmap threshold and /proc/self/statm",
-)
-def test_a_dropped_matrix_gives_its_pages_back():
-    source = str(Path(kgte.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    nbytes, returned = map(int, done.stdout.split())
-    assert nbytes == 3000 * 384 * 8
-    assert returned >= 0.9 * nbytes, f"dropping the {nbytes}-byte matrix returned only {returned} bytes"

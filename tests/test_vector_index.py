@@ -424,12 +424,10 @@ class TestSelectRows:
             ranked = top_k(selection, query, len(selection))
             assert ranked == sorted(enumerate(scores), key=lambda pair: (-pair[1], pair[0]))
 
-    def test_a_selection_of_a_selection_composes(self):
+    def test_a_selection_of_a_selection_is_rejected(self):
         index, _ = random_unit_index(12, 8)
-        inner = select_rows(select_rows(index, self.ROWS), [4, 0, 2])
-        assert inner._matrix is index._matrix
-        assert inner._rows.tolist() == [2, 7, 11]
-        assert inner.payloads == tuple(index.payloads[r] for r in (2, 7, 11))
+        with pytest.raises(ValueError, match="not a selection"):
+            select_rows(select_rows(index, self.ROWS), [4, 0, 2])
 
     @pytest.mark.parametrize(
         "rows,needle",
