@@ -4,17 +4,19 @@ and the replayable end-to-end experiment driver."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import (
     SPLIT_NAMES,
     AnnotatedSentence,
     Dataset,
+    KnowledgeBase,
     build_kb,
     check_int,
     check_scale,
@@ -44,7 +46,7 @@ from .extraction import (
 from .parsing import parse_triplets, triplet_to_string
 from .prompting import PromptBudgetError, PromptInstance, PromptTemplate, render
 from .retriever import CONTEXT_INDEX_KINDS, CONTEXT_MODES, RetrievedContext, check_n_kb, retrieve_contexts
-from .vector_index import VectorIndex, build_index, check_embed_mode, select_rows
+from .vector_index import VectorIndex, _select_rows, build_index, check_embed_mode
 
 
 @dataclass(frozen=True)
@@ -263,33 +265,26 @@ def index_dataset(
 
     Every other index comes from ``build_index`` of the full KB: when every
     example is retained, it is that index itself; otherwise it is a
-    ``select_rows`` selection of it, the rows of the retained KB's payloads
-    in downscaled order. So a downscaled index encodes the whole KB unless a
-    caller holds the full index, and then it encodes nothing.
+    selection of its rows, those of the retained KB's payloads in
+    downscaled order, which copies no row. So a downscaled index costs the
+    full KB's build.
     """
     full_kb = build_kb(dataset.train, dataset.validation)
+    return _scaled_index(full_kb, scale, seed, lambda: build_index(full_kb, kind, example_embed_mode, config))
+
+
+def _scaled_index(full_kb: KnowledgeBase, scale: float, seed: int, full_index: Callable[[], VectorIndex]) -> VectorIndex | None:
+    """``index_dataset`` of ``full_kb``, whose index ``full_index()`` returns."""
     kb = downscale_kb(full_kb, scale, seed)
     if not kb.examples:
         return None
+    # every example, not every payload: dropping an example can keep every triplet but reorder them
     if len(kb.examples) == len(full_kb.examples):
         del kb  # no second copy of the KB's tuples stays alive through the build
-        return build_index(full_kb, kind, example_embed_mode, config)
-    index = build_index(full_kb, kind, example_embed_mode, config)
+        return full_index()
+    index = full_index()
     row_of = {payload: row for row, payload in enumerate(index.payloads)}
-    return select_rows(index, [row_of[payload] for payload in (kb.triplets if kind == "triplet" else kb.examples)])
-
-
-def _build_contexts(
-    spec: ExperimentRunSpec, dataset: Dataset, sentences: Sequence[AnnotatedSentence]
-) -> list[RetrievedContext]:
-    kind = CONTEXT_INDEX_KINDS.get(spec.mode)
-    if kind is None:
-        return [RetrievedContext("triplets", (), 0)] * len(sentences)
-    index = index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder_config())
-    if index is None:
-        # a fully downscaled KB degenerates to the no-context setting
-        return [RetrievedContext(spec.mode, (), spec.n_kb)] * len(sentences)
-    return retrieve_contexts([s.text for s in sentences], index, [spec.n_kb])[0]
+    return _select_rows(index, [row_of[payload] for payload in (kb.triplets if index.kind == "triplet" else kb.examples)])
 
 
 def _generate_all(
@@ -338,7 +333,10 @@ def run_experiment(
     ``report.json``, ``sentences.jsonl``, and ``spec.json`` for replay.
     """
     _check_llm_client(spec, llm_client)
-    result = _run_on(spec, load_dataset(spec.manifest), llm_client)
+    dataset = load_dataset(spec.manifest)
+    kind = CONTEXT_INDEX_KINDS.get(spec.mode)
+    index = None if kind is None else index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder_config())
+    result = _run_on(spec, dataset, index, llm_client)
     if out_dir is not None:
         _write_artifacts(result, Path(out_dir))
     return result
@@ -356,30 +354,41 @@ def _check_llm_client(spec: ExperimentRunSpec, llm_client: RemoteLLMClient | Non
         raise ValueError(f"the llm_client's generation config {llm_client.config} differs from the spec's {spec.generation}")
 
 
-def _run_on(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClient | None) -> ExperimentResult:
-    """``run_experiment`` on an already loaded dataset, writing nothing."""
+def _run_on(
+    spec: ExperimentRunSpec, dataset: Dataset, index: VectorIndex | None, llm_client: RemoteLLMClient | None
+) -> ExperimentResult:
+    """``run_experiment`` on a loaded dataset and the run's index (``None``
+    without retrieval or with an empty retained KB), writing nothing."""
     sentences = dataset.split(spec.split)
     max_triplets = dataset.max_triplets
     template = PromptTemplate(spec.prompt_kind, spec.mode)
     budget = char_budget_for(spec.generation) if spec.char_budget is None else spec.char_budget
-    contexts = _build_contexts(spec, dataset, sentences)
+    if index is not None:
+        contexts = retrieve_contexts([s.text for s in sentences], index, [spec.n_kb])[0]
+    elif spec.mode in CONTEXT_MODES:  # a fully downscaled KB degenerates to the no-context setting
+        contexts = [RetrievedContext(spec.mode, (), spec.n_kb)] * len(sentences)
+    else:
+        contexts = [RetrievedContext("triplets", (), 0)] * len(sentences)
 
     prompts = []
-    for index, (sentence, context) in enumerate(zip(sentences, contexts)):
+    for position, (sentence, context) in enumerate(zip(sentences, contexts)):
         try:
             prompts.append(render(template, sentence.text, max_triplets, context, budget))
         except PromptBudgetError as exc:
-            raise PromptBudgetError(f"{spec.split} sentence {index}: {exc}") from None
+            raise PromptBudgetError(f"{spec.split} sentence {position}: {exc}") from None
+    # one context per sentence, the items its prompt holds: the extractors, the sentence log and P read it
+    contexts = [dataclasses.replace(c, items=c.items[: p.context_items_included]) if p.truncated else c
+                for c, p in zip(contexts, prompts)]
     outputs = _generate_all(spec, sentences, contexts, prompts, max_triplets, llm_client)
 
     runs: list[SentenceRun] = []
-    for index, (sentence, context, prompt, (raw, error)) in enumerate(
+    for position, (sentence, context, prompt, (raw, error)) in enumerate(
         zip(sentences, contexts, prompts, outputs)
     ):
         outcome = parse_triplets(raw, max_triplets)
         runs.append(
             SentenceRun(
-                index=index,
+                index=position,
                 sentence=sentence,
                 context=context,
                 prompt=prompt,
@@ -452,11 +461,11 @@ class AblationResult:
         return "\n".join(lines) + "\n"
 
 
-def _ablation_point(spec: ExperimentRunSpec, dataset: Dataset, llm_client: RemoteLLMClient | None) -> AblationPoint:
-    """One scale's point. Its index is the full index ``run_ablation`` holds
-    or a selection of it, which allocates no matrix; the run, its contexts
-    and the selection die when this returns."""
-    result = _run_on(spec, dataset, llm_client)
+def _ablation_point(
+    spec: ExperimentRunSpec, dataset: Dataset, index: VectorIndex | None, llm_client: RemoteLLMClient | None
+) -> AblationPoint:
+    """One scale's point; the run, its contexts and a selection index die when this returns."""
+    result = _run_on(spec, dataset, index, llm_client)
     p = context_hit_probability([run.context for run in result.runs], [run.sentence.gold for run in result.runs])
     return AblationPoint(scale=spec.scale, p=p, f1=result.report.f1)
 
@@ -479,15 +488,14 @@ def run_ablation(
     KB downscaled to that scale (nested samples under one seed), and fit F1
     against P_S(N_KB).
 
-    P_S is ``context_hit_probability`` over the contexts the run itself
-    retrieved. The dataset comes from one ``load_dataset`` call, which
-    returns a dataset the caller still holds if its splits equal the ones
-    parsed. The full KB's index is taken from ``build_index`` once, before
-    the first scale, and held until the last: every scale's index is that
-    index (scale 1.0) or a selection of its rows (``index_dataset``). So the
-    KB is encoded at most once, and not at all when the caller holds an
-    equal full index or no scale retains an example. A scale whose KB is
-    empty gives empty contexts and P_S = 0. The runs' generation config is
+    P_S is ``context_hit_probability`` over the contexts the run's prompts
+    held. The dataset comes from one ``load_dataset`` call, which returns a
+    dataset the caller still holds if its splits equal the ones parsed. The
+    full KB's index is built once, at the first scale that retains an
+    example, and every scale's index is that index or a selection of its
+    rows (as from ``index_dataset``). So the KB is encoded at most once, and
+    not at all when no scale retains an example. A scale whose KB is empty
+    gives empty contexts and P_S = 0. The runs' generation config is
     ``llm_client``'s, when one is given.
     """
     if mode not in CONTEXT_MODES:
@@ -510,13 +518,8 @@ def run_ablation(
         raise ValueError("no scales to run")
     dataset = load_dataset(spec.manifest)
     full_kb = build_kb(dataset.train, dataset.validation)
-    # held through the loop, so each scale's build_index returns it and encodes nothing;
-    # samples nest, so no scale reads it when the largest keeps no example
-    full_index = None
-    if downscale_kb(full_kb, max(scales), seed).examples:
-        full_index = build_index(full_kb, CONTEXT_INDEX_KINDS[mode], embed_mode, spec.encoder_config())
-    points = [_ablation_point(scaled, dataset, llm_client) for scaled in specs]
-    del full_index
+    full_index = functools.cache(lambda: build_index(full_kb, CONTEXT_INDEX_KINDS[mode], embed_mode, spec.encoder_config()))
+    points = [_ablation_point(s, dataset, _scaled_index(full_kb, s.scale, seed, full_index), llm_client) for s in specs]
     xs = {point.p for point in points}
     fit = linear_fit([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None
     return AblationResult(points=tuple(points), fit=fit)

@@ -12,12 +12,12 @@ sort: deterministic, and fast enough at the KB sizes this library targets
 (tens of thousands of rows). It returns row ids and scores; ties are broken
 by ascending row id, at the k-th position too.
 
-``select_rows`` makes a selection: an index over some rows of another, in an
+A selection (``_select_rows``) is an index over some rows of another, in an
 order of its own, that shares that index's matrix and keeps the selected row
 ids. It encodes nothing and copies no row. It scores with the full matrix's
 own product and reads the selected rows' scores from it, so they equal the
 full index's scores bit for bit; its ids are positions in the selection.
-A downscaled KB's index is a selection of the full KB's (``analysis``).
+A downscaled KB's index is a selection of the full KB's (``index_dataset``).
 
 ``build_index`` interns its result: while an index built from equal inputs
 (kind, example embed mode, encoder config and payloads) is alive, it returns
@@ -25,7 +25,7 @@ that same object and encodes nothing. The table holds each index weakly, so
 an index lives exactly as long as its callers hold it.
 
 As in ``encoder``, numpy is imported inside the functions that touch the
-matrix (``VectorIndex.__post_init__``, ``select_rows``, ``top_k``,
+matrix (``VectorIndex.__post_init__``, ``_select_rows``, ``top_k``,
 ``save_index``, ``load_index``), so importing this module loads no numpy;
 building, loading or querying an index loads it at the first array
 operation.
@@ -91,7 +91,7 @@ class VectorIndex:
     is built on first access; nothing in ``kgte`` reads it. Indexes compare
     by identity.
 
-    A selection (``select_rows``) shares the matrix of the built or loaded
+    A selection (``_select_rows``) shares the matrix of the built or loaded
     index it selects from: ``payloads[i]`` lies under matrix row
     ``_rows[i]``, and ``_rows`` is a read-only int array.
     For any other index ``_rows`` is ``None``."""
@@ -197,34 +197,20 @@ def build_index(
     return index
 
 
-def select_rows(index: VectorIndex, rows: Sequence[int]) -> VectorIndex:
-    """``index`` restricted to ``rows``, in that order: row ``i`` of the
-    selection is row ``rows[i]`` of ``index``, under that row's payload.
-
-    The selection shares the matrix of ``index`` and keeps the selected ids
-    as a read-only int array. So it encodes nothing, copies no row and does
-    not check the shared rows' norms again. ``index`` must not be a
-    selection itself, and ``rows`` must be a non-empty sequence of ints,
-    each a row of ``index``; a row may repeat.
-    """
+def _select_rows(index: VectorIndex, rows: list[int]) -> VectorIndex:
+    """``index`` (built or loaded) restricted to ``rows``, a non-empty list of
+    its row ids in the selection's order; a row may repeat. The selection
+    shares the matrix of ``index`` and keeps ``rows`` as a read-only int
+    array: it encodes nothing, copies no row and does not check the shared
+    rows' norms again."""
     import numpy as np
 
-    if index._rows is not None:
-        raise ValueError("select_rows takes a built or loaded index, not a selection")
-    ids = np.array(rows)
-    if ids.ndim != 1 or not len(ids):
-        raise ValueError("a selection needs a non-empty sequence of row ids")
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"row ids must be ints, got an array of {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= len(index):
-        raise ValueError(f"row ids must lie in [0, {len(index)}), got {ids.min()} to {ids.max()}")
-    payloads = tuple(index.payloads[row] for row in ids.tolist())
-    ids = ids.astype(np.intp, copy=False)
+    ids = np.array(rows, dtype=np.intp)
     ids.setflags(write=False)
     selection = object.__new__(VectorIndex)  # skips __post_init__: the shared rows were checked when built
     for name, value in (
         ("kind", index.kind),
-        ("payloads", payloads),
+        ("payloads", tuple(index.payloads[row] for row in rows)),
         ("encoder_config", index.encoder_config),
         ("example_embed_mode", index.example_embed_mode),
         ("_matrix", index._matrix),

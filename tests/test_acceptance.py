@@ -35,12 +35,12 @@ from kgte import (
     retrieve_triplets,
     run_experiment,
     save_dataset,
-    select_rows,
     sentence_f1,
     sweep_context_quality,
     top_k,
     triplet_to_string,
 )
+from kgte.vector_index import _select_rows
 from conftest import (
     MINI_STATS,
     planted_dataset,
@@ -79,7 +79,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
     # are positions in the selection, so its ties break by selection order.
     subset = rng.permutation(1000)[:400].tolist()
     assert subset != sorted(subset)
-    selection = select_rows(tied_index, subset)
+    selection = _select_rows(tied_index, subset)
 
     queries = rng.normal(size=(25, dimension))
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)

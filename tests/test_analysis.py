@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import kgte.analysis
+import kgte.corpus
 import kgte.vector_index
 from kgte import (
+    AnnotatedSentence,
+    Dataset,
     EncoderConfig,
     ExperimentRunSpec,
     GenerationConfig,
@@ -21,6 +24,7 @@ from kgte import (
     PromptTemplate,
     RemoteLLMClient,
     StudyRow,
+    Triplet,
     build_index,
     build_kb,
     downscale_kb,
@@ -31,9 +35,11 @@ from kgte import (
     random_model_study,
     render,
     replay_experiment,
+    retrieve_contexts,
     run_ablation,
     run_experiment,
     sweep_context_quality,
+    triplet_to_string,
 )
 from kgte.analysis import EXTRACTORS
 from kgte.retriever import CONTEXT_MODES
@@ -495,6 +501,33 @@ class TestRunExperiment:
         with pytest.raises(PromptBudgetError, match="^test sentence 0: budget of 96 characters"):
             run_experiment(spec)
 
+    def test_a_truncated_prompt_holds_the_context_the_extractor_reads(self, mini_manifest):
+        spec = ExperimentRunSpec(
+            manifest=str(mini_manifest), mode="triplets", extractor="oracle-prefix", n_kb=10, dimension=128, char_budget=380
+        )
+        result = run_experiment(spec)
+        dataset = load_dataset(mini_manifest)
+        index = build_index(build_kb(dataset.train, dataset.validation), "triplet", config=EncoderConfig(dimension=128))
+        retrieved = retrieve_contexts([s.text for s in dataset.test], index, [10])[0]
+        # some prompt holds fewer items than both the retrieved context and max_triplets
+        included = [run.prompt.context_items_included for run in result.runs]
+        assert any(n < min(dataset.max_triplets, c.n_returned) for n, c in zip(included, retrieved))
+        for run, context in zip(result.runs, retrieved, strict=True):
+            held = context.ranked_triplets()[: run.prompt.context_items_included]
+            assert run.context.ranked_triplets() == held
+            assert list(run.predictions) == held[: dataset.max_triplets]
+            assert all(f"\n{triplet_to_string(t)}\n" in run.prompt.rendered for t in run.predictions)
+
+    def test_the_sentence_log_counts_the_items_the_prompt_holds(self, mini_manifest, tmp_path):
+        spec = ExperimentRunSpec(
+            manifest=str(mini_manifest), mode="triplets", extractor="random", n_kb=10, dimension=128, char_budget=380
+        )
+        result = run_experiment(spec, tmp_path)
+        lines = [json.loads(line) for line in (tmp_path / "sentences.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert any(line["prompt_truncated"] and line["context_items"] < 10 for line in lines)
+        for line, run in zip(lines, result.runs, strict=True):
+            assert line["context_items"] == run.prompt.context_items_included
+
     def test_char_budget_takes_effect(self, pair_manifest):
         default = run_experiment(spec_for(pair_manifest, extractor="random"))
         budget = min(len(run.prompt.rendered) for run in default.runs) - 1
@@ -572,6 +605,32 @@ class TestIndexDataset:
         assert got._matrix is full._matrix
         own_rows = np.stack([node.vector for node in got.nodes])
         assert np.array_equal(own_rows, build_index(kb, "triplet", config=config)._matrix)
+
+    def test_a_kb_that_keeps_every_triplet_in_another_order_is_a_selection(self):
+        a, b = Triplet("a", "r", "x"), Triplet("b", "r", "y")
+        first, second, third = (AnnotatedSentence("s0", (a,)), AnnotatedSentence("s1", (b, a)), AnnotatedSentence("s2", (b,)))
+        dataset = Dataset([first, second], [third], [first])
+        full_kb = build_kb(dataset.train, dataset.validation)
+        seed = next(seed for seed in range(100) if downscale_kb(full_kb, 0.67, seed).examples == (second, third))
+        assert full_kb.triplets == (a, b) and downscale_kb(full_kb, 0.67, seed).triplets == (b, a)
+        config = EncoderConfig(dimension=64)
+        full = build_index(full_kb, "triplet", config=config)
+        # every triplet is kept, but not every example: the full index would rank ties in the wrong order
+        got = index_dataset(dataset, "triplet", 0.67, seed, "sentence", config)
+        assert got is not full and got.payloads == (b, a)
+        assert got._matrix is full._matrix and got._rows.tolist() == [1, 0]
+
+    def test_a_downscaled_example_index_is_a_selection_in_downscaled_order(self, pair_manifest):
+        dataset = load_dataset(pair_manifest)
+        config = EncoderConfig(dimension=64)
+        full_kb = build_kb(dataset.train, dataset.validation)
+        kb = downscale_kb(full_kb, 0.4, 5)
+        full = build_index(full_kb, "example", "sentence+triplets", config)
+        got = index_dataset(dataset, "example", 0.4, 5, "sentence+triplets", config)
+        assert got.payloads == kb.examples and got.example_embed_mode == "sentence+triplets"
+        assert got._matrix is full._matrix
+        own_rows = np.stack([node.vector for node in got.nodes])
+        assert np.array_equal(own_rows, build_index(kb, "example", "sentence+triplets", config)._matrix)
 
     def test_empty_retained_kb_gives_none(self, pair_manifest):
         assert index_dataset(load_dataset(pair_manifest), "triplet", 0.0, 0, "sentence", None) is None
@@ -712,9 +771,9 @@ class TestRunAblation:
         monkeypatch.setattr(kgte.analysis, "build_index", recording_build_index)
         run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
         dataset = load_dataset(pair_manifest)
-        # once before the scales, then once per scale that retains an example
-        # (scale 0 leaves the KB empty); scale 0.5 selects rows of the full index
-        assert kbs == [build_kb(dataset.train, dataset.validation)] * 3
+        # once, at the first scale that retains an example (scale 0 leaves the
+        # KB empty); scale 0.5 selects rows of that index, scale 1 takes it whole
+        assert kbs == [build_kb(dataset.train, dataset.validation)]
 
     @pytest.mark.parametrize("mode,kind", [("triplets", "triplet"), ("examples", "example")])
     def test_p_equals_sweep_on_the_downscaled_kb(self, pair_manifest, mode, kind):
@@ -793,14 +852,65 @@ class TestRunAblation:
     def test_with_no_index_held_the_kb_is_encoded_once(self, mini_manifest, monkeypatch):
         dataset = load_dataset(mini_manifest)
         n_triplets = len(build_kb(dataset.train, dataset.validation).triplets)
-        gc.collect()  # no full index is left alive to be reused
         encoded = count_encoded_rows(monkeypatch)
         run_ablation(mini_manifest, **self.ENCODE_ARGS)
         assert encoded == [n_triplets]
 
+    @pytest.mark.parametrize("mode", ["triplets", "examples"])
+    def test_the_kb_is_encoded_once_without_the_intern_tables(self, mini_manifest, monkeypatch, mode):
+        class NeverHits(dict):
+            """A table that forgets every entry: no call finds an object another made."""
+
+            def get(self, key, default=None):
+                return default
+
+            def setdefault(self, key, value):
+                return value
+
+            def __setitem__(self, key, value):
+                pass
+
+        monkeypatch.setattr(kgte.vector_index, "_live_indexes", NeverHits())
+        monkeypatch.setattr(kgte.corpus, "_live_datasets", NeverHits())
+        dataset = load_dataset(mini_manifest)
+        full_kb = build_kb(dataset.train, dataset.validation)
+        n_rows = len(full_kb.triplets if mode == "triplets" else full_kb.examples)
+        builds = []
+        real_build_index = kgte.analysis.build_index
+        monkeypatch.setattr(kgte.analysis, "build_index", lambda *args: builds.append(1) or real_build_index(*args))
+        encoded = count_encoded_rows(monkeypatch)
+        run_ablation(mini_manifest, **dict(self.ENCODE_ARGS, mode=mode))
+        assert encoded == [n_rows]
+        assert len(builds) == 1
+
+    def test_p_counts_only_the_items_the_prompt_holds(self, mini_manifest):
+        prompts = []
+
+        def transport(url, payload, headers, timeout):
+            prompts.append(payload["messages"][0]["content"])
+            return 200, json.dumps({"choices": [{"message": {"content": "(a, r, b)"}}]})
+
+        # gpt2-base's 1024-token window less 929 output tokens leaves 95 tokens, 380 characters
+        generation = GenerationConfig(model="gpt2-base", max_output_tokens=929, in_flight=1)
+        client = RemoteLLMClient("http://llm.local", generation, api_key="k", transport=transport)
+        scales = [0.5, 1.0]
+        result = run_ablation(
+            mini_manifest, scales=scales, seed=2, extractor="llm", n_kb=10, dimension=128, llm_client=client
+        )
+        test = load_dataset(mini_manifest).test
+        assert len(prompts) == len(scales) * len(test)
+        for position, point in enumerate(result.points):
+            hits = 0
+            for sentence, prompt in zip(test, prompts[position * len(test):][: len(test)], strict=True):
+                held = prompt.split("Context Triplets:\n")[1].split("\n\nSentence: ")[0].split("\n")
+                assert f"Sentence: {sentence.text}\n" in prompt
+                hits += len({triplet_to_string(t) for t in sentence.gold} & set(held))
+            assert point.p == hits / sum(len(set(s.gold)) for s in test)
+        full = run_ablation(mini_manifest, scales=scales, seed=2, extractor="random", n_kb=10, dimension=128)
+        assert [point.p for point in result.points] != [point.p for point in full.points]
+
     @pytest.mark.parametrize("scales", [[0.0], [0.0, 0.01]])
     def test_scales_that_keep_no_example_encode_nothing(self, mini_manifest, monkeypatch, scales):
-        gc.collect()  # no full index is left alive to be reused
         encoded = count_encoded_rows(monkeypatch)
         result = run_ablation(mini_manifest, **dict(self.ENCODE_ARGS, scales=scales))
         assert encoded == []

@@ -25,13 +25,12 @@ from kgte import (
     load_index,
     retrieve_contexts,
     save_index,
-    select_rows,
     top_k,
 )
 import kgte.encoder
 from conftest import FAKE_EMBED_DIM
 from kgte.corpus import normalize_surface
-from kgte.vector_index import EXAMPLE_EMBED_MODES
+from kgte.vector_index import EXAMPLE_EMBED_MODES, _select_rows
 
 
 def brute_force_top_k(index, query, k):
@@ -390,13 +389,19 @@ class TestImmutability:
 
 class TestSelectRows:
     """A selection is some rows of an index, in an order of its own, over
-    the same shared matrix."""
+    the same shared matrix; ``index_dataset`` makes it from row ids it
+    computed from the index's own payloads."""
 
     ROWS = [7, 2, 11, 3, 2]  # out of row order, row 2 twice
 
+    def test_is_not_public_api(self):
+        import kgte
+
+        assert not hasattr(kgte, "select_rows")
+
     def test_shares_the_matrix_and_keeps_read_only_row_ids(self, encode_calls):
         index, _ = random_unit_index(12, 8)
-        selection = select_rows(index, self.ROWS)
+        selection = _select_rows(index, self.ROWS)
         assert selection._matrix is index._matrix
         assert selection._rows.tolist() == self.ROWS and not selection._rows.flags.writeable
         assert selection.payloads == tuple(index.payloads[r] for r in self.ROWS)
@@ -407,7 +412,7 @@ class TestSelectRows:
 
     def test_nodes_are_the_selections_own_rows(self):
         index, _ = random_unit_index(12, 8)
-        selection = select_rows(index, self.ROWS)
+        selection = _select_rows(index, self.ROWS)
         nodes = selection.nodes
         assert [n.id for n in nodes] == list(range(len(self.ROWS)))
         for node, row in zip(nodes, self.ROWS, strict=True):
@@ -418,27 +423,11 @@ class TestSelectRows:
 
     def test_scores_are_the_full_products_read_at_the_rows(self):
         index, rng = random_unit_index(300, 16)
-        selection = select_rows(index, rng.permutation(300)[:120].tolist())
+        selection = _select_rows(index, rng.permutation(300)[:120].tolist())
         for query in rng.normal(size=(5, 16)):
             scores = (index._matrix @ query)[selection._rows].tolist()
             ranked = top_k(selection, query, len(selection))
             assert ranked == sorted(enumerate(scores), key=lambda pair: (-pair[1], pair[0]))
-
-    def test_a_selection_of_a_selection_is_rejected(self):
-        index, _ = random_unit_index(12, 8)
-        with pytest.raises(ValueError, match="not a selection"):
-            select_rows(select_rows(index, self.ROWS), [4, 0, 2])
-
-    @pytest.mark.parametrize(
-        "rows,needle",
-        [([], "non-empty"), ([[0, 1]], "non-empty"), ([0, 12], r"\[0, 12\)"), ([-1], r"\[0, 12\)"),
-         ([0.0, 1.0], "must be ints"), ([True], "must be ints")],
-        ids=["empty", "nested", "past-the-end", "negative", "floats", "bools"],
-    )
-    def test_bad_rows_rejected(self, rows, needle):
-        index, _ = random_unit_index(12, 8)
-        with pytest.raises(ValueError, match=needle):
-            select_rows(index, rows)
 
     @pytest.mark.parametrize("kind", ["triplet", "example"])
     def test_saves_as_the_index_of_its_payloads_and_loads_as_a_plain_index(self, tmp_path, kind):
@@ -446,7 +435,7 @@ class TestSelectRows:
         config = EncoderConfig(dimension=16)
         index = build_index(kb, kind, config=config)
         rows = [2, 0] if kind == "triplet" else [1, 2]
-        selection = select_rows(index, rows)
+        selection = _select_rows(index, rows)
         save_index(selection, tmp_path / "selection.json")
         payloads = [index.payloads[r] for r in rows]
         save_index(VectorIndex(kind, payloads, index._matrix[rows], config), tmp_path / "built.json")
