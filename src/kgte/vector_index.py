@@ -19,6 +19,12 @@ own product and reads the selected rows' scores from it, so they equal the
 full index's scores bit for bit; its ids are positions in the selection.
 A downscaled KB's index is a selection of the full KB's (``index_dataset``).
 
+``save_index`` streams both files in blocks of rows, gathering a
+selection's rows one block at a time, so a save holds no second matrix and
+no whole header string. It writes temporary siblings and moves them into
+place, the header last. ``load_index`` frees the parsed header before it
+reads the matrix, so a load never holds both.
+
 ``build_index`` interns its result: while an index built from equal inputs
 (kind, example embed mode, encoder config and payloads) is alive, it returns
 that same object and encodes nothing. The table holds each index weakly, so
@@ -36,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import weakref
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -53,6 +60,9 @@ NODE_KINDS = ("triplet", "example")
 EXAMPLE_EMBED_MODES = ("sentence", "sentence+triplets")
 
 _NORM_TOLERANCE = 1e-6
+
+# rows per block that ``save_index`` writes: 1.5 MiB of a 384-dimensional matrix
+_SAVE_BLOCK_ROWS = 512
 
 # (kind, example embed mode, encoder config, payloads) -> the live index built from them
 _live_indexes: weakref.WeakValueDictionary[tuple, VectorIndex] = weakref.WeakValueDictionary()
@@ -278,31 +288,62 @@ def index_matrix_path(path: str | Path) -> Path:
 def save_index(index: VectorIndex, path: str | Path) -> Path:
     """Write the index as format v3; returns the path of its matrix file.
 
-    The matrix goes, bit-exact, to ``index_matrix_path(path)`` (written
-    first), and a JSON header to ``path`` with the rest of what ``load_index``
-    needs, once: format version, kind, the example embed mode (example
-    index only), every ``EncoderConfig`` field and the payloads in row
-    order. Missing parent directories are created. A selection writes its
-    own rows, gathered from the shared matrix: each is the encoding of its
-    payload, so the files equal those of an index built from the selected
-    payloads alone, and load back as an index that is not a selection.
+    The matrix goes, bit-exact, to ``index_matrix_path(path)`` as the bytes
+    ``np.save`` writes, and a JSON header to ``path`` with the rest of what
+    ``load_index`` needs, once: format version, kind, the example embed mode
+    (example index only), every ``EncoderConfig`` field and the payloads in
+    row order. Missing parent directories are created. A selection writes
+    its own rows: each is the encoding of its payload, so the files equal
+    those of an index built from the selected payloads alone, and load back
+    as an index that is not a selection.
+
+    Both files are streamed in blocks of ``_SAVE_BLOCK_ROWS`` rows: the
+    ``.npy`` header once, then each block of rows (a slice of the matrix, or
+    a selection's rows gathered block by block), and the JSON header's
+    payloads serialized a block at a time. So saving holds no second matrix,
+    no whole header string and no list of every payload's JSON value.
+
+    Each file is first written to a temporary sibling (``<name>.<pid>.tmp``).
+    Only when both are complete is the old header removed, the matrix moved
+    into place and then the header. A save that fails before that removes
+    its temporaries and leaves any existing files as they were, so an old
+    header never lies beside a new matrix.
     """
-    import numpy as np
+    from numpy.lib import format as npy_format
 
     path = Path(path)
     matrix_path = index_matrix_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    matrix = index._matrix if index._rows is None else index._matrix[index._rows]
-    np.save(matrix_path, matrix, allow_pickle=False)
-    payload_to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
-    doc = {
-        "version": INDEX_FORMAT_VERSION,
-        "kind": index.kind,
-        **({"example_embed_mode": index.example_embed_mode} if index.kind == "example" else {}),
-        "encoder": dataclasses.asdict(index.encoder_config),
-        "payloads": list(map(payload_to_json, index.payloads)),
-    }
-    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+    temp_path, temp_matrix_path = (p.with_name(f"{p.name}.{os.getpid()}.tmp") for p in (path, matrix_path))
+    blocks = [slice(start, start + _SAVE_BLOCK_ROWS) for start in range(0, len(index), _SAVE_BLOCK_ROWS)]
+    try:
+        with open(temp_matrix_path, "wb") as fh:
+            header = npy_format.header_data_from_array_1_0(index._matrix) | {"shape": (len(index), index.dimension)}
+            npy_format.write_array_header_1_0(fh, header)
+            for block in blocks:
+                fh.write(index._matrix[block] if index._rows is None else index._matrix[index._rows[block]])
+        payload_to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        head = {
+            "version": INDEX_FORMAT_VERSION,
+            "kind": index.kind,
+            **({"example_embed_mode": index.example_embed_mode} if index.kind == "example" else {}),
+            "encoder": dataclasses.asdict(index.encoder_config),
+        }
+        # the document's JSON in pieces: ``head`` without its closing brace,
+        # then each block's payload list without its brackets
+        with open(temp_path, "w", encoding="utf-8") as fh:
+            fh.write(encode(head)[:-1] + ',"payloads":[')
+            for number, block in enumerate(blocks):
+                fh.write(("," if number else "") + encode(list(map(payload_to_json, index.payloads[block])))[1:-1])
+            fh.write("]}\n")
+    except BaseException:
+        temp_path.unlink(missing_ok=True)
+        temp_matrix_path.unlink(missing_ok=True)
+        raise
+    path.unlink(missing_ok=True)
+    temp_matrix_path.replace(matrix_path)
+    temp_path.replace(path)
     return matrix_path
 
 
@@ -311,9 +352,11 @@ def load_index(path: str | Path) -> VectorIndex:
 
     The header must hold exactly the v3 fields of its kind; an older version
     asks for a rebuild. The matrix is always ``index_matrix_path(path)``,
-    read whole into one array that the index adopts. Anything malformed in
-    either file (a matrix not of shape (payloads, encoder dimension)
-    included) raises ``IndexFormatError`` naming the header.
+    read whole into one array that the index adopts. The payloads are built
+    and the parsed header tree freed before the matrix is read, so the load
+    never holds both. Anything malformed in either file (a matrix not of
+    shape (payloads, encoder dimension) included) raises
+    ``IndexFormatError`` naming the header.
     """
     import numpy as np
 
@@ -352,6 +395,8 @@ def load_index(path: str | Path) -> VectorIndex:
             payloads.append(payload_from_json(raw))
         except ValueError as exc:
             raise IndexFormatError(f"{path}: node {position}: {exc}") from exc
+    payloads = tuple(payloads)
+    doc = raw = None  # free the parsed header tree before the matrix is read
     try:
         matrix = np.load(matrix_path, allow_pickle=False)
     except (OSError, ValueError, EOFError, TypeError) as exc:

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import io
 import json
 import pickle
+import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +31,10 @@ from kgte import (
     top_k,
 )
 import kgte.encoder
+import kgte.vector_index
 from conftest import FAKE_EMBED_DIM
-from kgte.corpus import normalize_surface
-from kgte.vector_index import EXAMPLE_EMBED_MODES, _select_rows
+from kgte.corpus import normalize_surface, sentence_to_json, triplet_to_json
+from kgte.vector_index import EXAMPLE_EMBED_MODES, INDEX_FORMAT_VERSION, NODE_KINDS, _select_rows
 
 
 def brute_force_top_k(index, query, k):
@@ -659,6 +663,154 @@ class TestPersistence:
             query = rng.normal(size=32)
             query /= np.linalg.norm(query)
             assert top_k(reloaded, query, 10) == top_k(index, query, 10)
+
+
+# surfaces JSON must escape or encode: quotes, backslashes, control
+# characters, non-ASCII text and a character outside the BMP
+_awkward_text = st.text(
+    st.sampled_from(["a", "Z", " ", "_", "é", "雪", "😀", '"', "\\", "\x00", "\x01", "\x7f", "\u2028"]), min_size=1, max_size=8
+).filter(normalize_surface)
+_awkward_triplets = st.builds(Triplet, _awkward_text, _awkward_text, _awkward_text)
+_awkward_examples = st.builds(AnnotatedSentence, _awkward_text, st.lists(_awkward_triplets, max_size=2).map(tuple))
+
+
+@st.composite
+def block_boundary_indexes(draw):
+    """A save block size and an index of that many rows less one, as many,
+    one more, or twice as many plus one: either a built index or a
+    selection in any order, with repeated rows, from a larger one."""
+    block = draw(st.integers(2, 5))
+    n = draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
+    kind = draw(st.sampled_from(NODE_KINDS))
+    embed_mode = draw(st.sampled_from(EXAMPLE_EMBED_MODES)) if kind == "example" else "sentence"
+    selected = draw(st.booleans())
+    size = draw(st.integers(1, n + 2)) if selected else n
+    payloads = draw(st.lists(_awkward_triplets if kind == "triplet" else _awkward_examples, min_size=size, max_size=size))
+    dimension = draw(st.integers(1, 4))
+    matrix = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(size, dimension))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    index = VectorIndex(kind, payloads, matrix, EncoderConfig(dimension=dimension), embed_mode)
+    if selected:
+        index = _select_rows(index, draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)))
+    return block, index
+
+
+def assert_saved_as_np_save_and_json_dumps(index, path):
+    """``save_index`` writes the bytes of ``np.save`` of the index's own
+    (gathered) rows and of ``json.dumps`` of its whole header document."""
+    matrix_path = save_index(index, path)
+    expected = io.BytesIO()
+    np.save(expected, index._matrix if index._rows is None else index._matrix[index._rows], allow_pickle=False)
+    assert matrix_path.read_bytes() == expected.getvalue()
+    to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
+    doc = {
+        "version": INDEX_FORMAT_VERSION,
+        "kind": index.kind,
+        **({"example_embed_mode": index.example_embed_mode} if index.kind == "example" else {}),
+        "encoder": dataclasses.asdict(index.encoder_config),
+        "payloads": [to_json(payload) for payload in index.payloads],
+    }
+    assert path.read_bytes() == (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+    assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, matrix_path.name])
+
+
+class TestStreamedSave:
+    """``save_index`` writes both files in blocks of rows, with the bytes a
+    whole-matrix ``np.save`` and a whole-document ``json.dumps`` write, and
+    holds no second matrix and no parsed header while it does."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=block_boundary_indexes())
+    def test_bytes_across_block_boundaries(self, tmp_path_factory, case):
+        block, index = case
+        with mock.patch.object(kgte.vector_index, "_SAVE_BLOCK_ROWS", block):
+            assert_saved_as_np_save_and_json_dumps(index, tmp_path_factory.mktemp("index") / "index.json")
+
+    def test_bytes_at_the_module_block_size(self, tmp_path):
+        block = kgte.vector_index._SAVE_BLOCK_ROWS
+        for n in (block - 1, block, block + 1, 2 * block + 1):
+            index, rng = random_unit_index(n, 3, seed=n)
+            for name, saved in (("full", index), ("selection", _select_rows(index, rng.integers(0, n, size=n).tolist()))):
+                (tmp_path / f"{n}-{name}").mkdir()
+                assert_saved_as_np_save_and_json_dumps(saved, tmp_path / f"{n}-{name}" / "index.json")
+
+    def test_saving_a_selection_gathers_no_matrix(self, tmp_path):
+        index, rng = random_unit_index(3000, 384)
+        selection = _select_rows(index, rng.permutation(3000)[:2000].tolist())
+        gathered_bytes = 2000 * 384 * 8  # 6.1 MB
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            save_index(selection, tmp_path / "index.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gathered_bytes / 2
+        assert np.array_equal(load_index(tmp_path / "index.json")._matrix, index._matrix[selection._rows])
+
+    def test_loading_frees_the_parsed_header_before_reading_the_matrix(self, tmp_path, monkeypatch):
+        n = 1237  # a list length nothing else in the process is likely to have
+        save_index(random_unit_index(n, 4)[0], tmp_path / "index.json")
+        read_matrix, lists_of_n = np.load, []
+
+        def load(*args, **kwargs):
+            lists_of_n.extend(len(o) for o in gc.get_objects() if type(o) is list and len(o) == n)
+            return read_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", load)
+        assert len(load_index(tmp_path / "index.json")) == n
+        assert lists_of_n == []
+
+
+class TestFailedSave:
+    """A save that fails leaves the files it would replace as they were, and
+    no temporary file beside them."""
+
+    @staticmethod
+    def _indexes():
+        # same shape, other payloads and vectors
+        a, _ = random_unit_index(6, 4, seed=1)
+        b_vectors = random_unit_index(6, 4, seed=2)[0]._matrix
+        b = VectorIndex("triplet", [Triplet(f"b{i}", "q", f"c{i}") for i in range(6)], b_vectors, a.encoder_config)
+        return a, b
+
+    @staticmethod
+    def _failing_on(payload, monkeypatch):
+        real = kgte.vector_index.triplet_to_json
+
+        def triplet_to_json(triplet):
+            if triplet == payload:
+                raise RuntimeError("no space left on device")
+            return real(triplet)
+
+        monkeypatch.setattr(kgte.vector_index, "triplet_to_json", triplet_to_json)
+
+    def test_the_old_header_never_lies_over_a_new_matrix(self, tmp_path, monkeypatch):
+        a, b = self._indexes()
+        path = tmp_path / "index.json"
+        save_index(a, path)
+        self._failing_on(b.payloads[-1], monkeypatch)
+        with pytest.raises(RuntimeError, match="no space left"):
+            save_index(b, path)
+        loaded = load_index(path)
+        assert loaded.payloads == a.payloads
+        assert loaded._matrix.tobytes() == a._matrix.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "index.npy"]
+
+    def test_a_failed_first_save_leaves_no_file(self, tmp_path, monkeypatch):
+        _, b = self._indexes()
+        self._failing_on(b.payloads[0], monkeypatch)
+        with pytest.raises(RuntimeError):
+            save_index(b, tmp_path / "index.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_save_over_an_index_replaces_both_files(self, tmp_path):
+        a, b = self._indexes()
+        path = tmp_path / "index.json"
+        save_index(a, path)
+        save_index(b, path)
+        loaded = load_index(path)
+        assert loaded.payloads == b.payloads and loaded._matrix.tobytes() == b._matrix.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "index.npy"]
 
 
 class TestSharedSurfaces:
