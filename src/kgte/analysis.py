@@ -264,25 +264,25 @@ def index_dataset(
     is built.
 
     Every other index comes from ``build_index`` of the full KB: when every
-    example is retained, it is that index itself; otherwise it is a
-    selection of its rows, those of the retained KB's payloads in
-    downscaled order, which copies no row. So a downscaled index costs the
-    full KB's build.
+    example is retained, the downscaled KB is the full KB itself and its
+    index is that index; otherwise it is a selection of its rows
+    (``dataclasses.replace`` of that index), those of the retained KB's
+    payloads in downscaled order, which shares its matrix and copies no
+    row. So a downscaled index costs the full KB's build.
     """
     full_kb = build_kb(dataset.train, dataset.validation)
     return _scaled_index(full_kb, scale, seed, lambda: build_index(full_kb, kind, example_embed_mode, config))
 
 
 def _scaled_index(full_kb: KnowledgeBase, scale: float, seed: int, full_index: Callable[[], VectorIndex]) -> VectorIndex | None:
-    """``index_dataset`` of ``full_kb``, whose index ``full_index()`` returns."""
+    """``index_dataset`` of ``full_kb``, whose index ``full_index()`` returns:
+    that index itself when the downscaled KB is ``full_kb``."""
     kb = downscale_kb(full_kb, scale, seed)
     if not kb.examples:
         return None
-    # every example, not every payload: dropping an example can keep every triplet but reorder them
-    if len(kb.examples) == len(full_kb.examples):
-        del kb  # no second copy of the KB's tuples stays alive through the build
-        return full_index()
     index = full_index()
+    if kb is full_kb:
+        return index
     row_of = {payload: row for row, payload in enumerate(index.payloads)}
     return _select_rows(index, [row_of[payload] for payload in (kb.triplets if index.kind == "triplet" else kb.examples)])
 

@@ -234,12 +234,16 @@ def downscale_kb(kb: KnowledgeBase, scale: float, seed: int) -> KnowledgeBase:
 
     Sampling takes a prefix of a seed-determined permutation, so for a fixed
     seed a smaller scale always retains a subset of a larger scale's examples.
-    Retained examples keep their original order.
+    Retained examples keep their original order. A downscale that retains
+    every example is ``kb`` itself, with nothing shuffled or recomputed, also
+    for a KB whose triplets were given apart from its examples.
     """
     check_scale(scale)
     n = len(kb.examples)
     # tiny epsilon guards float error in products like 0.3 * 10 -> 2.999...
     keep = math.floor(scale * n + 1e-9)
+    if keep == n:
+        return kb
     order = list(range(n))
     random.Random(seed).shuffle(order)
     return _kb_from_examples(tuple(kb.examples[i] for i in sorted(order[:keep])))

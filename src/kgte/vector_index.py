@@ -1,10 +1,11 @@
 """Immutable vector store with exact top-k retrieval and persistence.
 
 ``VectorIndex(kind, payloads, vectors, encoder_config, example_embed_mode)``
-makes every index but a selection (below). Its vectors live once, as the
-rows of one dense float64 matrix, from ``build_index`` to disk (a raw
-``.npy`` file beside a JSON header that states each other fact of the index
-once) and back.
+makes every index, a selection (below) included, and stores each argument as
+the field of that name. Its vectors live once, as the rows of one dense
+float64 matrix, ``vectors``, from ``build_index`` to disk (a raw ``.npy``
+file beside a JSON header that states each other fact of the index once)
+and back.
 An index is its payloads and that matrix, row ``i`` under payload ``i``, with
 no object per row. Retrieval scans every row (one matrix-vector product) and
 then selects the top k exactly with a partial selection instead of a full
@@ -13,8 +14,9 @@ sort: deterministic, and fast enough at the KB sizes this library targets
 by ascending row id, at the k-th position too.
 
 A selection (``_select_rows``) is an index over some rows of another, in an
-order of its own, that shares that index's matrix and keeps the selected row
-ids. It encodes nothing and copies no row. It scores with the full matrix's
+order of its own: ``dataclasses.replace`` of that index with the selected
+payloads and their row ids, ``_rows``, so it shares that index's matrix. It
+encodes nothing and copies no row. It scores with the full matrix's
 own product and reads the selected rows' scores from it, so they equal the
 full index's scores bit for bit; its ids are positions in the selection.
 A downscaled KB's index is a selection of the full KB's (``index_dataset``).
@@ -44,9 +46,9 @@ import functools
 import json
 import os
 import weakref
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .corpus import AnnotatedSentence, KnowledgeBase, Triplet, check_int, sentence_from_json, sentence_to_json, triplet_from_json, triplet_to_json
 from .encoder import EncoderConfig, encode_texts
@@ -90,9 +92,9 @@ class IndexNode:
 
 @dataclass(frozen=True, eq=False)
 class VectorIndex:
-    """``payloads[i]`` under unit row ``i`` of one read-only ``(len(payloads),
-    encoder_config.dimension)`` float64 matrix, ``_matrix``: a C-contiguous
-    float64 ``vectors`` array is adopted without a copy, anything else is
+    """``payloads[i]`` under unit row ``i`` of ``vectors``, one read-only
+    ``(len(payloads), encoder_config.dimension)`` float64 matrix: a
+    C-contiguous float64 array is adopted without a copy, anything else is
     copied. ``payloads`` is stored as a tuple, each a ``Triplet`` in a
     ``triplet`` index and an ``AnnotatedSentence`` in an ``example`` one,
     whose rows embed what ``example_embed_mode`` names (``sentence``, the
@@ -101,20 +103,20 @@ class VectorIndex:
     is built on first access; nothing in ``kgte`` reads it. Indexes compare
     by identity.
 
-    A selection (``_select_rows``) shares the matrix of the built or loaded
-    index it selects from: ``payloads[i]`` lies under matrix row
-    ``_rows[i]``, and ``_rows`` is a read-only int array.
-    For any other index ``_rows`` is ``None``."""
+    A selection (``_select_rows``) shares ``vectors`` with the built or
+    loaded index it selects from: ``payloads[i]`` lies under matrix row
+    ``_rows[i]``, and ``_rows`` is a read-only int array. Its matrix is not
+    checked against its payloads again: the shared rows were checked when
+    that index was made. For any other index ``_rows`` is ``None``."""
 
     kind: str
     payloads: tuple[Triplet | AnnotatedSentence, ...] = field(repr=False)
-    vectors: InitVar[np.ndarray | Sequence[np.ndarray]]
+    vectors: np.ndarray = field(repr=False)
     encoder_config: EncoderConfig
     example_embed_mode: str = "sentence"
-    _matrix: np.ndarray = field(init=False, repr=False)
-    _rows: np.ndarray | None = field(init=False, repr=False, default=None)
+    _rows: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self, vectors) -> None:
+    def __post_init__(self) -> None:
         import numpy as np
 
         if self.kind not in NODE_KINDS:
@@ -127,17 +129,18 @@ class VectorIndex:
         for row, payload in enumerate(payloads):
             if not isinstance(payload, payload_type):
                 raise ValueError(f"row {row}: a {self.kind} index holds {payload_type.__name__} payloads, not {type(payload).__name__}")
-        matrix = np.ascontiguousarray(vectors, dtype=np.float64)
-        if matrix.shape != (len(payloads), self.dimension):
-            raise ValueError(f"vectors have shape {matrix.shape}, not (payloads, dim) {len(payloads), self.dimension}")
-        # row-wise squared norms, without a temporary the size of the matrix
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        if not np.all(np.abs(norms - 1.0) <= _NORM_TOLERANCE):
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            raise ValueError(f"node {worst} vector norm {norms[worst]} is not unit")
+        matrix = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        if self._rows is None:
+            if matrix.shape != (len(payloads), self.dimension):
+                raise ValueError(f"vectors have shape {matrix.shape}, not (payloads, dim) {len(payloads), self.dimension}")
+            # row-wise squared norms, without a temporary the size of the matrix
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+            if not np.all(np.abs(norms - 1.0) <= _NORM_TOLERANCE):
+                worst = int(np.argmax(np.abs(norms - 1.0)))
+                raise ValueError(f"node {worst} vector norm {norms[worst]} is not unit")
         matrix.setflags(write=False)
         object.__setattr__(self, "payloads", payloads)
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "vectors", matrix)
 
     @functools.cached_property
     def nodes(self) -> tuple[IndexNode, ...]:
@@ -146,7 +149,7 @@ class VectorIndex:
         ``kgte`` never reads it, the benchmark's output checks do."""
         rows = range(len(self)) if self._rows is None else self._rows.tolist()
         pairs = zip(self.payloads, rows)
-        return tuple(IndexNode(i, self.kind, payload, self._matrix[row]) for i, (payload, row) in enumerate(pairs))
+        return tuple(IndexNode(i, self.kind, payload, self.vectors[row]) for i, (payload, row) in enumerate(pairs))
 
     @property
     def dimension(self) -> int:
@@ -209,25 +212,15 @@ def build_index(
 
 def _select_rows(index: VectorIndex, rows: list[int]) -> VectorIndex:
     """``index`` (built or loaded) restricted to ``rows``, a non-empty list of
-    its row ids in the selection's order; a row may repeat. The selection
-    shares the matrix of ``index`` and keeps ``rows`` as a read-only int
-    array: it encodes nothing, copies no row and does not check the shared
-    rows' norms again."""
+    its row ids in the selection's order; a row may repeat. The selection is
+    ``index`` with the selected payloads and ``rows`` as a read-only int
+    array: it shares ``index.vectors``, encodes nothing, copies no row and
+    does not check the shared rows' norms again."""
     import numpy as np
 
     ids = np.array(rows, dtype=np.intp)
     ids.setflags(write=False)
-    selection = object.__new__(VectorIndex)  # skips __post_init__: the shared rows were checked when built
-    for name, value in (
-        ("kind", index.kind),
-        ("payloads", tuple(index.payloads[row] for row in rows)),
-        ("encoder_config", index.encoder_config),
-        ("example_embed_mode", index.example_embed_mode),
-        ("_matrix", index._matrix),
-        ("_rows", ids),
-    ):
-        object.__setattr__(selection, name, value)
-    return selection
+    return dataclasses.replace(index, payloads=tuple(index.payloads[row] for row in rows), _rows=ids)
 
 
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, float]]:
@@ -264,7 +257,7 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[int, floa
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.dimension,):
         raise ValueError(f"query dimension {query.shape} does not match index dimension {index.dimension}")
-    scores = index._matrix @ query
+    scores = index.vectors @ query
     if index._rows is not None:
         scores = scores[index._rows]
     n = len(scores)
@@ -318,10 +311,10 @@ def save_index(index: VectorIndex, path: str | Path) -> Path:
     blocks = [slice(start, start + _SAVE_BLOCK_ROWS) for start in range(0, len(index), _SAVE_BLOCK_ROWS)]
     try:
         with open(temp_matrix_path, "wb") as fh:
-            header = npy_format.header_data_from_array_1_0(index._matrix) | {"shape": (len(index), index.dimension)}
+            header = npy_format.header_data_from_array_1_0(index.vectors) | {"shape": (len(index), index.dimension)}
             npy_format.write_array_header_1_0(fh, header)
             for block in blocks:
-                fh.write(index._matrix[block] if index._rows is None else index._matrix[index._rows[block]])
+                fh.write(index.vectors[block] if index._rows is None else index.vectors[index._rows[block]])
         payload_to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
         encode = json.JSONEncoder(separators=(",", ":")).encode
         head = {

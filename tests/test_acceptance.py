@@ -98,8 +98,8 @@ def test_criterion_1_retrieval_oracle_equivalence():
 
     cases = (
         (index, vectors, range(1000), queries),
-        (tied_index, tied_index._matrix, range(1000), tie_queries),
-        (selection, tied_index._matrix, subset, tie_queries),
+        (tied_index, tied_index.vectors, range(1000), tie_queries),
+        (selection, tied_index.vectors, subset, tie_queries),
     )
     elapsed = 0.0
     straddled = Counter()

@@ -602,9 +602,9 @@ class TestIndexDataset:
         got = index_dataset(dataset, "triplet", 0.4, 5, "sentence", config)
         assert got.payloads == kb.triplets
         # a selection of the full index: its matrix shared, its own rows those a build of the downscaled KB encodes
-        assert got._matrix is full._matrix
+        assert got.vectors is full.vectors
         own_rows = np.stack([node.vector for node in got.nodes])
-        assert np.array_equal(own_rows, build_index(kb, "triplet", config=config)._matrix)
+        assert np.array_equal(own_rows, build_index(kb, "triplet", config=config).vectors)
 
     def test_a_kb_that_keeps_every_triplet_in_another_order_is_a_selection(self):
         a, b = Triplet("a", "r", "x"), Triplet("b", "r", "y")
@@ -618,7 +618,7 @@ class TestIndexDataset:
         # every triplet is kept, but not every example: the full index would rank ties in the wrong order
         got = index_dataset(dataset, "triplet", 0.67, seed, "sentence", config)
         assert got is not full and got.payloads == (b, a)
-        assert got._matrix is full._matrix and got._rows.tolist() == [1, 0]
+        assert got.vectors is full.vectors and got._rows.tolist() == [1, 0]
 
     def test_a_downscaled_example_index_is_a_selection_in_downscaled_order(self, pair_manifest):
         dataset = load_dataset(pair_manifest)
@@ -628,9 +628,9 @@ class TestIndexDataset:
         full = build_index(full_kb, "example", "sentence+triplets", config)
         got = index_dataset(dataset, "example", 0.4, 5, "sentence+triplets", config)
         assert got.payloads == kb.examples and got.example_embed_mode == "sentence+triplets"
-        assert got._matrix is full._matrix
+        assert got.vectors is full.vectors
         own_rows = np.stack([node.vector for node in got.nodes])
-        assert np.array_equal(own_rows, build_index(kb, "example", "sentence+triplets", config)._matrix)
+        assert np.array_equal(own_rows, build_index(kb, "example", "sentence+triplets", config).vectors)
 
     def test_empty_retained_kb_gives_none(self, pair_manifest):
         assert index_dataset(load_dataset(pair_manifest), "triplet", 0.0, 0, "sentence", None) is None

@@ -41,7 +41,7 @@ def test_brute_force_check_equals_retrieve_triplets(workload, mini_manifest, n_k
     dataset = load_dataset(mini_manifest)
     index = build_index(build_kb(dataset.train, dataset.validation), "triplet", config=EncoderConfig(dimension=64))
     for sentence in dataset.test + dataset.train:
-        want = workload.brute_force_triplets(kgte, index, index._matrix, sentence.text, n_kb)
+        want = workload.brute_force_triplets(kgte, index, index.vectors, sentence.text, n_kb)
         assert list(retrieve_triplets(sentence.text, index, n_kb).items) == want
 
 

@@ -21,6 +21,7 @@ from kgte import (
     AnnotatedSentence,
     Dataset,
     DatasetFormatError,
+    KnowledgeBase,
     Triplet,
     build_kb,
     dataset_stats,
@@ -572,7 +573,10 @@ class TestDownscaleKb:
 
     def test_scale_one_is_identity(self):
         kb = _toy_kb(10)
-        assert downscale_kb(kb, 1.0, seed=123) == kb
+        assert downscale_kb(kb, 1.0, seed=123) is kb
+        # triplets given apart from the examples stay as given, not recomputed
+        apart = KnowledgeBase(triplets=(Triplet("x", "r", "y"),), examples=kb.examples)
+        assert downscale_kb(apart, 1.0, seed=123) is apart
 
     def test_fractional_products(self):
         kb = _toy_kb(10)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from kgte import (
     AnnotatedSentence,
@@ -41,7 +42,7 @@ def brute_force_top_k(index, query, k):
     """Independent oracle: per-row python-float dot, full sort by
     (-score, id)."""
     scored = []
-    for row_id, row in enumerate(index._matrix):
+    for row_id, row in enumerate(index.vectors):
         score = 0.0
         for i in range(index.dimension):
             score += float(row[i]) * float(query[i])
@@ -115,11 +116,11 @@ class TestBuildIndex:
         kb = build_kb([s1], [s2])
         config = EncoderConfig(dimension=64)
         index = build_index(kb, "example", "sentence", config)
-        assert np.array_equal(index._matrix[0], index._matrix[1])
+        assert np.array_equal(index.vectors[0], index.vectors[1])
         assert index.payloads[0] != index.payloads[1]
         # sentence+triplets mode separates them
         combined = build_index(kb, "example", "sentence+triplets", config)
-        assert not np.array_equal(combined._matrix[0], combined._matrix[1])
+        assert not np.array_equal(combined.vectors[0], combined.vectors[1])
 
     def test_embed_mode_rejected_on_a_triplet_index(self):
         with pytest.raises(ValueError, match="needs an example index"):
@@ -164,7 +165,7 @@ class TestOneLiveCopy:
 
     def test_a_dropped_index_is_freed_and_built_again(self, encode_calls):
         index = build_index(small_kb(), "example", "sentence+triplets", self.CONFIG)
-        matrix = index._matrix.copy()
+        matrix = index.vectors.copy()
         ref = weakref.ref(index)
         del index
         gc.collect()
@@ -172,7 +173,7 @@ class TestOneLiveCopy:
         encode_calls.clear()
         rebuilt = build_index(small_kb(), "example", "sentence+triplets", self.CONFIG)
         assert len(encode_calls) == len(rebuilt) == 3
-        assert np.array_equal(rebuilt._matrix, matrix)
+        assert np.array_equal(rebuilt.vectors, matrix)
 
     def test_any_different_input_gives_a_distinct_index(self):
         kb = small_kb()
@@ -189,7 +190,7 @@ class TestOneLiveCopy:
         assert len({id(index) for index in built}) == len(built)
         assert others[-2].payloads == kb.triplets[::-1]
         assert others[-1].payloads == kb.examples[::-1]
-        assert np.array_equal(others[-1]._matrix, base._matrix[::-1])
+        assert np.array_equal(others[-1].vectors, base.vectors[::-1])
 
     def test_a_live_external_index_sends_no_request(self, embed_posts):
         config = EncoderConfig(provider="external", dimension=FAKE_EMBED_DIM, endpoint="http://embed.invalid/v1", model="m-1")
@@ -206,14 +207,14 @@ class TestOneLiveCopy:
 class TestTopK:
     def test_query_equal_to_node_vector_ranks_first(self):
         index, _ = random_unit_index(50, 16, seed=1)
-        query = index._matrix[17]
+        query = index.vectors[17]
         ranked = top_k(index, query, 3)
         assert ranked[0][0] == 17
         assert ranked[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_k_larger_than_node_count_returns_all(self):
         index, _ = random_unit_index(5, 8, seed=2)
-        assert len(top_k(index, index._matrix[0], 50)) == 5
+        assert len(top_k(index, index.vectors[0], 50)) == 5
 
     def test_matches_brute_force_oracle(self):
         index, rng = random_unit_index(200, 16, seed=3)
@@ -266,18 +267,18 @@ class TestTopK:
     def test_k_must_be_positive(self):
         index, _ = random_unit_index(5, 8)
         with pytest.raises(ValueError):
-            top_k(index, index._matrix[0], 0)
+            top_k(index, index.vectors[0], 0)
 
     @pytest.mark.parametrize("k", [True, 2.0, "2", np.int64(2), None])
     def test_k_must_be_an_int(self, k):
         index, _ = random_unit_index(5, 8)
         with pytest.raises(ValueError, match="k must be an int"):
-            top_k(index, index._matrix[0], k)
+            top_k(index, index.vectors[0], k)
 
     def test_returns_row_ids_and_scores_as_python_numbers(self):
         index, _ = random_unit_index(20, 8, seed=5)
-        ranked = top_k(index, index._matrix[3], 4)
-        scores = index._matrix @ index._matrix[3]
+        ranked = top_k(index, index.vectors[3], 4)
+        scores = index.vectors @ index.vectors[3]
         for row_id, score in ranked:
             assert type(row_id) is int and type(score) is float
             assert score == scores[row_id]
@@ -288,7 +289,7 @@ class TestConstructor:
         matrix = np.array(EXACT_ROWS)
         payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(matrix))]
         index = VectorIndex("triplet", payloads, matrix, EncoderConfig(dimension=4))
-        assert index._matrix is matrix
+        assert index.vectors is matrix
         assert not matrix.flags.writeable
         assert index.payloads == tuple(payloads)
 
@@ -347,6 +348,24 @@ class TestConstructor:
         with pytest.raises(ValueError, match="needs an example index, not triplet"):
             VectorIndex("triplet", [Triplet("a", "r", "b")], EXACT_ROWS[:1], config, "sentence+triplets")
 
+    def test_hypothesis_prints_every_field(self, tmp_path):
+        index, _ = random_unit_index(4, 8)
+        save_index(index, tmp_path / "index.json")
+        for shown in (index, load_index(tmp_path / "index.json"), _select_rows(index, [3, 1])):
+            text = pretty(shown)
+            assert text.startswith("VectorIndex(kind='triplet',")
+            for name in ("payloads", "vectors", "encoder_config", "example_embed_mode", "_rows"):
+                assert f" {name}=" in text
+
+    def test_replace_of_a_built_index_is_checked(self):
+        index, _ = random_unit_index(4, 8)
+        with pytest.raises(ValueError, match=r"^vectors have shape \(4, 8\), not \(payloads, dim\) \(3, 8\)$"):
+            dataclasses.replace(index, payloads=index.payloads[:3])
+        vectors = index.vectors.copy()
+        vectors[2] *= 2.0
+        with pytest.raises(ValueError, match="^node 2 vector norm .* is not unit$"):
+            dataclasses.replace(index, vectors=vectors)
+
     def test_indexes_compare_by_identity(self):
         payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(len(EXACT_ROWS))]
         config = EncoderConfig(dimension=4)
@@ -360,7 +379,7 @@ class TestImmutability:
     def test_matrix_and_vectors_frozen(self):
         index, _ = random_unit_index(5, 8)
         with pytest.raises(ValueError):
-            index._matrix[0, 0] = 5.0
+            index.vectors[0, 0] = 5.0
         with pytest.raises(ValueError):
             index.nodes[0].vector[0] = 5.0
         assert isinstance(index.nodes, tuple)
@@ -368,8 +387,8 @@ class TestImmutability:
     def test_node_vectors_are_rows_of_the_matrix(self):
         index, _ = random_unit_index(5, 8)
         for node in index.nodes:
-            assert node.vector.base is index._matrix
-            assert np.array_equal(node.vector, index._matrix[node.id])
+            assert node.vector.base is index.vectors
+            assert np.array_equal(node.vector, index.vectors[node.id])
 
     def test_nodes_have_no_instance_dict(self):
         index, _ = random_unit_index(3, 4)
@@ -406,7 +425,7 @@ class TestSelectRows:
     def test_shares_the_matrix_and_keeps_read_only_row_ids(self, encode_calls):
         index, _ = random_unit_index(12, 8)
         selection = _select_rows(index, self.ROWS)
-        assert selection._matrix is index._matrix
+        assert selection.vectors is index.vectors
         assert selection._rows.tolist() == self.ROWS and not selection._rows.flags.writeable
         assert selection.payloads == tuple(index.payloads[r] for r in self.ROWS)
         assert len(selection) == len(self.ROWS)
@@ -421,15 +440,15 @@ class TestSelectRows:
         assert [n.id for n in nodes] == list(range(len(self.ROWS)))
         for node, row in zip(nodes, self.ROWS, strict=True):
             assert node.payload is index.payloads[row]
-            assert node.vector.base is index._matrix
-            assert np.array_equal(node.vector, index._matrix[row])
+            assert node.vector.base is index.vectors
+            assert np.array_equal(node.vector, index.vectors[row])
             assert not node.vector.flags.writeable
 
     def test_scores_are_the_full_products_read_at_the_rows(self):
         index, rng = random_unit_index(300, 16)
         selection = _select_rows(index, rng.permutation(300)[:120].tolist())
         for query in rng.normal(size=(5, 16)):
-            scores = (index._matrix @ query)[selection._rows].tolist()
+            scores = (index.vectors @ query)[selection._rows].tolist()
             ranked = top_k(selection, query, len(selection))
             assert ranked == sorted(enumerate(scores), key=lambda pair: (-pair[1], pair[0]))
 
@@ -442,12 +461,12 @@ class TestSelectRows:
         selection = _select_rows(index, rows)
         save_index(selection, tmp_path / "selection.json")
         payloads = [index.payloads[r] for r in rows]
-        save_index(VectorIndex(kind, payloads, index._matrix[rows], config), tmp_path / "built.json")
+        save_index(VectorIndex(kind, payloads, index.vectors[rows], config), tmp_path / "built.json")
         for suffix in (".json", ".npy"):
             assert (tmp_path / f"selection{suffix}").read_bytes() == (tmp_path / f"built{suffix}").read_bytes()
         loaded = load_index(tmp_path / "selection.json")
         assert loaded._rows is None and loaded.payloads == selection.payloads
-        assert np.array_equal(loaded._matrix, index._matrix[rows])
+        assert np.array_equal(loaded.vectors, index.vectors[rows])
 
 
 class TestNoPerRowObjects:
@@ -460,7 +479,7 @@ class TestNoPerRowObjects:
         index = build_index(kb, kind, config=EncoderConfig(dimension=16))
         texts = [example.text for example in kb.examples]
         contexts = retrieve_contexts(texts, index, [1, 2])
-        top_k(index, index._matrix[0], 2)
+        top_k(index, index.vectors[0], 2)
         save_index(index, tmp_path / "index.json")
         reloaded = load_index(tmp_path / "index.json")
         assert retrieve_contexts(texts, reloaded, [1, 2]) == contexts
@@ -471,8 +490,8 @@ class TestNoPerRowObjects:
             assert all(n.payload is p for n, p in zip(nodes, built.payloads, strict=True))
             for node in nodes:
                 assert type(node) is IndexNode
-                assert np.shares_memory(node.vector, built._matrix)
-                assert np.array_equal(node.vector, built._matrix[node.id])
+                assert np.shares_memory(node.vector, built.vectors)
+                assert np.array_equal(node.vector, built.vectors[node.id])
                 assert not node.vector.flags.writeable
             assert built.nodes is nodes and vars(built)["nodes"] is nodes
 
@@ -539,7 +558,7 @@ class TestPersistence:
         assert (reloaded.kind, reloaded.example_embed_mode) == (index.kind, index.example_embed_mode)
         assert reloaded.encoder_config == index.encoder_config
         assert reloaded.payloads == index.payloads
-        assert reloaded._matrix.dtype == np.float64 and reloaded._matrix.tobytes() == index._matrix.tobytes()
+        assert reloaded.vectors.dtype == np.float64 and reloaded.vectors.tobytes() == index.vectors.tobytes()
         header = json.loads(path.read_text())
         assert set(header) == {"version", "kind", "encoder", "payloads", *(["example_embed_mode"] if index.kind == "example" else [])}
 
@@ -551,8 +570,8 @@ class TestPersistence:
         path = tmp_path_factory.mktemp("index") / "index.json"
         save_index(index, path)
         reloaded = load_index(path)
-        assert np.array_equal(reloaded._matrix, index._matrix)
-        assert reloaded._matrix.dtype == np.float64 and reloaded._matrix.flags.c_contiguous
+        assert np.array_equal(reloaded.vectors, index.vectors)
+        assert reloaded.vectors.dtype == np.float64 and reloaded.vectors.flags.c_contiguous
         assert reloaded.payloads == index.payloads
         assert reloaded.encoder_config == index.encoder_config
         queries = np.random.default_rng(query_seed).normal(size=(3, matrix.shape[1]))
@@ -575,7 +594,7 @@ class TestPersistence:
         assert matrix_path == tmp_path / "kb.index.npy"
         # the header names no matrix file: the matrix is always the one beside it
         assert list(json.loads((tmp_path / "kb.index.json").read_text())) == ["version", "kind", "encoder", "payloads"]
-        assert np.array_equal(np.load(matrix_path), index._matrix)
+        assert np.array_equal(np.load(matrix_path), index.vectors)
         with pytest.raises(ValueError):
             save_index(index, tmp_path / "kb.npy")
 
@@ -587,7 +606,7 @@ class TestPersistence:
         save_index(index, path)
         reloaded = load_index(path)
         assert reloaded.encoder_config == config
-        assert np.array_equal(reloaded._matrix, index._matrix)
+        assert np.array_equal(reloaded.vectors, index.vectors)
 
     def test_truncated_file_reports_offset(self, tmp_path):
         kb = small_kb()
@@ -658,7 +677,7 @@ class TestPersistence:
         save_index(index, path)
         reloaded = load_index(path)
         assert len(reloaded) == 13000
-        assert np.array_equal(reloaded._matrix, index._matrix)
+        assert np.array_equal(reloaded.vectors, index.vectors)
         for _ in range(5):
             query = rng.normal(size=32)
             query /= np.linalg.norm(query)
@@ -700,7 +719,7 @@ def assert_saved_as_np_save_and_json_dumps(index, path):
     (gathered) rows and of ``json.dumps`` of its whole header document."""
     matrix_path = save_index(index, path)
     expected = io.BytesIO()
-    np.save(expected, index._matrix if index._rows is None else index._matrix[index._rows], allow_pickle=False)
+    np.save(expected, index.vectors if index._rows is None else index.vectors[index._rows], allow_pickle=False)
     assert matrix_path.read_bytes() == expected.getvalue()
     to_json = triplet_to_json if index.kind == "triplet" else sentence_to_json
     doc = {
@@ -745,7 +764,7 @@ class TestStreamedSave:
         finally:
             tracemalloc.stop()
         assert peak < gathered_bytes / 2
-        assert np.array_equal(load_index(tmp_path / "index.json")._matrix, index._matrix[selection._rows])
+        assert np.array_equal(load_index(tmp_path / "index.json").vectors, index.vectors[selection._rows])
 
     def test_loading_frees_the_parsed_header_before_reading_the_matrix(self, tmp_path, monkeypatch):
         n = 1237  # a list length nothing else in the process is likely to have
@@ -769,7 +788,7 @@ class TestFailedSave:
     def _indexes():
         # same shape, other payloads and vectors
         a, _ = random_unit_index(6, 4, seed=1)
-        b_vectors = random_unit_index(6, 4, seed=2)[0]._matrix
+        b_vectors = random_unit_index(6, 4, seed=2)[0].vectors
         b = VectorIndex("triplet", [Triplet(f"b{i}", "q", f"c{i}") for i in range(6)], b_vectors, a.encoder_config)
         return a, b
 
@@ -793,7 +812,7 @@ class TestFailedSave:
             save_index(b, path)
         loaded = load_index(path)
         assert loaded.payloads == a.payloads
-        assert loaded._matrix.tobytes() == a._matrix.tobytes()
+        assert loaded.vectors.tobytes() == a.vectors.tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "index.npy"]
 
     def test_a_failed_first_save_leaves_no_file(self, tmp_path, monkeypatch):
@@ -809,7 +828,7 @@ class TestFailedSave:
         save_index(a, path)
         save_index(b, path)
         loaded = load_index(path)
-        assert loaded.payloads == b.payloads and loaded._matrix.tobytes() == b._matrix.tobytes()
+        assert loaded.payloads == b.payloads and loaded.vectors.tobytes() == b.vectors.tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "index.npy"]
 
 
@@ -1047,7 +1066,7 @@ class TestMatrixFileName:
             (tmp_path / f"b.index{suffix}").write_bytes((tmp_path / f"a.index{suffix}").read_bytes())
         (tmp_path / "a.index.npy").unlink()
         reloaded = load_index(tmp_path / "b.index.json")
-        assert np.array_equal(reloaded._matrix, index._matrix)
+        assert np.array_equal(reloaded.vectors, index.vectors)
         with pytest.raises(IndexFormatError, match="cannot read matrix file"):
             load_index(tmp_path / "a.index.json")
 
