@@ -1,7 +1,7 @@
 """KB-augmented triplet extraction: KB construction, embedding retrieval,
 prompt rendering, generation drivers, scoring, and scaling analysis."""
 
-from ._transport import APIError, RetryPolicy, TransportError
+from ._transport import APIError, TransportError
 from .analysis import (
     AblationPoint,
     AblationResult,

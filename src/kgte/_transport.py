@@ -2,8 +2,9 @@
 
 The actual wire call is a pluggable ``transport`` callable
 ``(url, payload, headers, timeout) -> (status_code, body_text)`` so tests can
-run fully offline. ``post_json`` sends; it and ``HTTPClient`` hold no per-request
-state, so the caller alone bounds concurrency.
+run fully offline. ``HTTPClient`` is the one frozen record of the settings;
+``post_json`` sends with it. Neither holds per-request state, so the caller
+alone bounds concurrency.
 """
 
 from __future__ import annotations
@@ -23,8 +24,27 @@ API_KEY_ENV = "KGTE_API_KEY"
 TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
 
 
+def bearer_headers(api_key: str | None) -> dict[str, str]:
+    """JSON request headers with the bearer credential: ``None`` reads
+    ``KGTE_API_KEY``; an empty string sends no ``Authorization`` header."""
+    if api_key is None:
+        api_key = os.environ.get(API_KEY_ENV)
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    return headers
+
+
 @dataclass(frozen=True)
-class RetryPolicy:
+class HTTPClient:
+    """The HTTP settings of the LLM client and the external embedding
+    provider; frozen, so the run's pool shares one client across threads.
+    ``encode_texts`` embeds with the defaults."""
+
+    headers: Mapping[str, str]
+    transport: Transport | None
+    sleeper: Callable[[float], None]
+    timeout: float = 30.0
     max_retries: int = 2
     backoff_base: float = 0.25
 
@@ -59,20 +79,19 @@ def _requests_transport(url: str, payload: dict, headers: Mapping[str, str], tim
 def post_json(client: HTTPClient, url: str, payload: dict) -> dict:
     """POST a JSON payload with ``client``'s headers, timeout, transport and
     sleeper, and return the JSON object the endpoint answers, retrying
-    transient failures with exponential backoff under ``client.policy``.
+    transient failures with exponential backoff (``client.delay``).
 
     Network errors (``OSError``: ``ConnectionError``, ``TimeoutError``, the
     ``requests`` ones) and the statuses in ``TRANSIENT_STATUSES`` are retried
-    up to ``policy.max_retries`` times, except an ``OSError`` that is also a
+    up to ``client.max_retries`` times, except an ``OSError`` that is also a
     ``ValueError``: a malformed URL (``requests``' ``MissingSchema``,
     ``InvalidSchema``, ``InvalidURL``) propagates at once, as does any other
     exception from the transport. Other non-2xx statuses, and a 2xx body that
     is not a JSON object, raise ``APIError`` at once.
     """
-    policy = client.policy
     transport = client.transport or _requests_transport
     last_failure: str = "no attempt made"
-    for attempt in range(policy.max_retries + 1):
+    for attempt in range(client.max_retries + 1):
         try:
             status, body = transport(url, payload, client.headers, client.timeout)
         except OSError as exc:
@@ -84,57 +103,13 @@ def post_json(client: HTTPClient, url: str, payload: dict) -> dict:
                 try:
                     doc = json.loads(body)
                 except json.JSONDecodeError as exc:
-                    raise APIError(
-                        f"endpoint returned invalid JSON: {exc}", status=status,
-                        body_excerpt=body[:300],
-                    ) from exc
+                    raise APIError(f"endpoint returned invalid JSON: {exc}", status, body[:300]) from exc
                 if not isinstance(doc, dict):
-                    raise APIError(
-                        f"endpoint returned a JSON {type(doc).__name__}, not an object",
-                        status=status,
-                        body_excerpt=body[:300],
-                    )
+                    raise APIError(f"endpoint returned a JSON {type(doc).__name__}, not an object", status, body[:300])
                 return doc
             if status not in TRANSIENT_STATUSES:
-                raise APIError(
-                    f"request to {url} failed with status {status}",
-                    status=status,
-                    body_excerpt=body[:300],
-                )
+                raise APIError(f"request to {url} failed with status {status}", status, body[:300])
             last_failure = f"status {status}"
-        if attempt < policy.max_retries:
-            client.sleeper(policy.delay(attempt))
-    raise TransportError(
-        f"request to {url} failed after {policy.max_retries + 1} attempts ({last_failure})"
-    )
-
-
-class HTTPClient:
-    """What the LLM client and the external embedding provider share: the
-    bearer credential, the request headers, the timeout, the retry policy,
-    the transport and the sleeper. It holds settings only; ``post_json`` sends
-    with them.
-
-    ``api_key=None`` reads ``KGTE_API_KEY`` from the environment; an empty
-    string sends no ``Authorization`` header. The defaults (30 s and the
-    default ``RetryPolicy``) are the ones ``encode_texts`` embeds with.
-    """
-
-    def __init__(
-        self,
-        *,
-        api_key: str | None,
-        timeout: float = 30.0,
-        policy: RetryPolicy = RetryPolicy(),
-        transport: Transport | None,
-        sleeper: Callable[[float], None],
-    ):
-        if api_key is None:
-            api_key = os.environ.get(API_KEY_ENV)
-        self.headers = {"Content-Type": "application/json"}
-        if api_key:
-            self.headers["Authorization"] = f"Bearer {api_key}"
-        self.timeout = timeout
-        self.policy = policy
-        self.transport = transport
-        self.sleeper = sleeper
+        if attempt < client.max_retries:
+            client.sleeper(client.delay(attempt))
+    raise TransportError(f"request to {url} failed after {client.max_retries + 1} attempts ({last_failure})")

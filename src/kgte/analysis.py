@@ -10,7 +10,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import (
     SPLIT_NAMES,
@@ -57,7 +57,7 @@ class FitResult:
     n_points: int
 
 
-def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
+def linear_fit(points: Iterable[tuple[float, float]]) -> FitResult:
     """Ordinary least squares line through (x, y) points.
 
     r2 = 1 - SS_res / SS_tot, clamped at 0 for worse-than-mean fits; a
@@ -95,11 +95,12 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> FitResult:
     return FitResult(slope=slope, intercept=intercept, r2=r2, n_points=n)
 
 
-def log_param_fit(points: Sequence[tuple[float, float]]) -> FitResult:
+def log_param_fit(points: Iterable[tuple[float, float]]) -> FitResult:
     """OLS of score against the natural log of the parameter count.
 
     Scores are fitted raw (no normalization is applied before fitting).
     """
+    points = list(points)  # read once: a generator fits as a list does
     for position, (n_par, _) in enumerate(points):
         if not n_par > 0:  # NaN too
             raise ValueError(f"point {position}: parameter count must be positive, got {n_par}")

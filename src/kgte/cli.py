@@ -27,6 +27,7 @@ from .analysis import (
 from .corpus import (
     SPLIT_NAMES,
     DatasetFormatError,
+    check_scale,
     dataset_stats,
     load_dataset,
     load_predictions,
@@ -105,7 +106,8 @@ def _kb_index(args, dataset, config: EncoderConfig):
 
 
 def _cmd_index(args) -> int:
-    check_embed_mode(args.kind, args.embed_mode)  # before the load
+    check_scale(args.scale)  # before the load
+    check_embed_mode(args.kind, args.embed_mode)
     config = _encoder_config(args)
     index_matrix_path(args.out)  # a bad --out fails before the build
     index = _kb_index(args, load_dataset(args.manifest), config)
@@ -174,6 +176,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_p(args) -> int:
     values = check_n_kb_values(args.nkb_list)  # before the load
+    check_scale(args.scale)
     check_embed_mode(args.kind, args.embed_mode)
     config = _encoder_config(args)
     dataset = load_dataset(args.manifest)

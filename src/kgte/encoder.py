@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from . import _transport  # post_json looked up per call, so a wrapper set on the module sees every POST
-from ._transport import APIError, HTTPClient
+from ._transport import APIError, HTTPClient, bearer_headers
 from .corpus import check_int, normalize_surface
 
 if TYPE_CHECKING:
@@ -109,7 +109,8 @@ def encode_texts(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
     """The ``(len(texts), config.dimension)`` float64 matrix whose row ``i``
     is the unit embedding of ``texts[i]``: ``encode(texts[i], config)`` for
     hashed n-grams; for the external provider, once every text is checked,
-    one POST per block of ``EXTERNAL_BLOCK`` texts. Errors name the position."""
+    one POST per block of ``EXTERNAL_BLOCK`` texts under the default
+    ``HTTPClient`` settings. Errors name the position."""
     import numpy as np
 
     matrix = np.empty((len(texts), config.dimension))
@@ -123,7 +124,7 @@ def encode_texts(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
     for position, text in enumerate(texts):
         if not normalize_surface(text):
             raise EncodeError(f"text {position}: cannot encode text that is empty after normalization")
-    http = HTTPClient(api_key=None, transport=None, sleeper=time.sleep)
+    http = HTTPClient(bearer_headers(None), transport=None, sleeper=time.sleep)
     for start in range(0, len(texts), EXTERNAL_BLOCK):
         _embed_block(http, config, texts[start : start + EXTERNAL_BLOCK], matrix, start)
     return matrix

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import _transport  # post_json looked up per call, so a wrapper set on the module sees every POST
-from ._transport import APIError, HTTPClient, RetryPolicy, Transport
+from ._transport import APIError, HTTPClient, Transport, bearer_headers
 from .corpus import AnnotatedSentence, Triplet, check_int, check_real
 from .retriever import RetrievedContext
 
@@ -51,7 +51,7 @@ class GenerationConfig:
     temperature: float = 0.1
     max_output_tokens: int = 512
     timeout: float = 60.0
-    max_retries: int = RetryPolicy.max_retries
+    max_retries: int = HTTPClient.max_retries
     in_flight: int = 4
 
     def __post_init__(self) -> None:
@@ -77,9 +77,9 @@ class RemoteLLMClient:
     """Chat-completions client.
 
     POSTs ``{base_url}/chat/completions`` with a single user message and
-    reads the first choice's message content. The credential, headers and
-    retries with exponential backoff come from the shared ``HTTPClient`` core:
-    ``api_key=None`` reads ``KGTE_API_KEY``, ``""`` sends no credential. The
+    reads the first choice's message content. Its one ``HTTPClient`` record
+    holds the bearer headers (``api_key=None`` reads ``KGTE_API_KEY``, ``""``
+    sends none), ``config``'s timeout and retries, and ``backoff_base``. The
     run's pool bounds requests in flight. Every call emits one DEBUG record on
     ``kgte.extraction`` whose ``request`` holds ``url``, ``model``,
     ``prompt_chars`` and ``outcome``: "ok" with ``completion_chars``, or
@@ -93,16 +93,13 @@ class RemoteLLMClient:
         api_key: str | None = None,
         transport: Transport | None = None,
         sleeper: Callable[[float], None] = time.sleep,
-        backoff_base: float = RetryPolicy.backoff_base,
+        backoff_base: float = HTTPClient.backoff_base,
     ):
         self.base_url = base_url.rstrip("/")
         self.config = config
         self._http = HTTPClient(
-            api_key=api_key,
-            timeout=config.timeout,
-            policy=RetryPolicy(max_retries=config.max_retries, backoff_base=backoff_base),
-            transport=transport,
-            sleeper=sleeper,
+            bearer_headers(api_key), transport=transport, sleeper=sleeper,
+            timeout=config.timeout, max_retries=config.max_retries, backoff_base=backoff_base,
         )
 
     def generate(self, prompt: str) -> str:

@@ -153,6 +153,13 @@ class TestLogParamFit:
             log_param_fit([(1.5, 0.1), bad, (40.0, 0.3)])
 
 
+@pytest.mark.parametrize("fit", [linear_fit, log_param_fit])
+@pytest.mark.parametrize("as_input", [list, lambda points: (point for point in points)], ids=["list", "generator"])
+def test_fits_read_their_points_once(fit, as_input):
+    points = [(n, 0.05 * math.log(n)) for n in (1.5, 7, 40, 65)]
+    assert fit(as_input(points)) == fit(points)
+
+
 class TestFitAblation:
     def test_recovers_published_scale_response(self):
         # the KB-downscale study's linear response, fed synthetically

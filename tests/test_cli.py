@@ -476,13 +476,17 @@ class TestEval:
     ids=lambda command: command[0],
 )
 @pytest.mark.parametrize("scale", ["1.5", "7", "-0.25", "nan"])
-def test_scale_outside_unit_interval_exits_1(planted_pair_manifest, tmp_path, capsys, command, scale):
+def test_scale_outside_unit_interval_exits_1(planted_pair_manifest, tmp_path, capsys, monkeypatch, command, scale):
+    loads = []
+    for module in (kgte.cli, kgte.analysis):
+        monkeypatch.setattr(module, "load_dataset", lambda manifest: loads.append(manifest) or load_dataset(manifest))
     out = tmp_path / "out"
     args = [arg.format(tmp=out, scale=scale) for arg in command]
     if command[0] != "ablate":
         args += ["--scale", scale]
     assert run_cli([*args, "--manifest", str(planted_pair_manifest), "--dimension", "64"]) == 1
     assert "scale must be in [0, 1]" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert loads == []
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -14,7 +15,6 @@ from kgte import (
     AnnotatedSentence,
     GenerationConfig,
     RemoteLLMClient,
-    RetryPolicy,
     RetrievedContext,
     TransportError,
     Triplet,
@@ -26,6 +26,7 @@ from kgte import (
     sentence_f1,
     sentence_rng,
 )
+from kgte._transport import HTTPClient
 from kgte.extraction import EXTRACTORS
 from conftest import planted_single_records
 
@@ -103,30 +104,41 @@ class TestModelCatalog:
             GenerationConfig(**{field: value})
 
 
-class TestRetryPolicy:
+def http_client(**settings) -> HTTPClient:
+    return HTTPClient({}, transport=None, sleeper=lambda _: None, **settings)
+
+
+class TestHTTPClient:
     @pytest.mark.parametrize("value", [1.5, True, "2"])
     def test_non_int_max_retries_rejected(self, value):
         with pytest.raises(ValueError, match="max_retries must be an int"):
-            RetryPolicy(max_retries=value)
+            http_client(max_retries=value)
 
     @pytest.mark.parametrize("field", ["backoff_base"])
     @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
     def test_backoff_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
-            RetryPolicy(**{field: value})
+            http_client(**{field: value})
 
     @pytest.mark.parametrize("value", [True, "0.25", None])
     def test_non_real_backoff_rejected(self, value):
         with pytest.raises(ValueError, match="backoff_base must be a real number"):
-            RetryPolicy(backoff_base=value)
+            http_client(backoff_base=value)
+
+    @pytest.mark.parametrize("field", ["headers", "transport", "sleeper", "timeout", "max_retries", "backoff_base"])
+    def test_fields_cannot_be_reassigned(self, field):
+        # the run's pool shares one client across its threads
+        client = http_client()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(client, field, getattr(client, field))
 
     def test_client_with_negative_backoff_fails_when_built(self):
         with pytest.raises(ValueError, match="backoff_base"):
             RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k", backoff_base=-1.0)
 
-    def test_client_defaults_are_the_policy_defaults(self):
+    def test_client_defaults_are_the_http_client_defaults(self):
         client = RemoteLLMClient("http://llm.local", GenerationConfig(), api_key="k")
-        assert client._http.policy == RetryPolicy()
+        assert (client._http.max_retries, client._http.backoff_base) == (HTTPClient.max_retries, HTTPClient.backoff_base)
 
 
 class TestRemoteLLMClient:

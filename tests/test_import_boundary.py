@@ -1,10 +1,13 @@
-"""numpy stays behind the embedding layer, and generation behind prompt text.
+"""numpy stays behind the embedding layer, requests behind a real endpoint,
+and generation behind prompt text.
 
 Only ``encoder`` and ``vector_index`` compute with arrays, and they import
 numpy inside the functions that do (or under ``if TYPE_CHECKING:`` for
 annotations), so a process that embeds nothing never loads it. The AST walk
-keeps a module-level import from coming back. The subprocess checks run in
-fresh interpreters, because this one has numpy loaded already. The same walk
+keeps a module-level import from coming back. Only ``_transport`` imports
+requests, inside the default transport, so no run that talks to no endpoint
+loads it. The subprocess checks run in fresh interpreters, because this one
+has numpy and requests loaded already, and report both. The same walk
 keeps ``extraction`` from importing ``prompting``: the LLM client sends the
 rendered prompt text and knows no template. And ``encoder`` imports neither
 ``parsing`` nor ``Triplet``: it turns text into vectors, and the triplet line
@@ -78,6 +81,14 @@ def test_only_analysis_owns_concurrency(path):
         assert module in allowed or not imports, f"{path.name} imports {module} (line {imports[0][0]}); only analysis.py may import threading or concurrent.futures, and no module uuid"
 
 
+@pytest.mark.parametrize("path", [*MODULES, Path(kgte.__file__)], ids=lambda p: p.name)
+def test_only_the_default_transport_imports_requests(path):
+    imports = _imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "requests")
+    if path.name != "_transport.py":
+        assert not imports, f"{path.name} imports requests (line {imports[0][0]}); only _transport.py may"
+    assert all(deferred for _, deferred in imports), f"{path.name} imports requests at module level"
+
+
 def test_the_walk_tells_deferred_from_eager_imports():
     source = (
         "from typing import TYPE_CHECKING\n"
@@ -126,7 +137,8 @@ def test_encoder_imports_neither_parsing_nor_triplet():
 MANIFEST = DATA_DIR / "mini" / "manifest.json"
 
 # one snippet per run; each is run in a fresh interpreter, which then reports
-# whether numpy was loaded
+# whether numpy and requests were loaded; none talks to an endpoint, so none
+# may load requests
 LOADS_NO_NUMPY = {
     "load-and-kb": "ds = kgte.load_dataset(M); kgte.build_kb(ds.train, ds.validation)",
     "extract-static2": "assert main(['extract', '--manifest', M, '--mode', 'static2', '--extractor', 'oracle-gold', '--out', W + '/x']) == 0",
@@ -137,6 +149,8 @@ LOADS_NO_NUMPY = {
 }
 LOADS_NUMPY = {
     "index": "assert main(['index', '--manifest', M, '--out', W + '/kb.index.json']) == 0",
+    "sweep-p": "assert main(['sweep-p', '--manifest', M, '--nkb-list', '1,2', '--out', W + '/curve.csv']) == 0",
+    "ablate": "assert main(['ablate', '--manifest', M, '--scales', '0.5,1', '--out', W + '/ablation.json']) == 0",
     "retrieve": (
         "ds = kgte.load_dataset(M); index = kgte.build_index(kgte.build_kb(ds.train, ds.validation), 'triplet'); "
         "kgte.retrieve_triplets(ds.test[0].text, index, 5)"
@@ -144,7 +158,7 @@ LOADS_NUMPY = {
 }
 
 
-def _loads_numpy(snippet: str, work: Path) -> bool:
+def _loaded(snippet: str, work: Path) -> dict[str, bool]:
     (work / "pred.jsonl").write_text('[["Colosseum", "located_in", "Rome"]]\n[]\n[]\n[]\n', encoding="utf-8")
     (work / "points.csv").write_text("x,y\n0,1\n1,3\n2,5\n", encoding="utf-8")
     program = (
@@ -153,20 +167,20 @@ def _loads_numpy(snippet: str, work: Path) -> bool:
         "from kgte.cli import main\n"
         f"M, D, W = {str(MANIFEST)!r}, {str(MANIFEST.parent)!r}, {str(work)!r}\n"
         f"{snippet}\n"
-        "print(repr('numpy' in sys.modules))\n"
+        "print(repr({name: name in sys.modules for name in ('numpy', 'requests')}))\n"
     )
     source = str(Path(kgte.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1] == "True"
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("snippet", LOADS_NO_NUMPY.values(), ids=LOADS_NO_NUMPY.keys())
 def test_runs_that_embed_nothing_load_no_numpy(snippet, tmp_path):
-    assert not _loads_numpy(snippet, tmp_path)
+    assert _loaded(snippet, tmp_path) == {"numpy": False, "requests": False}
 
 
 @pytest.mark.parametrize("snippet", LOADS_NUMPY.values(), ids=LOADS_NUMPY.keys())
 def test_runs_that_embed_load_numpy(snippet, tmp_path):
-    assert _loads_numpy(snippet, tmp_path)
+    assert _loaded(snippet, tmp_path) == {"numpy": True, "requests": False}
