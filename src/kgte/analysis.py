@@ -179,7 +179,7 @@ def random_model_study(
 
 @dataclass(frozen=True)
 class ExperimentRunSpec:
-    """Everything needed to replay a run byte-identically with pure extractors."""
+    """Everything needed to replay a run byte-identically with pure extractors, the index's encoder included."""
 
     manifest: str
     mode: str
@@ -190,14 +190,16 @@ class ExperimentRunSpec:
     seed: int = 0
     split: str = "test"
     embed_mode: str = "sentence"
-    dimension: int = EncoderConfig.dimension
-    ngram_range: tuple[int, int] = EncoderConfig.ngram_range
+    encoder: EncoderConfig = EncoderConfig()
     char_budget: int | None = None
     generation: GenerationConfig = field(default_factory=GenerationConfig)
 
     def __post_init__(self) -> None:
         if not isinstance(self.manifest, str) or not self.manifest:
             raise ValueError(f"manifest must be a non-empty string, got {self.manifest!r}")
+        for name, config_type in (("encoder", EncoderConfig), ("generation", GenerationConfig)):
+            if not isinstance(getattr(self, name), config_type):
+                raise ValueError(f"{name} must be of type {config_type.__name__}, got {getattr(self, name)!r}")
         PromptTemplate(self.prompt_kind, self.mode)  # rejects an unknown prompt kind or mode
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"unknown extractor {self.extractor!r}")
@@ -209,29 +211,29 @@ class ExperimentRunSpec:
         check_int("seed", self.seed)
         if self.char_budget is not None:
             check_int("char_budget", self.char_budget, 1)
-        # rejects a bad dimension or n-gram range, and stores the range as a tuple
-        object.__setattr__(self, "ngram_range", self.encoder_config().ngram_range)
         if self.mode not in CONTEXT_INDEX_KINDS:  # builds no index, so these would have no effect
-            for name in ("n_kb", "scale", "dimension", "ngram_range"):
+            for name in ("n_kb", "scale", "encoder"):
                 if getattr(self, name) != getattr(ExperimentRunSpec, name):
                     raise ValueError(f"{name} {getattr(self, name)!r} needs a retrieval mode, not {self.mode!r}")
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            provider="hashed-ngram", dimension=self.dimension, ngram_range=self.ngram_range
-        )
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentRunSpec":
-        """The spec ``to_json`` wrote; a missing or null ``generation`` is the default config."""
-        data = dict(json.loads(text))
+        """The spec ``to_json`` wrote, a JSON object. A missing or null ``generation`` is the default
+        config, and a missing or null ``encoder`` the hashed n-gram config of the top-level
+        ``dimension`` and ``ngram_range`` that specs held before the field existed."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a run spec is a JSON object, not {type(data).__name__}")
         generation = data.pop("generation", None)
         if generation is not None:
             data["generation"] = GenerationConfig(**generation)
-        return cls(**data)
+        encoder = data.pop("encoder", None)
+        if encoder is None:
+            encoder = {name: data.pop(name) for name in ("dimension", "ngram_range") if name in data}
+        return cls(**data, encoder=EncoderConfig(**encoder))
 
 
 @dataclass
@@ -336,7 +338,7 @@ def run_experiment(
     _check_llm_client(spec, llm_client)
     dataset = load_dataset(spec.manifest)
     kind = CONTEXT_INDEX_KINDS.get(spec.mode)
-    index = None if kind is None else index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder_config())
+    index = None if kind is None else index_dataset(dataset, kind, spec.scale, spec.seed, spec.embed_mode, spec.encoder)
     result = _run_on(spec, dataset, index, llm_client)
     if out_dir is not None:
         _write_artifacts(result, Path(out_dir))
@@ -480,8 +482,7 @@ def run_ablation(
     extractor: str = "random",
     n_kb: int = ExperimentRunSpec.n_kb,
     prompt_kind: str = ExperimentRunSpec.prompt_kind,
-    dimension: int = EncoderConfig.dimension,
-    ngram_range: tuple[int, int] = EncoderConfig.ngram_range,
+    encoder: EncoderConfig = ExperimentRunSpec.encoder,
     embed_mode: str = ExperimentRunSpec.embed_mode,
     llm_client: RemoteLLMClient | None = None,
 ) -> AblationResult:
@@ -509,8 +510,7 @@ def run_ablation(
         n_kb=n_kb,
         seed=seed,
         embed_mode=embed_mode,
-        dimension=dimension,
-        ngram_range=ngram_range,
+        encoder=encoder,
         generation=llm_client.config if llm_client is not None else GenerationConfig(),
     )
     _check_llm_client(spec, llm_client)
@@ -519,7 +519,7 @@ def run_ablation(
         raise ValueError("no scales to run")
     dataset = load_dataset(spec.manifest)
     full_kb = build_kb(dataset.train, dataset.validation)
-    full_index = functools.cache(lambda: build_index(full_kb, CONTEXT_INDEX_KINDS[mode], embed_mode, spec.encoder_config()))
+    full_index = functools.cache(lambda: build_index(full_kb, CONTEXT_INDEX_KINDS[mode], embed_mode, encoder))
     points = [_ablation_point(s, dataset, _scaled_index(full_kb, s.scale, seed, full_index), llm_client) for s in specs]
     xs = {point.p for point in points}
     fit = linear_fit([(point.p, point.f1) for point in points]) if len(xs) >= 2 else None

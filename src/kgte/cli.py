@@ -80,12 +80,7 @@ def _encoder_config(args) -> EncoderConfig:
         for flag, value in (("--ngram-min", args.ngram_min), ("--ngram-max", args.ngram_max)):
             if value is not None:
                 args.usage_error(f"argument {flag}: not allowed with --embed-url")
-        return EncoderConfig(
-            provider="external",
-            dimension=args.dimension,
-            endpoint=args.embed_url,
-            model=args.embed_model,
-        )
+        return EncoderConfig("external", args.dimension, endpoint=args.embed_url, model=args.embed_model)
     lo, hi = EncoderConfig.ngram_range
     ngram_range = (lo if args.ngram_min is None else args.ngram_min, hi if args.ngram_max is None else args.ngram_max)
     return EncoderConfig(dimension=args.dimension, ngram_range=ngram_range)
@@ -140,8 +135,7 @@ def _cmd_extract(args) -> int:
         seed=args.seed,
         split=args.split,
         embed_mode=args.embed_mode,
-        dimension=args.dimension,
-        ngram_range=(args.ngram_min, args.ngram_max),
+        encoder=_encoder_config(args),
         char_budget=args.budget,
         generation=GenerationConfig(model=args.model, temperature=args.temperature),
     )
@@ -195,8 +189,7 @@ def _cmd_ablate(args) -> int:
         mode=args.mode,
         extractor=args.extractor,
         n_kb=args.nkb,
-        dimension=args.dimension,
-        ngram_range=(args.ngram_min, args.ngram_max),
+        encoder=_encoder_config(args),
         embed_mode=args.embed_mode,
     )
     _emit_json(result.to_dict(), args.out)
@@ -247,24 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     # shared flags, each declared once in a parent parser
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("--manifest", required=True)
+    # commands that embed: the encoder flags, read by _encoder_config (a given n-gram flag is not None)
     run = argparse.ArgumentParser(add_help=False, parents=[dataset])
     run.add_argument("--seed", type=int, default=ExperimentRunSpec.seed)
     run.add_argument("--embed-mode", choices=EXAMPLE_EMBED_MODES, default=ExperimentRunSpec.embed_mode)
     run.add_argument("--dimension", type=int, default=EncoderConfig.dimension)
-    # commands that build a KB index themselves; a given n-gram flag is not None
+    run.add_argument("--ngram-min", type=int)
+    run.add_argument("--ngram-max", type=int)
+    run.add_argument("--embed-url", help="external embeddings endpoint (default: built-in hashed n-grams)")
+    run.add_argument("--embed-model", help="model id for the external embeddings endpoint")
+    # commands that build a KB index themselves
     kb_index = argparse.ArgumentParser(add_help=False, parents=[run])
     kb_index.add_argument("--kind", choices=NODE_KINDS, default="triplet")
     kb_index.add_argument("--scale", type=float, default=ExperimentRunSpec.scale)
-    kb_index.add_argument("--ngram-min", type=int)
-    kb_index.add_argument("--ngram-max", type=int)
-    kb_index.add_argument("--embed-url", help="external embeddings endpoint (default: built-in hashed n-grams)")
-    kb_index.add_argument("--embed-model", help="model id for the external embeddings endpoint")
-    # experiment runs, which always use hashed n-grams
     experiment = argparse.ArgumentParser(add_help=False, parents=[run])
     experiment.add_argument("--nkb", type=int, default=ExperimentRunSpec.n_kb)
-    lo, hi = EncoderConfig.ngram_range
-    experiment.add_argument("--ngram-min", type=int, default=lo)
-    experiment.add_argument("--ngram-max", type=int, default=hi)
 
     p = sub.add_parser("ingest", parents=[dataset], help="validate a dataset and report its statistics")
     p.add_argument("--out")
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--llm-url", help="chat-completions base URL (required for --extractor llm)")
     p.add_argument("--out", required=True, help="directory for report.json, sentences.jsonl, spec.json")
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_extract, usage_error=p.error)
 
     p = sub.add_parser("eval", help="score a predictions file against gold records")
     p.add_argument("--pred", required=True)
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extractor", choices=EXTRACTORS, default=ablation_defaults["extractor"].default)
     p.add_argument("--out")
     p.add_argument("--points-out", help="also write the (P_S, F1) pairs as x,y CSV for `kgte fit`")
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_ablate, usage_error=p.error)
 
     p = sub.add_parser("fit", help="OLS fit of a two-column CSV, optionally in log-x")
     p.add_argument("--input", required=True)

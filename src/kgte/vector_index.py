@@ -34,7 +34,7 @@ an index lives exactly as long as its callers hold it.
 
 As in ``encoder``, numpy is imported inside the functions that touch the
 matrix (``VectorIndex.__post_init__``, ``_select_rows``, ``top_k``,
-``save_index``, ``load_index``), so importing this module loads no numpy;
+``save_index``, ``_read_matrix``), so importing this module loads no numpy;
 building, loading or querying an index loads it at the first array
 operation.
 """
@@ -45,6 +45,7 @@ import dataclasses
 import functools
 import json
 import os
+import tokenize
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -347,12 +348,13 @@ def load_index(path: str | Path) -> VectorIndex:
     asks for a rebuild. The matrix is always ``index_matrix_path(path)``,
     read whole into one array that the index adopts. The payloads are built
     and the parsed header tree freed before the matrix is read, so the load
-    never holds both. Anything malformed in either file (a matrix not of
-    shape (payloads, encoder dimension) included) raises
-    ``IndexFormatError`` naming the header.
+    never holds both. Anything malformed in either file raises
+    ``IndexFormatError`` naming the header: for the matrix, before anything
+    is allocated, a ``.npy`` header that does not parse or that states a
+    dtype other than ``<f8``, Fortran order or a shape other than (payloads,
+    encoder dimension), and a file size other than that header's plus the
+    rows' bytes.
     """
-    import numpy as np
-
     path = Path(path)
     matrix_path = index_matrix_path(path)
     try:
@@ -391,12 +393,34 @@ def load_index(path: str | Path) -> VectorIndex:
     payloads = tuple(payloads)
     doc = raw = None  # free the parsed header tree before the matrix is read
     try:
-        matrix = np.load(matrix_path, allow_pickle=False)
-    except (OSError, ValueError, EOFError, TypeError) as exc:
+        matrix = _read_matrix(matrix_path, (len(payloads), config.dimension))
+    except (OSError, ValueError, EOFError, TypeError, SyntaxError, tokenize.TokenError) as exc:
         raise IndexFormatError(f"{path}: cannot read matrix file {matrix_path}: {exc}") from exc
-    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
-        raise IndexFormatError(f"{path}: matrix file {matrix_path} does not hold a float64 array")
     try:
         return VectorIndex(kind, payloads, matrix, config, embed_mode)
     except ValueError as exc:
         raise IndexFormatError(f"{path}: matrix file {matrix_path}: {exc}") from exc
+
+
+def _read_matrix(matrix_path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """The C-order ``<f8`` matrix of ``shape`` in the ``.npy`` file at
+    ``matrix_path``, read into one array once the file's header and size
+    are checked, so a file that claims anything else allocates nothing; the
+    ``ValueError`` says what it claims."""
+    import numpy as np
+    from numpy.lib import format as npy_format
+
+    with open(matrix_path, "rb") as fh:
+        version = npy_format.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"its .npy format version {version} is not 1.0 or 2.0")
+        read_header = npy_format.read_array_header_1_0 if version == (1, 0) else npy_format.read_array_header_2_0
+        stated_shape, fortran_order, dtype = read_header(fh)
+        if dtype != np.dtype("<f8") or fortran_order:
+            raise ValueError(f"it holds {dtype.str} in {'Fortran' if fortran_order else 'C'} order, not <f8 in C order")
+        if stated_shape != shape:
+            raise ValueError(f"it has shape {stated_shape}, not (payloads, dim) {shape}")
+        size, expected = os.fstat(fh.fileno()).st_size, fh.tell() + shape[0] * shape[1] * 8
+        if size != expected:
+            raise ValueError(f"it has {size} bytes, not the {expected} that its header and shape make")
+        return np.fromfile(fh, dtype=dtype, count=shape[0] * shape[1]).reshape(shape)

@@ -268,7 +268,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         mode="triplets",
         extractor="oracle-prefix",
         n_kb=2,
-        dimension=128,
+        encoder=EncoderConfig(dimension=128),
     )
     result = run_experiment(spec, tmp_path / "run1")
     assert result.report.f1 == 1.0
@@ -280,7 +280,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
 
     random_spec = ExperimentRunSpec(
         manifest=str(manifest), mode="triplets", extractor="random", n_kb=2,
-        seed=99, dimension=128,
+        seed=99, encoder=EncoderConfig(dimension=128),
     )
     a = run_experiment(random_spec).report.to_json()
     b = run_experiment(random_spec).report.to_json()
@@ -288,7 +288,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
 
     kb_less = ExperimentRunSpec(
         manifest=str(manifest), mode="triplets", extractor="random", n_kb=2,
-        scale=0.0, seed=7, dimension=128,
+        scale=0.0, seed=7, encoder=EncoderConfig(dimension=128),
     )
     zero = ExperimentRunSpec(
         manifest=str(manifest), mode="zero", extractor="random", seed=7

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import inspect
 import json
@@ -10,6 +11,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgte.analysis
 import kgte.corpus
@@ -42,7 +45,10 @@ from kgte import (
     triplet_to_string,
 )
 from kgte.analysis import EXTRACTORS
+from kgte.corpus import SPLIT_NAMES
+from kgte.prompting import MODES, PROMPT_KINDS
 from kgte.retriever import CONTEXT_MODES
+from kgte.vector_index import EXAMPLE_EMBED_MODES
 from conftest import planted_dataset, planted_pair_records, planted_single_records
 from kgte import save_dataset
 
@@ -188,10 +194,41 @@ def single_manifest(tmp_path):
     return save_dataset(planted_dataset(planted_single_records(20)), tmp_path / "singles")
 
 
+EXTERNAL = EncoderConfig(provider="external", dimension=8, endpoint="http://embed.test/v1/embeddings", model="fake")
+
+_encoders = st.one_of(
+    st.builds(EncoderConfig, dimension=st.integers(1, 1024), ngram_range=st.tuples(st.integers(1, 3), st.integers(3, 6))),
+    st.builds(EncoderConfig, provider=st.just("external"), dimension=st.integers(1, 4096),
+              endpoint=st.text(min_size=1), model=st.text(min_size=1)),
+)
+
+
+@st.composite
+def run_specs(draw):
+    """Any valid spec: a retrieval mode draws its retrieval fields, a hashed or an external encoder among them."""
+    mode = draw(st.sampled_from(MODES))
+    retrieval = {} if mode not in CONTEXT_MODES else {
+        "n_kb": draw(st.integers(1, 50)),
+        "scale": draw(st.floats(0, 1)),
+        "embed_mode": draw(st.sampled_from(EXAMPLE_EMBED_MODES if mode == "examples" else ["sentence"])),
+        "encoder": draw(_encoders),
+    }
+    generation = st.builds(
+        GenerationConfig, model=st.sampled_from(["llama-65b", "gpt2-base", "an unlisted model"]), temperature=st.floats(0, 2),
+        max_output_tokens=st.integers(1, 1000), timeout=st.floats(0.5, 600), max_retries=st.integers(0, 5), in_flight=st.integers(1, 16),
+    )
+    return ExperimentRunSpec(
+        manifest=draw(st.text(min_size=1)), mode=mode, extractor=draw(st.sampled_from(EXTRACTORS)),
+        prompt_kind=draw(st.sampled_from(PROMPT_KINDS)), seed=draw(st.integers(-2**70, 2**70)),
+        split=draw(st.sampled_from(SPLIT_NAMES)), char_budget=draw(st.none() | st.integers(1, 10**6)),
+        generation=draw(generation), **retrieval,
+    )
+
+
 def spec_for(manifest, **overrides):
     fields = {"manifest": str(manifest), "mode": "triplets", "extractor": "oracle-prefix", **overrides}
     if fields["mode"] in CONTEXT_MODES:  # zero and static2 take no retrieval fields
-        fields = {"n_kb": 2, "dimension": 128, **fields}
+        fields = {"n_kb": 2, "encoder": EncoderConfig(dimension=128), **fields}
     return ExperimentRunSpec(**fields)
 
 
@@ -328,9 +365,13 @@ class TestRunExperiment:
         for run in result.runs:
             assert run.predictions[0].object == f"n{len(run.prompt.rendered)}"
 
-    def test_spec_round_trips_through_json(self, pair_manifest):
-        spec = spec_for(pair_manifest, extractor="random", seed=9, char_budget=4000)
-        assert ExperimentRunSpec.from_json(spec.to_json()) == spec
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(spec=run_specs())
+    def test_spec_round_trips_through_json(self, spec):
+        text = spec.to_json()
+        assert ExperimentRunSpec.from_json(text) == spec
+        assert ExperimentRunSpec.from_json(text).to_json() == text
+        assert EncoderConfig(**json.loads(text)["encoder"]) == spec.encoder  # every field, as an index header holds it
 
     @pytest.mark.parametrize("generation", ["", ', "generation": null'], ids=["missing", "null"])
     def test_missing_or_null_generation_is_the_default_config(self, generation):
@@ -338,11 +379,8 @@ class TestRunExperiment:
         assert spec.generation == GenerationConfig()
 
     def test_encoder_defaults_are_encoder_configs(self):
-        defaults = EncoderConfig()
         spec = ExperimentRunSpec(manifest="m", mode="zero", extractor="random")
-        assert (spec.dimension, spec.ngram_range) == (defaults.dimension, defaults.ngram_range)
-        params = inspect.signature(run_ablation).parameters
-        assert (params["dimension"].default, params["ngram_range"].default) == (defaults.dimension, defaults.ngram_range)
+        assert spec.encoder == inspect.signature(run_ablation).parameters["encoder"].default == EncoderConfig()
 
     @pytest.mark.parametrize("name", ["n_kb", "prompt_kind", "embed_mode"])
     def test_ablation_defaults_are_the_spec_defaults(self, name):
@@ -360,19 +398,20 @@ class TestRunExperiment:
             seed=11,
             split="validation",
             embed_mode="sentence+triplets",
-            dimension=96,
-            ngram_range=[2, 4],
+            encoder=EncoderConfig(dimension=96, ngram_range=[2, 4]),
             char_budget=1234,
             generation=GenerationConfig(
                 model="gpt-4", temperature=0.5, max_output_tokens=64, timeout=5.5, max_retries=4, in_flight=3
             ),
         )
         assert spec.to_json() == (
-            '{\n  "char_budget": 1234,\n  "dimension": 96,\n  "embed_mode": "sentence+triplets",\n'
+            '{\n  "char_budget": 1234,\n  "embed_mode": "sentence+triplets",\n  "encoder": {\n'
+            '    "dimension": 96,\n    "endpoint": null,\n    "model": null,\n'
+            '    "ngram_range": [\n      2,\n      4\n    ],\n    "provider": "hashed-ngram"\n  },\n'
             '  "extractor": "oracle-prefix",\n  "generation": {\n    "in_flight": 3,\n'
             '    "max_output_tokens": 64,\n    "max_retries": 4,\n    "model": "gpt-4",\n'
             '    "temperature": 0.5,\n    "timeout": 5.5\n  },\n  "manifest": "data/manifest.json",\n'
-            '  "mode": "examples",\n  "n_kb": 7,\n  "ngram_range": [\n    2,\n    4\n  ],\n'
+            '  "mode": "examples",\n  "n_kb": 7,\n'
             '  "prompt_kind": "documented",\n  "scale": 0.3,\n  "seed": 11,\n  "split": "validation"\n}\n'
         )
 
@@ -413,13 +452,13 @@ class TestRunExperiment:
             ("split", "nope", "split"),
             ("embed_mode", "what", "embed mode"),
             ("embed_mode", "sentence+triplets", "needs an example index"),
-            ("dimension", 0, "dimension"),
-            ("dimension", -4, "dimension"),
-            ("ngram_range", (5, 3), "ngram_range"),
-            ("ngram_range", (0, 2), "ngram_range"),
-            ("ngram_range", [3], "ngram_range must be a pair"),
-            ("ngram_range", [3, 4, 5], "ngram_range must be a pair"),
-            ("ngram_range", 5, "ngram_range must be a pair"),
+            # a config field holds its config record, not the record's fields
+            ("encoder", {"dimension": 128}, "^encoder must be of type EncoderConfig, got {'dimension': 128}$"),
+            ("encoder", None, "^encoder must be of type EncoderConfig, got None$"),
+            ("encoder", GenerationConfig(), "^encoder must be of type EncoderConfig, got GenerationConfig"),
+            ("generation", {"model": "x"}, "^generation must be of type GenerationConfig, got {'model': 'x'}$"),
+            ("generation", None, "^generation must be of type GenerationConfig, got None$"),
+            ("generation", EncoderConfig(), "^generation must be of type GenerationConfig, got EncoderConfig"),
         ],
     )
     def test_every_field_checked_at_construction(self, pair_manifest, field, value, needle):
@@ -450,11 +489,7 @@ class TestRunExperiment:
             ("seed", True),
             ("seed", 1.5),
             ("seed", "0"),
-            ("dimension", 1.5),
-            ("dimension", False),
             ("char_budget", 2000.0),
-            ("ngram_range", (3.0, 5)),
-            ("ngram_range", (3, True)),
             ("scale", "0.5"),
             ("scale", True),
             ("scale", None),
@@ -479,6 +514,11 @@ class TestRunExperiment:
             ("generation", {"temperature": True}),
             ("generation", {"timeout": "60"}),
             ("generation", {"model": 3}),
+            ("encoder", {"dimension": 1.5}),
+            ("encoder", {"dimension": False}),
+            ("encoder", {"ngram_range": [3.0, 5]}),
+            ("encoder", {"ngram_range": [3, True]}),
+            ("encoder", {"model": 3, "provider": "external", "endpoint": "http://e"}),
         ],
     )
     def test_replay_of_a_wrong_typed_spec_file_names_the_file(self, tmp_path, field, value):
@@ -510,7 +550,7 @@ class TestRunExperiment:
 
     def test_a_truncated_prompt_holds_the_context_the_extractor_reads(self, mini_manifest):
         spec = ExperimentRunSpec(
-            manifest=str(mini_manifest), mode="triplets", extractor="oracle-prefix", n_kb=10, dimension=128, char_budget=380
+            manifest=str(mini_manifest), mode="triplets", extractor="oracle-prefix", n_kb=10, encoder=EncoderConfig(dimension=128), char_budget=380
         )
         result = run_experiment(spec)
         dataset = load_dataset(mini_manifest)
@@ -527,7 +567,7 @@ class TestRunExperiment:
 
     def test_the_sentence_log_counts_the_items_the_prompt_holds(self, mini_manifest, tmp_path):
         spec = ExperimentRunSpec(
-            manifest=str(mini_manifest), mode="triplets", extractor="random", n_kb=10, dimension=128, char_budget=380
+            manifest=str(mini_manifest), mode="triplets", extractor="random", n_kb=10, encoder=EncoderConfig(dimension=128), char_budget=380
         )
         result = run_experiment(spec, tmp_path)
         lines = [json.loads(line) for line in (tmp_path / "sentences.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -548,7 +588,13 @@ class TestRunExperiment:
             pytest.param('{"manifest": "m.json", ', "Expecting", id="invalid-json"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "shots": 2}', "shots", id="unknown-key"),
             pytest.param('{"mode": "zero", "extractor": "random"}', "manifest", id="no-manifest"),
-            pytest.param('["manifest"]', "", id="not-an-object"),
+            pytest.param('["manifest"]', "a run spec is a JSON object, not list", id="not-an-object"),
+            pytest.param(
+                '[["manifest", "m.json"], ["mode", "zero"], ["extractor", "random"]]',
+                "a run spec is a JSON object, not list",
+                id="list-of-pairs",
+            ),
+            pytest.param('"m.json"', "a run spec is a JSON object, not str", id="string"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "scale": 2}', "scale", id="bad-scale"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "n_kb": 0}', "n_kb", id="bad-n-kb"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "split": "nope"}', "split", id="bad-split"),
@@ -559,6 +605,19 @@ class TestRunExperiment:
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": [3]}', "ngram_range must be a pair", id="ngram-range-one"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": [3, 4, 5]}', "ngram_range must be a pair", id="ngram-range-three"),
             pytest.param('{"manifest": "m.json", "mode": "zero", "extractor": "random", "ngram_range": 5}', "ngram_range must be a pair", id="ngram-range-int"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"dimension": 0}}', "dimension", id="encoder-bad-dimension"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"ngram_range": [5, 3]}}', "ngram_range", id="encoder-bad-ngram-range"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"dimension": -4}}', "dimension", id="encoder-negative-dimension"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"ngram_range": [0, 2]}}', "ngram_range", id="encoder-zero-ngram-min"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"ngram_range": [3]}}', "ngram_range must be a pair", id="encoder-ngram-range-one"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"ngram_range": [3, 4, 5]}}', "ngram_range must be a pair", id="encoder-ngram-range-three"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"ngram_range": 5}}', "ngram_range must be a pair", id="encoder-ngram-range-int"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"provider": "word2vec"}}', "unknown provider", id="encoder-bad-provider"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"provider": "external"}}', "endpoint", id="encoder-external-no-endpoint"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"endpoint": "http://e"}}', "takes no endpoint", id="encoder-hashed-endpoint"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {"metric": "l2"}}', "metric", id="encoder-unknown-key"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": [8]}', "mapping", id="encoder-not-an-object"),
+            pytest.param('{"manifest": "m.json", "mode": "triplets", "extractor": "random", "encoder": {}, "dimension": 8}', "dimension", id="encoder-and-dimension"),
             pytest.param(
                 '{"manifest": "m.json", "mode": "zero", "extractor": "random", "generation": {"temperature": NaN}}',
                 "temperature",
@@ -576,16 +635,26 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["zero", "static2"])
     @pytest.mark.parametrize(
-        "field,value,shown",
-        [("n_kb", 7, "7"), ("scale", 0.5, "0.5"), ("dimension", 64, "64"), ("ngram_range", [2, 5], "(2, 5)")],
+        "field,value,stored",
+        [
+            ("n_kb", 7, {"n_kb": 7}),
+            ("scale", 0.5, {"scale": 0.5}),
+            ("encoder", EncoderConfig(dimension=64), {"encoder": dataclasses.asdict(EncoderConfig(dimension=64))}),
+            ("encoder", EncoderConfig(ngram_range=(2, 5)), {"encoder": dataclasses.asdict(EncoderConfig(ngram_range=(2, 5)))}),
+            ("encoder", EXTERNAL, {"encoder": dataclasses.asdict(EXTERNAL)}),
+            # as written before the encoder field
+            ("encoder", EncoderConfig(dimension=64), {"dimension": 64}),
+            ("encoder", EncoderConfig(ngram_range=(2, 5)), {"ngram_range": [2, 5]}),
+        ],
+        ids=["n_kb", "scale", "dimension", "ngram_range", "external", "legacy-dimension", "legacy-ngram_range"],
     )
-    def test_a_retrieval_field_without_retrieval_is_rejected(self, tmp_path, mode, field, value, shown):
+    def test_a_retrieval_field_without_retrieval_is_rejected(self, tmp_path, mode, field, value, stored):
         fields = {"manifest": str(tmp_path / "no-such-manifest.json"), "mode": mode, "extractor": "random"}
-        message = f"{field} {shown} needs a retrieval mode, not '{mode}'"
+        message = f"{field} {value!r} needs a retrieval mode, not '{mode}'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentRunSpec(**fields, **{field: value})
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({**fields, field: value}))
+        spec_path.write_text(json.dumps({**fields, **stored}))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{spec_path}: not a valid run spec: {message}')}$"):
             replay_experiment(spec_path)
         # the defaults, spelled out, are accepted
@@ -753,7 +822,7 @@ class TestRunAblation:
             seed=2,
             extractor="oracle-prefix",
             n_kb=2,
-            dimension=128,
+            encoder=EncoderConfig(dimension=128),
         )
         assert len(result.points) == 3
         assert result.points[0].scale == 0.0
@@ -776,7 +845,7 @@ class TestRunAblation:
             return real_build_index(kb, *args, **kwargs)
 
         monkeypatch.setattr(kgte.analysis, "build_index", recording_build_index)
-        run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
+        run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, encoder=EncoderConfig(dimension=128))
         dataset = load_dataset(pair_manifest)
         # once, at the first scale that retains an example (scale 0 leaves the
         # KB empty); scale 0.5 selects rows of that index, scale 1 takes it whole
@@ -785,7 +854,7 @@ class TestRunAblation:
     @pytest.mark.parametrize("mode,kind", [("triplets", "triplet"), ("examples", "example")])
     def test_p_equals_sweep_on_the_downscaled_kb(self, pair_manifest, mode, kind):
         scales, seed, n_kb = [0.3, 0.6, 1.0], 4, 3
-        result = run_ablation(pair_manifest, scales, seed, mode=mode, n_kb=n_kb, dimension=128)
+        result = run_ablation(pair_manifest, scales, seed, mode=mode, n_kb=n_kb, encoder=EncoderConfig(dimension=128))
         dataset = load_dataset(pair_manifest)
         for scale, point in zip(scales, result.points):
             kb = build_kb(dataset.train, dataset.validation)
@@ -805,7 +874,7 @@ class TestRunAblation:
             return real_load_dataset(*args, **kwargs)
 
         monkeypatch.setattr(kgte.analysis, "load_dataset", counting_load_dataset)
-        run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
+        run_ablation(pair_manifest, scales=[0.0, 0.5, 1.0], seed=2, extractor="random", n_kb=2, encoder=EncoderConfig(dimension=128))
         assert len(loads) == 1
 
     @pytest.mark.parametrize(
@@ -817,7 +886,7 @@ class TestRunAblation:
         monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
         client = None if client_config is None else RemoteLLMClient("http://llm.local", client_config, api_key="k")
         with pytest.raises(ValueError, match=needle):
-            run_ablation(pair_manifest, scales=[1.0], seed=2, extractor=extractor, n_kb=2, dimension=128, llm_client=client)
+            run_ablation(pair_manifest, scales=[1.0], seed=2, extractor=extractor, n_kb=2, encoder=EncoderConfig(dimension=128), llm_client=client)
 
     def test_llm_runs_use_the_client_generation_config(self, pair_manifest, llm_requests):
         models = []
@@ -827,7 +896,7 @@ class TestRunAblation:
             return 200, json.dumps({"choices": [{"message": {"content": "(a, r, b)"}}]})
 
         client = RemoteLLMClient("http://llm.local", GenerationConfig(model="gpt2-base", in_flight=2), api_key="k", transport=transport)
-        result = run_ablation(pair_manifest, scales=[0.5, 1.0], seed=2, extractor="llm", n_kb=2, dimension=128, llm_client=client)
+        result = run_ablation(pair_manifest, scales=[0.5, 1.0], seed=2, extractor="llm", n_kb=2, encoder=EncoderConfig(dimension=128), llm_client=client)
         assert len(result.points) == 2
         assert models == ["gpt2-base"] * (2 * len(load_dataset(pair_manifest).test))
         assert {(entry["model"], entry["outcome"]) for entry in llm_requests()} == {("gpt2-base", "ok")}
@@ -836,14 +905,14 @@ class TestRunAblation:
     def test_scale_outside_unit_interval_rejected_before_any_run(self, pair_manifest, monkeypatch, scales):
         monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
         with pytest.raises(ValueError, match="scale must be in"):
-            run_ablation(pair_manifest, scales=scales, seed=2, extractor="random", n_kb=2, dimension=128)
+            run_ablation(pair_manifest, scales=scales, seed=2, extractor="random", n_kb=2, encoder=EncoderConfig(dimension=128))
 
     def test_no_scales_rejected_before_the_load(self, pair_manifest, monkeypatch):
         monkeypatch.setattr(kgte.analysis, "load_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
         with pytest.raises(ValueError, match="^no scales to run$"):
-            run_ablation(pair_manifest, scales=[], seed=2, extractor="random", n_kb=2, dimension=128)
+            run_ablation(pair_manifest, scales=[], seed=2, extractor="random", n_kb=2, encoder=EncoderConfig(dimension=128))
 
-    ENCODE_ARGS = dict(scales=[0.0, 0.25, 0.5, 1.0], seed=2, extractor="random", n_kb=2, dimension=128)
+    ENCODE_ARGS = dict(scales=[0.0, 0.25, 0.5, 1.0], seed=2, extractor="random", n_kb=2, encoder=EncoderConfig(dimension=128))
 
     def test_a_live_full_index_is_reused_with_identical_results(self, mini_manifest, monkeypatch):
         alone = json.dumps(run_ablation(mini_manifest, **self.ENCODE_ARGS).to_dict(), sort_keys=True)
@@ -902,7 +971,7 @@ class TestRunAblation:
         client = RemoteLLMClient("http://llm.local", generation, api_key="k", transport=transport)
         scales = [0.5, 1.0]
         result = run_ablation(
-            mini_manifest, scales=scales, seed=2, extractor="llm", n_kb=10, dimension=128, llm_client=client
+            mini_manifest, scales=scales, seed=2, extractor="llm", n_kb=10, encoder=EncoderConfig(dimension=128), llm_client=client
         )
         test = load_dataset(mini_manifest).test
         assert len(prompts) == len(scales) * len(test)
@@ -913,7 +982,7 @@ class TestRunAblation:
                 assert f"Sentence: {sentence.text}\n" in prompt
                 hits += len({triplet_to_string(t) for t in sentence.gold} & set(held))
             assert point.p == hits / sum(len(set(s.gold)) for s in test)
-        full = run_ablation(mini_manifest, scales=scales, seed=2, extractor="random", n_kb=10, dimension=128)
+        full = run_ablation(mini_manifest, scales=scales, seed=2, extractor="random", n_kb=10, encoder=EncoderConfig(dimension=128))
         assert [point.p for point in result.points] != [point.p for point in full.points]
 
     @pytest.mark.parametrize("scales", [[0.0], [0.0, 0.01]])
@@ -925,6 +994,6 @@ class TestRunAblation:
 
     def test_degenerate_single_p_has_no_fit(self, pair_manifest):
         result = run_ablation(
-            pair_manifest, scales=[1.0], seed=0, extractor="oracle-prefix", n_kb=2, dimension=128
+            pair_manifest, scales=[1.0], seed=0, extractor="oracle-prefix", n_kb=2, encoder=EncoderConfig(dimension=128)
         )
         assert result.fit is None

@@ -227,17 +227,6 @@ class TestExtract:
 
 
 @pytest.mark.parametrize("command", ["extract", "ablate"])
-def test_experiment_commands_reject_external_encoder_flags(command, planted_pair_manifest, tmp_path):
-    # experiment runs always embed with hashed n-grams, so these flags would
-    # be ignored silently
-    for flag, value in (("--embed-url", "http://127.0.0.1:9/unreachable"), ("--embed-model", "mini")):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli([command, "--manifest", str(planted_pair_manifest), "--extractor", "oracle-prefix",
-                     "--out", str(tmp_path / "x"), flag, value])
-        assert excinfo.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["extract", "ablate"])
 def test_extractor_choices_are_the_experiment_extractors(command):
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     extractor = next(a for a in subparsers.choices[command]._actions if a.dest == "extractor")
@@ -258,7 +247,15 @@ def test_setting_choices_are_the_library_names(command, dest, names):
 def test_extract_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["extract", "--manifest", "m", "--out", "o"])
     assert GenerationConfig(model=args.model, temperature=args.temperature) == GenerationConfig()
-    assert EncoderConfig(dimension=args.dimension, ngram_range=(args.ngram_min, args.ngram_max)) == EncoderConfig()
+
+
+@pytest.mark.parametrize(
+    "command", [["index", "--out", "o"], ["sweep-p", "--nkb-list", "1"], ["extract", "--out", "o"], ["ablate"]], ids=lambda c: c[0]
+)
+def test_encoder_flag_defaults_are_the_library_defaults(command):
+    args = build_parser().parse_args([*command, "--manifest", "m"])
+    ablation_default = inspect.signature(run_ablation).parameters["encoder"].default
+    assert kgte.cli._encoder_config(args) == ExperimentRunSpec.encoder == ablation_default == EncoderConfig()
 
 
 @pytest.mark.parametrize(
@@ -284,8 +281,8 @@ def test_ablate_defaults_are_run_ablation_defaults(dest):
     assert subparsers.choices["ablate"].get_default(dest) == inspect.signature(run_ablation).parameters[dest].default
 
 
-# every subcommand's flags as (dest, default, choices, required); index and
-# sweep-p default their n-gram flags to None, so a given one is told apart
+# every subcommand's flags as (dest, default, choices, required); the four
+# that embed default their n-gram flags to None, so a given one is told apart
 FLAG_INVENTORY = {
     "ingest": {
         "--manifest": ("manifest", None, None, True),
@@ -326,8 +323,10 @@ FLAG_INVENTORY = {
         "--llm-url": ("llm_url", None, None, False),
         "--out": ("out", None, None, True),
         "--dimension": ("dimension", 384, None, False),
-        "--ngram-min": ("ngram_min", 3, None, False),
-        "--ngram-max": ("ngram_max", 5, None, False),
+        "--ngram-min": ("ngram_min", None, None, False),
+        "--ngram-max": ("ngram_max", None, None, False),
+        "--embed-url": ("embed_url", None, None, False),
+        "--embed-model": ("embed_model", None, None, False),
     },
     "eval": {
         "--pred": ("pred", None, None, True),
@@ -360,8 +359,10 @@ FLAG_INVENTORY = {
         "--out": ("out", None, None, False),
         "--points-out": ("points_out", None, None, False),
         "--dimension": ("dimension", 384, None, False),
-        "--ngram-min": ("ngram_min", 3, None, False),
-        "--ngram-max": ("ngram_max", 5, None, False),
+        "--ngram-min": ("ngram_min", None, None, False),
+        "--ngram-max": ("ngram_max", None, None, False),
+        "--embed-url": ("embed_url", None, None, False),
+        "--embed-model": ("embed_model", None, None, False),
     },
     "fit": {
         "--input": ("input", None, None, True),
@@ -636,7 +637,13 @@ def test_extract_out_of_range_temperature_exits_1(mini_manifest, tmp_path, capsy
 @pytest.mark.parametrize("mode", ["zero", "static2"])
 @pytest.mark.parametrize(
     "flags,field",
-    [(["--nkb", "7"], "n_kb"), (["--scale", "0.5"], "scale"), (["--dimension", "64"], "dimension"), (["--ngram-min", "2"], "ngram_range")],
+    [
+        (["--nkb", "7"], "n_kb"),
+        (["--scale", "0.5"], "scale"),
+        (["--dimension", "64"], "encoder"),
+        (["--ngram-min", "2"], "encoder"),
+        (["--embed-url", "http://embed.test/v1/embeddings", "--embed-model", "fake"], "encoder"),
+    ],
     ids=lambda value: value[0] if isinstance(value, list) else value,
 )
 def test_extract_retrieval_flag_without_retrieval_exits_1_before_any_load(mini_manifest, tmp_path, capsys, monkeypatch, mode, flags, field):
@@ -719,12 +726,43 @@ class TestExternalEmbeddings:
         assert sum(len(texts) for texts in embed_posts[kb_posts:]) == MINI_STATS["test"]
         assert out.read_text().startswith("n_kb,p\n1,")
 
+    def test_extract_records_the_external_encoder_and_replays_through_it(self, mini_manifest, tmp_path, embed_posts, capsys):
+        out = tmp_path / "run"
+        code = run_cli(["extract", "--manifest", str(mini_manifest), "--mode", "triplets", "--extractor", "random",
+                        "--out", str(out), *EMBED_FLAGS])
+        assert code == 0
+        kb_posts = len(embed_posts)
+        assert kb_posts == 2  # the KB's 15 triplets, then the 4 test sentences
+        spec = json.loads((out / "spec.json").read_text())
+        assert spec["encoder"] == {
+            "provider": "external", "dimension": 8, "ngram_range": [3, 5],
+            "endpoint": "http://embed.test/v1/embeddings", "model": "fake",
+        }
+        assert "dimension" not in spec and "ngram_range" not in spec
+        kgte.analysis.replay_experiment(out / "spec.json", tmp_path / "replay")
+        assert len(embed_posts) == 2 * kb_posts
+        for name in ("report.json", "sentences.jsonl", "spec.json"):
+            assert (tmp_path / "replay" / name).read_bytes() == (out / name).read_bytes(), name
 
-@pytest.mark.parametrize(
-    "command",
-    [["index", "--out", "{tmp}/kb.index.json"], ["sweep-p", "--nkb-list", "1,2", "--out", "{tmp}/curve.csv"]],
-    ids=lambda command: command[0],
-)
+    def test_ablate_runs_the_library_ablation_with_the_external_encoder(self, mini_manifest, tmp_path, embed_posts):
+        out = tmp_path / "ablation.json"
+        assert run_cli(["ablate", "--manifest", str(mini_manifest), "--scales", "0,0.5,1", "--out", str(out), *EMBED_FLAGS]) == 0
+        assert len(embed_posts) == 3  # the KB once, then the test sentences at scales 0.5 and 1 (0 keeps no example)
+        encoder = EncoderConfig(provider="external", dimension=8, endpoint="http://embed.test/v1/embeddings", model="fake")
+        result = run_ablation(mini_manifest, [0.0, 0.5, 1.0], 0, encoder=encoder)
+        assert out.read_text() == json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+# a command of each of the four that embed, with what it needs to run on the mini fixture
+EMBEDDING_COMMANDS = [
+    ["index", "--out", "{tmp}/kb.index.json"],
+    ["sweep-p", "--nkb-list", "1,2", "--out", "{tmp}/curve.csv"],
+    ["extract", "--mode", "triplets", "--extractor", "random", "--out", "{tmp}/run"],
+    ["ablate", "--out", "{tmp}/ablation.json"],
+]
+
+
+@pytest.mark.parametrize("command", EMBEDDING_COMMANDS, ids=lambda command: command[0])
 @pytest.mark.parametrize(
     "flags",
     [["--embed-model", "mini"], ["--embed-url", "http://embed.test/v1/embeddings"]],
@@ -733,6 +771,7 @@ class TestExternalEmbeddings:
 def test_embed_flags_alone_exit_1_before_any_load(mini_manifest, tmp_path, capsys, monkeypatch, embed_posts, command, flags):
     loads = []
     monkeypatch.setattr(kgte.cli, "load_dataset", loads.append)
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
     out = tmp_path / "out"
     args = [arg.format(tmp=out) for arg in command]
     assert run_cli([*args, "--manifest", str(mini_manifest), *flags]) == 1
@@ -741,16 +780,13 @@ def test_embed_flags_alone_exit_1_before_any_load(mini_manifest, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["index", "--out", "{tmp}/kb.index.json"], ["sweep-p", "--nkb-list", "1,2", "--out", "{tmp}/curve.csv"]],
-    ids=lambda command: command[0],
-)
+@pytest.mark.parametrize("command", EMBEDDING_COMMANDS, ids=lambda command: command[0])
 @pytest.mark.parametrize("flag", ["--ngram-min", "--ngram-max"])
 def test_ngram_flags_with_embed_url_exit_2_naming_the_flag(mini_manifest, tmp_path, capsys, monkeypatch, embed_posts, command, flag):
     # the external provider has no n-grams; the default value is rejected too
     loads = []
     monkeypatch.setattr(kgte.cli, "load_dataset", loads.append)
+    monkeypatch.setattr(kgte.analysis, "load_dataset", loads.append)
     out = tmp_path / "out"
     args = [arg.format(tmp=out) for arg in command]
     with pytest.raises(SystemExit) as excinfo:

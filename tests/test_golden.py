@@ -2,7 +2,9 @@
 against the copies under ``tests/data/golden/``: the ``kgte index`` JSON
 header of each kind and example embed mode, the ``save_dataset`` files, the rendered prompt of
 every prompt kind in every mode, and the ``report.json``, ``sentences.jsonl``
-and ``spec.json`` of ``kgte extract`` in the two modes without retrieval. The
+and ``spec.json`` of ``kgte extract`` in the two modes without retrieval (and
+the replay of each run's ``spec.json`` as written before the spec held an
+``encoder`` record, kept under ``legacy-spec/``). The
 header holds no vectors and the prompt contexts are built by hand from KB
 records, with no retrieval, so the checks do not depend on the host's
 floating-point rounding. The ``triplets`` and ``examples`` extract runs stay
@@ -28,10 +30,11 @@ every host.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
-from kgte import PromptTemplate, RetrievedContext, build_kb, load_dataset, render, save_dataset
+from kgte import PromptTemplate, RetrievedContext, build_kb, load_dataset, render, replay_experiment, save_dataset
 from kgte.cli import main
 from kgte.prompting import MODES, PROMPT_KINDS
 from kgte.vector_index import EXAMPLE_EMBED_MODES
@@ -96,6 +99,19 @@ def test_extract_outputs(monkeypatch, tmp_path, mode, extractor):
     assert sorted(path.name for path in out.iterdir()) == ["report.json", "sentences.jsonl", "spec.json"]
     for path in out.iterdir():
         assert path.read_bytes() == (golden / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("extractor", ["oracle-gold", "random"])
+@pytest.mark.parametrize("mode", ["zero", "static2"])
+def test_a_spec_written_before_the_encoder_field_replays(monkeypatch, tmp_path, mode, extractor):
+    # its top-level dimension and ngram_range are the hashed n-gram encoder; replay writes the spec as it is now
+    monkeypatch.chdir(DATA_DIR)
+    legacy = DATA_DIR / "legacy-spec" / f"{mode}-{extractor}.json"
+    assert {"dimension", "ngram_range"} <= set(json.loads(legacy.read_text())) and "encoder" not in legacy.read_text()
+    replay_experiment(legacy, tmp_path)
+    golden = GOLDEN / "extract" / f"{mode}-{extractor}"
+    for name in ("report.json", "sentences.jsonl", "spec.json"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def _prompt_inputs(manifest):

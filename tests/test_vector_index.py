@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.vendor.pretty import pretty
@@ -73,6 +74,20 @@ def random_unit_index(n, dimension, seed=0):
     payloads = [Triplet(f"s{i}", "r", f"o{i}") for i in range(n)]
     config = EncoderConfig(dimension=dimension)
     return VectorIndex("triplet", payloads, list(vectors), config), rng
+
+
+def rewrite_npy_header(matrix_path, header, rows=None):
+    """Rewrite the ``.npy`` file with ``header``'s fields over its own in a
+    version 1.0 header, before its rows or ``rows``."""
+    raw = matrix_path.read_bytes()
+    with open(matrix_path, "rb") as fh:
+        npy_format.read_magic(fh)
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+        body = raw[fh.tell():] if rows is None else rows
+    fields = {"shape": shape, "fortran_order": fortran_order, "descr": npy_format.dtype_to_descr(dtype)}
+    out = io.BytesIO()
+    npy_format.write_array_header_1_0(out, fields | header)
+    matrix_path.write_bytes(out.getvalue() + body)
 
 
 def small_kb():
@@ -769,15 +784,15 @@ class TestStreamedSave:
     def test_loading_frees_the_parsed_header_before_reading_the_matrix(self, tmp_path, monkeypatch):
         n = 1237  # a list length nothing else in the process is likely to have
         save_index(random_unit_index(n, 4)[0], tmp_path / "index.json")
-        read_matrix, lists_of_n = np.load, []
+        read_matrix, lists_of_n = np.fromfile, []
 
-        def load(*args, **kwargs):
-            lists_of_n.extend(len(o) for o in gc.get_objects() if type(o) is list and len(o) == n)
+        def fromfile(*args, **kwargs):
+            lists_of_n.append([len(o) for o in gc.get_objects() if type(o) is list and len(o) == n])
             return read_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(np, "load", load)
+        monkeypatch.setattr(np, "fromfile", fromfile)
         assert len(load_index(tmp_path / "index.json")) == n
-        assert lists_of_n == []
+        assert lists_of_n == [[]]  # the matrix was read once, with no list of n payloads alive
 
 
 class TestFailedSave:
@@ -883,26 +898,74 @@ class TestMalformedIndexFile:
         self._rejected(path, "shape", str(matrix_path))
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage,needle",
         [
-            pytest.param(lambda p, m: p.unlink(), id="missing"),
-            pytest.param(lambda p, m: p.write_bytes(p.read_bytes()[:-9]), id="truncated"),
-            pytest.param(lambda p, m: p.write_bytes(b""), id="empty"),
-            pytest.param(lambda p, m: np.save(p, m.astype(np.float32)), id="float32"),
-            pytest.param(lambda p, m: np.save(p, m.astype(">f8")), id="big-endian"),
-            pytest.param(lambda p, m: np.save(p, np.vstack([m, m[:1]])), id="extra-row"),
-            pytest.param(lambda p, m: np.save(p, m[:, :-1]), id="too-few-columns"),
-            pytest.param(lambda p, m: np.save(p, np.hstack([m, m[:, :1]])), id="too-many-columns"),
-            pytest.param(lambda p, m: np.save(p, m.ravel()), id="flat"),
-            pytest.param(lambda p, m: np.save(p, m.astype(object), allow_pickle=True), id="object"),
-            pytest.param(lambda p, m: p.write_bytes(pickle.dumps(m)), id="pickled"),
+            pytest.param(lambda p, m: p.unlink(), "No such file", id="missing"),
+            pytest.param(lambda p, m: p.write_bytes(p.read_bytes()[:-9]), "bytes", id="truncated"),
+            pytest.param(lambda p, m: p.write_bytes(b""), "", id="empty"),
+            pytest.param(lambda p, m: np.save(p, m.astype(np.float32)), "<f4", id="float32"),
+            pytest.param(lambda p, m: np.save(p, m.astype(">f8")), ">f8", id="big-endian"),
+            pytest.param(lambda p, m: np.save(p, np.vstack([m, m[:1]])), "shape (4, 16)", id="extra-row"),
+            pytest.param(lambda p, m: np.save(p, m[:, :-1]), "shape (3, 15)", id="too-few-columns"),
+            pytest.param(lambda p, m: np.save(p, np.hstack([m, m[:, :1]])), "shape (3, 17)", id="too-many-columns"),
+            pytest.param(lambda p, m: np.save(p, m.ravel()), "shape (48,)", id="flat"),
+            pytest.param(lambda p, m: np.save(p, m.astype(object), allow_pickle=True), "|O", id="object"),
+            pytest.param(lambda p, m: p.write_bytes(pickle.dumps(m)), "", id="pickled"),
+            pytest.param(lambda p, m: np.save(p, np.asfortranarray(m)), "Fortran order", id="fortran"),
+            pytest.param(lambda p, m: rewrite_npy_header(p, {"descr": "<f4"}), "<f4", id="float32-claim"),
+            pytest.param(lambda p, m: rewrite_npy_header(p, {"descr": "<i8"}), "<i8", id="int64-claim"),
+            pytest.param(lambda p, m: rewrite_npy_header(p, {"shape": (3, 16, 1)}), "shape (3, 16, 1)", id="three-axes"),
+            pytest.param(lambda p, m: rewrite_npy_header(p, {"shape": (2, 24)}), "shape (2, 24)", id="same-size-other-shape"),
+            pytest.param(lambda p, m: rewrite_npy_header(p, {}, b""), "bytes", id="header-only"),
+            pytest.param(lambda p, m: rewrite_npy_header(p, {}, m.tobytes() + b"\0"), "bytes", id="one-byte-more"),
+            pytest.param(lambda p, m: rewrite_npy_header(p, {}, m.tobytes()[:-8]), "bytes", id="one-value-less"),
+            pytest.param(lambda p, m: npy_format.write_array(p.open("wb"), m, version=(3, 0)), "format version (3, 0)", id="npy-version-3"),
         ],
     )
-    def test_malformed_matrix_file(self, tmp_path, damage):
+    def test_malformed_matrix_file(self, tmp_path, monkeypatch, damage, needle):
+        # each is rejected from the .npy header and the file size, before any row is read
         path, _ = self._saved_doc(tmp_path, "triplet")
         matrix_path = path.with_suffix(".npy")
         damage(matrix_path, np.load(matrix_path))
-        self._rejected(path, "matrix file")
+        reads = []
+        monkeypatch.setattr(np, "fromfile", lambda *args, **kwargs: reads.append(args))
+        self._rejected(path, "matrix file", str(matrix_path), needle)
+        assert reads == []
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [(b"{'descr'", b"{('descr"), (b"{'descr'", b"(('descr"), (b": '<f8'", b":('<f8'")],
+        ids=["paren-after-brace", "paren-for-brace", "paren-before-dtype"],
+    )
+    def test_unbalanced_parenthesis_in_the_npy_header(self, tmp_path, old, new):
+        # numpy's header parser raises tokenize.TokenError on these
+        path, _ = self._saved_doc(tmp_path, "triplet")
+        matrix_path = path.with_suffix(".npy")
+        raw = matrix_path.read_bytes()
+        damaged = raw.replace(old, new, 1)
+        assert len(damaged) == len(raw) and damaged != raw
+        matrix_path.write_bytes(damaged)
+        self._rejected(path, "matrix file", str(matrix_path))
+
+    def test_a_huge_claimed_shape_allocates_nothing(self, tmp_path):
+        path, _ = self._saved_doc(tmp_path, "triplet")
+        matrix_path = path.with_suffix(".npy")
+        rewrite_npy_header(matrix_path, {"shape": (9999999999999, 384)})
+        tracemalloc.start()
+        try:
+            self._rejected(path, "matrix file", "shape (9999999999999, 384)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_version_2_npy_header_loads(self, tmp_path):
+        path, _ = self._saved_doc(tmp_path, "triplet")
+        matrix_path = path.with_suffix(".npy")
+        matrix = np.load(matrix_path)
+        with open(matrix_path, "wb") as fh:
+            npy_format.write_array(fh, matrix, version=(2, 0))
+        assert load_index(path).vectors.tobytes() == matrix.tobytes()
 
     def test_non_unit_matrix_row_rejected(self, tmp_path):
         path, _ = self._saved_doc(tmp_path, "triplet")
