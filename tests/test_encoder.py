@@ -24,12 +24,11 @@ from kgte import (
     encode_texts,
     load_dataset,
     load_index,
-    normalize_surface,
     parse_triplets,
     retrieve_triplets,
     triplet_to_string,
 )
-from kgte.encoder import _ngram_slot
+from kgte.encoder import _encoded_rows, _ngram_slot
 from conftest import DATA_DIR, FAKE_EMBED_DIM, fake_embedding
 
 
@@ -319,20 +318,47 @@ def _fake_config(dimension=FAKE_EMBED_DIM):
     return EncoderConfig(provider="external", dimension=dimension, endpoint="http://embed.test/v1/embeddings", model="fake")
 
 
-# texts the hashed provider can embed at n-gram sizes 3 to 5: non-ASCII
-# included, and "İ", whose lower() is two code points
-_encodable = st.text(st.sampled_from("ab zİé.ß"), min_size=3, max_size=24).filter(normalize_surface)
-
-
 class TestEncodeTexts:
-    @settings(max_examples=60, deadline=None)
-    @given(texts=st.lists(_encodable, max_size=6), dimension=st.integers(1, 64))
-    def test_hashed_rows_equal_encode_bit_for_bit(self, texts, dimension):
-        config = EncoderConfig(dimension=dimension)
-        matrix = encode_texts(texts, config)
-        assert matrix.shape == (len(texts), dimension) and matrix.dtype == np.float64
-        for row, text in zip(matrix, texts):
-            assert row.tobytes() == encode(text, config).tobytes()
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        # non-ASCII, "İ" (whose lower() is two code points) and texts shorter
+        # than the minimum n-gram size, or blank, among the encodable ones, in
+        # lists that can pass a block of 32
+        texts=st.lists(st.text(st.sampled_from("ab zİé.ß_"), max_size=12), max_size=40),
+        dimension=st.integers(1, 64),
+        ngram_min=st.integers(1, 4),
+        ngram_extra=st.integers(0, 2),
+    )
+    def test_hashed_rows_equal_encode_bit_for_bit(self, texts, dimension, ngram_min, ngram_extra):
+        # the rows ``_encoded_rows`` streams, those of ``encode_texts`` and
+        # ``encode`` of each text agree, and so does the first error, which
+        # may come before the rows of the texts ahead of it in its block
+        config = EncoderConfig(dimension=dimension, ngram_range=(ngram_min, ngram_min + ngram_extra))
+        expected, failure = [], None
+        for position, text in enumerate(texts):
+            try:
+                expected.append(encode(text, config).tobytes())
+            except EncodeError as exc:
+                failure = f"text {position}: {exc}"
+                break
+        streamed = []
+        try:
+            for row in _encoded_rows(texts, config):
+                assert row.shape == (dimension,) and row.dtype == np.float64
+                streamed.append(row.tobytes())
+        except EncodeError as exc:
+            assert str(exc) == failure
+            assert streamed == expected[: len(streamed)]
+        else:
+            assert failure is None
+            assert streamed == expected
+            matrix = encode_texts(texts, config)
+            assert matrix.shape == (len(texts), dimension) and matrix.dtype == np.float64
+            assert [row.tobytes() for row in matrix] == expected
+        if failure is not None:
+            with pytest.raises(EncodeError) as excinfo:
+                encode_texts(texts, config)
+            assert str(excinfo.value) == failure
 
     @pytest.mark.parametrize("bad,needle", [("ab", "shorter than the minimum n-gram size 3"), ("__", "empty")])
     def test_hashed_error_names_the_position(self, bad, needle):
@@ -391,3 +417,14 @@ class TestEncodeTexts:
         with pytest.raises(ValueError, match="encode_texts"):
             encode("hello", _fake_config())
         assert embed_posts == []
+
+    def test_external_rows_arrive_a_block_at_a_time(self, embed_posts, monkeypatch):
+        monkeypatch.setattr(kgte.encoder, "EXTERNAL_BLOCK", 4)
+        texts = [f"text number {i}" for i in range(10)]
+        rows = _encoded_rows(texts, _fake_config())
+        assert embed_posts == []
+        for position, row in enumerate(rows):
+            # the block holding this row is the last one posted
+            assert len(embed_posts) == position // 4 + 1
+            assert row.tolist() == [x / 5 for x in fake_embedding(texts[position])]
+        assert embed_posts == [texts[0:4], texts[4:8], texts[8:10]]

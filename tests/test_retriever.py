@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgte._transport
 from kgte import (
     AnnotatedSentence,
+    EncodeError,
     EncoderConfig,
     RetrievedContext,
     Triplet,
@@ -18,12 +24,14 @@ from kgte import (
     build_kb,
     diversity_filter,
     encode,
+    encode_texts,
+    load_index,
     retrieve_contexts,
     retrieve_examples,
     retrieve_triplets,
     top_k,
 )
-from conftest import planted_pair_records, planted_single_records
+from conftest import DATA_DIR, fake_embedding, planted_pair_records, planted_single_records
 
 
 def ranked_list(predicates, start_score=1.0):
@@ -199,6 +207,61 @@ class TestRetrieveContexts:
             retrieve_contexts(["whatever sentence"], index, [3, 0])
 
 
+class TestStreamedQueries:
+    """``retrieve_contexts`` encodes a split a block of rows at a time, with
+    what ``encode_texts`` would send and return."""
+
+    def test_external_posts_equal_encode_texts_posts(self, monkeypatch):
+        index = load_index(DATA_DIR / "golden" / "external" / "triplet.index.json")
+        texts = [f"query sentence number {i}" for i in range(70)]
+        posts = []
+
+        def transport(url, payload, headers, timeout):
+            posts.append((url, json.dumps(payload), dict(headers), timeout))
+            return 200, json.dumps({"data": [{"embedding": fake_embedding(text)} for text in payload["input"]]})
+
+        monkeypatch.setattr(kgte._transport, "_requests_transport", transport)
+        matrix = encode_texts(texts, index.encoder_config)
+        by_matrix = posts[:]
+        posts.clear()
+        columns = retrieve_contexts(texts, index, [1, 3])
+        assert posts == by_matrix and len(posts) == 3
+        for row, context in zip(matrix, columns[1]):
+            ranked = [(index.payloads[i], score) for i, score in top_k(index, row, 3)]
+            assert context.items == tuple(diversity_filter(ranked))
+
+    def test_external_blank_text_fails_before_any_post(self, embed_posts):
+        index = load_index(DATA_DIR / "golden" / "external" / "triplet.index.json")
+        texts = [f"query sentence number {i}" for i in range(70)]
+        texts[40] = " \t "
+        with pytest.raises(EncodeError, match="^text 40: cannot encode text that is empty after normalization$"):
+            retrieve_contexts(texts, index, [2])
+        assert embed_posts == []
+
+    def test_hashed_error_names_the_split_position(self):
+        index = _planted_triplet_index(planted_pair_records(6))
+        texts = ["hello world"] * 37 + ["ab"]  # in the second block of 32
+        with pytest.raises(EncodeError, match="^text 37: text shorter than the minimum n-gram size 3$"):
+            retrieve_contexts(texts, index, [2])
+
+    def test_a_split_peaks_below_its_query_matrix(self):
+        # numpy registers its buffers with tracemalloc, so the peak counts a
+        # query matrix if one is made: 2,000 x 384 float64 is 5.9 MiB
+        index = _planted_triplet_index(planted_single_records(12), dimension=384)
+        words = ["rome", "paris", "capital", "located", "born", "pilot", "texas", "poland"]
+        texts = [" ".join(combo) for combo in itertools.islice(itertools.product(words, repeat=4), 2000)]
+        for text in set(texts):  # fill the n-gram slot cache, which is no query state
+            encode(text, index.encoder_config)
+        tracemalloc.start()
+        try:
+            columns = retrieve_contexts(texts, index, [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns[0]) == 2000
+        assert peak < 2000 * 384 * 8
+
+
 class TestRetrieveExamples:
     def test_self_similar_example_ranks_first(self):
         records = planted_pair_records(14)
@@ -247,6 +310,11 @@ class TestRetrievedContext:
         context = RetrievedContext(mode="triplets", items=(), n_kb_requested=5)
         assert context.n_returned == 0
         assert context.ranked_triplets() == []
+
+    def test_is_slotted_and_replaceable(self):
+        context = RetrievedContext(mode="triplets", items=(), n_kb_requested=5)
+        assert not hasattr(context, "__dict__")
+        assert dataclasses.replace(context, n_kb_requested=2) == RetrievedContext(mode="triplets", items=(), n_kb_requested=2)
 
     def test_example_context_triplet_union(self):
         records = planted_pair_records(4)
